@@ -9,13 +9,13 @@ universal-model adjoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .config import DivergenceError, Tolerances, default_tolerances
+from .config import DivergenceError
 from .cpmap import CPMapTuple, OperatorTuple, hermitize
 from .fock import (
     CompressedModel,
@@ -26,7 +26,7 @@ from .fock import (
     compress,
     variety_subspace,
 )
-from .words import NCPolynomial, PositiveSymbol, Word
+from .words import NCPolynomial, PositiveSymbol, polyball_symbol
 
 
 def tuple_word_product(ops: OperatorTuple, alphas: Sequence[Sequence[int]]) -> np.ndarray:
@@ -87,12 +87,10 @@ class CompatibleTuple:
             bound, tail = float("inf"), float("inf")
             notes.append(str(e))
         q_res: List[float] = []
-        eye = np.eye(self.ops.dim, dtype=np.complex128)
         for q in self.polys:
-            val = q.evaluate(lambda i, j: self.ops.matrix(i, j), eye)
-            r = float(np.linalg.norm(val, 2))
+            r = float(np.linalg.norm(self.ops.evaluate_poly(q), 2))
             q_res.append(r)
-            if r > 1e-8 * max(1.0, float(np.linalg.norm(eye))):
+            if r > 1e-8 * max(1.0, float(np.sqrt(self.ops.dim))):
                 ok = False
                 notes.append(f"constraint polynomial residual {r:.3e}")
         return CompatibilityReport(ok, bound, tail, q_res, notes)
@@ -134,15 +132,15 @@ def _kernel_tail_bound(
     """
     total = 0.0
     for i in range(1, phi.k + 1):
-        cert = phi._geom_cert(i)
-        if cert.nilpotent_power is not None and degree_cap + 1 >= cert.nilpotent_power:
-            continue
         r_i = phi.joint_spectral_radius(i, crosscheck=False)
-        if cert.nilpotent_power is not None:
+        if not (r_i < 1.0 - phi.tol.radius_margin):
+            return float("nan"), False
+        orbit = phi._orbit(i)
+        if orbit.norm(degree_cap + 1) == 0.0:
+            continue  # Phi_i^{degree_cap+1} = 0: no row beyond the box survives
+        if orbit.nilpotency_index() is not None:
             t = 4.0
         else:
-            if not (r_i < 1.0 - phi.tol.radius_margin):
-                return float("nan"), False
             t = min(((1.0 - phi.tol.radius_margin) / max(r_i, 1e-6)) ** 2, 64.0)
         contribution = None
         for _ in range(8):
@@ -462,30 +460,6 @@ def vn_check_model(
     )
 
 
-def _power_norm_sum_sq(C: np.ndarray) -> Tuple[float, bool]:
-    """sum_{s>=0} ||C^s||_2^2 with a submultiplicative tail certificate.
-
-    Once n = ||C^s|| < 1, the remaining sum T obeys T <= n^2 (total-1+T)
-    because ||C^{s+u}|| <= n ||C^u||, so T <= n^2 (total-1) / (1-n^2).
-    """
-    d = C.shape[0]
-    P = np.eye(d, dtype=np.complex128)
-    total = 0.0
-    s = 0
-    while s <= 100000:
-        n = float(np.linalg.norm(P, 2))
-        total += n * n
-        s += 1
-        if n == 0.0:
-            return total, True
-        if n < 1.0:
-            tail = n * n * (total - 1.0) / (1.0 - n * n)
-            if tail <= 1e-14 * max(total, 1.0):
-                return total + tail, True
-        P = P @ C
-    return float("nan"), False
-
-
 def vn_check_polydisc(
     C_ops: OperatorTuple,
     poly_matrix: Sequence[Sequence[NCPolynomial]],
@@ -507,20 +481,21 @@ def vn_check_polydisc(
     cols = len(poly_matrix[0])
     d = C_ops.dim
     lhs_mat = np.zeros((rows * d, cols * d), dtype=np.complex128)
-    eye = np.eye(d, dtype=np.complex128)
     for s in range(rows):
         for t in range(cols):
-            val = poly_matrix[s][t].evaluate(lambda i, j: C_ops.matrix(i, j), eye)
-            lhs_mat[s * d:(s + 1) * d, t * d:(t + 1) * d] = val
+            lhs_mat[s * d:(s + 1) * d, t * d:(t + 1) * d] = C_ops.evaluate_poly(poly_matrix[s][t])
     lhs = float(np.linalg.norm(lhs_mat, 2))
 
+    # ||C_i^s||^2 is the orbit norm of X -> C_i X C_i^*, whose radius is rho(C_i)^2
+    phi = CPMapTuple([polyball_symbol(1)] * k, C_ops)
     b = 1.0
-    certified = True
     for i in range(1, k + 1):
-        val, ok = _power_norm_sum_sq(C_ops.matrix(i, 1))
-        certified = certified and ok
-        b *= val
-    if not certified or not np.isfinite(b):
+        rho = float(np.max(np.abs(np.linalg.eigvals(C_ops.matrix(i, 1)))))
+        if not rho <= 1.0 - phi.tol.radius_margin:
+            b = float("inf")
+            break
+        b *= phi._orbit(i).norm_sum(1)
+    if not np.isfinite(b):
         return VNReport("INCONCLUSIVE", lhs, float("nan"), float("nan"),
                         {"reason": "power-norm sum not certified (radius >= 1?)"})
     factor = float(np.sqrt(b))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from .config import default_tolerances
 from .cone import flat_equivalence, is_pure_element, membership, reconstruct
-from .cpmap import CPMapTuple, OperatorTuple
+from .cpmap import CPMapTuple
 from .berezin import (
     CompatibleTuple,
     constrained_kernel,
@@ -296,7 +296,8 @@ def cmd_gen(args) -> Dict[str, Any]:
         kwargs.pop("arities", None)
         kwargs.pop("m", None)
     if args.family == "polyball_random":
-        kwargs.pop("k", None)
+        if kwargs.pop("k", 1) != 1:
+            raise ValueError("polyball_random has one factor; --k must be 1")
         if "arities" in kwargs:
             kwargs["n"] = int(kwargs.pop("arities")[0])
         if "m" in kwargs:
@@ -348,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     g.add_argument("--dim", type=int)
     g.add_argument("--k", type=int)
     g.add_argument("--arities", type=str, help="comma separated, e.g. 2,1")
-    g.add_argument("--m", type=str, help="comma separated, e.g. 1,1")
+    g.add_argument("--m", type=str, help="comma separated, e.g. 1,1 (default: 1 per factor)")
     g.add_argument("--output")
     args = parser.parse_args(argv)
 

@@ -8,19 +8,17 @@ three-valued: clearly inside, boundary band, clearly outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import Tolerances
 from .cpmap import (
     CPMapTuple,
     MultiDegree,
     OperatorTuple,
     SeriesResult,
     hermitize,
-    multi_grid,
 )
 from .words import NCPolynomial, PositiveSymbol, scale_symbol_action
 
@@ -217,11 +215,6 @@ def flat_equivalence(
     return FlatReport(a, b, full, ones, consistent=(a == b))
 
 
-def evaluate_poly_on_tuple(q: NCPolynomial, ops: OperatorTuple) -> np.ndarray:
-    eye = np.eye(ops.dim, dtype=np.complex128)
-    return q.evaluate(lambda i, j: ops.matrix(i, j), eye)
-
-
 @dataclass
 class FactorizationResult:
     T: OperatorTuple
@@ -258,7 +251,7 @@ def factor_through(
     qa_scale = max(1.0, float(np.linalg.norm(Gamma, 2)))
     tol = 1e-8 if tol is None else float(tol)
     for q in Q_polys:
-        qa = float(np.linalg.norm(evaluate_poly_on_tuple(q, A), 2))
+        qa = float(np.linalg.norm(A.evaluate_poly(q), 2))
         if qa > 1e-8 * qa_scale:
             raise ValueError(f"a constraint polynomial does not annihilate A: ||q(A)|| = {qa:.3e}")
 
@@ -301,7 +294,7 @@ def factor_through(
         residuals.append(rowR)
     T = OperatorTuple(rowsT, tol=A.tol)
     variety_residuals = [
-        float(np.linalg.norm(evaluate_poly_on_tuple(q, T), 2)) for q in Q_polys
+        float(np.linalg.norm(T.evaluate_poly(q), 2)) for q in Q_polys
     ]
     domain_report = membership(CPMapTuple(symbols, T), m, np.eye(d), with_purity=False)
     return FactorizationResult(

@@ -5,6 +5,13 @@ where A_{i,alpha} is the word product of the i-th row of matrices. The
 engine provides iterates, defect maps, certified weighted series, Cesaro
 means, and the joint spectral radius.
 
+Every decay and norm-sum bound is read off one identity orbit per factor,
+eta_s = ||Phi_i^s(I)||_2. Each Phi_i^s is a positive map, so Russo-Dye gives
+||Phi_i^s|| = eta_s in the operator norm; submultiplicativity turns any
+eta_t < 1 into a geometric envelope for all s, and Phi_i^s = 0 exactly when
+Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate. Series
+tails are stated in the Frobenius norm, which costs a factor sqrt(d).
+
 vec convention is row-major throughout: vec(X)[d*r + c] = X[r, c], hence
 vec(A X B) = (A kron B^T) vec(X) and the matricized map is
 M_i = sum a_alpha (A_alpha kron conj(A_alpha)).
@@ -13,14 +20,15 @@ M_i = sum a_alpha (A_alpha kron conj(A_alpha)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import DivergenceError, ResourceCapError, Tolerances, default_tolerances
-from .words import PositiveSymbol, Word, polyball_symbol, require_valid
+from .words import NCPolynomial, PositiveSymbol, polyball_symbol, require_valid
 
 MultiDegree = Tuple[int, ...]
 
@@ -29,13 +37,28 @@ class CommutationError(ValueError):
     """Cross-factor commutation fails beyond tolerance."""
 
 
-def multi_le(p: Sequence[int], m: Sequence[int]) -> bool:
-    return len(p) == len(m) and all(a <= b for a, b in zip(p, m))
-
-
 def multi_grid(m: Sequence[int]) -> Iterator[MultiDegree]:
     """All multi-degrees p with 0 <= p <= m, lexicographic."""
     return itertools.product(*(range(mi + 1) for mi in m))
+
+
+def defect_sweep(
+    m: Sequence[int], X, apply: Callable[[int, object], object]
+) -> Dict[MultiDegree, object]:
+    """All defects Delta^p(X) for 0 <= p <= m via one incremental sweep.
+
+    apply(i, Y) is the i-th map (1-based); each defect is one step from a
+    neighbour already in the grid, Delta^p = Delta^{p - e_i} - Phi_i Delta^{p - e_i}.
+    """
+    grid: Dict[MultiDegree, object] = {tuple(0 for _ in m): X}
+    for p in multi_grid(m):
+        if p in grid:
+            continue
+        i = next(idx for idx, pi in enumerate(p) if pi > 0)
+        prev = tuple(pi - (1 if idx == i else 0) for idx, pi in enumerate(p))
+        Y = grid[prev]
+        grid[p] = Y - apply(i + 1, Y)
+    return grid
 
 
 def vec(X: np.ndarray) -> np.ndarray:
@@ -130,6 +153,10 @@ class OperatorTuple:
         self._word_cache[key] = out
         return out
 
+    def evaluate_poly(self, q: NCPolynomial) -> np.ndarray:
+        """q(A), the letter Z_{i,j} evaluated at A_{i,j}."""
+        return q.evaluate(self.matrix, np.eye(self.dim, dtype=np.complex128))
+
     def conjugate(self, Y: np.ndarray, Yinv: np.ndarray | None = None) -> "OperatorTuple":
         """The tuple Y^{-1} A_{i,j} Y (same symbols act on it)."""
         Y = _as_complex(Y)
@@ -149,44 +176,85 @@ class SeriesResult:
     radii: Tuple[float, ...]
 
 
-@dataclass
-class _GeomCert:
-    """Power-norm decay certificate for one matricized map M.
+class _Orbit:
+    """The identity orbit eta_s = ||Phi_i^s(I)||_2 of one factor, extended lazily.
 
-    Guarantees ||M^s||_2 <= growth * theta^s for all s >= 0. When
-    nilpotent_power is set, M^s = 0 for every s >= nilpotent_power.
+    Russo-Dye bounds every iterate, ||Phi_i^s(X)||_2 <= eta_s ||X||_2, and
+    submultiplicativity turns any t with theta_t = eta_t^{1/t} < 1 into the
+    envelope eta_s <= growth_t theta_t^s for all s, where
+    growth_t = max_{b<t} eta_b / theta_t^b. The envelope is refreshed when the
+    orbit length doubles and kept while theta_t improves.
     """
 
-    theta: float
-    growth: float
-    nilpotent_power: Optional[int]
-    pow2_norms: Tuple[float, ...]  # upper bounds on ||M^(2^j)||, j = 0..J
-    ok: bool
+    def __init__(self, phi: "CPMapTuple", i: int):
+        # a weak reference: phi owns its orbits, and a cycle would keep phi's
+        # matricizations alive until the cyclic collector runs
+        self._phi = weakref.proxy(phi)
+        self._i = i
+        self.X = np.eye(phi.dim, dtype=np.complex128)
+        self.eta: List[float] = [1.0]
+        self.theta = float("inf")
+        self.growth = float("inf")
 
-    def power_norm_bound(self, s: int) -> float:
-        if self.nilpotent_power is not None and s >= self.nilpotent_power:
-            return 0.0
-        out = 1.0
-        j = 0
-        while s:
-            if s & 1:
-                if j < len(self.pow2_norms):
-                    out *= self.pow2_norms[j]
-                else:
-                    out *= self.pow2_norms[-1] ** (2 ** (j - len(self.pow2_norms) + 1))
-            s >>= 1
-            j += 1
-        return out
+    def norm(self, s: int) -> float:
+        """eta_s; zero past the nilpotency index."""
+        while len(self.eta) <= s:
+            if self.eta[-1] == 0.0:
+                return 0.0
+            # the iterates are exactly Hermitian, so herm=True skips only the check
+            self.X = self._phi.apply(self._i, self.X, herm=True)
+            # the spectral norm, as np.linalg.norm(X, 2) computes it
+            self.eta.append(float(np.linalg.svd(self.X, compute_uv=False)[0]))
+            t = len(self.eta) - 1
+            if t & (t - 1) == 0:
+                self._refresh(t)
+        return self.eta[s]
 
+    def _refresh(self, t: int) -> None:
+        if not 0.0 < self.eta[t] < 1.0:
+            return
+        theta = self.eta[t] ** (1.0 / t)
+        if theta >= self.theta:
+            return
+        with np.errstate(divide="ignore", over="ignore"):
+            growth = float(np.exp(np.log(self.eta[:t]) - np.arange(t) * np.log(theta)).max())
+        if np.isfinite(growth):
+            self.theta, self.growth = theta, growth
 
-def _specnorm_upper(M: np.ndarray) -> float:
-    """Rigorous-enough upper bound on the spectral norm."""
-    n = M.shape[0]
-    if n <= 1600:
-        return float(np.linalg.norm(M, 2))
-    one = float(np.abs(M).sum(axis=0).max())
-    inf = float(np.abs(M).sum(axis=1).max())
-    return float(np.sqrt(one * inf))
+    def nilpotency_index(self) -> Optional[int]:
+        """First s with Phi_i^s = 0, or None; a nilpotent map on M_d vanishes by s = d."""
+        self.norm(self._phi.dim)
+        return len(self.eta) - 1 if self.eta[-1] == 0.0 else None
+
+    def tail(self, s: int, m: int) -> float:
+        """Certified bound on sum_{u>=s} C(u+m-1, m-1) ||Phi_i^u|| from the orbit so far.
+
+        Past a known zero the remaining sum is exact. Otherwise the envelope
+        applies: consecutive weights grow by (u+m)/(u+1) <= (s+m)/(s+1).
+        """
+        if self.eta[-1] == 0.0:
+            return float(sum(comb(u + m - 1, m - 1) * self.eta[u]
+                             for u in range(s, len(self.eta))))
+        ratio = self.theta * (s + m) / (s + 1)
+        if not ratio < 1.0:
+            return float("inf")
+        return self.growth * comb(s + m - 1, m - 1) * self.theta ** s / (1.0 - ratio)
+
+    def norm_sum(self, m: int, budget: int = 20000) -> float:
+        """Certified sum_s C(s+m-1, m-1) ||Phi_i^s||; inf when no envelope is found in budget."""
+        total = 0.0
+        s = 0
+        while True:
+            total += comb(s + m - 1, m - 1) * self.norm(s)
+            s += 1
+            tail = self.tail(s, m)
+            if tail <= 1e-12 * max(total, 1.0) or s >= budget:
+                return total + tail
+
+    def gelfand(self, s_max: int) -> float:
+        """min_{1<=t<=s_max} eta_t^{1/t}, an upper bound on the spectral radius of Phi_i."""
+        self.norm(s_max)
+        return min(e ** (1.0 / t) for t, e in enumerate(self.eta[1:s_max + 1], start=1))
 
 
 class CPMapTuple:
@@ -214,7 +282,7 @@ class CPMapTuple:
         self.k = ops.k
         self.dim = ops.dim
         self._matricized: Dict[int, np.ndarray] = {}
-        self._certs: Dict[int, _GeomCert] = {}
+        self._orbits: Dict[int, _Orbit] = {}
 
     @classmethod
     def from_kraus(
@@ -313,102 +381,20 @@ class CPMapTuple:
         """All defects Delta^p(X) for 0 <= p <= m via one incremental sweep."""
         if len(m) != self.k:
             raise ValueError(f"multi-degree length {len(m)} != k = {self.k}")
-        grid: Dict[MultiDegree, np.ndarray] = {}
-        grid[tuple([0] * self.k)] = np.asarray(X, dtype=np.complex128)
-        for p in multi_grid(m):
-            if p in grid:
-                continue
-            i = next(idx for idx, pi in enumerate(p) if pi > 0)
-            prev = tuple(pi - (1 if idx == i else 0) for idx, pi in enumerate(p))
-            Y = grid[prev]
-            grid[p] = Y - self.apply(i + 1, Y)
-        return grid
+        return defect_sweep(m, np.asarray(X, dtype=np.complex128), self.apply)
 
     # --- certified series -----------------------------------------------
 
-    def _geom_cert(self, i: int) -> _GeomCert:
-        cached = self._certs.get(i)
-        if cached is not None:
-            return cached
-        M = self.matricize(i)
-        d2 = M.shape[0]
-        if d2 <= 400:
-            jmax = 6
-        elif d2 <= 1600:
-            jmax = 5
-        elif d2 <= 6400:
-            jmax = 4
-        else:
-            jmax = 3
-        norms: List[float] = []
-        P = M
-        eta = _specnorm_upper(P)
-        norms.append(eta)
-        best_theta = eta if eta < 1.0 else np.inf
-        best_j = 0 if eta < 1.0 else -1
-        nilpotent_power: Optional[int] = None
-        if eta == 0.0:
-            nilpotent_power = 1
-        j = 0
-        while j < jmax and nilpotent_power is None and not (best_j >= 0 and best_theta <= 0.2):
-            P = P @ P
-            j += 1
-            eta = _specnorm_upper(P)
-            norms.append(eta)
-            if eta == 0.0:
-                nilpotent_power = 2 ** j
-                break
-            theta = eta ** (1.0 / (2 ** j))
-            if theta < best_theta:
-                best_theta = theta
-                best_j = j
-        # structurally nilpotent maps annihilate exactly once 2^j reaches the
-        # nilpotency index (at most d2); chase the collapse past the geometric
-        # stopping rule so exact-sum paths get certified with a zero tail
-        while nilpotent_power is None and d2 <= 400 and eta < 1.0 and 2 ** j < 2 * d2:
-            P = P @ P
-            j += 1
-            eta = _specnorm_upper(P)
-            norms.append(eta)
-            if eta == 0.0:
-                nilpotent_power = 2 ** j
-            else:
-                theta = eta ** (1.0 / (2 ** j))
-                if theta < best_theta:
-                    best_theta = theta
-                    best_j = j
-        if nilpotent_power is not None and nilpotent_power > 1:
-            # squaring only brackets the index between consecutive powers of
-            # two; bisect down to the minimal power (structural zeros are
-            # exact, so the comparison is reliable)
-            lo, hi = nilpotent_power // 2, nilpotent_power
-            while hi - lo > 1:
-                mid = (hi + lo) // 2
-                if _specnorm_upper(np.linalg.matrix_power(M, mid)) == 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            nilpotent_power = hi
-        if nilpotent_power is not None:
-            cert = _GeomCert(0.0, 1.0, nilpotent_power, tuple(norms), True)
-        elif best_j < 0:
-            cert = _GeomCert(np.inf, np.inf, None, tuple(norms), False)
-        else:
-            t = 2 ** best_j
-            theta = best_theta
-            growth = 1.0
-            stub = _GeomCert(theta, 1.0, None, tuple(norms), True)
-            for b in range(t):
-                growth = max(growth, stub.power_norm_bound(b) / theta ** b)
-            cert = _GeomCert(theta, growth, None, tuple(norms), True)
-        self._certs[i] = cert
-        return cert
+    def _orbit(self, i: int) -> _Orbit:
+        orbit = self._orbits.get(i)
+        if orbit is None:
+            orbit = self._orbits[i] = _Orbit(self, i)
+        return orbit
 
     def _radius_from_eigs(self, i: int) -> float:
+        if self.dim ** 2 > 6400:
+            return float(np.sqrt(self._orbit(i).gelfand(64)))
         M = self.matricize(i)
-        if M.shape[0] > 6400:
-            cert = self._geom_cert(i)
-            return float(np.sqrt(cert.theta)) if cert.ok else np.inf
         rho = float(np.max(np.abs(np.linalg.eigvals(M)), initial=0.0))
         return float(np.sqrt(rho))
 
@@ -419,61 +405,45 @@ class CPMapTuple:
         X: np.ndarray,
         tail_target: float,
         budget: int,
-        strict: bool,
+        certify: bool,
     ) -> Tuple[np.ndarray, float, int, bool]:
         """sum_s C(s+m_i-1, m_i-1) Phi_i^s(X), truncated with a tail bound.
 
+        With certify the orbit is kept level with the series and the tail
+        after s terms is sqrt(d) ||X||_2 times its tail(s, m_i). Without it the
+        sum runs until the increments stall, uncertified.
         Returns (value, tail_bound, terms_used, certified).
         """
-        cert = self._geom_cert(i)
         herm = is_hermitian(X)
         total = np.zeros_like(np.asarray(X, dtype=np.complex128))
         term = np.asarray(X, dtype=np.complex128)
-        xnorm = float(np.linalg.norm(term))
+        xnorm = float(np.linalg.norm(term, 2))
         if xnorm == 0.0:
             return total, 0.0, 0, True
 
-        if cert.nilpotent_power is not None:
+        if certify:
+            orbit = self._orbit(i)
+            # from X = I on, the terms are the orbit's own iterates
+            on_orbit = len(orbit.eta) == 1 and np.array_equal(term, orbit.X)
+            scale = np.sqrt(self.dim) * xnorm
             s = 0
-            while s < cert.nilpotent_power:
-                total += comb(s + m_i - 1, m_i - 1) * term
-                term = self.apply(i, term, herm=herm)
-                s += 1
-            return (hermitize(total) if herm else total), 0.0, s, True
-
-        if cert.ok:
-            theta, growth = cert.theta, cert.growth
-            s = 0
-            tail = float("inf")
             while True:
                 total += comb(s + m_i - 1, m_i - 1) * term
                 s += 1
-                rho_w = (s + m_i) / (s + 1)
-                if theta * rho_w < 1.0:
-                    tail = (
-                        growth
-                        * xnorm
-                        * comb(s + m_i - 1, m_i - 1)
-                        * theta ** s
-                        / (1.0 - theta * rho_w)
-                    )
-                    if tail <= tail_target:
-                        return (hermitize(total) if herm else total), float(tail), s, True
+                orbit.norm(s)
+                tail = scale * orbit.tail(s, m_i)
+                if tail <= tail_target:
+                    return (hermitize(total) if herm else total), float(tail), s, True
                 if s >= budget:
                     raise DivergenceError(
                         f"factor {i}: tail bound still {tail:.3e} after {s} terms "
-                        f"(theta={theta:.6f}); raise the budget or shrink the instance"
+                        f"(theta={orbit.theta:.6f}); raise the budget or shrink the instance"
                     )
-                term = self.apply(i, term, herm=herm)
+                term = orbit.X if on_orbit else self.apply(i, term, herm=herm)
                 if float(np.linalg.norm(term)) == 0.0:
                     # structural annihilation: the remaining terms are exactly 0
                     return (hermitize(total) if herm else total), 0.0, s, True
 
-        if strict:
-            raise DivergenceError(
-                f"factor {i}: no geometric decay certificate found "
-                f"(power norms {cert.pow2_norms}); radius may be >= 1"
-            )
         # best effort: sum until increments stall or budget runs out
         s = 0
         stall = 0
@@ -505,50 +475,43 @@ class CPMapTuple:
         Evaluated stage by stage (the factors commute); the returned
         tail_bound certifies the Frobenius distance to the exact sum when
         certified is True. tol is interpreted relative to max(1, ||R||_F).
+
+        Each factor's bounds come from its identity orbit eta_s: the stage
+        tail uses ||Phi_j^u(X)||_F <= sqrt(d) eta_u ||X||_2, and an error
+        passed through stage j grows at most by sqrt(d) * norm_sum_j(m_j),
+        norm_sum_j(m_j) = sum_u C(u+m_j-1, m_j-1) eta_u. A factor whose radius
+        is above 1 - radius_margin is refused when strict, and otherwise
+        summed best effort and left uncertified.
         """
         if len(m) != self.k:
             raise ValueError(f"multi-degree length {len(m)} != k = {self.k}")
         if any(mi < 1 for mi in m):
             raise ValueError(f"m must be >= 1 componentwise, got {tuple(m)}")
         tol = self.tol.series_tol if tol is None else float(tol)
-        R = np.asarray(R, dtype=np.complex128)
+        R = _as_complex(R)
         target = tol * max(1.0, float(np.linalg.norm(R)))
 
         radii = tuple(self.joint_spectral_radius(i, crosscheck=False) for i in range(1, self.k + 1))
-        certs = [self._geom_cert(i) for i in range(1, self.k + 1)]
-        if strict:
-            bad = [i + 1 for i, r in enumerate(radii) if not (r <= 1.0 - self.tol.radius_margin)]
-            bad += [i + 1 for i, c in enumerate(certs) if not c.ok]
-            if bad:
-                raise DivergenceError(
-                    f"factors {sorted(set(bad))} have radius above "
-                    f"{1.0 - self.tol.radius_margin} or no decay certificate"
-                )
-
-        # amplification of downstream stages: ||G_j|| <= growth_j (1-theta_j)^{-m_j}
-        def amp(j: int) -> float:
-            c = certs[j]
-            if c.nilpotent_power is not None:
-                return float(
-                    sum(
-                        comb(s + m[j] - 1, m[j] - 1) * c.power_norm_bound(s)
-                        for s in range(c.nilpotent_power)
-                    )
-                )
-            if not c.ok:
-                return float("inf")
-            return c.growth * (1.0 - c.theta) ** (-m[j])
-
-        amps = [amp(j) for j in range(self.k)]
+        settled = [r <= 1.0 - self.tol.radius_margin for r in radii]
+        if strict and not all(settled):
+            bad = [i + 1 for i, ok in enumerate(settled) if not ok]
+            raise DivergenceError(
+                f"factors {bad} have radius above {1.0 - self.tol.radius_margin}"
+            )
+        amps = [
+            np.sqrt(self.dim) * self._orbit(j + 1).norm_sum(m[j], budget) if settled[j] else np.inf
+            for j in range(1, self.k)
+        ]
         value = R
         tail_total = 0.0
         terms: List[int] = []
         certified = True
         for idx in range(self.k):
-            downstream = float(np.prod(amps[idx + 1:])) if idx + 1 < self.k else 1.0
-            share = target / (self.k * max(downstream, 1e-300))
+            downstream = float(np.prod(amps[idx:]))
+            # an uncertified downstream stage leaves the whole sum uncertified
+            share = target / (self.k * (downstream if np.isfinite(downstream) else 1.0))
             value, tail, used, cert_ok = self._single_factor_series(
-                idx + 1, m[idx], value, share, budget, strict
+                idx + 1, m[idx], value, share, budget, settled[idx]
             )
             terms.append(used)
             certified = certified and cert_ok
@@ -576,18 +539,15 @@ class CPMapTuple:
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         tol = self.tol.series_tol if tol is None else float(tol)
-        X = np.asarray(X, dtype=np.complex128)
+        X = _as_complex(X)
         target = tol * max(1.0, float(np.linalg.norm(X)))
         r = self.joint_spectral_radius(i, crosscheck=False)
-        cert = self._geom_cert(i)
-        if cert.nilpotent_power is None and not (
-            r <= 1.0 - self.tol.radius_margin and cert.ok
-        ):
+        if not r <= 1.0 - self.tol.radius_margin:
             raise DivergenceError(
                 f"factor {i} radius {r:.6f} is above {1.0 - self.tol.radius_margin}"
             )
         value, tail, used, certified = self._single_factor_series(
-            i, p, X, target, budget, strict=True
+            i, p, X, target, budget, certify=True
         )
         return SeriesResult(value, tail, (used,), certified, (r,))
 
@@ -615,14 +575,13 @@ class CPMapTuple:
     def radius_power_sequence(
         self, i: int, rel: float = 1e-6, max_iter: int = 2000
     ) -> Tuple[float, int]:
-        """||Phi_i^s(I)||^{1/2s} iterated until relative stabilization."""
-        X = np.eye(self.dim, dtype=np.complex128)
+        """||Phi_i^s(I)||^{1/2s} read off the orbit until relative stabilization."""
+        orbit = self._orbit(i)
         prev = None
         s = 0
         while s < max_iter:
-            X = self.apply(i, X)
             s += 1
-            nrm = float(np.linalg.norm(X, 2))
+            nrm = orbit.norm(s)
             if nrm == 0.0:
                 return 0.0, s  # exact annihilation (nilpotent tuple)
             est = nrm ** (1.0 / (2 * s))

@@ -10,13 +10,13 @@ truncated space is co-invariant and all adjoint-side identities are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .config import ResourceCapError, Tolerances, default_tolerances
-from .cpmap import MultiDegree, multi_grid
+from .cpmap import MultiDegree, defect_sweep
 from .words import (
     NCPolynomial,
     PositiveSymbol,
@@ -174,15 +174,7 @@ class ModelOperators:
         return self._diag_map(i) @ np.asarray(u, dtype=np.float64)
 
     def defect_diag_grid(self, m: Sequence[int], u: np.ndarray) -> Dict[MultiDegree, np.ndarray]:
-        grid: Dict[MultiDegree, np.ndarray] = {tuple([0] * self.fock.k): np.asarray(u, dtype=np.float64)}
-        for p in multi_grid(m):
-            if p in grid:
-                continue
-            i = next(idx for idx, pi in enumerate(p) if pi > 0)
-            prev = tuple(pi - (1 if idx == i else 0) for idx, pi in enumerate(p))
-            v = grid[prev]
-            grid[p] = v - self.apply_diag(i + 1, v)
-        return grid
+        return defect_sweep(m, np.asarray(u, dtype=np.float64), self.apply_diag)
 
 
 def build_model(

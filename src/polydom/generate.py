@@ -109,16 +109,27 @@ def _scale_rows_to_radius(
     return rows, radii
 
 
+def _multi_degree(k: Optional[int], arities: Sequence[int], m: Optional[Sequence[int]]) -> Tuple[int, ...]:
+    """m, all ones by default; ValueError when k or m disagrees with the arities."""
+    if k is not None and k != len(arities):
+        raise ValueError(f"k = {k} but {len(arities)} arities given")
+    m = tuple(1 for _ in arities) if m is None else tuple(m)
+    if len(m) != len(arities):
+        raise ValueError(f"{len(m)} entries in m for {len(arities)} factors")
+    return m
+
+
 def commuting_polynomials(
     seed: int,
-    k: int = 2,
+    k: Optional[int] = None,
     arities: Sequence[int] = (2, 1),
     dim: int = 4,
-    m: Sequence[int] = (1, 1),
+    m: Optional[Sequence[int]] = None,
     degree: int = 2,
     target_radius: float = 0.8,
 ) -> Instance:
     """A_{i,j} = p_{i,j}(M) for one shared random M; exact commutation."""
+    m = _multi_degree(k, arities, m)
     rng = np.random.default_rng(seed)
     M = _complex_gaussian(rng, (dim, dim)) / np.sqrt(dim)
     rows: List[List[np.ndarray]] = []
@@ -131,7 +142,7 @@ def commuting_polynomials(
     ops = OperatorTuple(rows)
     return Instance(
         symbols=symbols,
-        m=tuple(m),
+        m=m,
         ops=ops,
         family="commuting_polynomials",
         seed=seed,
@@ -170,10 +181,10 @@ def conjugated_unitaries(
 
 def nilpotent(
     seed: int,
-    k: int = 2,
+    k: Optional[int] = None,
     arities: Sequence[int] = (2, 1),
     dim: int = 4,
-    m: Sequence[int] = (1, 1),
+    m: Optional[Sequence[int]] = None,
     amplitude: float = 1.0,
     ensure_cone: bool = False,
 ) -> Instance:
@@ -183,6 +194,7 @@ def nilpotent(
     With ensure_cone the rows are shrunk until every defect of the identity
     is positive semidefinite (the identity is then a pure cone element).
     """
+    m = _multi_degree(k, arities, m)
     rng = np.random.default_rng(seed)
     N = np.zeros((dim, dim), dtype=np.complex128)
     for r in range(dim - 1):
@@ -204,7 +216,7 @@ def nilpotent(
         for _ in range(80):
             ops = OperatorTuple(rows, check_commutation=False)
             phi = CPMapTuple(symbols, ops, validate=False)
-            grid = phi.defect_grid(tuple(m), eye)
+            grid = phi.defect_grid(m, eye)
             low = min(float(np.linalg.eigvalsh(D)[0]) for D in grid.values())
             if low >= 0.0:
                 break
@@ -215,7 +227,7 @@ def nilpotent(
     ops = OperatorTuple(rows)
     return Instance(
         symbols=symbols,
-        m=tuple(m),
+        m=m,
         ops=ops,
         family="nilpotent",
         seed=seed,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -143,6 +143,8 @@ class ProblemSpec:
 
 
 def problem_to_json(spec: ProblemSpec) -> Dict[str, Any]:
+    if len(spec.m) != spec.k:
+        raise ValueError(f"{len(spec.m)} entries in m for {spec.k} symbols")
     return {
         "k": spec.k,
         "arities": list(spec.ops.arities),

@@ -11,7 +11,7 @@ is returned; failing certificates are returned marked FAILED, not dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,14 +83,6 @@ def _psd_sqrt_pair(Q: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray, fl
 def conjugate_tuple(A: OperatorTuple, isq: np.ndarray, sq: np.ndarray) -> OperatorTuple:
     rows = [[isq @ M @ sq for M in row] for row in A.rows]
     return OperatorTuple(rows, tol=A.tol)
-
-
-def _poly_residuals(ops: OperatorTuple, polys: Sequence[NCPolynomial]) -> List[float]:
-    eye = np.eye(ops.dim, dtype=np.complex128)
-    return [
-        float(np.linalg.norm(q.evaluate(lambda i, j: ops.matrix(i, j), eye), 2))
-        for q in polys
-    ]
 
 
 # --- model embedding ----------------------------------------------------------
@@ -173,38 +165,6 @@ def model_embed(
 # --- Rota type conjugation ----------------------------------------------------
 
 
-def _factor_norm_sum(phi: CPMapTuple, i: int, m_i: int, budget: int = 4000) -> float:
-    """Certified upper value of sum_s C(s+m_i-1, m_i-1) ||Phi_i^s(I)||_2."""
-    cert = phi._geom_cert(i)
-    d = phi.dim
-    X = np.eye(d, dtype=np.complex128)
-    total = 0.0
-    s = 0
-    if cert.nilpotent_power is not None:
-        while s < cert.nilpotent_power:
-            total += comb(s + m_i - 1, m_i - 1) * float(np.linalg.norm(X, 2))
-            X = phi.apply(i, X)
-            s += 1
-        return total
-    if not cert.ok:
-        return float("inf")
-    theta, growth = cert.theta, cert.growth
-    while True:
-        total += comb(s + m_i - 1, m_i - 1) * float(np.linalg.norm(X, 2))
-        s += 1
-        rho_w = (s + m_i) / (s + 1)
-        if theta * rho_w < 1.0:
-            tail = (
-                np.sqrt(d) * growth * comb(s + m_i - 1, m_i - 1) * theta ** s
-                / (1.0 - theta * rho_w)
-            )
-            if tail <= 1e-12 * max(total, 1.0):
-                return total + float(tail)
-        if s >= budget:
-            return total + float(tail)
-        X = phi.apply(i, X)
-
-
 def rota_conjugate(
     symbols: Sequence[PositiveSymbol],
     m: Sequence[int],
@@ -227,9 +187,7 @@ def rota_conjugate(
     T = conjugate_tuple(A, isq, sq)
     phi_T = CPMapTuple(symbols, T)
 
-    bound_product = 1.0
-    for i in range(1, phi.k + 1):
-        bound_product *= _factor_norm_sum(phi, i, m[i - 1])
+    bound_product = prod(phi._orbit(i).norm_sum(m[i - 1]) for i in range(1, phi.k + 1))
     cert = SimilarityCertificate(
         kind="strict_conjugation",
         status="PENDING",
@@ -254,7 +212,8 @@ def rota_conjugate(
         np.linalg.norm(back - np.eye(A.dim), 2)
     )
     cert.tolerances["defect_of_P_vs_identity"] = tol * scale + 10.0 * series.tail_bound
-    for idx, r in enumerate(_poly_residuals(T, Q_polys)):
+    for idx, q in enumerate(Q_polys):
+        r = float(np.linalg.norm(T.evaluate_poly(q), 2))
         cert.residuals[f"variety_{idx}"] = r
         cert.tolerances[f"variety_{idx}"] = tol * scale * condP
     return cert.finalize(), T
@@ -634,7 +593,8 @@ def similarity_to_variety(
     symbols = tuple(symbols)
     m = tuple(m)
     phi = CPMapTuple(symbols, A)
-    for idx, r in enumerate(_poly_residuals(A, Q_polys)):
+    for idx, q in enumerate(Q_polys):
+        r = float(np.linalg.norm(A.evaluate_poly(q), 2))
         if r > 1e-8:
             raise ValueError(f"constraint polynomial {idx} does not annihilate A ({r:.3e})")
     d = A.dim
@@ -706,7 +666,7 @@ def similarity_to_variety(
         iterations=it,
         min_defect_eig=min_def,
         membership_report=rep,
-        variety_residuals=_poly_residuals(T, Q_polys),
+        variety_residuals=[float(np.linalg.norm(T.evaluate_poly(q), 2)) for q in Q_polys],
         notes=notes,
     )
 
@@ -879,12 +839,11 @@ def spectral_radius_equivalences(
     out: List[RadiusFactorReport] = []
     for i in range(1, phi.k + 1):
         r = phi.joint_spectral_radius(i, crosscheck=False)
-        X = np.eye(A.dim, dtype=np.complex128)
+        orbit = phi._orbit(i)
         decay: List[float] = []
         gelf: List[float] = []
         for s in range(1, s_max + 1):
-            X = phi.apply(i, X)
-            n = float(np.linalg.norm(X, 2))
+            n = orbit.norm(s)
             decay.append(n)
             gelf.append(n ** (1.0 / (2 * s)) if n > 0 else 0.0)
             if n == 0.0:

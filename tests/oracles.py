@@ -138,6 +138,31 @@ def nested_limit_value(phi, q, X):
     return unvec(v, d)
 
 
+def dense_map_matrix(phi, i):
+    """The d^2 x d^2 matrix of Phi_i, built from the words, not phi.matricize."""
+    d = phi.dim
+    M = np.zeros((d * d, d * d), dtype=np.complex128)
+    for w, a in phi.symbols[i - 1].coeffs.items():
+        Aw = np.eye(d, dtype=np.complex128)
+        for j in w:
+            Aw = Aw @ phi.ops.rows[i - 1][j - 1]
+        M += float(a) * np.kron(Aw, Aw.conj())
+    return M
+
+
+def dense_defect_solve(phi, m, R):
+    """The solution X of Delta^m(X) = R by one dense linear solve."""
+    from polydom.cpmap import unvec, vec
+
+    d2 = phi.dim * phi.dim
+    L = np.eye(d2, dtype=np.complex128)
+    for i, mi in enumerate(m, start=1):
+        F = np.eye(d2, dtype=np.complex128) - dense_map_matrix(phi, i)
+        for _ in range(mi):
+            L = F @ L
+    return unvec(np.linalg.solve(L, vec(np.asarray(R, dtype=np.complex128))), phi.dim)
+
+
 # ---------------------------------------------------------------------------
 # torus sup for polynomial matrices
 # ---------------------------------------------------------------------------

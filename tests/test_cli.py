@@ -66,6 +66,41 @@ def test_gen_nilpotent_operators_annihilate(tmp_path, capsys):
             assert np.linalg.norm(np.linalg.matrix_power(A, spec.ops.dim)) == 0.0
 
 
+def test_gen_defaults_m_to_one_per_factor(tmp_path, capsys):
+    # m defaults to one entry per factor, so a three-factor spec keeps its
+    # three symbols
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 1,
+                    "--arities", "1,1,1", "--dim", "3")
+    spec = problem_from_json(json.loads(path.read_text()))
+    assert spec.k == 3
+    assert spec.m == (1, 1, 1)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--arities", "1,1,1", "--k", "2"),
+    ("--k", "3"),
+    ("--arities", "1,1,1", "--m", "1,1"),
+])
+def test_gen_rejects_inconsistent_factor_counts(flags, tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    code, _, err = run_cli(["gen", "--family", "nilpotent", "--dim", "3",
+                            "--output", str(out), *flags], capsys)
+    assert code == 1
+    assert "error:" in err
+    assert not out.exists()
+
+
+def test_problem_to_json_rejects_short_m():
+    from polydom.generate import generate
+    from polydom.jsonio import ProblemSpec, problem_to_json
+
+    inst = generate("nilpotent", 1, dim=3)
+    with pytest.raises(ValueError):
+        problem_to_json(ProblemSpec(symbols=inst.symbols, m=(1,), ops=inst.ops))
+    with pytest.raises(ValueError):
+        generate("commuting_polynomials", 1, dim=3, arities=(1, 1, 1), m=(1, 1))
+
+
 def test_gen_unknown_family_fails(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--family", "does_not_exist"])

@@ -1,5 +1,10 @@
 """CP map engine: apply, matricize, defects, series, radii."""
 
+import gc
+import time
+import weakref
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,11 +21,13 @@ from polydom.cpmap import (
     vec,
 )
 from polydom.generate import generate, random_pd
-from polydom.words import PositiveSymbol, Word, polyball_symbol
+from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_hermitian, random_psd
 from oracles import (
     GEOMETRIC_SERIES,
+    dense_defect_solve,
+    dense_map_matrix,
     naive_cesaro,
     naive_defect,
     naive_weighted_series,
@@ -230,6 +237,48 @@ def test_series_divergence_error_on_unitary():
         phi.iterated_sum(1, 1, np.eye(2))
 
 
+def test_series_refuses_radius_one_at_once():
+    f = polyball_symbol(1)
+    U = np.diag(np.exp(1j * np.linspace(0.3, 2.9, 6)))
+    phi = CPMapTuple([f, f], OperatorTuple([[U], [U.conj()]]))
+    start = time.perf_counter()
+    with pytest.raises(DivergenceError):
+        phi.weighted_series((1, 1), np.eye(6))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_series_rejects_non_finite_input():
+    phi = scalar_instance(0.5, d=2)
+    R = np.eye(2)
+    R[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        phi.weighted_series((1,), R)
+    with pytest.raises(ValueError):
+        phi.iterated_sum(1, 1, R)
+
+
+def test_weighted_series_certified_at_radius_099():
+    # near radius one the certificate must still hold: a tail bound >= 0
+    # with the dense solve inside it
+    inst = generate("commuting_polynomials", 2, dim=8, target_radius=0.99)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    out = phi.weighted_series(inst.m, np.eye(8))
+    assert out.certified
+    assert out.tail_bound >= 0.0
+    ref = dense_defect_solve(phi, inst.m, np.eye(8))
+    assert np.linalg.norm(out.value - ref) <= out.tail_bound + 1e-8 * np.linalg.norm(ref)
+
+
+def test_weighted_series_matches_dense_solve_on_stage_inputs(rng):
+    # R != I: every stage sums its own iterates against the orbit's tail
+    phi, inst = small_random_instance(29, target_radius=0.9)
+    R = random_psd(rng, phi.dim)
+    out = phi.weighted_series((2, 3), R)
+    ref = dense_defect_solve(phi, (2, 3), R)
+    assert out.certified
+    assert np.linalg.norm(out.value - ref) <= out.tail_bound + 1e-8 * np.linalg.norm(ref)
+
+
 def test_weighted_series_geometric_closed_forms():
     for (c, m), want in GEOMETRIC_SERIES.items():
         phi = scalar_instance(c, d=2)
@@ -333,6 +382,18 @@ def test_radius_similarity_invariance(rng):
         )
 
 
+def test_radius_above_dense_threshold_from_orbit():
+    # d^2 > 6400: no matricization; sqrt(min_t eta_t^{1/t}) bounds the radius
+    d = 81
+    f = polyball_symbol(1)
+    diag = CPMapTuple([f], OperatorTuple([[np.diag(np.linspace(-0.7, 0.3, d))]]))
+    assert diag.joint_spectral_radius(1, crosscheck=False) == pytest.approx(0.7, rel=1e-12)
+    jordan = 0.5 * np.eye(d) + 0.1 * np.diag(np.ones(d - 1), k=1)
+    upper = CPMapTuple([f], OperatorTuple([[jordan]])).joint_spectral_radius(1, crosscheck=False)
+    assert 0.5 <= upper <= 0.6
+    assert not diag._matricized
+
+
 def test_radius_power_sequence_crosscheck():
     phi, _ = small_random_instance(67)
     for i in (1, 2):
@@ -340,6 +401,92 @@ def test_radius_power_sequence_crosscheck():
         est, steps = phi.radius_power_sequence(i)
         assert steps >= 1
         assert abs(est - r) <= 1e-2 * max(r, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the identity orbit
+# ---------------------------------------------------------------------------
+
+ORBIT_CASES = [
+    (family, seed, d)
+    for family in ("commuting_polynomials", "nilpotent", "polyball_random")
+    for seed, d in ((1, 3), (2, 4), (3, 5), (4, 6))
+]
+
+
+@pytest.mark.parametrize("family,seed,d", ORBIT_CASES)
+def test_orbit_envelope_dominates_dense_powers(family, seed, d):
+    inst = generate(family, seed, dim=d)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    for i in range(1, phi.k + 1):
+        orbit = phi._orbit(i)
+        orbit.norm(32)
+        if family != "nilpotent":
+            assert orbit.theta < 1.0
+        M = dense_map_matrix(phi, i)
+        P = np.eye(d * d, dtype=np.complex128)
+        first_zero = None
+        for s in range(d * d + 1):
+            dense = float(np.linalg.norm(P, 2))
+            if first_zero is None and not np.any(P):
+                first_zero = s
+            if s <= 32:
+                # Russo-Dye in the Frobenius norm, then the certified envelope
+                assert dense <= np.sqrt(d) * orbit.norm(s) * (1 + 1e-9) + 1e-14
+                if orbit.theta < 1.0:
+                    envelope = np.sqrt(d) * orbit.growth * orbit.theta ** s
+                    assert dense <= envelope * (1 + 1e-9) + 1e-14
+            P = M @ P
+        assert orbit.nilpotency_index() == first_zero
+
+
+def test_orbit_does_not_keep_its_tuple_alive():
+    # a reference cycle would keep the d^2 x d^2 matricizations alive until
+    # the cyclic collector runs
+    phi = scalar_instance(0.5, d=3)
+    phi.weighted_series((1,), np.eye(3))
+    phi.matricize(1)
+    ref = weakref.ref(phi)
+    gc.disable()
+    try:
+        del phi
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_orbit_nilpotency_index_below_dim():
+    inst = generate("nilpotent", 7, dim=6)
+    rows = [[A @ A for A in row] for row in inst.ops.rows]
+    phi = CPMapTuple(inst.symbols, OperatorTuple(rows))
+    for i in (1, 2):
+        assert phi._orbit(i).nilpotency_index() == 3
+        assert not np.any(np.linalg.matrix_power(dense_map_matrix(phi, i), 3))
+        assert np.any(np.linalg.matrix_power(dense_map_matrix(phi, i), 2))
+
+
+def test_orbit_norm_sum_dominates_partial_sums():
+    # a large weight m: the envelope applies only once theta (s+m)/(s+1) < 1
+    inst = generate("commuting_polynomials", 4, dim=8, target_radius=0.99)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    orbit = phi._orbit(1)
+    for m in (1, 60):
+        total = orbit.norm_sum(m)
+        assert np.isfinite(total)
+        weighted = [comb(s + m - 1, m - 1) * e for s, e in enumerate(orbit.eta)]
+        assert sum(weighted) <= total <= sum(weighted) * (1 + 1e-9)
+        # every finite tail bound covers the known rest of the orbit
+        for s in range(1, len(weighted), 97):
+            assert orbit.tail(s, m) >= sum(weighted[s:]) * (1 - 1e-9)
+
+
+def test_evaluate_poly_on_tuple():
+    phi, inst = small_random_instance(5)
+    A11, A12, A21 = inst.ops.matrix(1, 1), inst.ops.matrix(1, 2), inst.ops.matrix(2, 1)
+    q = NCPolynomial(((2.0, ((1, 1), (2, 1))), (-1.0, ((1, 2),)), (0.5, ())))
+    want = 2.0 * A11 @ A21 - A12 + 0.5 * np.eye(phi.dim)
+    assert np.linalg.norm(inst.ops.evaluate_poly(q) - want) <= 1e-13
+    assert np.linalg.norm(inst.ops.evaluate_poly(commutator_polynomial(1, 1, 2)), 2) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,15 @@ def test_rota_transitivity_under_conjugation():
         assert cert.status == "PASS"
 
 
+@pytest.mark.parametrize("seed", (2, 4))
+def test_rota_certified_at_radius_099(seed):
+    # the Rota bound's norm sums must finish near radius one
+    inst = generate("commuting_polynomials", seed, dim=8, target_radius=0.99)
+    cert, _ = rota_conjugate(inst.symbols, inst.m, inst.ops)
+    assert cert.status == "PASS"
+    assert cert.cond <= cert.claimed_bound * (1.0 + 1e-8)
+
+
 def test_rota_rejects_radius_one():
     symbols, m, ops = scalar_tuple(1.0)
     with pytest.raises(DivergenceError):
