@@ -45,11 +45,11 @@ from .jsonio import (
     sanitize,
 )
 from .similarity import (
+    _radius_equivalences,
     cpmap_similarity,
     model_embed,
     rota_conjugate,
     solve_defect_equation,
-    spectral_radius_equivalences,
     sznagy_solve,
 )
 from .words import commutator_polynomial
@@ -82,7 +82,7 @@ def _default_R(spec: ProblemSpec, args) -> np.ndarray:
 
 def cmd_radius(spec: ProblemSpec, args) -> Dict[str, Any]:
     phi = CPMapTuple(spec.symbols, spec.ops)
-    report = spectral_radius_equivalences(spec.symbols, spec.ops)
+    report = _radius_equivalences(phi)
     radii = [phi.joint_spectral_radius(i) for i in range(1, phi.k + 1)]
     status = "PASS" if report.all_consistent else "FAILED"
     return {

@@ -88,6 +88,8 @@ def is_pure_element(
     X = hermitize(np.asarray(X, dtype=np.complex128))
     scale = max(1.0, float(np.linalg.norm(X, 2)))
     tol = 1e-7 * scale if tol is None else float(tol)
+    # from X = I the norms are the factor's cached identity orbit
+    on_orbit = np.array_equal(X, np.eye(phi.dim))
     factors: List[FactorPurity] = []
     for i in range(1, phi.k + 1):
         decay: List[float] = []
@@ -95,8 +97,11 @@ def is_pure_element(
         crossed: Optional[int] = None
         stall = 0
         for s in range(1, s_max + 1):
-            Y = phi.apply(i, Y)
-            nrm = float(np.linalg.norm(Y, 2))
+            if on_orbit:
+                nrm = phi._orbit(i).norm(s)
+            else:
+                Y = phi.apply(i, Y)
+                nrm = float(np.linalg.norm(Y, 2))
             decay.append(nrm)
             if nrm <= tol:
                 crossed = s

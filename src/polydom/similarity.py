@@ -835,7 +835,12 @@ def spectral_radius_equivalences(
     Consistency means: radius < 1 exactly when the iterates of the identity
     decay to zero (within tolerance at s_max, or with a fitted rate < 1).
     """
-    phi = CPMapTuple(tuple(symbols), A)
+    return _radius_equivalences(CPMapTuple(tuple(symbols), A), s_max, tol)
+
+
+def _radius_equivalences(phi: CPMapTuple, s_max: int = 64, tol: float = 1e-7) -> RadiusReport:
+    """spectral_radius_equivalences on a tuple the caller built, so that its
+    cached radii and orbits are shared."""
     out: List[RadiusFactorReport] = []
     for i in range(1, phi.k + 1):
         r = phi.joint_spectral_radius(i, crosscheck=False)

@@ -150,6 +150,11 @@ def dense_map_matrix(phi, i):
     return M
 
 
+def dense_radius(phi, i):
+    """sqrt of the spectral radius of Phi_i by complex eigvals of dense_map_matrix."""
+    return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(dense_map_matrix(phi, i))))))
+
+
 def dense_defect_solve(phi, m, R):
     """The solution X of Delta^m(X) = R by one dense linear solve."""
     from polydom.cpmap import unvec, vec

@@ -2,19 +2,24 @@
 report determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polydom.cli import main
+from polydom.cpmap import CPMapTuple
 from polydom.jsonio import (
     canonical_json,
     matrix_to_json,
     poly_to_json,
     problem_from_json,
+    sanitize,
 )
+from polydom.similarity import spectral_radius_equivalences
 from polydom.words import NCPolynomial
 
 
@@ -328,3 +333,43 @@ def test_console_script_pipeline(tmp_path):
     assert r2.returncode == 0, r2.stderr
     rep = json.loads(r2.stdout)
     assert rep["task"] == "radius"
+
+
+def test_cli_import_leaves_arpack_out():
+    # scipy.sparse.linalg is imported only when a radius takes the Arnoldi path
+    import polydom
+
+    src = str(Path(polydom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, polydom.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def two_tuple_radius_outputs(spec):
+    """The radius command's outputs from two independent tuples: the
+    equivalence report on one, the cross-checked radii on another."""
+    report = spectral_radius_equivalences(spec.symbols, spec.ops)
+    phi = CPMapTuple(spec.symbols, spec.ops)
+    radii = [phi.joint_spectral_radius(i) for i in range(1, phi.k + 1)]
+    return {
+        "status": "PASS" if report.all_consistent else "FAILED",
+        "radii": radii,
+        "equivalences": sanitize(report),
+    }
+
+
+@pytest.mark.parametrize("family", ["commuting_polynomials", "nilpotent"])
+@pytest.mark.parametrize("seed", range(5))
+def test_radius_command_one_tuple_matches_two(family, seed, tmp_path, capsys):
+    path = gen_spec(tmp_path, capsys, family, seed)
+    spec = problem_from_json(json.loads(path.read_text()))
+    try:
+        want = two_tuple_radius_outputs(spec)
+        want_code = 0 if want["status"] == "PASS" else 1
+    except ArithmeticError:
+        want, want_code = None, 1
+    code, out, _ = run_cli(["radius", "--input", str(path)], capsys)
+    assert code == want_code
+    if want is not None:
+        assert canonical_json(load_report(out)["outputs"]) == canonical_json(want)

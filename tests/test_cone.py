@@ -197,6 +197,31 @@ def test_purity_unitary_is_not_pure():
     assert all(abs(x - 1.0) <= 1e-12 for x in rep.factors[0].decay)
 
 
+@pytest.mark.parametrize(
+    "family", ["commuting_polynomials", "conjugated_unitaries", "nilpotent", "polyball_random"]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_purity_of_identity_reads_the_orbit_bit_for_bit(family, seed):
+    # from X = I the decay lists come from the cached orbit; they must equal
+    # the direct iteration with the spectral norm exactly
+    inst = generate(family, seed)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    rep = is_pure_element(phi, np.eye(phi.dim), s_max=80)
+    assert set(phi._orbits) == set(range(1, phi.k + 1))
+    direct = CPMapTuple(inst.symbols, inst.ops)
+    for i, fac in enumerate(rep.factors, start=1):
+        Y = np.eye(phi.dim, dtype=np.complex128)
+        want = []
+        for _ in fac.decay:
+            Y = direct.apply(i, Y)
+            want.append(float(np.linalg.norm(Y, 2)))
+        assert fac.decay == want
+    assert not direct._orbits
+    assert is_pure_element(phi, 2.0 * np.eye(phi.dim), s_max=80).factors[0].decay == [
+        2.0 * x for x in rep.factors[0].decay
+    ]
+
+
 def test_purity_decay_rate_tracks_squared_radius():
     inst = generate("commuting_polynomials", 77, target_radius=0.9)
     phi = CPMapTuple(inst.symbols, inst.ops)

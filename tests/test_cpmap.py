@@ -20,7 +20,7 @@ from polydom.cpmap import (
     unvec,
     vec,
 )
-from polydom.generate import generate, random_pd
+from polydom.generate import generate, random_pd, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_hermitian, random_psd
@@ -28,6 +28,7 @@ from oracles import (
     GEOMETRIC_SERIES,
     dense_defect_solve,
     dense_map_matrix,
+    dense_radius,
     naive_cesaro,
     naive_defect,
     naive_weighted_series,
@@ -401,6 +402,69 @@ def test_radius_power_sequence_crosscheck():
         est, steps = phi.radius_power_sequence(i)
         assert steps >= 1
         assert abs(est - r) <= 1e-2 * max(r, 1e-6)
+
+
+def radius_instance(family, seed, d):
+    if family == "strict_contractions":
+        rows = [[C] for C in strict_contractions(seed, dim=d)]
+        return CPMapTuple([polyball_symbol(1)] * len(rows), OperatorTuple(rows))
+    inst = generate(family, seed, dim=d)
+    return CPMapTuple(inst.symbols, inst.ops)
+
+
+RADIUS_FAMILIES = ("commuting_polynomials", "polyball_random", "nilpotent",
+                   "conjugated_unitaries", "strict_contractions")
+
+
+@pytest.mark.parametrize("family", RADIUS_FAMILIES)
+@pytest.mark.parametrize("d", [12, 16, 24])
+def test_radius_matches_dense_oracle_above_crossover(family, d):
+    # d >= 12 takes the matrix-free path; conjugated unitaries (a degenerate
+    # peripheral spectrum) fall back to dense eigvals
+    for seed in (0, 1) if d < 24 else (0,):
+        phi = radius_instance(family, seed, d)
+        for i in range(1, phi.k + 1):
+            r = phi.joint_spectral_radius(i, crosscheck=False)
+            assert r == pytest.approx(dense_radius(phi, i), rel=1e-10)
+        if family == "nilpotent":
+            assert r == 0.0 and not phi._matricized
+
+
+def test_radius_jordan_type_takes_dense_fallback():
+    # non-normal: ARPACK's Ritz values sit in the pseudospectrum, off the
+    # real axis, so the Arnoldi value is refused
+    d = 16
+    jordan = 0.5 * np.eye(d) + 0.5 * np.diag(np.ones(d - 1), k=1)
+    phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[jordan]]))
+    assert phi._arnoldi_radius(1) is None
+    assert phi.joint_spectral_radius(1, crosscheck=False) == pytest.approx(
+        dense_radius(phi, 1), rel=1e-10
+    )
+    assert phi._matricized
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_radius_survives_an_overflowing_orbit():
+    # the nilpotency test runs the orbit to s = d; here Phi^s(I) overflows
+    # long before, and the orbit records inf in place of a failed SVD
+    A = 1e20 * np.random.default_rng(0).standard_normal((12, 12))
+    phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[A]]))
+    r = phi.joint_spectral_radius(1, crosscheck=False)
+    assert r == pytest.approx(dense_radius(phi, 1), rel=1e-10)
+    assert phi._orbit(1).eta[-1] == float("inf")
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_radius_second_call_does_no_apply(d, monkeypatch):
+    rows = [[C] for C in strict_contractions(5, dim=d)]
+    phi = CPMapTuple([polyball_symbol(1)] * 2, OperatorTuple(rows))
+    first = [phi.joint_spectral_radius(i) for i in (1, 2)]
+    calls = []
+    apply = phi.apply
+    monkeypatch.setattr(phi, "apply", lambda *a, **kw: calls.append(a) or apply(*a, **kw))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a: calls.append(a))
+    assert [phi.joint_spectral_radius(i) for i in (1, 2)] == first
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
