@@ -5,6 +5,14 @@ spaces, each spanned by words of length <= D in graded-lex order, factor 1
 most significant. The shifts W_{i,j} carry the square-root weight ratios of
 the per-factor weight tables and annihilate top-degree vectors, so the
 truncated space is co-invariant and all adjoint-side identities are exact.
+
+The space is graded by the per-factor degree profile (|beta_1|, ...,
+|beta_k|) of its basis vectors. W_{i,j} raises the grade by e_i and a
+homogeneous constraint q raises it by its profile, so for homogeneous
+constraints the constraint span M_Q and its complement N_Q are sums of
+per-grade blocks, and variety_subspace works block by block with exactly the
+thresholds of one dense computation. A constraint that is not homogeneous
+makes the whole space one block.
 """
 
 from __future__ import annotations
@@ -249,14 +257,91 @@ class VarietySubspace:
         return self.basis_N @ self.basis_N.conj().T
 
 
-def _orth(cols: np.ndarray, cutoff_rel: float) -> np.ndarray:
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], 0), dtype=np.complex128)
-    U, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((cols.shape[0], 0), dtype=np.complex128)
-    keep = s > cutoff_rel * s[0]
-    return U[:, keep]
+def _grade_blocks(model: ModelOperators, polys: Tuple[NCPolynomial, ...]):
+    """The blocks on which M_Q splits, and each shift's block maps.
+
+    The grade of a basis vector is its per-factor degree profile
+    (|beta_1|, ..., |beta_k|) when every constraint is homogeneous; otherwise
+    every vector has the empty grade and the whole space is one block.
+    Returns the basis indices of each block (in lexicographic grade order),
+    ``sources(shift)``, whose entry b is the block that an operator of that
+    grade shift maps into block b (None when there is none), and for each
+    W_{i,j} of ``model.all_W()`` one entry per target block h: None, or
+    ``(a, take, scale)`` with W[rows[h], rows[a]] @ F == scale[:, None] *
+    F[take]. Each W_{i,j} is a weighted shift, one nonzero per row and
+    column, so its block maps are gathers and need no sparse indexing.
+    """
+    fock = model.fock
+    if all(q.is_homogeneous(fock.k) for q in polys):
+        grades = np.stack([fock.factor_degree_array(i) for i in range(fock.k)], axis=1)
+    else:
+        grades = np.zeros((fock.dim, 0), dtype=np.int64)
+    radix = (fock.degree_cap + 1) ** np.arange(grades.shape[1] - 1, -1, -1)
+    codes, block_of = np.unique(grades @ radix, return_inverse=True)
+    keys = (codes[:, None] // radix) % (fock.degree_cap + 1)
+    order = np.argsort(block_of, kind="stable")
+    counts = np.bincount(block_of, minlength=len(codes))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rows = [order[s:e] for s, e in zip(starts, ends)]
+    local = np.empty(fock.dim, dtype=np.int64)
+    local[order] = np.arange(fock.dim) - np.repeat(starts, counts)
+    index = {tuple(key): b for b, key in enumerate(keys.tolist())}
+
+    def sources(shift: Sequence[int]) -> List[int | None]:
+        # one-block keys have length 0, and so does every shift cut to them
+        shift = np.asarray(shift, dtype=np.int64)[: keys.shape[1]]
+        return [index.get(tuple(key)) for key in (keys - shift).tolist()]
+
+    maps = []
+    unit = np.eye(fock.k, dtype=np.int64)
+    for (i, _, W) in model.all_W():
+        row = np.repeat(np.arange(fock.dim), np.diff(W.indptr))
+        take = np.zeros(fock.dim, dtype=np.int64)
+        take[row] = local[W.indices]
+        scale = np.zeros(fock.dim)
+        scale[row] = W.data
+        take, scale = take[order], scale[order]
+        maps.append([
+            None if a is None else (a, take[s:e], scale[s:e])
+            for s, e, a in zip(starts, ends, sources(unit[i - 1]))
+        ])
+    return rows, sources, maps
+
+
+def _svds(mats: Sequence[np.ndarray], full_matrices: bool) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(U, s) of np.linalg.svd for each matrix, one stacked call per shape."""
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for t, X in enumerate(mats):
+        groups.setdefault(X.shape, []).append(t)
+    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for idx in groups.values():
+        U, s, _ = np.linalg.svd(np.stack([mats[t] for t in idx]), full_matrices=full_matrices)
+        for pos, t in enumerate(idx):
+            out[t] = (U[pos], s[pos])
+    return [out[t] for t in range(len(mats))]
+
+
+def _max_norm(mats: Sequence[np.ndarray]) -> float:
+    """max_t ||mats[t]||_2, one stacked singular-value call per shape."""
+    groups: Dict[Tuple[int, int], List[np.ndarray]] = {}
+    for X in mats:
+        if X.size:
+            groups.setdefault(X.shape, []).append(X)
+    return max(
+        (float(np.linalg.svd(np.stack(g), compute_uv=False)[:, 0].max()) for g in groups.values()),
+        default=0.0,
+    )
+
+
+def _assemble(dim: int, rows: List[np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense dim x r basis from per-block bases, columns in block order."""
+    out = np.zeros((dim, sum(B.shape[1] for B in blocks)), dtype=np.complex128)
+    col = 0
+    for R, B in zip(rows, blocks):
+        out[R, col:col + B.shape[1]] = B
+        col += B.shape[1]
+    return out
 
 
 def variety_subspace(
@@ -270,6 +355,21 @@ def variety_subspace(
     containing every vector q(W) W_{(beta)} vacuum; since those seed vectors
     are exactly the columns of q(W), M is computed as the invariant closure
     of the stacked column spaces.
+
+    The work is done per grade block. W_{i,j} maps the basis vectors of
+    grade g = (|beta_1|, ..., |beta_k|) into grade g + e_i, and a
+    homogeneous q maps grade g into g + profile(q), so the seeds, the
+    closure M, its orthocomplement N and the adjoint-invariance residuals
+    all split into blocks, and each SVD is only as wide as one block (at
+    most 64 on the default two-factor spec at degree cap 6, where the space
+    has dimension 889). The thresholds stay absolute and global: cutoff
+    times ||seeds||_2 (the largest block norm) for seeds, cutoff *
+    max(||seeds||_2, 1) for children, cutoff times the largest singular
+    value of the M basis for the complement. Each P_M W_{i,j}^* P_N has at
+    most one nonzero block per block row and column, so its 2-norm is the
+    largest block norm. When some constraint is not homogeneous the whole
+    space is one block, and the same steps are one dense computation.
+    The columns of basis_N and basis_M come in block order.
     """
     fock = model.fock
     if fock.dim > dense_cap:
@@ -278,58 +378,97 @@ def variety_subspace(
         )
     cutoff = model.tol.svd_cutoff
     polys = tuple(Q_polys)
-    if polys:
-        seeds = np.hstack([model.evaluate_poly(q).toarray() for q in polys])
-        B = _orth(seeds, cutoff)
-        # invariant closure by breadth-first frontier: only the directions
-        # added last round can generate anything new, so orthonormalize the
-        # children of the frontier against the accumulated basis instead of
-        # re-factoring the whole stack every round
-        scale0 = float(np.linalg.norm(seeds, 2)) if seeds.size else 0.0
-        frontier = B
-        while frontier.shape[1] > 0:
-            children = np.hstack([W @ frontier for (_, _, W) in model.all_W()])
-            children = children - B @ (B.conj().T @ children)
-            children = children - B @ (B.conj().T @ children)
-            if children.size == 0:
-                break
-            U, s, _ = np.linalg.svd(children, full_matrices=False)
-            keep = s > cutoff * max(scale0, 1.0)
-            frontier = U[:, keep]
-            if frontier.shape[1] == 0:
-                break
-            B = np.hstack([B, frontier])
-        basis_M = B
-    else:
-        basis_M = np.zeros((fock.dim, 0), dtype=np.complex128)
+    if not polys:
+        return VarietySubspace(
+            basis_N=np.eye(fock.dim, dtype=np.complex128),
+            basis_M=np.zeros((fock.dim, 0), dtype=np.complex128),
+            polys=polys,
+            invariance_residual_full=0.0,
+            invariance_residual_interior=0.0,
+        )
+    rows, sources, shifts = _grade_blocks(model, polys)
+    nb = len(rows)
+    empty = [np.zeros((len(R), 0), dtype=np.complex128) for R in rows]
 
-    if basis_M.shape[1] == 0:
-        basis_N = np.eye(fock.dim, dtype=np.complex128)
+    # seeds: block b holds the columns of each q(W) that land in it
+    parts: List[List[np.ndarray]] = [[] for _ in rows]
+    for q in polys:
+        Q = model.evaluate_poly(q).toarray()
+        profile = q.degree_profiles(fock.k)[0] if q.terms else (0,) * fock.k
+        for b, a in enumerate(sources(profile)):
+            if a is not None:
+                parts[b].append(Q[np.ix_(rows[b], rows[a])])
+    seeded = [b for b in range(nb) if parts[b]]
+    seeds = dict(zip(seeded, _svds([np.hstack(parts[b]) for b in seeded], False)))
+    scale0 = max((float(s[0]) for _, s in seeds.values()), default=0.0)
+    basis = list(empty)
+    if scale0 > 0.0:
+        for b, (U, s) in seeds.items():
+            basis[b] = U[:, s > cutoff * scale0]
+
+    # invariant closure by breadth-first frontier: only the directions added
+    # last round can generate anything new, so the children of the frontier
+    # are orthonormalized against the accumulated basis of their block
+    frontier = list(basis)
+    while any(F.shape[1] for F in frontier):
+        targets, stacks = [], []
+        for h in range(nb):
+            children = []
+            for maps in shifts:
+                if maps[h] is not None and frontier[maps[h][0]].shape[1]:
+                    a, take, scale = maps[h]
+                    children.append(scale[:, None] * frontier[a][take])
+            if children:
+                C = np.hstack(children)
+                B = basis[h]
+                C = C - B @ (B.conj().T @ C)
+                C = C - B @ (B.conj().T @ C)
+                targets.append(h)
+                stacks.append(C)
+        frontier = list(empty)
+        for h, (U, s) in zip(targets, _svds(stacks, False)):
+            frontier[h] = U[:, s > cutoff * max(scale0, 1.0)]
+            basis[h] = np.hstack([basis[h], frontier[h]])
+
+    # orthocomplement block by block, via the full SVD of each M block
+    spanned = [b for b in range(nb) if basis[b].shape[1]]
+    if spanned:
+        full_svd = dict(zip(spanned, _svds([basis[b] for b in spanned], True)))
+        smax = max(float(s[0]) for _, s in full_svd.values())
+        complement = [
+            full_svd[b][0][:, int(np.count_nonzero(full_svd[b][1] > cutoff * smax)):]
+            if b in full_svd else np.eye(len(rows[b]), dtype=np.complex128)
+            for b in range(nb)
+        ]
+        basis_N = _assemble(fock.dim, rows, complement)
     else:
-        # orthocomplement via the full SVD of the M basis
-        U, s, _ = np.linalg.svd(basis_M, full_matrices=True)
-        rank = int(np.count_nonzero(s > cutoff * s[0]))
-        basis_N = U[:, rank:]
+        basis_N = np.eye(fock.dim, dtype=np.complex128)
+    basis_M = _assemble(fock.dim, rows, basis)
     if basis_N.shape[1] == 0:
         raise ValueError("the variety subspace is {0}; no compression exists")
 
-    # adjoint invariance of N: ||P_M W^T P_N|| per shift, full and interior
-    full = 0.0
-    interior = 0.0
-    if basis_M.shape[1] > 0:
-        deg = fock.max_degree_array()
-        low_rows = deg <= fock.degree_cap - 1
-        for (_, _, W) in model.all_W():
-            X = basis_M.conj().T @ (W.T.conj() @ basis_N)
-            full = max(full, float(np.linalg.norm(X, 2)))
-            Xi = (basis_M[low_rows].conj().T @ (W.T.conj() @ basis_N)[low_rows])
-            interior = max(interior, float(np.linalg.norm(Xi, 2)))
+    # adjoint invariance of N: ||P_M W^* P_N|| per shift, full and interior.
+    # W^* sends N block h into block a only, and M_a^* W^* N_h = (W M_a)^* N_h;
+    # the interior part keeps the rows of block a below the top degree.
+    full: List[np.ndarray] = []
+    interior: List[np.ndarray] = []
+    if spanned:
+        low_rows = fock.max_degree_array() <= fock.degree_cap - 1
+        for maps in shifts:
+            for h, m in enumerate(maps):
+                if m is None:
+                    continue
+                a, take, scale = m
+                WM = basis[a][take]
+                full.append((scale[:, None] * WM).conj().T @ complement[h])
+                low = low_rows[rows[a]][take]
+                interior.append(((scale * low)[:, None] * WM).conj().T @ complement[h])
     return VarietySubspace(
         basis_N=basis_N,
         basis_M=basis_M,
         polys=polys,
-        invariance_residual_full=full,
-        invariance_residual_interior=interior,
+        invariance_residual_full=_max_norm(full),
+        invariance_residual_interior=_max_norm(interior),
     )
 
 
@@ -365,7 +504,8 @@ def compress(model: ModelOperators, subspace: VarietySubspace) -> CompressedMode
         if high.shape[0] == 0:
             C = np.eye(B.shape[1], dtype=np.complex128)
         else:
-            _, s, Vt = np.linalg.svd(high, full_matrices=True)
+            # a full Vt is needed only when high has fewer rows than columns
+            _, s, Vt = np.linalg.svd(high, full_matrices=high.shape[0] < high.shape[1])
             rank = int(np.count_nonzero(s > model.tol.svd_cutoff * max(s[0], 1e-300))) if s.size else 0
             C = Vt.conj().T[:, rank:]
         if C.shape[1] == 0:

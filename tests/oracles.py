@@ -169,6 +169,64 @@ def dense_defect_solve(phi, m, R):
 
 
 # ---------------------------------------------------------------------------
+# variety subspace by dense SVDs over the whole truncated space
+# ---------------------------------------------------------------------------
+
+def dense_variety_subspace(model, Q_polys):
+    """N_Q and M_Q from one dense SVD per closure round, ignoring any grading.
+
+    Seeds are the stacked columns of q(W); M_Q is their left-W-invariant
+    closure, grown breadth first; N_Q is the orthocomplement read off the
+    full SVD of the M_Q basis. The thresholds are the library's: cutoff
+    times ||seeds||_2 for the seeds, cutoff * max(||seeds||_2, 1) for
+    children, cutoff * s[0] for the complement.
+    """
+    from polydom.fock import VarietySubspace
+
+    fock = model.fock
+    cutoff = model.tol.svd_cutoff
+    polys = tuple(Q_polys)
+    basis_M = np.zeros((fock.dim, 0), dtype=np.complex128)
+    if polys:
+        seeds = np.hstack([model.evaluate_poly(q).toarray() for q in polys])
+        U, s, _ = np.linalg.svd(seeds, full_matrices=False)
+        scale0 = float(s[0]) if s.size else 0.0
+        if scale0 > 0.0:
+            basis_M = U[:, s > cutoff * scale0]
+        frontier = basis_M
+        while frontier.shape[1] > 0:
+            children = np.hstack([W @ frontier for (_, _, W) in model.all_W()])
+            children = children - basis_M @ (basis_M.conj().T @ children)
+            children = children - basis_M @ (basis_M.conj().T @ children)
+            U, s, _ = np.linalg.svd(children, full_matrices=False)
+            frontier = U[:, s > cutoff * max(scale0, 1.0)]
+            basis_M = np.hstack([basis_M, frontier])
+
+    if basis_M.shape[1] == 0:
+        basis_N = np.eye(fock.dim, dtype=np.complex128)
+    else:
+        U, s, _ = np.linalg.svd(basis_M, full_matrices=True)
+        basis_N = U[:, int(np.count_nonzero(s > cutoff * s[0])):]
+
+    full = 0.0
+    interior = 0.0
+    if basis_M.shape[1] > 0:
+        low_rows = fock.max_degree_array() <= fock.degree_cap - 1
+        for (_, _, W) in model.all_W():
+            Y = W.conj().T @ basis_N
+            full = max(full, float(np.linalg.norm(basis_M.conj().T @ Y, 2)))
+            X = basis_M[low_rows].conj().T @ Y[low_rows]
+            interior = max(interior, float(np.linalg.norm(X, 2)))
+    return VarietySubspace(
+        basis_N=basis_N,
+        basis_M=basis_M,
+        polys=polys,
+        invariance_residual_full=full,
+        invariance_residual_interior=interior,
+    )
+
+
+# ---------------------------------------------------------------------------
 # torus sup for polynomial matrices
 # ---------------------------------------------------------------------------
 

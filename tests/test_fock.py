@@ -1,14 +1,17 @@
 """Truncated Fock models: shifts, weights, varieties, compressions."""
 
+import time
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polydom.cli import _instance_to_spec
 from polydom.config import ResourceCapError, Tolerances, default_tolerances
 from polydom.cpmap import CPMapTuple, OperatorTuple
-from polydom.fock import build_model, compress, domain_check_model, variety_subspace
+from polydom.fock import _grade_blocks, build_model, compress, domain_check_model, variety_subspace
+from polydom.generate import generate
 from polydom.words import (
     NCPolynomial,
     PositiveSymbol,
@@ -17,7 +20,7 @@ from polydom.words import (
     polyball_symbol,
 )
 
-from oracles import brute_weight
+from oracles import brute_weight, dense_variety_subspace
 
 
 def polyball_model(n=2, m=1, cap=4):
@@ -199,3 +202,111 @@ def test_compression_is_coisometric_on_variety():
         assert C.shape[1] > 0
         gap = np.linalg.norm((Sw - direct) @ C, 2)
         assert gap <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# graded variety subspace against the dense oracle
+# ---------------------------------------------------------------------------
+
+def _commutators(arities):
+    return [
+        commutator_polynomial(i, j1, j2)
+        for i, n in enumerate(arities, start=1)
+        for j1 in range(1, n + 1)
+        for j2 in range(j1 + 1, n + 1)
+    ]
+
+
+def _assert_matches_dense(model, polys, sub=None):
+    sub = sub if sub is not None else variety_subspace(model, polys)
+    ref = dense_variety_subspace(model, polys)
+    assert sub.dim_N == ref.dim_N
+    assert sub.basis_M.shape[1] == ref.basis_M.shape[1]
+    assert np.linalg.norm(sub.projector() - ref.projector(), 2) <= 1e-10
+    assert sub.invariance_residual_full <= 1e-10
+    assert sub.invariance_residual_interior <= 1e-10
+    comp = compress(model, sub)
+    assert len(comp.q_residuals_full) == len(comp.q_residuals_interior) == len(polys)
+    assert max(comp.q_residuals_full + comp.q_residuals_interior, default=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_variety_matches_dense_on_gen_specs(D):
+    # the model depends only on (symbols, m, constraints), which every gen
+    # spec of these families shares at its default arities, so the oracle
+    # runs once per distinct model
+    checked = {}
+    for family in ("commuting_polynomials", "nilpotent"):
+        for seed in range(3):
+            spec = _instance_to_spec(generate(family, seed, dim=4))
+            key = repr((spec.symbols, spec.m, spec.constraints))
+            _, model = build_model(spec.symbols, spec.m, D)
+            sub = variety_subspace(model, spec.constraints)
+            if key not in checked:
+                _assert_matches_dense(model, spec.constraints, sub)
+                checked[key] = sub
+            ref = checked[key]
+            assert sub.dim_N == ref.dim_N
+            assert np.array_equal(sub.basis_N, ref.basis_N)
+
+
+NON_HOMOGENEOUS = NCPolynomial(((1.0, ((1, 1), (1, 2))), (-0.5, ((1, 1),))))
+GENERAL_SYMBOL = PositiveSymbol(2, {Word((1,)): 0.8, Word((2,)): 0.6, Word((2, 1)): 0.3}, 2)
+
+
+@pytest.mark.parametrize(
+    "symbols, m, cap, polys",
+    [
+        ([polyball_symbol(2)], [1], 5, _commutators((2,))),
+        ([polyball_symbol(3)], [1], 4, _commutators((3,))),
+        ([polyball_symbol(3)], [2], 3, _commutators((3,))),
+        ([polyball_symbol(2), polyball_symbol(2), polyball_symbol(1)], [1, 1, 1], 2, _commutators((2, 2, 1))),
+        ([GENERAL_SYMBOL, polyball_symbol(1)], [2, 1], 4, _commutators((2, 1))),
+        # two constraints with different degree profiles, (2, 0) and (1, 1)
+        ([polyball_symbol(2), polyball_symbol(2)], [1, 1], 3,
+         _commutators((2, 2)) + [NCPolynomial(((1.0, ((1, 1), (2, 2))), (-1.0, ((2, 2), (1, 1)))))]),
+        # q(W) = 0: N is the whole space, and compress sees more columns than high rows
+        ([polyball_symbol(1), polyball_symbol(1)], [1, 1], 4,
+         [NCPolynomial(((1.0, ((1, 1), (2, 1))), (-1.0, ((2, 1), (1, 1)))))]),
+    ],
+    ids=["polyball2", "polyball3", "polyball3-m2", "k3-221", "general-symbol", "mixed-profiles", "zero-constraint"],
+)
+def test_variety_matches_dense_on_families(symbols, m, cap, polys):
+    _, model = build_model(symbols, m, cap)
+    _assert_matches_dense(model, polys)
+
+
+@pytest.mark.parametrize("arities, cap", [((2,), 4), ((2, 1), 3)])
+def test_non_homogeneous_constraint_is_one_block(arities, cap):
+    _, model = build_model([polyball_symbol(n) for n in arities], [1] * len(arities), cap)
+    assert len(_grade_blocks(model, (NON_HOMOGENEOUS,))[0]) == 1
+    _assert_matches_dense(model, [NON_HOMOGENEOUS])
+
+
+def test_variety_svds_stay_within_one_grade_block(monkeypatch):
+    # default gen spec at the default degree cap: dimension 889, largest
+    # grade block 2^6 = 64; the dense computation took about 5 s
+    spec = _instance_to_spec(generate("commuting_polynomials", 0))
+    fock, model = build_model(spec.symbols, spec.m, 6)
+    assert fock.dim == 889
+    assert max(len(r) for r in _grade_blocks(model, spec.constraints)[0]) == 64
+    shapes = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def spy_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    def spy_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(x)[-2:])
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    t0 = time.perf_counter()
+    sub = variety_subspace(model, spec.constraints)
+    wall = time.perf_counter() - t0
+    assert sub.dim_N == 196
+    assert shapes and max(max(s) for s in shapes) <= 64
+    assert wall < 1.0
