@@ -26,7 +26,7 @@ from .fock import (
     compress,
     variety_subspace,
 )
-from .words import NCPolynomial, PositiveSymbol, polyball_symbol
+from .words import NCPolynomial, PositiveSymbol, polyball_symbol, scale_symbol_action
 
 
 def tuple_word_product(ops: OperatorTuple, alphas: Sequence[Sequence[int]]) -> np.ndarray:
@@ -35,11 +35,6 @@ def tuple_word_product(ops: OperatorTuple, alphas: Sequence[Sequence[int]]) -> n
     for i, w in enumerate(alphas, start=1):
         out = out @ ops.word_product(i, tuple(w))
     return out
-
-
-def _scale_symbol_free(f: PositiveSymbol, t: float) -> PositiveSymbol:
-    """Coefficient scaling a_alpha * t^{|alpha|} without the [0,1] clamp."""
-    return PositiveSymbol(f.arity, {w: a * t ** len(w) for w, a in f.coeffs.items()}, f.max_degree)
 
 
 @dataclass
@@ -147,7 +142,7 @@ def _kernel_tail_bound(
             if t <= 1.0 + 1e-9:
                 break
             scaled = list(phi.symbols)
-            scaled[i - 1] = _scale_symbol_free(phi.symbols[i - 1], t)
+            scaled[i - 1] = scale_symbol_action(phi.symbols[i - 1], t, check_range=False)
             phi_t = CPMapTuple(scaled, phi.ops, validate=False)
             try:
                 series = phi_t.weighted_series(m, R)
@@ -460,6 +455,27 @@ def vn_check_model(
     )
 
 
+def _spectral_norms(V: np.ndarray) -> np.ndarray:
+    """||V[:, :, n]||_2 for each n, read off the smaller Gram matrix.
+
+    One row or column: the Euclidean norm. Two: the square root of the top
+    eigenvalue of the Hermitian 2 x 2 Gram [[p, q], [q*, r]],
+    (p+r)/2 + sqrt(((p-r)/2)^2 + |q|^2), where both terms under the root are
+    non-negative. Otherwise a batched SVD.
+    """
+    if V.shape[0] > V.shape[1]:
+        V = V.transpose(1, 0, 2)  # V^T has the singular values of V
+    if V.shape[0] > 2:
+        return np.linalg.norm(np.moveaxis(V, -1, 0), ord=2, axis=(1, 2))
+    sq = (V.real ** 2 + V.imag ** 2).sum(axis=1)
+    if V.shape[0] == 1:
+        return np.sqrt(sq[0])
+    p, r = sq
+    q = np.sum(V[0] * V[1].conj(), axis=0)
+    half = (p - r) / 2.0
+    return np.sqrt((p + r) / 2.0 + np.sqrt(half * half + q.real ** 2 + q.imag ** 2))
+
+
 def vn_check_polydisc(
     C_ops: OperatorTuple,
     poly_matrix: Sequence[Sequence[NCPolynomial]],
@@ -469,18 +485,32 @@ def vn_check_polydisc(
 ) -> VNReport:
     """Checks ||[q_{s,t}(C)]|| <= sqrt(b) sup_{|z_i|=1} ||[q_{s,t}(z)]||.
 
-    b = prod_i sum_s ||C_i^s||^2. The supremum is sampled on a torus grid
-    and refined with the Lipschitz bound of the polynomial matrix; PASS is
-    claimed only against the grid value (a lower bound of the sup), FAILED
-    only against the Lipschitz-corrected upper bound.
+    b = prod_i sum_s ||C_i^s||^2. The supremum is sampled on the torus grid
+    z_i = exp(2 pi i n_i / g) and refined with the Lipschitz bound of the
+    polynomial matrix; PASS is claimed only against the grid value (a lower
+    bound of the sup), FAILED only against the Lipschitz-corrected upper
+    bound.
+
+    The grid values come from one inverse FFT: each coefficient block B_e
+    is added at e mod g, exact on the grid since z_i^g = 1 there, and
+    ifftn(norm="forward") over the k grid axes gives sum_e B_e z^e at every
+    point. The norm at each point is read off the smaller Gram matrix: the
+    Euclidean norm for one row or column, a closed form for two, and a
+    batched SVD from 3 x 3 on.
     """
     k = C_ops.k
     if any(n != 1 for n in C_ops.arities):
         raise ValueError("polydisc mode needs one generator per factor")
     rows = len(poly_matrix)
-    cols = len(poly_matrix[0])
+    cols = len(poly_matrix[0]) if rows else 0
+    if cols == 0 or any(len(row) != cols for row in poly_matrix):
+        raise ValueError(
+            "poly_matrix must be a non-empty rectangle; got row lengths "
+            f"{[len(row) for row in poly_matrix]}"
+        )
     d = C_ops.dim
     lhs_mat = np.zeros((rows * d, cols * d), dtype=np.complex128)
+    # evaluate_poly rejects letters outside the tuple before the exponent table reads them
     for s in range(rows):
         for t in range(cols):
             lhs_mat[s * d:(s + 1) * d, t * d:(t + 1) * d] = C_ops.evaluate_poly(poly_matrix[s][t])
@@ -519,23 +549,17 @@ def vn_check_polydisc(
 
     if base_grid is None:
         base_grid = {1: 4096, 2: 256, 3: 48}.get(k, 32)
+    if base_grid < 1 or max_rounds < 1:
+        raise ValueError(f"need base_grid >= 1 and max_rounds >= 1, got {base_grid}, {max_rounds}")
     g = base_grid
+    grid_axes = tuple(range(2, 2 + k))
     details: Dict[str, object] = {"b": b}
     for round_idx in range(max_rounds):
-        axes = [np.exp(2j * np.pi * np.arange(g) / g) for _ in range(k)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        zpowers = {e: np.ones_like(mesh[0]) for e in blocks}
-        for e in blocks:
-            acc = np.ones_like(mesh[0])
-            for i in range(k):
-                if e[i]:
-                    acc = acc * mesh[i] ** e[i]
-            zpowers[e] = acc
-        stack = np.zeros(mesh[0].shape + (rows, cols), dtype=np.complex128)
+        coeffs = np.zeros((rows, cols) + (g,) * k, dtype=np.complex128)
         for e, B in blocks.items():
-            stack += zpowers[e][..., None, None] * B
-        sups = np.linalg.norm(stack.reshape(-1, rows, cols), ord=2, axis=(1, 2))
-        sup_grid = float(sups.max())
+            coeffs[(slice(None), slice(None)) + tuple(x % g for x in e)] += B
+        values = np.fft.ifftn(coeffs, axes=grid_axes, norm="forward")
+        sup_grid = float(_spectral_norms(values.reshape(rows, cols, -1)).max())
         h = np.pi / g  # max arc distance to nearest grid point per axis
         sup_upper = sup_grid + sum(L * h for L in lip)
         details.update({"grid": g, "sup_grid": sup_grid, "sup_upper": sup_upper})

@@ -190,6 +190,14 @@ class OperatorTuple:
 
     def evaluate_poly(self, q: NCPolynomial) -> np.ndarray:
         """q(A), the letter Z_{i,j} evaluated at A_{i,j}."""
+        bad = sorted({
+            (i, j) for _, mono in q.terms for (i, j) in mono
+            if i > self.k or j > self.arities[i - 1]
+        })
+        if bad:
+            raise ValueError(
+                f"letters (i, j) in {bad} lie outside a tuple with arities {self.arities}"
+            )
         return q.evaluate(self.matrix, np.eye(self.dim, dtype=np.complex128))
 
     def conjugate(self, Y: np.ndarray, Yinv: np.ndarray | None = None) -> "OperatorTuple":

@@ -241,14 +241,18 @@ def weight_table(
     return WeightTable(m=m, entries=b, exact=exact)
 
 
-def scale_symbol_action(f: PositiveSymbol, r: Scalar) -> PositiveSymbol:
+def scale_symbol_action(
+    f: PositiveSymbol, r: Scalar, check_range: bool = True
+) -> PositiveSymbol:
     """Coefficient scaling a_alpha -> a_alpha * r^{|alpha|}.
 
     Equivalent to replacing the operator tuple A by rA in every CP-map
     formula. r = 1 is the identity; r = 0 yields the zero symbol, which is
-    not regular and is accepted only for evaluation purposes.
+    not regular and is accepted only for evaluation purposes. r must lie in
+    [0, 1] unless check_range is False, which the kernel tail bound needs to
+    scale by some r > 1.
     """
-    if not (0 <= r <= 1):
+    if check_range and not (0 <= r <= 1):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     scaled = {w: a * r ** len(w) for w, a in f.coeffs.items()}
     return PositiveSymbol(f.arity, scaled, f.max_degree)
@@ -271,6 +275,9 @@ class NCPolynomial:
             (complex(c), tuple((int(i), int(j)) for (i, j) in mono))
             for c, mono in self.terms
         )
+        bad = sorted({(i, j) for _, mono in norm for (i, j) in mono if i < 1 or j < 1})
+        if bad:
+            raise ValueError(f"letters Z_(i,j) are 1-based; got (i, j) in {bad}")
         object.__setattr__(self, "terms", norm)
 
     def evaluate(self, letter_value: Callable[[int, int], "object"], identity: "object"):

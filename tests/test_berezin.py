@@ -258,3 +258,74 @@ def test_vn_polydisc_rejects_multi_generator_rows():
     inst = generate("commuting_polynomials", 2, target_radius=0.5)
     with pytest.raises(ValueError):
         vn_check_polydisc(inst.ops, [[commutator_polynomial(1, 1, 2)]])
+
+
+def polydisc_ops(k, seed=17, dim=3):
+    return OperatorTuple([[C] for C in strict_contractions(seed, k=k, dim=dim, norm_cap=0.7)])
+
+
+@pytest.mark.parametrize("k,grid", [(1, 16), (2, 12), (3, 6)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)])
+def test_vn_polydisc_grid_sup_matches_pointwise_oracle(k, grid, shape, rng):
+    pm = random_poly_matrix(rng, k, rows=shape[0], cols=shape[1])
+    # a monomial of degree >= grid folds onto its exponent mod grid
+    high = ((1, 1),) * (grid + 2) + ((k, 1),) * (grid if k > 1 else 0)
+    pm[-1][0] = NCPolynomial(pm[-1][0].terms + ((0.7 - 0.4j, high),))
+    rep = vn_check_polydisc(polydisc_ops(k), pm, base_grid=grid, max_rounds=1)
+    assert rep.details["grid"] == grid
+    want = torus_grid_sup(pm, k=k, grid=grid)
+    assert abs(rep.details["sup_grid"] - want) <= 1e-12 * want
+
+
+def test_vn_polydisc_two_by_two_takes_no_batched_svd(monkeypatch):
+    batched = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def spy_svd(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            batched.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def spy_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) > 2:
+            batched.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    # the spy sees the batched SVD that 3 x 3 polynomial matrices still take
+    pm3 = random_poly_matrix(np.random.default_rng(3), k=1, rows=3, cols=3)
+    vn_check_polydisc(polydisc_ops(1), pm3, base_grid=16, max_rounds=1)
+    assert batched
+    batched.clear()
+    # k = 3, 2 x 2 at the default grid of 48^3 points: the closed form only
+    pm = random_poly_matrix(np.random.default_rng(5), k=3)
+    rep = vn_check_polydisc(polydisc_ops(3, dim=4), pm)
+    assert rep.verdict == "PASS" and rep.details["grid"] == 48
+    # two columns or one row also take the smaller Gram matrix
+    for shape in [(3, 2), (1, 3)]:
+        pm = random_poly_matrix(np.random.default_rng(6), k=1, rows=shape[0], cols=shape[1])
+        vn_check_polydisc(polydisc_ops(1), pm, base_grid=16, max_rounds=1)
+    assert batched == []
+
+
+@pytest.mark.parametrize("row_lengths", [(), (0,), (2, 1), (1, 2), (2, 0)])
+def test_vn_polydisc_rejects_non_rectangular_matrices(row_lengths):
+    q = NCPolynomial(((1.0, ((1, 1),)),))
+    pm = [[q] * n for n in row_lengths]
+    with pytest.raises(ValueError):
+        vn_check_polydisc(polydisc_ops(2), pm)
+
+
+@pytest.mark.parametrize("kwargs", [{"base_grid": 0}, {"max_rounds": 0}])
+def test_vn_polydisc_rejects_empty_grid_or_no_rounds(kwargs):
+    q = NCPolynomial(((1.0, ((1, 1),)),))
+    with pytest.raises(ValueError):
+        vn_check_polydisc(polydisc_ops(2), [[q]], **kwargs)
+
+
+@pytest.mark.parametrize("letter", [(3, 1), (1, 2)])
+def test_vn_polydisc_rejects_letters_outside_the_tuple(letter):
+    q = NCPolynomial(((1.0, ((1, 1),)), (0.5, (letter,))))
+    with pytest.raises(ValueError):
+        vn_check_polydisc(polydisc_ops(2), [[q]])

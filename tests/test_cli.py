@@ -223,6 +223,29 @@ def test_vn_polydisc_pass_and_inconclusive(tmp_path, capsys):
     assert load_report(out2)["outputs"]["status"] == "INCONCLUSIVE"
 
 
+_Z11 = [{"coeff": [1.0, 0.0], "monomial": [[1, 1]]}]
+_Z31 = [{"coeff": [1.0, 0.0], "monomial": [[3, 1]]}]  # no third factor
+_Z01 = [{"coeff": [1.0, 0.0], "monomial": [[0, 1]]}]  # letters are 1-based
+
+
+@pytest.mark.parametrize(
+    "poly_matrix",
+    [[[_Z11, _Z11], [_Z11]], [[_Z11], [_Z11, _Z11]], [], [[]], [[_Z31]], [[_Z01]]],
+)
+def test_vn_polydisc_malformed_poly_matrix_exits_one(poly_matrix, tmp_path, capsys):
+    path = gen_spec(
+        tmp_path, capsys, "commuting_polynomials", 10,
+        "--arities", "1,1", "--target-radius", "0.6",
+    )
+    obj = json.loads(path.read_text())
+    obj["task"]["mode"] = "polydisc"
+    obj["task"]["poly_matrix"] = poly_matrix
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["vn", "--input", str(path)], capsys)
+    assert code == 1
+    assert out == "" and err
+
+
 def test_vn_model_mode(tmp_path, capsys):
     path = gen_spec(
         tmp_path, capsys, "commuting_polynomials", 12, "--target-radius", "0.5"

@@ -553,6 +553,13 @@ def test_evaluate_poly_on_tuple():
     assert np.linalg.norm(inst.ops.evaluate_poly(commutator_polynomial(1, 1, 2)), 2) <= 1e-10
 
 
+@pytest.mark.parametrize("letter", [(3, 1), (2, 2), (1, 3)])
+def test_evaluate_poly_rejects_letters_outside_the_tuple(letter):
+    _, inst = small_random_instance(5)  # k = 2, arities (2, 1)
+    with pytest.raises(ValueError):
+        inst.ops.evaluate_poly(NCPolynomial(((1.0, ((1, 1), letter)),)))
+
+
 # ---------------------------------------------------------------------------
 # double limit identity and purity
 # ---------------------------------------------------------------------------

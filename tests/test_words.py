@@ -172,3 +172,18 @@ def test_ncpolynomial_degree_profiles():
     assert profiles == [(0, 2), (0, 2)]
     assert q.is_homogeneous(2)
     assert q.max_degree() == 2
+
+
+@pytest.mark.parametrize("letter", [(0, 1), (1, 0), (-1, 1), (2, -1)])
+def test_ncpolynomial_rejects_letters_below_one(letter):
+    # index 0 must not wrap round to the last factor as Python's index -1
+    with pytest.raises(ValueError):
+        NCPolynomial(((1.0, ((1, 1), letter)),))
+
+
+def test_scale_symbol_action_range_check():
+    f = fraction_symbol(3)
+    with pytest.raises(ValueError):
+        scale_symbol_action(f, 2.0)
+    g = scale_symbol_action(f, 2.0, check_range=False)
+    assert g.coeffs == {w: a * 2.0 ** len(w) for w, a in f.coeffs.items()}
