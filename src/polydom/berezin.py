@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import DivergenceError
 from .cpmap import CPMapTuple, OperatorTuple, hermitize
@@ -26,7 +25,7 @@ from .fock import (
     compress,
     variety_subspace,
 )
-from .words import NCPolynomial, PositiveSymbol, polyball_symbol, scale_symbol_action
+from .words import NCPolynomial, PositiveSymbol, polyball_symbol
 
 
 def tuple_word_product(ops: OperatorTuple, alphas: Sequence[Sequence[int]]) -> np.ndarray:
@@ -121,41 +120,30 @@ def _kernel_tail_bound(
 ) -> Tuple[float, bool]:
     """Bound on the PSD mass of kernel rows beyond the truncation box.
 
-    Rows with |beta_i| > degree_cap contribute at most
-    t^{-(degree_cap+1)} * || series of R for the factor-i symbol scaled by t ||
-    for any t > 1 keeping that series convergent.
+    The rows of K with beta fixed outside factor i sum to the factor-i series
+    sum_s C(s+m_i-1, m_i-1) Phi_i^s(Y_i), Y_i the other factors' series of R,
+    and a word of length above degree_cap first occurs in Phi_i^s once
+    s deg f_i > degree_cap. So the rows with |beta_i| > degree_cap weigh at
+    most ||Y_i|| T_i <= ||S|| T_i, where S is the full series of R and
+    T_i = sum_{s >= s_i} C(s+m_i-1, m_i-1) ||Phi_i^s||,
+    s_i = ceil((degree_cap+1) / deg f_i); by Russo-Dye ||Phi_i^s|| is the
+    identity orbit's eta_s. Summing over i covers every row outside the box.
     """
-    total = 0.0
     for i in range(1, phi.k + 1):
-        r_i = phi.joint_spectral_radius(i, crosscheck=False)
-        if not (r_i < 1.0 - phi.tol.radius_margin):
+        if not (phi.joint_spectral_radius(i, crosscheck=False) < 1.0 - phi.tol.radius_margin):
             return float("nan"), False
-        orbit = phi._orbit(i)
-        if orbit.norm(degree_cap + 1) == 0.0:
-            continue  # Phi_i^{degree_cap+1} = 0: no row beyond the box survives
-        if orbit.nilpotency_index() is not None:
-            t = 4.0
-        else:
-            t = min(((1.0 - phi.tol.radius_margin) / max(r_i, 1e-6)) ** 2, 64.0)
-        contribution = None
-        for _ in range(8):
-            if t <= 1.0 + 1e-9:
-                break
-            scaled = list(phi.symbols)
-            scaled[i - 1] = scale_symbol_action(phi.symbols[i - 1], t, check_range=False)
-            phi_t = CPMapTuple(scaled, phi.ops, validate=False)
-            try:
-                series = phi_t.weighted_series(m, R)
-                contribution = t ** (-(degree_cap + 1)) * (
-                    float(np.linalg.norm(series.value, 2)) + series.tail_bound
-                )
-                break
-            except DivergenceError:
-                t = 1.0 + (t - 1.0) / 2.0
-        if contribution is None:
-            return float("nan"), False
-        total += contribution
-    return total, True
+    tails = sum(
+        phi._orbit(i).norm_sum(m[i - 1], start=-(-(degree_cap + 1) // f.degree()))
+        for i, f in enumerate(phi.symbols, start=1)
+    )
+    if tails == 0.0:
+        return 0.0, True  # every Phi_i^{s_i} = 0: no row beyond the box survives
+    try:
+        series = phi.weighted_series(m, R)
+    except DivergenceError:
+        return float("nan"), False
+    total = (float(np.linalg.norm(series.value, 2)) + series.tail_bound) * tails
+    return total, bool(np.isfinite(total))
 
 
 def kernel(
@@ -266,7 +254,8 @@ def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTu
     out: Dict[Tuple[int, int], Tuple[float, float]] = {}
     for (i, j, W) in model.all_W():
         lhs = kern.K @ ops.matrix(i, j).conj().T
-        rhs = sp.kron(W.conj().T, sp.identity(rank, format="csr"), format="csr") @ kern.K
+        # (W^* tensor I_rank) K without the Kronecker product: K's rows are fock-major
+        rhs = (W.conj().T @ kern.K.reshape(-1, rank * kern.d)).reshape(-1, kern.d)
         diff = lhs - rhs
         full = float(np.linalg.norm(diff, 2))
         deg_i = fock.factor_degree_array(i - 1)
@@ -282,7 +271,7 @@ def intertwine_check_constrained(ck: ConstrainedKernel, ops: OperatorTuple) -> D
     out: Dict[Tuple[int, int], float] = {}
     for (i, j), S in sorted(ck.compressed.S.items()):
         lhs = ck.K @ ops.matrix(i, j).conj().T
-        rhs = np.kron(S.conj().T, np.eye(rank)) @ ck.K
+        rhs = (S.conj().T @ ck.K.reshape(-1, rank * ck.d)).reshape(-1, ck.d)
         out[(i, j)] = float(np.linalg.norm(lhs - rhs, 2))
     return out
 

@@ -341,7 +341,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--output", help="report path (default stdout)")
         p.add_argument("--trunc-degree", type=int, dest="trunc_degree")
         p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
     g = sub.add_parser("gen", help="generate a seeded problem spec")
     g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--seed", type=int, default=0)

@@ -190,10 +190,7 @@ class OperatorTuple:
 
     def evaluate_poly(self, q: NCPolynomial) -> np.ndarray:
         """q(A), the letter Z_{i,j} evaluated at A_{i,j}."""
-        bad = sorted({
-            (i, j) for _, mono in q.terms for (i, j) in mono
-            if i > self.k or j > self.arities[i - 1]
-        })
+        bad = q.letters_outside(self.arities)
         if bad:
             raise ValueError(
                 f"letters (i, j) in {bad} lie outside a tuple with arities {self.arities}"
@@ -287,10 +284,10 @@ class _Orbit:
             return float("inf")
         return self.growth * comb(s + m - 1, m - 1) * self.theta ** s / (1.0 - ratio)
 
-    def norm_sum(self, m: int, budget: int = 20000) -> float:
-        """Certified sum_s C(s+m-1, m-1) ||Phi_i^s||; inf when no envelope is found in budget."""
+    def norm_sum(self, m: int, budget: int = 20000, start: int = 0) -> float:
+        """Certified sum_{s>=start} C(s+m-1, m-1) ||Phi_i^s||; inf when no envelope is found in budget."""
         total = 0.0
-        s = 0
+        s = start
         while True:
             total += comb(s + m - 1, m - 1) * self.norm(s)
             s += 1

@@ -378,6 +378,11 @@ def variety_subspace(
         )
     cutoff = model.tol.svd_cutoff
     polys = tuple(Q_polys)
+    bad = sorted({letter for q in polys for letter in q.letters_outside(fock.arities)})
+    if bad:
+        raise ValueError(
+            f"constraint letters (i, j) in {bad} lie outside a model with arities {fock.arities}"
+        )
     if not polys:
         return VarietySubspace(
             basis_N=np.eye(fock.dim, dtype=np.complex128),

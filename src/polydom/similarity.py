@@ -137,10 +137,13 @@ def model_embed(
         claimed_bound=float(np.sqrt(b_eff / max(a_eff, 1e-300))) if a_eff > 0 else float("inf"),
     )
     scale = max(1.0, sv[0])
+    # the truncation part of the residual is P S^* (I - P) K_inf, and the rows
+    # of K_inf outside the box have norm sqrt(mass) <= sqrt(tail)
     resid = intertwine_check_constrained(ck, A)
     for (i, j), r in resid.items():
+        S_norm = float(np.linalg.norm(ck.compressed.S[(i, j)], 2))
         cert.residuals[f"intertwine_{i}_{j}"] = r
-        cert.tolerances[f"intertwine_{i}_{j}"] = tol * scale + 10.0 * (tail + leak)
+        cert.tolerances[f"intertwine_{i}_{j}"] = tol * scale + 10.0 * (S_norm * tail ** 0.5 + leak)
     cert.residuals["range_leak"] = leak
     cert.tolerances["range_leak"] = tol * scale + 10.0 * tail
     gram = ck.gram()

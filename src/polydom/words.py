@@ -241,18 +241,15 @@ def weight_table(
     return WeightTable(m=m, entries=b, exact=exact)
 
 
-def scale_symbol_action(
-    f: PositiveSymbol, r: Scalar, check_range: bool = True
-) -> PositiveSymbol:
+def scale_symbol_action(f: PositiveSymbol, r: Scalar) -> PositiveSymbol:
     """Coefficient scaling a_alpha -> a_alpha * r^{|alpha|}.
 
     Equivalent to replacing the operator tuple A by rA in every CP-map
     formula. r = 1 is the identity; r = 0 yields the zero symbol, which is
     not regular and is accepted only for evaluation purposes. r must lie in
-    [0, 1] unless check_range is False, which the kernel tail bound needs to
-    scale by some r > 1.
+    [0, 1].
     """
-    if check_range and not (0 <= r <= 1):
+    if not (0 <= r <= 1):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     scaled = {w: a * r ** len(w) for w, a in f.coeffs.items()}
     return PositiveSymbol(f.arity, scaled, f.max_degree)
@@ -309,6 +306,13 @@ class NCPolynomial:
 
     def max_degree(self) -> int:
         return max((len(mono) for _, mono in self.terms), default=0)
+
+    def letters_outside(self, arities: Sequence[int]) -> List[Letter]:
+        """The letters Z_{i,j} with i > len(arities) or j > arities[i-1], sorted."""
+        return sorted({
+            (i, j) for _, mono in self.terms for (i, j) in mono
+            if i > len(arities) or j > arities[i - 1]
+        })
 
 
 def commutator_polynomial(i: int, j1: int, j2: int) -> NCPolynomial:

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polydom.berezin import (
     CompatibleTuple,
@@ -20,8 +21,9 @@ from polydom.berezin import (
 )
 from polydom.cpmap import CPMapTuple, OperatorTuple
 from polydom.fock import build_model
-from polydom.generate import generate, strict_contractions
-from polydom.words import NCPolynomial, commutator_polynomial, polyball_symbol
+from polydom.config import default_tolerances
+from polydom.generate import _scale_rows_to_radius, generate, random_symbol, strict_contractions
+from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
 from oracles import torus_grid_sup
@@ -65,14 +67,53 @@ def test_kernel_gram_identity_nilpotent(seed, rng):
     assert kern.tail_bound == 0.0 and kern.certified
 
 
-def test_kernel_gram_identity_small_radius(rng):
-    inst = generate("commuting_polynomials", 3, target_radius=0.6)
-    phi = CPMapTuple(inst.symbols, inst.ops)
+def degree3_instance(seed, dim=4, target_radius=0.2):
+    """One factor of arity 2 with a degree-3 random symbol, map radius target_radius.
+
+    At a small radius the terms Phi^s with ceil((D+1)/3) <= s <= D carry most
+    of the mass beyond the box, so a tail started at D+1 misses it.
+    """
+    rng = np.random.default_rng(seed)
+    f = random_symbol(rng, 2, degree=3)
+    row = [(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / 2
+           for _ in range(2)]
+    rows, _ = _scale_rows_to_radius((f,), [row], target_radius)
+    return (f,), (1,), OperatorTuple(rows)
+
+
+_TAIL_CASES = {
+    f"commuting-d{d}-D{D}": ("commuting_polynomials", 3, d, D) for d, D in ((3, 6), (4, 8), (5, 6))
+}
+_TAIL_CASES["polyball-d4-D6"] = ("polyball_random", 3, 4, 6)
+_TAIL_CASES.update({
+    f"degree3-s{seed}-D{D}": ("degree3", seed, 4, D) for seed in range(3) for D in (2, 3, 4, 5)
+})
+
+
+@pytest.mark.parametrize("case", sorted(_TAIL_CASES))
+def test_kernel_tail_bound_is_sound(case, rng):
+    kind, seed, dim, D = _TAIL_CASES[case]
+    if kind == "degree3":
+        symbols, m, ops = degree3_instance(seed, dim)
+    else:
+        inst = generate(kind, seed, dim=dim, target_radius=0.6)
+        symbols, m, ops = inst.symbols, inst.m, inst.ops
+    phi = CPMapTuple(symbols, ops)
     R = random_psd(rng, phi.dim)
-    kern = kernel(inst.symbols, inst.m, inst.ops, R, degree_cap=8)
-    series = phi.weighted_series(inst.m, R, tol=1e-13)
+    kern = kernel(symbols, m, ops, R, degree_cap=D)
+    series = phi.weighted_series(m, R, tol=1e-13)
     gap = np.linalg.norm(kern.gram() - series.value, 2)
+    assert kern.certified
     assert gap <= kern.tail_bound + series.tail_bound + 1e-9
+
+
+@pytest.mark.parametrize("a", [(1.0 - default_tolerances().radius_margin) ** 2, 1.0])
+def test_kernel_tail_bound_refuses_radius_at_margin(a):
+    # Phi(X) = a X: the tuple radius is sqrt(a), exactly 1 - radius_margin for the first a
+    symbols = (PositiveSymbol(1, {Word((1,)): a}, 1),)
+    ops = OperatorTuple([[np.eye(3)]])
+    kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
+    assert np.isnan(kern.tail_bound) and not kern.certified
 
 
 def test_kernel_rejects_indefinite_R():
@@ -101,6 +142,9 @@ def test_kernel_intertwining_interior_small_radius(rng):
     res = intertwine_check(kern, model, inst.ops)
     for (i, j), (full, interior) in res.items():
         assert interior <= 1e-10
+        rhs = sp.kron(model.W(i, j).conj().T, sp.identity(kern.rank)) @ kern.K
+        want = np.linalg.norm(kern.K @ inst.ops.matrix(i, j).conj().T - rhs, 2)
+        assert abs(full - want) <= 1e-12 * max(want, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +190,17 @@ def test_constrained_kernel_intertwines(seed=31):
     ck = constrained_kernel(omega, 6)
     res = intertwine_check_constrained(ck, omega.ops)
     assert max(res.values()) <= 1e-10
+    # against the explicit (S^* kron I_rank) K, also where truncation leaves a residual
+    inst = generate("commuting_polynomials", seed, target_radius=0.8)
+    wide = CompatibleTuple(inst.symbols, inst.m, inst.ops, random_psd(np.random.default_rng(seed), 4),
+                           (commutator_polynomial(1, 1, 2),))
+    for om, ck in ((omega, ck), (wide, constrained_kernel(wide, 3))):
+        res = intertwine_check_constrained(ck, om.ops)
+        for (i, j), S in ck.compressed.S.items():
+            rhs = np.kron(S.conj().T, np.eye(ck.rank)) @ ck.K
+            want = np.linalg.norm(ck.K @ om.ops.matrix(i, j).conj().T - rhs, 2)
+            assert abs(res[(i, j)] - want) <= 1e-12 * max(want, 1.0)
+    assert max(res.values()) > 1e-3
 
 
 def test_transform_reproduces_point_values():

@@ -246,6 +246,17 @@ def test_vn_polydisc_malformed_poly_matrix_exits_one(poly_matrix, tmp_path, caps
     assert out == "" and err
 
 
+@pytest.mark.parametrize("letter", [[3, 1], [1, 3], [2, 2]])
+def test_model_constraint_letter_outside_the_model_exits_one(letter, tmp_path, capsys):
+    path = gen_spec(tmp_path, capsys, "nilpotent", 19)  # arities (2, 1)
+    obj = json.loads(path.read_text())
+    obj["constraints"].append([{"coeff": [1.0, 0.0], "monomial": [[1, 1], letter]}])
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["model", "--input", str(path), "--trunc-degree", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "outside a model with arities (2, 1)" in err
+
+
 def test_vn_model_mode(tmp_path, capsys):
     path = gen_spec(
         tmp_path, capsys, "commuting_polynomials", 12, "--target-radius", "0.5"

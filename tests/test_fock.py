@@ -169,6 +169,15 @@ def test_variety_commutator_dimension():
     assert sub.invariance_residual_interior <= 1e-10
 
 
+@pytest.mark.parametrize("letter", [(3, 1), (1, 3), (2, 2)])
+def test_variety_rejects_letters_outside_the_model(letter):
+    # arities (2, 1): no third factor, no Z_{1,3}, no Z_{2,2}
+    fock, model = build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)
+    q = NCPolynomial(((1.0, ((1, 1), letter)), (-1.0, (letter, (1, 1)))))
+    with pytest.raises(ValueError, match="outside a model with arities"):
+        variety_subspace(model, [commutator_polynomial(1, 1, 2), q])
+
+
 def test_compressed_model_annihilates_constraint():
     fock, model = polyball_model(n=2, cap=4)
     q = commutator_polynomial(1, 1, 2)

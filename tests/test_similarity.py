@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polydom.berezin import CompatibleTuple, constrained_kernel, intertwine_check_constrained
 from polydom.config import DivergenceError
 from polydom.cone import membership
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
@@ -84,6 +85,33 @@ def test_model_embed_nilpotent_identity_R(seed):
         if name.startswith("intertwine"):
             assert r <= 1e-10
     assert cert.cond <= cert.claimed_bound * (1.0 + 1e-8)
+
+
+def test_model_embed_passes_where_the_residual_is_sqrt_of_the_tail():
+    # polydom gen --family nilpotent --seed 2100251 --dim 5: at D = 3 the
+    # 2,1 residual (0.051) is near the square root of the Gram gap (0.0026)
+    inst = generate("nilpotent", 2100251, dim=5)
+    cert = model_embed(inst.symbols, inst.m, inst.ops, np.eye(5),
+                       Q_polys=(commutator_polynomial(1, 1, 2),), degree_cap=3)
+    assert cert.status == "PASS"
+    assert cert.residuals["intertwine_2_1"] > 0.01
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2100251])
+def test_intertwining_residual_within_sqrt_tail(seed):
+    # K A* - (S* tensor I) K = P S* (I - P) K_inf, and (I - P) K_inf has norm
+    # at most sqrt(tail_bound)
+    for d in (4, 5):
+        inst = generate("nilpotent", seed, dim=d)
+        omega = CompatibleTuple(inst.symbols, inst.m, inst.ops, np.eye(d),
+                                (commutator_polynomial(1, 1, 2),))
+        for D in (2, 3):
+            ck = constrained_kernel(omega, D)
+            tail = ck.base.tail_bound
+            assert ck.base.certified
+            for (i, j), r in intertwine_check_constrained(ck, inst.ops).items():
+                S_norm = np.linalg.norm(ck.compressed.S[(i, j)], 2)
+                assert r <= S_norm * np.sqrt(tail) + ck.range_residual + 1e-12
 
 
 def test_model_embed_rejects_unbounded_below_series():
