@@ -4,8 +4,9 @@ Conjugated commuting unitaries xi U_i xi^{-1} admit a positive fixed point Q
 of every factor map; conjugating by Q^{1/2} returns a jointly unitary tuple.
 The experiment grows the conditioning of xi and tracks how the certificate
 degrades: the sampled two-sided envelope [c, d] widens, while the recovered
-isometry residual stays at working precision until the fixed-point iteration
-itself runs out of accuracy. Strict contractions are included as the
+isometry residual stays at working precision until the null spaces that
+determine the fixed point lose accuracy to the conditioning of xi. Strict
+contractions are included as the
 negative control: their sampled lower bound collapses and the solver
 reports that no similarity exists.
 

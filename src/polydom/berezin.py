@@ -288,8 +288,6 @@ def transform(ck: ConstrainedKernel, chi: np.ndarray) -> np.ndarray:
 
 def model_word_value(comp: CompressedModel, alphas: Sequence[Sequence[int]]) -> np.ndarray:
     """S_{(alpha)} = S_{1,alpha_1} ... S_{k,alpha_k} on the compressed space."""
-    keys = sorted(comp.S)
-    k = max(i for (i, _) in keys)
     r = comp.basis.shape[1]
     out = np.eye(r, dtype=np.complex128)
     for i, w in enumerate(alphas, start=1):

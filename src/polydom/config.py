@@ -26,8 +26,6 @@ class Tolerances:
     svd_cutoff: float = 1e-10
     # default target for certified series tails
     series_tol: float = 1e-10
-    # Cesaro doubling convergence, relative
-    cesaro_rel: float = 1e-9
     # required relative stabilization of the power-sequence radius cross-check
     radius_crosscheck_rel: float = 1e-6
     # hard cap on enumerated words

@@ -141,17 +141,7 @@ class ModelOperators:
         return out
 
     def evaluate_poly(self, q: NCPolynomial) -> sp.csr_matrix:
-        eye = sp.identity(self.fock.dim, format="csr")
-        acc = None
-        for c, mono in q.terms:
-            prod = eye
-            for (i, j) in mono:
-                prod = prod @ self._W[(i, j)]
-            term = c * prod
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return sp.csr_matrix((self.fock.dim, self.fock.dim))
-        return acc.tocsr()
+        return q.evaluate(self.W, sp.identity(self.fock.dim, format="csr")).tocsr()
 
     # --- diagonal CP-map engine ------------------------------------------
     # Every W word maps basis vectors to scaled basis vectors, so the maps

@@ -2,10 +2,11 @@
 
 Three families: model embedding through a constrained Berezin kernel,
 strict-contraction conjugation through the weighted series of the identity,
-and the Cesaro fixed-point construction for two-sided power-bounded tuples.
-A fourth front end treats commuting tuples of completely positive maps given
-by raw Kraus families. Every certificate re-verifies its residuals before it
-is returned; failing certificates are returned marked FAILED, not dropped.
+and, for two-sided power-bounded tuples, conjugation by the common fixed
+point of the maps that is the ergodic projection of the identity. A fourth
+front end treats commuting tuples of completely positive maps given by raw
+Kraus families. Every certificate re-verifies its residuals before it is
+returned; failing certificates are returned marked FAILED, not dropped.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def solve_defect_equation(
     )
 
 
-# --- Cesaro fixed point -------------------------------------------------------
+# --- Sz.-Nagy fixed point -----------------------------------------------------
 
 
 def _sample_two_sided(phi: CPMapTuple, sample_len: int) -> Tuple[float, float]:
@@ -323,110 +324,54 @@ def _sample_two_sided(phi: CPMapTuple, sample_len: int) -> Tuple[float, float]:
     return c, d
 
 
-def _cesaro_fixed_point(
-    phi: CPMapTuple,
-    rel: float | None = None,
-    max_doublings: int = 60,
-) -> Tuple[Optional[np.ndarray], Dict[str, object]]:
-    """Per-factor doubled Cesaro means of the identity, matricized.
+def _null_basis(S: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the right null space of the tall matrix S.
 
-    mean over 2^{t+1} iterates = (mean_t + M^{2^t} mean_t) / 2, so doubling
-    squares the power instead of re-summing; convergence is declared at
-    relative cesaro_rel between consecutive doublings.
+    Singular values at or below 1e-10 * s_max count as zero. They are read
+    off the square R factor of S, which has the same singular values and
+    right singular vectors, so the SVD runs on d^2 x d^2 only.
     """
-    rel = phi.tol.cesaro_rel if rel is None else rel
-    diag: Dict[str, object] = {
-        "doublings": [],
-        "converged": [],
-        "best_residual": [],
-        "joint_gap": float("nan"),
-        "joint_stabilized": False,
-        "joint_residual": float("nan"),
-    }
+    R = np.linalg.qr(S, mode="r")
+    _, s, Vh = np.linalg.svd(R)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return Vh[rank:].conj().T
+
+
+def _ergodic_fixed_point(
+    phi: CPMapTuple,
+) -> Tuple[Optional[np.ndarray], np.ndarray, str]:
+    """Ergodic projection of I onto the common fixed space of the maps.
+
+    For commuting power-bounded maps the Cesaro limit of I is its projection
+    onto the common fixed space N along the sum of the ranges of M_i - I,
+    whose annihilator is the common fixed space L of the adjoints M_i^*
+    (Krengel, Ergodic Theorems, 1985). So Q = N (L^* N)^{-1} L^* vec(I),
+    hermitized and normalized to spectral norm one. Returns (Q, N, note);
+    Q is None, with the reason in note, when N is empty, dim L != dim N, or
+    L^* N is singular: then eigenvalue 1 is not semisimple (a Jordan block)
+    and no such projection exists.
+    """
     d = phi.dim
-    mats = [phi.matricize(i) for i in range(1, phi.k + 1)]
-
-    def reherm(x: np.ndarray) -> np.ndarray:
-        return vec(hermitize(unvec(x, d)))
-
-    def joint_residual(s: np.ndarray) -> float:
-        nrm = max(float(np.linalg.norm(s)), 1e-300)
-        return max(float(np.linalg.norm(M @ s - s)) / nrm for M in mats)
-
-    v = vec(np.eye(d, dtype=np.complex128)).astype(np.complex128)
-    for M in mats:
-        P = M.copy()
-        s = reherm(v)
-        best = s
-        best_r = float(np.linalg.norm(M @ s - s) / max(np.linalg.norm(s), 1e-300))
-        t = 0
-        converged = best_r <= rel
-        pnorm_floor = float(np.linalg.norm(P))
-        while t < max_doublings and not converged:
-            s_new = reherm((s + P @ s) / 2.0)
-            P = P @ P
-            t += 1
-            diff = float(np.linalg.norm(s_new - s) / max(np.linalg.norm(s), 1e-300))
-            s = s_new
-            pn = float(np.linalg.norm(P))
-            if not np.isfinite(pn) or not np.all(np.isfinite(s)):
-                break
-            pnorm_floor = min(pnorm_floor, pn)
-            r = float(np.linalg.norm(M @ s - s) / max(np.linalg.norm(s), 1e-300))
-            if r < best_r:
-                best, best_r = s, r
-            if diff <= rel:
-                converged = True
-                break
-            # repeated squaring of M^(2^t) with peripheral spectrum drowns in
-            # roundoff eventually; stop once the iterate rebounds off its
-            # floor or the power norm escapes the power-bounded regime
-            if r > 100.0 * best_r and t > 4:
-                break
-            if pn > 1e3 * max(pnorm_floor, 1.0):
-                break
-        diag["doublings"].append(t)
-        diag["converged"].append(bool(converged))
-        diag["best_residual"].append(best_r)
-        v = best
-
-    # Joint Euler refinement. G = prod_i (I + M_i)/2 averages the same power
-    # sequences with binomial weights; a simultaneous eigenmode of the
-    # commuting maps survives G only when every factor fixes it, so squaring
-    # G converges stably to the projection onto the common fixed space even
-    # when one factor alone has a nearly-fixed stray mode.
-    G = np.eye(d * d, dtype=np.complex128)
-    for M in mats:
-        G = ((np.eye(d * d, dtype=np.complex128) + M) / 2.0) @ G
-    best_gap = float("inf")
-    best_G = G
-    for _ in range(60):
-        G2 = G @ G
-        gap = float(np.linalg.norm(G2 - G) / max(np.linalg.norm(G), 1e-300))
-        G = G2
-        gn = float(np.linalg.norm(G))
-        if not np.isfinite(gn) or gn > 1e10:
-            break
-        if gap < best_gap:
-            best_gap, best_G = gap, G
-        if gap <= 1e-14 or (best_gap < 1e-10 and gap > 4.0 * best_gap):
-            break
-    joint_ok = best_gap <= 1e-9
-    diag["joint_gap"] = best_gap
-    diag["joint_stabilized"] = bool(joint_ok)
-    if joint_ok:
-        cand = reherm(best_G @ vec(np.eye(d, dtype=np.complex128)))
-        if np.all(np.isfinite(cand)) and joint_residual(cand) < joint_residual(v):
-            v = cand
-
-    if not np.all(np.isfinite(v)):
-        return None, diag
+    eye2 = np.eye(d * d, dtype=np.complex128)
+    shifted = [phi.matricize(i) - eye2 for i in range(1, phi.k + 1)]
+    N = _null_basis(np.vstack(shifted))
+    L = _null_basis(np.vstack([S.conj().T for S in shifted]))
+    if N.shape[1] == 0 or L.shape[1] != N.shape[1]:
+        return None, N, (
+            f"the common fixed spaces of the maps and of their adjoints have "
+            f"dimensions {N.shape[1]} and {L.shape[1]}"
+        )
+    G = L.conj().T @ N
+    sv = np.linalg.svd(G, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:
+        return None, N, (
+            f"eigenvalue 1 of the maps is not semisimple: the smallest singular "
+            f"value of L^* N is {sv[-1]:.3e}"
+        )
+    v = N @ np.linalg.solve(G, L.conj().T @ vec(np.eye(d, dtype=np.complex128)))
+    # the projection is a positive map that fixes the nonzero space N, so Q != 0
     Q = hermitize(unvec(v, d))
-    n = float(np.linalg.norm(Q, 2))
-    if n <= 1e-300:
-        return None, diag
-    diag["joint_residual"] = joint_residual(v / n)
-    return Q / n, diag
+    return Q / np.linalg.norm(Q, 2), N, ""
 
 
 def _algebra_distance(A: OperatorTuple, Q: np.ndarray, max_len: int = 4) -> float:
@@ -458,14 +403,15 @@ def sznagy_solve(
     symbols: Sequence[PositiveSymbol],
     A: OperatorTuple,
     sample_len: int = 16,
-    max_doublings: int = 60,
     tol: float = 1e-7,
 ) -> Tuple[SimilarityCertificate, Optional[OperatorTuple]]:
-    """Cesaro fixed point Q with Phi_i(Q) = Q, then T = Q^{-1/2} A Q^{1/2}.
+    """Fixed point Q with Phi_i(Q) = Q, then T = Q^{-1/2} A Q^{1/2}.
 
     The two-sided bound c I <= composed iterates of I <= d I is sampled on a
-    grid first; c must be positive for a similarity to exist. The fixed point
-    is cross-checked against the common nullspace of the matricized maps.
+    grid first; c must be positive for a similarity to exist. Q is the
+    ergodic projection of I onto the common fixed space of the matricized
+    maps, the limit of its Cesaro means, solved for directly. Every check on
+    Q and T is a posteriori.
     """
     symbols = tuple(symbols)
     phi = CPMapTuple(symbols, A)
@@ -485,18 +431,12 @@ def sznagy_solve(
         )
         return cert.finalize(), None
 
-    Q, diag = _cesaro_fixed_point(phi, max_doublings=max_doublings)
+    Q, null, why = _ergodic_fixed_point(phi)
+    cert.witnesses["fixed_space_dim"] = float(null.shape[1])
     if Q is None:
         cert.status = "INCONCLUSIVE"
-        cert.notes.append(f"Cesaro means did not stabilize: {diag}")
+        cert.notes.append(f"no ergodic projection of I: {why}")
         return cert, None
-    cesaro_converged = all(diag["converged"]) or diag["joint_stabilized"]
-    if not all(diag["converged"]):
-        cert.notes.append(
-            "doubled means plateaued at the squaring noise floor "
-            f"(residuals {diag['best_residual']}); joint Euler refinement "
-            f"reached relative gap {diag['joint_gap']:.3e}"
-        )
     # Q is normalized to spectral norm one; every check below is either
     # scale-invariant or stated on this normalization
     cert.Q = Q
@@ -517,10 +457,7 @@ def sznagy_solve(
             f"eigenvalue spread of Q ({lamQ[0]:.3e}..{lamQ[-1]:.3e}) is not "
             f"consistent with the sampled bounds c={c:.3e}, d={d_up:.3e}"
         )
-        cert.status = "INCONCLUSIVE" if not cesaro_converged else "PENDING"
-        if cert.status == "PENDING":
-            cert.finalize()
-        return cert, None
+        return cert.finalize(), None
 
     sq, isq, condQhalf = _psd_sqrt_pair(Q, "the fixed point Q")
     cert.cond = condQhalf
@@ -533,10 +470,7 @@ def sznagy_solve(
         cert.residuals[f"unital_{i}"] = r
         cert.tolerances[f"unital_{i}"] = tol * condQhalf ** 2
 
-    # nullspace oracle for the common fixed-point space
-    stacks = [phi.matricize(i) - np.eye(A.dim ** 2) for i in range(1, phi.k + 1)]
-    null = scipy.linalg.null_space(np.vstack(stacks), rcond=1e-10)
-    cert.witnesses["fixed_space_dim"] = float(null.shape[1])
+    # Q against the null space it was projected onto
     if null.shape[1] == 1:
         cand = unvec(null[:, 0], A.dim)
         herm = hermitize(cand)
@@ -550,16 +484,12 @@ def sznagy_solve(
         )
         cert.residuals["nullspace_match"] = dist
         cert.tolerances["nullspace_match"] = 1e-6
-    elif null.shape[1] > 1:
+    else:
         proj = null @ (null.conj().T @ vec(Q))
         dist = float(np.linalg.norm(proj - vec(Q)) / max(np.linalg.norm(vec(Q)), 1e-300))
         cert.witnesses["nullspace_projection_gap"] = dist
     cert.witnesses["algebra_distance"] = _algebra_distance(A, Q)
-    cert.finalize()
-    if cert.status == "FAILED" and not cesaro_converged:
-        # cannot separate algorithmic stall from genuine failure
-        cert.status = "INCONCLUSIVE"
-    return cert, T
+    return cert.finalize(), T
 
 
 # --- similarity into a variety-domain tuple ----------------------------------
@@ -698,7 +628,8 @@ def cpmap_similarity(
     pure_cone: builds the polyball Berezin kernel over the Kraus operators
       for R (default Delta^m(I)) and conjugates by the Gram square root,
       yielding a pure tuple with I in its cone.
-    unital: Cesaro fixed point Q with phi_i(Q) = Q and lambda_i(I) = I.
+    unital: the sznagy_solve fixed point Q with phi_i(Q) = Q, the ergodic
+      projection of I, and lambda_i(I) = I.
     """
     m = tuple(m)
     d = phi.dim

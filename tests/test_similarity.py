@@ -233,7 +233,7 @@ def test_defect_equation_rejects_radius_one():
 
 
 # ---------------------------------------------------------------------------
-# Cesaro fixed point
+# Sz.-Nagy fixed point
 # ---------------------------------------------------------------------------
 
 def test_sznagy_commuting_unitaries_immediate():
@@ -295,6 +295,47 @@ def test_sznagy_conjugated_coisometry_recovers_witness():
     assert np.linalg.norm(cert.Q - W, 2) <= 1e-6
     T1, T2 = T.rows[0]
     assert np.linalg.norm(T1 @ T1.conj().T + T2 @ T2.conj().T - np.eye(4), 2) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sznagy_q_is_the_closed_form_ergodic_projection(seed):
+    # in the coordinates Y = W^* xi^{-1} X xi^{-*} W each map multiplies Y_ab
+    # by p_a conj(p_b), so the Cesaro means of I keep only the diagonal of
+    # W^* xi^{-1} xi^{-*} W
+    rng = np.random.default_rng(4400 + seed)
+    d = 3 + seed % 3
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    W, _ = np.linalg.qr(G)
+    xi = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    xi_inv = np.linalg.inv(xi)
+    rows = []
+    for _ in range(2):
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
+        rows.append([xi @ (W * phases) @ W.conj().T @ xi_inv])
+    cert, T = sznagy_solve((polyball_symbol(1), polyball_symbol(1)), OperatorTuple(rows))
+    assert cert.status == "PASS"
+    C = W.conj().T @ xi_inv @ xi_inv.conj().T @ W
+    want = xi @ (W * np.real(np.diag(C))) @ W.conj().T @ xi.conj().T
+    want = want / np.linalg.norm(want, 2)
+    assert np.linalg.norm(cert.Q - want, 2) <= 1e-9
+
+
+def test_sznagy_plateau_seed_gives_positive_q():
+    # iterated Cesaro means stall at the rounding floor on this seed and can
+    # leave an indefinite Q (min eigenvalue -0.032 against a sampled c = 0.42)
+    inst = generate("conjugated_unitaries", 3200033, dim=3)
+    cert, T = sznagy_solve(inst.symbols, inst.ops)
+    assert cert.status == "PASS"
+    assert cert.witnesses["Q_min_eig"] > 0
+    assert T is not None
+
+
+def test_sznagy_jordan_block_is_not_semisimple():
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    cert, T = sznagy_solve([polyball_symbol(1)], OperatorTuple([[J]]))
+    assert cert.status != "PASS"
+    assert T is None
+    assert any("not semisimple" in n for n in cert.notes)
 
 
 def test_sznagy_no_similarity_for_strict_contractions():
