@@ -129,9 +129,8 @@ def _kernel_tail_bound(
     s_i = ceil((degree_cap+1) / deg f_i); by Russo-Dye ||Phi_i^s|| is the
     identity orbit's eta_s. Summing over i covers every row outside the box.
     """
-    for i in range(1, phi.k + 1):
-        if not (phi.joint_spectral_radius(i, crosscheck=False) < 1.0 - phi.tol.radius_margin):
-            return float("nan"), False
+    if not all(phi._settled(i) for i in range(1, phi.k + 1)):
+        return float("nan"), False
     tails = sum(
         phi._orbit(i).norm_sum(m[i - 1], start=-(-(degree_cap + 1) // f.degree()))
         for i, f in enumerate(phi.symbols, start=1)

@@ -18,7 +18,8 @@ class Tolerances:
     tol_psd: float = 1e-9
     # strict-positivity margin for strict cone verdicts
     tol_pd: float = 1e-9
-    # series operations refuse when an estimated radius exceeds 1 - radius_margin
+    # a factor is settled when its tuple radius is at most 1 - radius_margin;
+    # only settled factors get certified series, kernel tails and a decay search
     radius_margin: float = 0.005
     # relative eigenvalue clip for PSD square roots and rank decisions
     eig_clip: float = 1e-12
@@ -26,8 +27,6 @@ class Tolerances:
     svd_cutoff: float = 1e-10
     # default target for certified series tails
     series_tol: float = 1e-10
-    # required relative stabilization of the power-sequence radius cross-check
-    radius_crosscheck_rel: float = 1e-6
     # hard cap on enumerated words
     word_cap: int = 200_000
     # cap on the truncated Fock dimension (POLYDOM_MAX_DIM overrides)

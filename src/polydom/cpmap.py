@@ -12,18 +12,11 @@ eta_t < 1 into a geometric envelope for all s, and Phi_i^s = 0 exactly when
 Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate. Series
 tails are stated in the Frobenius norm, which costs a factor sqrt(d).
 
-The radius of each factor is computed once per tuple, by one of three paths.
-Below d = 12 it is a dense eigvals of the d^2 x d^2 matricization. From
-d = 12 on it is matrix-free: 0 when the orbit hits zero by s = d, else the top
-Ritz value of ARPACK on a LinearOperator that applies Phi_i, started from
-vec(I). That start is valid: the radius of a positive map is an eigenvalue
-whose dual eigenvector Q is PSD (Evans-Hoegh-Krohn), so I has the component
-tr(Q) > 0 along it, and the Krylov space is the span of the orbit. The Ritz
-value is refused unless ARPACK converged, it is real and positive, and it
-lies below the orbit's Gelfand bound; a refused factor falls back to dense
-eigvals (of the real form on Hermitian matrices) while d^2 <= 6400, and to
-the Gelfand bound above. The radius only gates the certificates; every tail
-still comes from the orbit.
+The radius of each factor is computed once per tuple (the paths are in
+CPMapTuple.joint_spectral_radius) and only gates the certificates. The orbit
+encloses it, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
+lambda_t = lambda_min(Phi_i^t(I)), since Phi_i^t(I) >= lambda_t I
+(Collatz-Wielandt with Y = I); the radius cross-check reads this enclosure.
 
 vec convention is row-major throughout: vec(X)[d*r + c] = X[r, c], hence
 vec(A X B) = (A kron B^T) vec(X) and the matricized map is
@@ -51,6 +44,8 @@ _ARNOLDI_MAXITER = 10
 _ARNOLDI_NCV = 40
 # largest d^2 whose matricization may be eigensolved densely
 _DENSE_MAX_VEC_DIM = 6400
+# the orbit's rounding allowance for Phi_i^t(I) is t d _EPS eta_t
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class CommutationError(ValueError):
@@ -233,6 +228,8 @@ class _Orbit:
         self._i = i
         self.X = np.eye(phi.dim, dtype=np.complex128)
         self.eta: List[float] = [1.0]
+        # lambda_min(Phi_i^s(I)): the last singular value of the PSD iterate
+        self.floor: List[float] = [1.0]
         self.theta = float("inf")
         self.growth = float("inf")
 
@@ -245,10 +242,11 @@ class _Orbit:
             self.X = self._phi.apply(self._i, self.X, herm=True)
             try:
                 # the spectral norm, as np.linalg.norm(X, 2) computes it
-                eta = float(np.linalg.svd(self.X, compute_uv=False)[0])
+                sv = np.linalg.svd(self.X, compute_uv=False)
             except np.linalg.LinAlgError:  # the iterate overflowed
-                eta = float("nan")
-            self.eta.append(eta if eta == eta else float("inf"))
+                sv = np.array([np.nan, 0.0])
+            self.eta.append(float(sv[0]) if sv[0] == sv[0] else float("inf"))
+            self.floor.append(float(sv[-1]) if sv[0] == sv[0] else 0.0)
             t = len(self.eta) - 1
             if t & (t - 1) == 0:
                 self._refresh(t)
@@ -264,6 +262,20 @@ class _Orbit:
             growth = float(np.exp(np.log(self.eta[:t]) - np.arange(t) * np.log(theta)).max())
         if np.isfinite(growth):
             self.theta, self.growth = theta, growth
+
+    def decays(self, extend_to: int = 0) -> bool:
+        """Whether the orbit certifies Phi_i^s -> 0, doubling its length up to extend_to until it does.
+
+        A zero iterate certifies it, and so does an envelope with
+        theta < 1 - d eps: then eta_t (1 + t d eps) < 1, so rho(Phi_i) < 1
+        holds despite the rounding allowance t d eps eta_t of the iterate.
+        """
+        bar = 1.0 - self._phi.dim * _EPS
+        s = len(self.eta) - 1
+        while not (self.eta[-1] == 0.0 or self.theta < bar) and 2 * s <= extend_to:
+            s *= 2
+            self.norm(s)
+        return self.eta[-1] == 0.0 or self.theta < bar
 
     def nilpotency_index(self) -> Optional[int]:
         """First s with Phi_i^s = 0, or None; a nilpotent map on M_d vanishes by s = d."""
@@ -379,19 +391,6 @@ class CPMapTuple:
             out += float(a) * (Aw @ X @ Aw.conj().T)
         return hermitize(out) if herm else out
 
-    def apply_power(self, i: int, X: np.ndarray, s: int) -> np.ndarray:
-        for _ in range(s):
-            X = self.apply(i, X)
-        return X
-
-    def apply_multi(self, s: Sequence[int], X: np.ndarray) -> np.ndarray:
-        """Phi_1^{s_1} o ... o Phi_k^{s_k} (X); order immaterial by commutation."""
-        if len(s) != self.k:
-            raise ValueError(f"multi-degree length {len(s)} != k = {self.k}")
-        for i in range(self.k, 0, -1):
-            X = self.apply_power(i, X, s[i - 1])
-        return X
-
     def matricize(self, i: int) -> np.ndarray:
         cached = self._matricized.get(i)
         if cached is not None:
@@ -435,6 +434,10 @@ class CPMapTuple:
         if orbit is None:
             orbit = self._orbits[i] = _Orbit(self, i)
         return orbit
+
+    def _settled(self, i: int) -> bool:
+        """Tuple radius of factor i at most 1 - radius_margin: the gate of every series and decay search."""
+        return self.joint_spectral_radius(i, crosscheck=False) <= 1.0 - self.tol.radius_margin
 
     def _map_radius(self, i: int) -> float:
         """rho(Phi_i) by the path joint_spectral_radius describes."""
@@ -572,7 +575,7 @@ class CPMapTuple:
         target = tol * max(1.0, float(np.linalg.norm(R)))
 
         radii = tuple(self.joint_spectral_radius(i, crosscheck=False) for i in range(1, self.k + 1))
-        settled = [r <= 1.0 - self.tol.radius_margin for r in radii]
+        settled = [self._settled(i) for i in range(1, self.k + 1)]
         if strict and not all(settled):
             bad = [i + 1 for i, ok in enumerate(settled) if not ok]
             raise DivergenceError(
@@ -622,7 +625,7 @@ class CPMapTuple:
         X = _as_complex(X)
         target = tol * max(1.0, float(np.linalg.norm(X)))
         r = self.joint_spectral_radius(i, crosscheck=False)
-        if not r <= 1.0 - self.tol.radius_margin:
+        if not self._settled(i):
             raise DivergenceError(
                 f"factor {i} radius {r:.6f} is above {1.0 - self.tol.radius_margin}"
             )
@@ -652,33 +655,30 @@ class CPMapTuple:
             Y = acc / p[i - 1]
         return Y
 
-    def radius_power_sequence(
-        self, i: int, rel: float = 1e-6, max_iter: int = 2000
-    ) -> Tuple[float, int]:
-        """||Phi_i^s(I)||^{1/2s} read off the orbit until relative stabilization."""
+    def radius_power_sequence(self, i: int, s_max: int = 64) -> Tuple[float, float]:
+        """Enclosure (lower, upper) of the tuple radius from the identity orbit up to s_max.
+
+        upper = sqrt(min_t eta_t^{1/t}), the Gelfand bound. Phi_i^t(I) >= lam_t I,
+        lam_t = lambda_min(Phi_i^t(I)), gives Phi_i^{nt}(I) >= lam_t^n I for all
+        n, hence rho(Phi_i)^t >= lam_t (Collatz-Wielandt with Y = I). With the
+        rounding allowance t d eps eta_t of the computed iterate,
+        lower = sqrt(max_t (lam_t - t d eps eta_t)_+^{1/t}), 0 when no term is positive.
+        """
         orbit = self._orbit(i)
-        prev = None
-        s = 0
-        while s < max_iter:
-            s += 1
-            nrm = orbit.norm(s)
-            if nrm == 0.0:
-                return 0.0, s  # exact annihilation (nilpotent tuple)
-            est = nrm ** (1.0 / (2 * s))
-            if prev is not None and abs(est - prev) <= rel * max(est, 1e-300):
-                return est, s
-            prev = est
-            if not (1e-250 < nrm < 1e250):
-                # the norm scale is running away faster than the Gelfand
-                # estimate stabilizes; est carries the exponent trend and is
-                # already within O(log(growth)/s) of the limit
-                return est, s
-        return prev if prev is not None else 0.0, s
+        upper = orbit.gelfand(s_max)
+        slack = self.dim * _EPS
+        pairs = zip(orbit.eta[1:s_max + 1], orbit.floor[1:s_max + 1])
+        lower = max(
+            ((lam - t * slack * eta) ** (1.0 / t)
+             for t, (eta, lam) in enumerate(pairs, start=1) if lam > t * slack * eta),
+            default=0.0,
+        )
+        return float(np.sqrt(lower)), float(np.sqrt(upper))
 
     def joint_spectral_radius(self, i: int, crosscheck: bool = True) -> float:
         """sqrt of the spectral radius of Phi_i, computed once per factor.
 
-        Three paths, as in the module docstring:
+        Three paths:
         - d < 12: dense eigvals of the d^2 x d^2 matricization;
         - d >= 12: 0 when the identity orbit hits zero by s = d; else the top
           Ritz value of ARPACK (k=1, which="LM", tol=0, v0 = vec(I), at most
@@ -696,17 +696,19 @@ class CPMapTuple:
         I has the component tr(Q) > 0 along it, and the Krylov space is the
         span of the orbit Phi_i^s(I).
 
-        With crosscheck=True the power sequence ||Phi^s(I)||^{1/2s} is run to
-        stabilization and a gross disagreement raises ArithmeticError.
+        With crosscheck=True the value is tested against the orbit enclosure
+        radius_power_sequence(i) and ArithmeticError is raised when it lies
+        outside [lower (1 - 1e-12), upper (1 + 1e-12)], the rounding slack of
+        the Arnoldi acceptance test.
         """
         r = self._radii.get(i)
         if r is None:
             r = self._radii[i] = float(np.sqrt(self._map_radius(i)))
         if crosscheck:
-            est, _ = self.radius_power_sequence(i, rel=self.tol.radius_crosscheck_rel)
-            if abs(est - r) > 0.02 * max(r, est, 1e-9):
+            lower, upper = self.radius_power_sequence(i)
+            if not lower * (1.0 - 1e-12) <= r <= upper * (1.0 + 1e-12):
                 raise ArithmeticError(
-                    f"radius crosscheck failed for factor {i}: "
-                    f"eig-based {r:.8f} vs power-sequence {est:.8f}"
+                    f"radius crosscheck failed for factor {i}: radius {r:.8f} lies "
+                    f"outside the orbit enclosure [{lower:.8f}, {upper:.8f}]"
                 )
         return r

@@ -2,9 +2,9 @@
 
 Commutation across factors is obtained structurally, never by numerical
 cleanup: every matrix in an instance is a polynomial in one shared seed
-matrix, or a conjugated diagonal. Radii are forced to a target by bisection
-in the row scale, which is sound because scaling a row up only increases
-each composed iterate of the identity.
+matrix, or a conjugated diagonal. Radii are forced to a target by one
+radius evaluation per factor: for the degree-1 symbols used here the tuple
+radius is linear in the row scale.
 """
 
 from __future__ import annotations
@@ -77,36 +77,20 @@ def _scale_rows_to_radius(
     symbols: Sequence[PositiveSymbol],
     rows: List[List[np.ndarray]],
     target: float,
-    rel: float = 1e-9,
 ) -> Tuple[List[List[np.ndarray]], List[float]]:
-    """Per-factor bisection; the returned radii are guaranteed <= target."""
+    """Each row scaled by (target / r_i) (1 - 1e-12); the returned radii are <= target.
 
-    def radius(i: int, t: float) -> float:
-        trial = [list(r) for r in rows]
-        trial[i] = [t * A for A in trial[i]]
-        ops = OperatorTuple(trial, check_commutation=False)
-        phi = CPMapTuple(symbols, ops, validate=False)
-        return phi.joint_spectral_radius(i + 1, crosscheck=False)
-
+    The tuple radius of a degree-1 symbol is linear in the row scale, and
+    1 - 1e-12 absorbs the rounding of r_i. A higher degree still gives
+    radius <= t r_i for a scale t <= 1 (Phi_{tA} <= t^2 Phi_A), not above.
+    """
+    phi = CPMapTuple(symbols, OperatorTuple(rows, check_commutation=False), validate=False)
     for i in range(len(rows)):
-        r1 = radius(i, 1.0)
-        if r1 <= 0:
-            continue
-        lo, hi = 0.0, 1.0
-        if r1 <= target:
-            while radius(i, hi) <= target and hi < 1e6:
-                lo, hi = hi, hi * 2.0
-        while hi - lo > rel * hi:
-            mid = (lo + hi) / 2.0
-            if radius(i, mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        rows[i] = [lo * A for A in rows[i]]
-    ops = OperatorTuple(rows, check_commutation=False)
-    phi = CPMapTuple(symbols, ops, validate=False)
-    radii = [phi.joint_spectral_radius(i + 1, crosscheck=False) for i in range(len(rows))]
-    return rows, radii
+        r1 = phi.joint_spectral_radius(i + 1, crosscheck=False)
+        if r1 > 0:
+            rows[i] = [(target / r1) * (1.0 - 1e-12) * A for A in rows[i]]
+    phi = CPMapTuple(symbols, OperatorTuple(rows, check_commutation=False), validate=False)
+    return rows, [phi.joint_spectral_radius(i + 1, crosscheck=False) for i in range(len(rows))]
 
 
 def _multi_degree(k: Optional[int], arities: Sequence[int], m: Optional[Sequence[int]]) -> Tuple[int, ...]:

@@ -339,14 +339,14 @@ def _null_basis(S: np.ndarray) -> np.ndarray:
 
 def _ergodic_fixed_point(
     phi: CPMapTuple,
-) -> Tuple[Optional[np.ndarray], np.ndarray, str]:
+) -> Tuple[Optional[np.ndarray], int, str]:
     """Ergodic projection of I onto the common fixed space of the maps.
 
     For commuting power-bounded maps the Cesaro limit of I is its projection
     onto the common fixed space N along the sum of the ranges of M_i - I,
     whose annihilator is the common fixed space L of the adjoints M_i^*
     (Krengel, Ergodic Theorems, 1985). So Q = N (L^* N)^{-1} L^* vec(I),
-    hermitized and normalized to spectral norm one. Returns (Q, N, note);
+    hermitized and normalized to spectral norm one. Returns (Q, dim N, note);
     Q is None, with the reason in note, when N is empty, dim L != dim N, or
     L^* N is singular: then eigenvalue 1 is not semisimple (a Jordan block)
     and no such projection exists.
@@ -357,21 +357,21 @@ def _ergodic_fixed_point(
     N = _null_basis(np.vstack(shifted))
     L = _null_basis(np.vstack([S.conj().T for S in shifted]))
     if N.shape[1] == 0 or L.shape[1] != N.shape[1]:
-        return None, N, (
+        return None, N.shape[1], (
             f"the common fixed spaces of the maps and of their adjoints have "
             f"dimensions {N.shape[1]} and {L.shape[1]}"
         )
     G = L.conj().T @ N
     sv = np.linalg.svd(G, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
-        return None, N, (
+        return None, N.shape[1], (
             f"eigenvalue 1 of the maps is not semisimple: the smallest singular "
             f"value of L^* N is {sv[-1]:.3e}"
         )
     v = N @ np.linalg.solve(G, L.conj().T @ vec(np.eye(d, dtype=np.complex128)))
     # the projection is a positive map that fixes the nonzero space N, so Q != 0
     Q = hermitize(unvec(v, d))
-    return Q / np.linalg.norm(Q, 2), N, ""
+    return Q / np.linalg.norm(Q, 2), N.shape[1], ""
 
 
 def _algebra_distance(A: OperatorTuple, Q: np.ndarray, max_len: int = 4) -> float:
@@ -431,8 +431,8 @@ def sznagy_solve(
         )
         return cert.finalize(), None
 
-    Q, null, why = _ergodic_fixed_point(phi)
-    cert.witnesses["fixed_space_dim"] = float(null.shape[1])
+    Q, fixed_dim, why = _ergodic_fixed_point(phi)
+    cert.witnesses["fixed_space_dim"] = float(fixed_dim)
     if Q is None:
         cert.status = "INCONCLUSIVE"
         cert.notes.append(f"no ergodic projection of I: {why}")
@@ -470,24 +470,6 @@ def sznagy_solve(
         cert.residuals[f"unital_{i}"] = r
         cert.tolerances[f"unital_{i}"] = tol * condQhalf ** 2
 
-    # Q against the null space it was projected onto
-    if null.shape[1] == 1:
-        cand = unvec(null[:, 0], A.dim)
-        herm = hermitize(cand)
-        anti = (cand - cand.conj().T) / 2
-        pick = herm if np.linalg.norm(herm) >= np.linalg.norm(anti) else 1j * anti
-        u = pick / np.linalg.norm(pick)
-        qn = Q / np.linalg.norm(Q)
-        dist = min(
-            float(np.linalg.norm(u - qn)),
-            float(np.linalg.norm(u + qn)),
-        )
-        cert.residuals["nullspace_match"] = dist
-        cert.tolerances["nullspace_match"] = 1e-6
-    else:
-        proj = null @ (null.conj().T @ vec(Q))
-        dist = float(np.linalg.norm(proj - vec(Q)) / max(np.linalg.norm(vec(Q)), 1e-300))
-        cert.witnesses["nullspace_projection_gap"] = dist
     cert.witnesses["algebra_distance"] = _algebra_distance(A, Q)
     return cert.finalize(), T
 
@@ -622,7 +604,7 @@ def cpmap_similarity(
 ) -> SimilarityCertificate:
     """Joint similarity for a commuting tuple of CP maps in Kraus form.
 
-    strict: every map radius below one; Q = weighted series of I and
+    strict: every tuple radius at most 1 - radius_margin; Q = weighted series of I and
       lambda_i = Q^{-1/2} phi_i(Q^{1/2} . Q^{1/2}) Q^{-1/2} has I strictly
       inside the target cone.
     pure_cone: builds the polyball Berezin kernel over the Kraus operators
@@ -635,10 +617,10 @@ def cpmap_similarity(
     d = phi.dim
     eye = np.eye(d, dtype=np.complex128)
     if mode == "strict":
-        radii = [map_spectral_radius(phi, i) for i in range(1, phi.k + 1)]
-        bad = [i + 1 for i, r in enumerate(radii) if not (r < 1.0 - phi.tol.radius_margin)]
+        bad = [i for i in range(1, phi.k + 1) if not phi._settled(i)]
         if bad:
-            raise ValueError(f"strict mode needs map radius < 1; factors {bad} fail")
+            raise ValueError(f"strict mode needs tuple radius <= "
+                             f"{1.0 - phi.tol.radius_margin}; factors {bad} fail")
         series = phi.weighted_series(m, eye)
         Q = hermitize(series.value)
         sq, isq, condQhalf = _psd_sqrt_pair(Q, "the series value Q")
@@ -647,7 +629,7 @@ def cpmap_similarity(
             status="PENDING",
             residuals={},
             tolerances={},
-            witnesses={"map_radii_max": max(radii)},
+            witnesses={"map_radii_max": max(map_spectral_radius(phi, i) for i in range(1, phi.k + 1))},
             Y=sq,
             Q=Q,
             cond=condQhalf ** 2,
@@ -762,39 +744,32 @@ def spectral_radius_equivalences(
     symbols: Sequence[PositiveSymbol],
     A: OperatorTuple,
     s_max: int = 64,
-    tol: float = 1e-7,
 ) -> RadiusReport:
-    """Reports per-factor radii against the decay of ||Phi^s(I)||.
+    """Reports per-factor radii against the decay of ||Phi^s(I)||, listed for s <= s_max.
 
-    Consistency means: radius < 1 exactly when the iterates of the identity
-    decay to zero (within tolerance at s_max, or with a fitted rate < 1).
+    A factor decays when its identity orbit certifies it (a zero iterate, or
+    an envelope theta < 1 - d eps, which proves the radius below one); a factor with
+    radius <= 1 - radius_margin may extend its orbit to 20 000 steps for it.
+    Consistent means: radius <= 1 - radius_margin implies decay, and
+    radius >= 1 implies no decay.
     """
-    return _radius_equivalences(CPMapTuple(tuple(symbols), A), s_max, tol)
+    return _radius_equivalences(CPMapTuple(tuple(symbols), A), s_max)
 
 
-def _radius_equivalences(phi: CPMapTuple, s_max: int = 64, tol: float = 1e-7) -> RadiusReport:
+def _radius_equivalences(phi: CPMapTuple, s_max: int = 64) -> RadiusReport:
     """spectral_radius_equivalences on a tuple the caller built, so that its
     cached radii and orbits are shared."""
     out: List[RadiusFactorReport] = []
     for i in range(1, phi.k + 1):
         r = phi.joint_spectral_radius(i, crosscheck=False)
         orbit = phi._orbit(i)
-        decay: List[float] = []
-        gelf: List[float] = []
-        for s in range(1, s_max + 1):
-            n = orbit.norm(s)
-            decay.append(n)
-            gelf.append(n ** (1.0 / (2 * s)) if n > 0 else 0.0)
-            if n == 0.0:
-                break
-        final = decay[-1]
-        to_zero = final <= tol or (
-            len(decay) >= 8
-            and decay[-1] < decay[len(decay) // 2]
-            and (decay[-1] / max(decay[len(decay) // 2], 1e-300))
-            ** (1.0 / (len(decay) - len(decay) // 2))
-            < 1.0 - 1e-6
-        )
-        consistent = (r < 1.0 and to_zero) or (r >= 1.0 and not (final <= tol))
+        orbit.norm(s_max)
+        # the orbit stops at a zero or overflowing iterate
+        decay = orbit.eta[1:s_max + 1]
+        gelf = [n ** (1.0 / (2 * s)) if n > 0 else 0.0 for s, n in enumerate(decay, start=1)]
+        settled = phi._settled(i)
+        # a settled factor may search as far as a certified norm sum does
+        to_zero = orbit.decays(extend_to=20000 if settled else 0)
+        consistent = (to_zero or not settled) and not (to_zero and r >= 1.0)
         out.append(RadiusFactorReport(i, r, decay, gelf, to_zero, consistent))
     return RadiusReport(out, all(f.consistent for f in out))

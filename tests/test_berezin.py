@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 from polydom.berezin import (
     CompatibleTuple,
@@ -22,7 +23,7 @@ from polydom.berezin import (
 from polydom.cpmap import CPMapTuple, OperatorTuple
 from polydom.fock import build_model
 from polydom.config import default_tolerances
-from polydom.generate import _scale_rows_to_radius, generate, random_symbol, strict_contractions
+from polydom.generate import generate, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
@@ -68,17 +69,24 @@ def test_kernel_gram_identity_nilpotent(seed, rng):
 
 
 def degree3_instance(seed, dim=4, target_radius=0.2):
-    """One factor of arity 2 with a degree-3 random symbol, map radius target_radius.
+    """One factor of arity 2 with a degree-3 random symbol, tuple radius target_radius.
 
     At a small radius the terms Phi^s with ceil((D+1)/3) <= s <= D carry most
-    of the mass beyond the box, so a tail started at D+1 misses it.
+    of the mass beyond the box, so a tail started at D+1 misses it. The radius
+    is not linear in the row scale for a degree-3 symbol, so the scale is
+    solved for.
     """
     rng = np.random.default_rng(seed)
     f = random_symbol(rng, 2, degree=3)
     row = [(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / 2
            for _ in range(2)]
-    rows, _ = _scale_rows_to_radius((f,), [row], target_radius)
-    return (f,), (1,), OperatorTuple(rows)
+
+    def excess(t):
+        phi = CPMapTuple((f,), OperatorTuple([[t * A for A in row]]))
+        return phi.joint_spectral_radius(1, crosscheck=False) - target_radius
+
+    t = brentq(excess, 0.0, 1.0, xtol=1e-12)
+    return (f,), (1,), OperatorTuple([[t * A for A in row]])
 
 
 _TAIL_CASES = {
@@ -107,13 +115,25 @@ def test_kernel_tail_bound_is_sound(case, rng):
     assert gap <= kern.tail_bound + series.tail_bound + 1e-9
 
 
-@pytest.mark.parametrize("a", [(1.0 - default_tolerances().radius_margin) ** 2, 1.0])
+_MARGIN_A = (1.0 - default_tolerances().radius_margin) ** 2
+
+
+@pytest.mark.parametrize("a", [_MARGIN_A * (1.0 + 1e-12), 1.0])
 def test_kernel_tail_bound_refuses_radius_at_margin(a):
-    # Phi(X) = a X: the tuple radius is sqrt(a), exactly 1 - radius_margin for the first a
+    # Phi(X) = a X: the tuple radius is sqrt(a), just above 1 - radius_margin for the first a
     symbols = (PositiveSymbol(1, {Word((1,)): a}, 1),)
     ops = OperatorTuple([[np.eye(3)]])
     kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
     assert np.isnan(kern.tail_bound) and not kern.certified
+
+
+def test_kernel_tail_bound_certifies_radius_on_margin():
+    # tuple radius exactly 1 - radius_margin: settled, as for the weighted series
+    symbols = (PositiveSymbol(1, {Word((1,)): _MARGIN_A}, 1),)
+    ops = OperatorTuple([[np.eye(3)]])
+    assert CPMapTuple(symbols, ops).weighted_series((1,), np.eye(3)).certified
+    kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
+    assert kern.certified and np.isfinite(kern.tail_bound)
 
 
 def test_kernel_rejects_indefinite_R():

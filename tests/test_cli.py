@@ -125,6 +125,19 @@ def test_radius_command(tmp_path, capsys):
     assert max(rep["outputs"]["radii"]) <= 0.8 + 1e-6
 
 
+@pytest.mark.parametrize("seed", [10, 598])
+def test_radius_command_passes_on_radius_one(seed, tmp_path, capsys):
+    # radius 1 to rounding: seed 10 computes 0.9999999999999999 for both
+    # factors; on seed 598 the Gelfand estimates approach 1 slowly from above
+    path = gen_spec(tmp_path, capsys, "conjugated_unitaries", seed, "--dim", "3")
+    code, out, err = run_cli(["radius", "--input", str(path)], capsys)
+    assert code == 0, err
+    rep = load_report(out)
+    assert rep["outputs"]["status"] == "PASS"
+    for f in rep["outputs"]["equivalences"]["factors"]:
+        assert f["consistent"] and not f["decays_to_zero"]
+
+
 def test_cone_command(tmp_path, capsys):
     path = gen_spec(tmp_path, capsys, "nilpotent", 4)
     code, out, _ = run_cli(["cone", "--input", str(path)], capsys)

@@ -396,12 +396,53 @@ def test_radius_above_dense_threshold_from_orbit():
 
 
 def test_radius_power_sequence_crosscheck():
+    # the cross-check tests the radius against the orbit enclosure up to s = 64
     phi, _ = small_random_instance(67)
     for i in (1, 2):
         r = phi.joint_spectral_radius(i, crosscheck=True)
-        est, steps = phi.radius_power_sequence(i)
-        assert steps >= 1
-        assert abs(est - r) <= 1e-2 * max(r, 1e-6)
+        lower, upper = phi.radius_power_sequence(i)
+        assert 0.0 < lower <= r <= upper
+        assert len(phi._orbit(i).eta) == 65
+        phi._radii[i] = upper * (1.0 + 1e-9)
+        with pytest.raises(ArithmeticError, match="outside the orbit enclosure"):
+            phi.joint_spectral_radius(i)
+        phi._radii[i] = lower * (1.0 - 1e-9)
+        with pytest.raises(ArithmeticError):
+            phi.joint_spectral_radius(i)
+
+
+def enclosure_cases():
+    for family in ("commuting_polynomials", "polyball_random", "nilpotent",
+                   "conjugated_unitaries", "strict_contractions"):
+        for d in (3, 5, 8, 12):
+            for seed in (0, 1):
+                yield f"{family}-d{d}-s{seed}", family, seed, d
+    for d in (4, 8):
+        yield f"jordan-d{d}", "jordan", 0, d
+        yield f"rank_one-d{d}", "rank_one", 0, d
+
+
+def enclosure_instance(family, seed, d):
+    if family == "jordan":
+        C = 0.5 * np.eye(d) + 0.5 * np.diag(np.ones(d - 1), k=1)
+        return CPMapTuple([polyball_symbol(1)], OperatorTuple([[C]]))
+    if family == "rank_one":
+        # Phi(X) = (v* X v) u u*, of radius |v* u|^2
+        rng = np.random.default_rng(d)
+        u, v = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        return CPMapTuple([polyball_symbol(1)], OperatorTuple([[np.outer(u, v.conj())]]))
+    return radius_instance(family, seed, d)
+
+
+@pytest.mark.parametrize("case", [c[0] for c in enclosure_cases()])
+def test_radius_enclosure_contains_dense_radius(case):
+    _, family, seed, d = next(c for c in enclosure_cases() if c[0] == case)
+    phi = enclosure_instance(family, seed, d)
+    for i in range(1, phi.k + 1):
+        r = dense_radius(phi, i)
+        lower, upper = phi.radius_power_sequence(i)
+        assert lower * (1.0 - 1e-12) <= r <= upper * (1.0 + 1e-12)
+        phi.joint_spectral_radius(i, crosscheck=True)
 
 
 def radius_instance(family, seed, d):
