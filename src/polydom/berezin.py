@@ -160,12 +160,10 @@ def kernel(
     if R.shape != (d, d):
         raise ValueError(f"R has shape {R.shape}, operators have dimension {d}")
     lam, V = np.linalg.eigh(R)
-    if lam[-1] <= 0.0 and not np.any(lam > 0.0):
-        lam = np.zeros_like(lam)
-    clip = phi.tol.eig_clip * max(float(lam[-1]), 1e-300)
     if float(lam[0]) < -phi.tol.tol_psd * max(1.0, float(lam[-1])):
         raise ValueError(f"R is not positive semidefinite (eigenvalue {lam[0]:.3e})")
-    keep = lam > clip
+    # a rounding-negative R ~ 0 keeps no eigenvalue: the clip stays positive
+    keep = lam > phi.tol.eig_clip * max(float(lam[-1]), 1e-300)
     rank = int(np.count_nonzero(keep))
     R2 = (np.sqrt(lam[keep])[:, None] * V[:, keep].conj().T) if rank else np.zeros((0, d))
 
@@ -397,7 +395,7 @@ def vn_check_model(
     m = tuple(m)
     D_pos = hermitize(np.asarray(D_pos, dtype=np.complex128))
     d = ops.dim
-    qdim = np.asarray(terms[0][0]).shape[0] if terms else 1
+    qdim = np.atleast_2d(terms[0][0]).shape[0] if terms else 1
     lhs_mat = np.zeros((d * qdim, d * qdim), dtype=np.complex128)
     for C, alpha, beta in terms:
         C = np.atleast_2d(np.asarray(C, dtype=np.complex128))

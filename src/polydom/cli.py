@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .config import default_tolerances
-from .cone import flat_equivalence, is_pure_element, membership, reconstruct
+from .cone import flat_equivalence, membership, reconstruct
 from .cpmap import CPMapTuple
 from .berezin import (
     CompatibleTuple,
@@ -97,7 +97,7 @@ def cmd_cone(spec: ProblemSpec, args) -> Dict[str, Any]:
     X = _default_R(spec, args)
     rep = membership(phi, spec.m, X)
     out: Dict[str, Any] = {"membership": sanitize(rep)}
-    out["purity"] = sanitize(is_pure_element(phi, X))
+    out["purity"] = out["membership"]["purity"]
     statuses = ["PASS"]
     if rep.member:
         rec = reconstruct(phi, spec.m, X)

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cpmap import (
+    _DECAY_WINDOW,
     CPMapTuple,
     MultiDegree,
     OperatorTuple,
@@ -73,53 +74,32 @@ class ConeReport:
         return p, self.min_eigs[p]
 
 
-def is_pure_element(
-    phi: CPMapTuple,
-    X: np.ndarray,
-    tol: float | None = None,
-    s_max: int = 200,
-) -> PurityReport:
-    """Checks ||Phi_i^s(X)|| -> 0 per factor by direct iteration.
+def is_pure_element(phi: CPMapTuple, X: np.ndarray) -> PurityReport:
+    """Checks Phi_i^s(X) -> 0 per factor on the identity orbits.
 
-    The verdict requires the norm to actually cross tol before s_max; when it
-    does not, a geometric rate fitted to the tail of the decay log is
-    reported so callers can distinguish slow decay from a plateau.
+    Russo-Dye bounds ||Phi_i^s(X)||_2 <= ||X||_2 eta_s, eta_s = ||Phi_i^s(I)||_2,
+    so a factor is pure when CPMapTuple.decays certifies its orbit, and X = 0
+    is pure outright. A non-zero X that decays only on an invariant part of a
+    factor whose orbit does not decay reads not pure: not certified.
+
+    Per factor, decay lists ||X||_2 eta_s for s <= 64 (up to a zero iterate),
+    crossed_at is where the orbit certifies decay (_Orbit.crossed_at; 0 for
+    X = 0, None when not pure), and fitted_rate is the Gelfand bound
+    min_{t<=64} eta_t^{1/t} >= rho(Phi_i).
     """
-    X = hermitize(np.asarray(X, dtype=np.complex128))
-    scale = max(1.0, float(np.linalg.norm(X, 2)))
-    tol = 1e-7 * scale if tol is None else float(tol)
-    # from X = I the norms are the factor's cached identity orbit
-    on_orbit = np.array_equal(X, np.eye(phi.dim))
+    X = np.asarray(X, dtype=np.complex128)
+    if X.shape != (phi.dim, phi.dim):
+        raise ValueError(f"X has shape {X.shape}, expected {(phi.dim, phi.dim)}")
+    xnorm = float(np.linalg.norm(hermitize(X), 2))
     factors: List[FactorPurity] = []
     for i in range(1, phi.k + 1):
-        decay: List[float] = []
-        Y = X
-        crossed: Optional[int] = None
-        stall = 0
-        for s in range(1, s_max + 1):
-            if on_orbit:
-                nrm = phi._orbit(i).norm(s)
-            else:
-                Y = phi.apply(i, Y)
-                nrm = float(np.linalg.norm(Y, 2))
-            decay.append(nrm)
-            if nrm <= tol:
-                crossed = s
-                break
-            if len(decay) >= 2:
-                prev = decay[-2]
-                if abs(nrm - prev) <= 1e-12 * max(prev, 1e-300):
-                    stall += 1
-                    if stall >= 20:
-                        break  # fixed point above tol; never pure
-                else:
-                    stall = 0
-        rate: Optional[float] = None
-        if crossed is None and len(decay) >= 8:
-            window = decay[-min(len(decay) // 2, 20):]
-            if window[0] > 0 and window[-1] > 0:
-                rate = float((window[-1] / window[0]) ** (1.0 / (len(window) - 1)))
-        factors.append(FactorPurity(i, crossed is not None, crossed, decay, rate))
+        pure = phi.decays(i)
+        orbit = phi._orbit(i)
+        decay = [xnorm * e for e in orbit.eta[1:_DECAY_WINDOW + 1]]
+        crossed = orbit.crossed_at() if pure else None
+        if xnorm == 0.0:
+            pure, crossed, decay = True, 0, [0.0] * len(decay)
+        factors.append(FactorPurity(i, pure, crossed, decay, orbit.gelfand(_DECAY_WINDOW)))
     return PurityReport(all(f.pure for f in factors), factors)
 
 
@@ -129,7 +109,6 @@ def membership(
     X: np.ndarray,
     tol_psd: float | None = None,
     with_purity: bool = True,
-    s_max: int = 50,
 ) -> ConeReport:
     """Cone verdict from the minimum eigenvalue of every defect Delta^p(X), p <= m."""
     X = np.asarray(X, dtype=np.complex128)
@@ -148,9 +127,6 @@ def membership(
         verdict = "boundary"
     else:
         verdict = "in_cone"
-    purity = None
-    if with_purity:
-        purity = is_pure_element(phi, X, s_max=s_max)
     return ConeReport(
         m=tuple(m),
         min_eigs=eigs,
@@ -160,7 +136,7 @@ def membership(
         verdict=verdict,
         member=low >= -t_psd * scale,
         strict=low >= t_pd * scale,
-        purity=purity,
+        purity=is_pure_element(phi, X) if with_purity else None,
     )
 
 

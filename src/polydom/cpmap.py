@@ -46,6 +46,8 @@ _ARNOLDI_NCV = 40
 _DENSE_MAX_VEC_DIM = 6400
 # the orbit's rounding allowance for Phi_i^t(I) is t d _EPS eta_t
 _EPS = float(np.finfo(np.float64).eps)
+# the fewest orbit steps a decay verdict reads
+_DECAY_WINDOW = 64
 
 
 class CommutationError(ValueError):
@@ -232,6 +234,8 @@ class _Orbit:
         self.floor: List[float] = [1.0]
         self.theta = float("inf")
         self.growth = float("inf")
+        # an envelope theta below this bar certifies decay despite rounding (see decays)
+        self.bar = 1.0 - phi.dim * _EPS
 
     def norm(self, s: int) -> float:
         """eta_s; zero past the nilpotency index, inf once the iterates overflow."""
@@ -270,12 +274,27 @@ class _Orbit:
         theta < 1 - d eps: then eta_t (1 + t d eps) < 1, so rho(Phi_i) < 1
         holds despite the rounding allowance t d eps eta_t of the iterate.
         """
-        bar = 1.0 - self._phi.dim * _EPS
         s = len(self.eta) - 1
-        while not (self.eta[-1] == 0.0 or self.theta < bar) and 2 * s <= extend_to:
+        while not (self.eta[-1] == 0.0 or self.theta < self.bar) and 2 * s <= extend_to:
             s *= 2
             self.norm(s)
-        return self.eta[-1] == 0.0 or self.theta < bar
+        return self.eta[-1] == 0.0 or self.theta < self.bar
+
+    def crossed_at(self) -> Optional[int]:
+        """Where decay is first certified: the nilpotency index, else the first
+        power of two t with eta_t^{1/t} < 1 - d eps, else None.
+
+        Neither depends on how far the orbit was read beyond that point.
+        """
+        nil = self.nilpotency_index()
+        if nil is not None:
+            return nil
+        t = 1
+        while t < len(self.eta):
+            if self.eta[t] ** (1.0 / t) < self.bar:
+                return t
+            t *= 2
+        return None
 
     def nilpotency_index(self) -> Optional[int]:
         """First s with Phi_i^s = 0, or None; a nilpotent map on M_d vanishes by s = d."""
@@ -438,6 +457,16 @@ class CPMapTuple:
     def _settled(self, i: int) -> bool:
         """Tuple radius of factor i at most 1 - radius_margin: the gate of every series and decay search."""
         return self.joint_spectral_radius(i, crosscheck=False) <= 1.0 - self.tol.radius_margin
+
+    def decays(self, i: int) -> bool:
+        """Whether the identity orbit of factor i certifies Phi_i^s -> 0: the one decay rule.
+
+        The orbit is read over at least 64 steps; a settled factor may double
+        it up to 20 000 steps, as far as a certified norm sum searches.
+        """
+        orbit = self._orbit(i)
+        orbit.norm(_DECAY_WINDOW)
+        return orbit.decays(extend_to=20000 if self._settled(i) else 0)
 
     def _map_radius(self, i: int) -> float:
         """rho(Phi_i) by the path joint_spectral_radius describes."""

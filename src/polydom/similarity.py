@@ -156,13 +156,10 @@ def model_embed(
     rep = membership(phi, m, Qw, with_purity=True)
     cert.residuals["Q_cone_min_eig"] = max(0.0, -rep.worst()[1])
     cert.tolerances["Q_cone_min_eig"] = phi.tol.tol_psd * rep.scale + 10.0 * (tail + leak * sv[0])
-    purity = rep.purity
-    if purity is not None and not purity.pure:
-        rates = [f.fitted_rate for f in purity.factors if not f.pure]
-        if any(r is None or r >= 1.0 for r in rates):
-            cert.notes.append("witness Q did not decay to zero under the map iterates")
-            cert.residuals["Q_purity"] = 1.0
-            cert.tolerances["Q_purity"] = 0.0
+    if not rep.purity.pure:
+        cert.notes.append("the identity orbits did not certify that the witness Q is pure")
+        cert.residuals["Q_purity"] = 1.0
+        cert.tolerances["Q_purity"] = 0.0
     return cert.finalize()
 
 
@@ -226,6 +223,17 @@ def rota_conjugate(
 # --- defect equation ----------------------------------------------------------
 
 
+def _dense_defect(phi: CPMapTuple, p: Sequence[int]) -> np.ndarray:
+    """Delta^p as the d^2 x d^2 matrix prod_i (I - M_i)^{p_i} of the matricized maps."""
+    eye2 = np.eye(phi.dim * phi.dim, dtype=np.complex128)
+    L = eye2
+    for i in range(1, phi.k + 1):
+        F = eye2 - phi.matricize(i)
+        for _ in range(p[i - 1]):
+            L = F @ L
+    return L
+
+
 @dataclass
 class DefectSolution:
     X: np.ndarray
@@ -261,15 +269,8 @@ def solve_defect_equation(
     X = hermitize(series.value)
     defect_residual = float(np.linalg.norm(phi.defect(m, X) - R, 2))
 
-    d2 = A.dim * A.dim
-    L = np.eye(d2, dtype=np.complex128)
-    for i in range(1, phi.k + 1):
-        Mi = phi.matricize(i)
-        F = np.eye(d2, dtype=np.complex128) - Mi
-        for _ in range(m[i - 1]):
-            L = F @ L
     try:
-        x_oracle = np.linalg.solve(L, vec(R))
+        x_oracle = np.linalg.solve(_dense_defect(phi, m), vec(R))
     except np.linalg.LinAlgError as e:
         raise ArithmeticError(
             "matricized defect system is singular although every radius is "
@@ -516,17 +517,8 @@ def similarity_to_variety(
     d2 = d * d
     if d2 > phi.tol.max_vec_dim:
         raise ResourceCapError(f"need {d2}x{d2} matricized defects; cap {phi.tol.max_vec_dim}")
-    ps = [p for p in multi_grid(m) if any(p)]
-    eye2 = np.eye(d2, dtype=np.complex128)
-    Ls = []
-    for p in ps:
-        L = eye2.copy()
-        for i in range(1, phi.k + 1):
-            F = eye2 - phi.matricize(i)
-            for _ in range(p[i - 1]):
-                L = F @ L
-        Ls.append(L)
-    normal = eye2 + sum(L.conj().T @ L for L in Ls)
+    Ls = [_dense_defect(phi, p) for p in multi_grid(m) if any(p)]
+    normal = np.eye(d2, dtype=np.complex128) + sum(L.conj().T @ L for L in Ls)
     cho = scipy.linalg.cho_factor(hermitize(normal))
 
     def clip_psd(X: np.ndarray, floor: float) -> np.ndarray:
@@ -655,7 +647,7 @@ def cpmap_similarity(
 
     if mode == "pure_cone":
         base = membership(phi, m, eye, with_purity=True)
-        pure = base.purity.pure if base.purity is not None else False
+        pure = base.purity.pure
         if R is None:
             R = phi.defect(m, eye)
         R = hermitize(np.asarray(R, dtype=np.complex128))
@@ -666,7 +658,8 @@ def cpmap_similarity(
             raise ValueError(
                 f"pure_cone mode needs a two-sided bound; series lower bound {a:.3e}"
             )
-        K = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap)
+        fock, model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)
+        K = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap, prebuilt=(fock, model))
         G_basis, Ymat = np.linalg.qr(K.K)
         cert = SimilarityCertificate(
             kind="cpmap_similarity",
@@ -683,7 +676,6 @@ def cpmap_similarity(
         rank = max(K.rank, 1)
         # Kraus operators of the target: compressions of W tensor I to range(K)
         lam_rows: List[List[np.ndarray]] = []
-        _, model = build_model(phi.symbols, m, degree_cap)
         for i in range(1, phi.k + 1):
             row = []
             for j in range(1, phi.ops.arities[i - 1] + 1):
@@ -703,9 +695,7 @@ def cpmap_similarity(
             cert.tolerances[f"similarity_{i}"] = tol * scale + 10.0 * tail
         target_rep = membership(lam_phi, m, np.eye(lam_tuple.dim), with_purity=True)
         cert.witnesses["target_member"] = float(target_rep.member)
-        cert.witnesses["target_pure"] = float(
-            target_rep.purity.pure if target_rep.purity is not None else False
-        )
+        cert.witnesses["target_pure"] = float(target_rep.purity.pure)
         cert.residuals["target_cone_min_eig"] = max(0.0, -target_rep.worst()[1])
         cert.tolerances["target_cone_min_eig"] = phi.tol.tol_psd * target_rep.scale + 10.0 * tail
         if not pure:
@@ -747,9 +737,9 @@ def spectral_radius_equivalences(
 ) -> RadiusReport:
     """Reports per-factor radii against the decay of ||Phi^s(I)||, listed for s <= s_max.
 
-    A factor decays when its identity orbit certifies it (a zero iterate, or
-    an envelope theta < 1 - d eps, which proves the radius below one); a factor with
-    radius <= 1 - radius_margin may extend its orbit to 20 000 steps for it.
+    A factor decays when CPMapTuple.decays certifies its identity orbit (a
+    zero iterate, or an envelope theta < 1 - d eps, which proves the radius
+    below one), the same rule that decides purity in cone.is_pure_element.
     Consistent means: radius <= 1 - radius_margin implies decay, and
     radius >= 1 implies no decay.
     """
@@ -768,8 +758,7 @@ def _radius_equivalences(phi: CPMapTuple, s_max: int = 64) -> RadiusReport:
         decay = orbit.eta[1:s_max + 1]
         gelf = [n ** (1.0 / (2 * s)) if n > 0 else 0.0 for s, n in enumerate(decay, start=1)]
         settled = phi._settled(i)
-        # a settled factor may search as far as a certified norm sum does
-        to_zero = orbit.decays(extend_to=20000 if settled else 0)
+        to_zero = phi.decays(i)
         consistent = (to_zero or not settled) and not (to_zero and r >= 1.0)
         out.append(RadiusFactorReport(i, r, decay, gelf, to_zero, consistent))
     return RadiusReport(out, all(f.consistent for f in out))

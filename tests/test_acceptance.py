@@ -332,7 +332,7 @@ def test_09_cone_property_suite(acceptance_report):
                 flags["defect_monotone"] &= min_eig(Dp - Dm) >= -1e-9 * scale
         # a psd-defect preimage under pure maps is a full member
         rep = membership(phi, m, Y, with_purity=False)
-        pure = is_pure_element(phi, Y, s_max=200).pure
+        pure = is_pure_element(phi, Y).pure
         flags["preimage_membership"] &= rep.member and pure
         # coefficientwise smaller symbols keep membership
         small = tuple(scale_symbol_action(f, 0.7) for f in inst.symbols)
@@ -367,7 +367,7 @@ def test_09_cone_property_suite(acceptance_report):
         eye = np.eye(3)
         fr = flat_equivalence(phi_u, (1, 1), eye)
         flags["flat_agreement"] &= fr.consistent and fr.flat_full and fr.flat_ones
-        pure_u = is_pure_element(phi_u, eye, s_max=200).pure
+        pure_u = is_pure_element(phi_u, eye).pure
         lim_u = nested_limit_value(phi_u, (64, 64), eye)
         agrees_u = float(np.linalg.norm(lim_u - eye, 2)) <= 1e-6
         flags["purity_double_limit"] &= (not pure_u) and (not agrees_u)

@@ -142,6 +142,19 @@ def test_kernel_rejects_indefinite_R():
         kernel(inst.symbols, inst.m, inst.ops, np.diag([1.0, -1.0, 0, 0, 0]), 6)
 
 
+def test_kernel_rejects_negative_definite_R():
+    inst = nilpotent_instance(1)
+    with pytest.raises(ValueError):
+        kernel(inst.symbols, inst.m, inst.ops, -np.eye(5), 6)
+
+
+def test_kernel_of_rounding_negative_R_has_rank_zero():
+    inst = nilpotent_instance(1)
+    kern = kernel(inst.symbols, inst.m, inst.ops, -1e-18 * np.eye(5), 6)
+    assert kern.rank == 0
+    assert not np.any(kern.K)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_intertwining_nilpotent(seed, rng):
     inst = nilpotent_instance(seed + 10)
@@ -304,6 +317,17 @@ def test_vn_model_single_contraction(rng):
     rep = vn_check_model([polyball_symbol(1)], (1,), ops, D, terms, degree_cap=24)
     assert rep.verdict == "PASS"
     assert rep.lhs <= rep.factor * rep.rhs * (1 + 1e-8)
+
+
+def test_vn_model_scalar_coefficient_matches_one_by_one(rng):
+    C = strict_contractions(5, k=1, dim=3, norm_cap=0.7)
+    ops = OperatorTuple([[C[0]]])
+    D = random_psd(rng, 3) + 0.2 * np.eye(3)
+    words = [(((1,),), ((),)), (((1, 1),), ((1,),))]
+    args = ([polyball_symbol(1)], (1,), ops, D)
+    scalar = vn_check_model(*args, [(0.5, a, b) for a, b in words], degree_cap=8)
+    block = vn_check_model(*args, [(np.array([[0.5]]), a, b) for a, b in words], degree_cap=8)
+    assert scalar == block
 
 
 def test_vn_polydisc_pass_and_oracle_consistency(rng):

@@ -147,6 +147,19 @@ def test_cone_command(tmp_path, capsys):
     assert "purity" in rep["outputs"]
 
 
+def test_cone_command_reads_radius_099_identity_as_pure(tmp_path, capsys):
+    # both factors have radius 0.99: their identity orbits certify decay,
+    # as the radius command's decays_to_zero does on the same spec
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 3, "--target-radius", "0.99")
+    code, out, err = run_cli(["cone", "--input", str(path)], capsys)
+    assert code == 0, err
+    outputs = load_report(out)["outputs"]
+    factors = outputs["purity"]["factors"]
+    assert len(factors) == 2 and all(f["pure"] for f in factors)
+    assert outputs["purity"]["pure"] is True
+    assert outputs["purity"] == outputs["membership"]["purity"]
+
+
 def test_model_command_with_constraints(tmp_path, capsys):
     path = gen_spec(tmp_path, capsys, "nilpotent", 5)
     code, out, _ = run_cli(

@@ -192,7 +192,7 @@ def test_purity_nilpotent_crosses_at_order():
 def test_purity_unitary_is_not_pure():
     U = np.diag(np.exp(1j * np.array([0.3, 2.1])))
     phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[U]]))
-    rep = is_pure_element(phi, np.eye(2), s_max=60)
+    rep = is_pure_element(phi, np.eye(2))
     assert not rep.pure
     assert all(abs(x - 1.0) <= 1e-12 for x in rep.factors[0].decay)
 
@@ -206,7 +206,7 @@ def test_purity_of_identity_reads_the_orbit_bit_for_bit(family, seed):
     # the direct iteration with the spectral norm exactly
     inst = generate(family, seed)
     phi = CPMapTuple(inst.symbols, inst.ops)
-    rep = is_pure_element(phi, np.eye(phi.dim), s_max=80)
+    rep = is_pure_element(phi, np.eye(phi.dim))
     assert set(phi._orbits) == set(range(1, phi.k + 1))
     direct = CPMapTuple(inst.symbols, inst.ops)
     for i, fac in enumerate(rep.factors, start=1):
@@ -217,7 +217,7 @@ def test_purity_of_identity_reads_the_orbit_bit_for_bit(family, seed):
             want.append(float(np.linalg.norm(Y, 2)))
         assert fac.decay == want
     assert not direct._orbits
-    assert is_pure_element(phi, 2.0 * np.eye(phi.dim), s_max=80).factors[0].decay == [
+    assert is_pure_element(phi, 2.0 * np.eye(phi.dim)).factors[0].decay == [
         2.0 * x for x in rep.factors[0].decay
     ]
 
@@ -225,11 +225,57 @@ def test_purity_of_identity_reads_the_orbit_bit_for_bit(family, seed):
 def test_purity_decay_rate_tracks_squared_radius():
     inst = generate("commuting_polynomials", 77, target_radius=0.9)
     phi = CPMapTuple(inst.symbols, inst.ops)
-    rep = is_pure_element(phi, np.eye(phi.dim), tol=1e-30, s_max=120)
+    rep = is_pure_element(phi, np.eye(phi.dim))
     for i, fac in enumerate(rep.factors, start=1):
         r = phi.joint_spectral_radius(i)
         assert fac.fitted_rate is not None
         assert abs(fac.fitted_rate - r**2) <= 0.05
+        # the Gelfand bound of the orbit lies above the map radius
+        assert fac.fitted_rate >= r**2 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "family", ["commuting_polynomials", "conjugated_unitaries", "nilpotent", "polyball_random"]
+)
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_purity_decay_bounds_every_hermitian_iterate(family, dim):
+    # Russo-Dye: ||Phi_i^s(X)||_2 <= ||X||_2 eta_s for Hermitian X; past a
+    # zero iterate the decay list ends and the iterates are exactly zero
+    inst = generate(family, 11 + dim, dim=dim)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    rng = np.random.default_rng(dim)
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    X = G + G.conj().T
+    lam = np.linalg.eigvalsh(X)
+    assert lam[0] < 0 < lam[-1]
+    rep = is_pure_element(phi, X)
+    for i, fac in enumerate(rep.factors, start=1):
+        Y = X.astype(np.complex128)
+        for s in range(1, 65):
+            Y = phi.apply(i, Y)
+            bound = fac.decay[s - 1] if s <= len(fac.decay) else 0.0
+            assert float(np.linalg.norm(Y, 2)) <= bound * (1 + 1e-12 * s)
+
+
+def test_purity_fields_mean_the_same_after_a_longer_orbit():
+    inst = generate("commuting_polynomials", 3, dim=4, target_radius=0.99)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    fresh = is_pure_element(phi, np.eye(4))
+    assert fresh.pure
+    for i in range(1, phi.k + 1):
+        phi._orbit(i).norm(3000)
+    assert is_pure_element(phi, np.eye(4)) == fresh
+
+
+def test_purity_of_zero_and_of_a_wrong_shape():
+    U = np.diag(np.exp(1j * np.array([0.3, 2.1])))
+    phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[U]]))
+    rep = is_pure_element(phi, np.zeros((2, 2)))
+    assert rep.pure and rep.factors[0].crossed_at == 0
+    assert not is_pure_element(phi, np.eye(2)).factors[0].pure
+    for X in (np.eye(3), np.zeros((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError):
+            is_pure_element(phi, X)
 
 
 # ---------------------------------------------------------------------------
