@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DivergenceError
-from .cpmap import CPMapTuple, OperatorTuple, hermitize
+from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, hermitize
 from .fock import (
     CompressedModel,
     ModelOperators,
@@ -92,7 +92,12 @@ class CompatibleTuple:
 
 @dataclass
 class BerezinKernel:
-    """K as a (fockdim * rank) x d matrix, fock index most significant."""
+    """K as a (fockdim * rank) x d matrix, fock index most significant.
+
+    series is the certified weighted series of R that the Gram matrix
+    reproduces, None when some factor's radius is above 1 - radius_margin
+    (or its series is refused); then tail_bound is NaN and certified False.
+    """
 
     K: np.ndarray
     fock: TruncatedFock
@@ -100,6 +105,7 @@ class BerezinKernel:
     R2: np.ndarray  # rank x d, coordinates of R^{1/2} on its range
     tail_bound: float
     certified: bool
+    series: Optional[SeriesResult]
 
     @property
     def d(self) -> int:
@@ -117,8 +123,8 @@ def _kernel_tail_bound(
     m: Sequence[int],
     R: np.ndarray,
     degree_cap: int,
-) -> Tuple[float, bool]:
-    """Bound on the PSD mass of kernel rows beyond the truncation box.
+) -> Tuple[float, Optional[SeriesResult]]:
+    """Bound on the PSD mass of kernel rows beyond the truncation box, and the series of R.
 
     The rows of K with beta fixed outside factor i sum to the factor-i series
     sum_s C(s+m_i-1, m_i-1) Phi_i^s(Y_i), Y_i the other factors' series of R,
@@ -128,21 +134,20 @@ def _kernel_tail_bound(
     T_i = sum_{s >= s_i} C(s+m_i-1, m_i-1) ||Phi_i^s||,
     s_i = ceil((degree_cap+1) / deg f_i); by Russo-Dye ||Phi_i^s|| is the
     identity orbit's eta_s. Summing over i covers every row outside the box.
+    A factor that is not settled gives (NaN, None) before any series term is
+    summed, and a refused series gives (NaN, None) too.
     """
     if not all(phi._settled(i) for i in range(1, phi.k + 1)):
-        return float("nan"), False
+        return float("nan"), None
+    try:
+        series = phi.weighted_series(m, R)
+    except DivergenceError:
+        return float("nan"), None
     tails = sum(
         phi._orbit(i).norm_sum(m[i - 1], start=-(-(degree_cap + 1) // f.degree()))
         for i, f in enumerate(phi.symbols, start=1)
     )
-    if tails == 0.0:
-        return 0.0, True  # every Phi_i^{s_i} = 0: no row beyond the box survives
-    try:
-        series = phi.weighted_series(m, R)
-    except DivergenceError:
-        return float("nan"), False
-    total = (float(np.linalg.norm(series.value, 2)) + series.tail_bound) * tails
-    return total, bool(np.isfinite(total))
+    return (float(np.linalg.norm(series.value, 2)) + series.tail_bound) * tails, series
 
 
 def kernel(
@@ -153,7 +158,12 @@ def kernel(
     degree_cap: int,
     prebuilt: Optional[Tuple[TruncatedFock, ModelOperators]] = None,
 ) -> BerezinKernel:
-    """The generalized Berezin kernel truncated at per-factor degree degree_cap."""
+    """The generalized Berezin kernel truncated at per-factor degree degree_cap.
+
+    The weighted series of R is summed once, certified, for the tail bound
+    and carried as the kernel's series; it is None, and no series term is
+    summed, when some factor's radius is above 1 - radius_margin.
+    """
     phi = CPMapTuple(symbols, ops)
     R = hermitize(np.asarray(R, dtype=np.complex128))
     d = ops.dim
@@ -179,8 +189,9 @@ def kernel(
             for i, word in enumerate(beta, start=1):
                 adj = adj @ ops.word_product(i, word).conj().T
             K[g * rank:(g + 1) * rank, :] = np.sqrt(w) * (R2 @ adj)
-    tail, certified = _kernel_tail_bound(phi, m, R, degree_cap)
-    return BerezinKernel(K=K, fock=fock, rank=rank, R2=R2, tail_bound=tail, certified=certified)
+    tail, series = _kernel_tail_bound(phi, m, R, degree_cap)
+    return BerezinKernel(K=K, fock=fock, rank=rank, R2=R2, tail_bound=tail,
+                         certified=bool(np.isfinite(tail)), series=series)
 
 
 @dataclass
@@ -364,6 +375,10 @@ def extended_transform_sweep(
 # --- von Neumann style inequality checks -------------------------------------
 
 
+# the relative change of the model-side norm over two cap steps that counts as stabilized
+_VN_STAB_REL = 1e-6
+
+
 @dataclass
 class VNReport:
     verdict: str  # "PASS" | "FAILED" | "INCONCLUSIVE"
@@ -382,7 +397,6 @@ def vn_check_model(
     polys: Sequence[NCPolynomial] = (),
     degree_cap: int = 6,
     tol: float = 1e-8,
-    stab_rel: float = 1e-6,
 ) -> VNReport:
     """Checks ||sum A_(alpha) D A_(beta)^* (x) C|| <= ||D|| ||sum S_(alpha) S_(beta)^* (x) C||.
 
@@ -422,7 +436,7 @@ def vn_check_model(
         abs(rhs_values[t + 1] - rhs_values[t]) / max(rhs_values[t + 1], 1e-300)
         for t in range(2)
     ]
-    stabilized = all(x <= stab_rel for x in rel_diffs)
+    stabilized = all(x <= _VN_STAB_REL for x in rel_diffs)
     rhs = rhs_values[-1]
     if not stabilized:
         verdict = "INCONCLUSIVE"
@@ -500,12 +514,11 @@ def vn_check_polydisc(
             lhs_mat[s * d:(s + 1) * d, t * d:(t + 1) * d] = C_ops.evaluate_poly(poly_matrix[s][t])
     lhs = float(np.linalg.norm(lhs_mat, 2))
 
-    # ||C_i^s||^2 is the orbit norm of X -> C_i X C_i^*, whose radius is rho(C_i)^2
+    # ||C_i^s||^2 is the orbit norm of X -> C_i X C_i^*, whose tuple radius is rho(C_i)
     phi = CPMapTuple([polyball_symbol(1)] * k, C_ops)
     b = 1.0
     for i in range(1, k + 1):
-        rho = float(np.max(np.abs(np.linalg.eigvals(C_ops.matrix(i, 1)))))
-        if not rho <= 1.0 - phi.tol.radius_margin:
+        if not phi._settled(i):
             b = float("inf")
             break
         b *= phi._orbit(i).norm_sum(1)

@@ -48,6 +48,8 @@ _DENSE_MAX_VEC_DIM = 6400
 _EPS = float(np.finfo(np.float64).eps)
 # the fewest orbit steps a decay verdict reads
 _DECAY_WINDOW = 64
+# the most terms a certified series or norm sum, or a decay search, reads
+SERIES_BUDGET = 20000
 
 
 class CommutationError(ValueError):
@@ -204,7 +206,7 @@ class OperatorTuple:
 
 @dataclass
 class SeriesResult:
-    """Truncated series value with a certified (or best-effort) tail bound."""
+    """Truncated series value with a certified tail bound; certified is always True."""
 
     value: np.ndarray
     tail_bound: float
@@ -234,6 +236,8 @@ class _Orbit:
         self.floor: List[float] = [1.0]
         self.theta = float("inf")
         self.growth = float("inf")
+        # (t, theta_t, growth_t) for each power of two t that improved theta
+        self.envelopes: List[Tuple[int, float, float]] = []
         # an envelope theta below this bar certifies decay despite rounding (see decays)
         self.bar = 1.0 - phi.dim * _EPS
 
@@ -266,6 +270,7 @@ class _Orbit:
             growth = float(np.exp(np.log(self.eta[:t]) - np.arange(t) * np.log(theta)).max())
         if np.isfinite(growth):
             self.theta, self.growth = theta, growth
+            self.envelopes.append((t, theta, growth))
 
     def decays(self, extend_to: int = 0) -> bool:
         """Whether the orbit certifies Phi_i^s -> 0, doubling its length up to extend_to until it does.
@@ -302,28 +307,31 @@ class _Orbit:
         return len(self.eta) - 1 if self.eta[-1] == 0.0 else None
 
     def tail(self, s: int, m: int) -> float:
-        """Certified bound on sum_{u>=s} C(u+m-1, m-1) ||Phi_i^u|| from the orbit so far.
+        """Certified bound on sum_{u>=s} C(u+m-1, m-1) ||Phi_i^u|| read off eta_0..eta_s only.
 
-        Past a known zero the remaining sum is exact. Otherwise the envelope
-        applies: consecutive weights grow by (u+m)/(u+1) <= (s+m)/(s+1).
+        A zero among them makes the tail exactly 0. Otherwise each envelope
+        refreshed at a power of two t <= s applies, and the smallest bound is
+        kept: consecutive weights grow by (u+m)/(u+1) <= (s+m)/(s+1). So the
+        bound does not depend on how far earlier calls read the orbit.
         """
-        if self.eta[-1] == 0.0:
-            return float(sum(comb(u + m - 1, m - 1) * self.eta[u]
-                             for u in range(s, len(self.eta))))
-        ratio = self.theta * (s + m) / (s + 1)
-        if not ratio < 1.0:
-            return float("inf")
-        return self.growth * comb(s + m - 1, m - 1) * self.theta ** s / (1.0 - ratio)
+        if self.norm(s) == 0.0:
+            return 0.0
+        best = float("inf")
+        for t, theta, growth in self.envelopes:
+            ratio = theta * (s + m) / (s + 1)
+            if t <= s and ratio < 1.0:
+                best = min(best, growth * theta ** s / (1.0 - ratio))
+        return comb(s + m - 1, m - 1) * best
 
-    def norm_sum(self, m: int, budget: int = 20000, start: int = 0) -> float:
-        """Certified sum_{s>=start} C(s+m-1, m-1) ||Phi_i^s||; inf when no envelope is found in budget."""
+    def norm_sum(self, m: int, start: int = 0) -> float:
+        """Certified sum_{s>=start} C(s+m-1, m-1) ||Phi_i^s||; inf when no envelope is found within SERIES_BUDGET terms."""
         total = 0.0
         s = start
         while True:
             total += comb(s + m - 1, m - 1) * self.norm(s)
             s += 1
             tail = self.tail(s, m)
-            if tail <= 1e-12 * max(total, 1.0) or s >= budget:
+            if tail <= 1e-12 * max(total, 1.0) or s >= SERIES_BUDGET:
                 return total + tail
 
     def gelfand(self, s_max: int) -> float:
@@ -462,11 +470,11 @@ class CPMapTuple:
         """Whether the identity orbit of factor i certifies Phi_i^s -> 0: the one decay rule.
 
         The orbit is read over at least 64 steps; a settled factor may double
-        it up to 20 000 steps, as far as a certified norm sum searches.
+        it up to SERIES_BUDGET steps, as far as a certified norm sum searches.
         """
         orbit = self._orbit(i)
         orbit.norm(_DECAY_WINDOW)
-        return orbit.decays(extend_to=20000 if self._settled(i) else 0)
+        return orbit.decays(extend_to=SERIES_BUDGET if self._settled(i) else 0)
 
     def _map_radius(self, i: int) -> float:
         """rho(Phi_i) by the path joint_spectral_radius describes."""
@@ -509,91 +517,74 @@ class CPMapTuple:
         return float(lam.real)
 
     def _single_factor_series(
-        self,
-        i: int,
-        m_i: int,
-        X: np.ndarray,
-        tail_target: float,
-        budget: int,
-        certify: bool,
-    ) -> Tuple[np.ndarray, float, int, bool]:
-        """sum_s C(s+m_i-1, m_i-1) Phi_i^s(X), truncated with a tail bound.
+        self, i: int, m_i: int, X: np.ndarray, tail_target: float
+    ) -> Tuple[np.ndarray, float, int]:
+        """sum_s C(s+m_i-1, m_i-1) Phi_i^s(X), truncated with a certified tail bound.
 
-        With certify the orbit is kept level with the series and the tail
-        after s terms is sqrt(d) ||X||_2 times its tail(s, m_i). Without it the
-        sum runs until the increments stall, uncertified.
-        Returns (value, tail_bound, terms_used, certified).
+        The caller has checked that factor i is settled. The orbit is kept
+        level with the series, and the tail after s terms is
+        sqrt(d) ||X||_2 times its tail(s, m_i), which reads eta_0..eta_s only,
+        so the truncation does not depend on earlier calls. A factor whose
+        tail has not met tail_target after SERIES_BUDGET terms raises
+        DivergenceError. Returns (value, tail_bound, terms_used).
         """
         herm = is_hermitian(X)
         total = np.zeros_like(np.asarray(X, dtype=np.complex128))
         term = np.asarray(X, dtype=np.complex128)
         xnorm = float(np.linalg.norm(term, 2))
         if xnorm == 0.0:
-            return total, 0.0, 0, True
-
-        if certify:
-            orbit = self._orbit(i)
-            # from X = I on, the terms are the orbit's own iterates, shared
-            # whenever the orbit ends at the current term
-            on_orbit = np.array_equal(term, np.eye(self.dim))
-            scale = np.sqrt(self.dim) * xnorm
-            s = 0
-            while True:
-                total += comb(s + m_i - 1, m_i - 1) * term
-                s += 1
-                orbit.norm(s)
-                tail = scale * orbit.tail(s, m_i)
-                if tail <= tail_target:
-                    return (hermitize(total) if herm else total), float(tail), s, True
-                if s >= budget:
-                    raise DivergenceError(
-                        f"factor {i}: tail bound still {tail:.3e} after {s} terms "
-                        f"(theta={orbit.theta:.6f}); raise the budget or shrink the instance"
-                    )
-                shared = on_orbit and len(orbit.eta) == s + 1
-                term = orbit.X if shared else self.apply(i, term, herm=herm)
-                if float(np.linalg.norm(term)) == 0.0:
-                    # structural annihilation: the remaining terms are exactly 0
-                    return (hermitize(total) if herm else total), 0.0, s, True
-
-        # best effort: sum until increments stall or budget runs out
+            return total, 0.0, 0
+        orbit = self._orbit(i)
+        # from X = I on, the terms are the orbit's own iterates, shared
+        # whenever the orbit ends at the current term
+        on_orbit = np.array_equal(term, np.eye(self.dim))
+        scale = np.sqrt(self.dim) * xnorm
         s = 0
-        stall = 0
-        while s < budget:
-            inc_norm = comb(s + m_i - 1, m_i - 1) * float(np.linalg.norm(term))
+        while True:
             total += comb(s + m_i - 1, m_i - 1) * term
             s += 1
-            if inc_norm <= self.tol.series_tol * max(1.0, float(np.linalg.norm(total))):
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
-                stall = 0
-            term = self.apply(i, term, herm=herm)
+            tail = scale * orbit.tail(s, m_i)
+            if tail <= tail_target:
+                return (hermitize(total) if herm else total), float(tail), s
+            if s >= SERIES_BUDGET:
+                raise DivergenceError(
+                    f"factor {i}: tail bound still {tail:.3e} after {s} terms "
+                    f"(theta={orbit.theta:.6f}); shrink the instance"
+                )
+            shared = on_orbit and len(orbit.eta) == s + 1
+            term = orbit.X if shared else self.apply(i, term, herm=herm)
             if float(np.linalg.norm(term)) == 0.0:
-                return (hermitize(total) if herm else total), 0.0, s, True
-        return (hermitize(total) if herm else total), float("nan"), s, False
+                # structural annihilation: the remaining terms are exactly 0
+                return (hermitize(total) if herm else total), 0.0, s
+
+    def _refuse_unsettled(self, factors: Sequence[int]) -> None:
+        bad = [i for i in factors if not self._settled(i)]
+        if bad:
+            raise DivergenceError(
+                f"factors {bad} have radius above {1.0 - self.tol.radius_margin}"
+            )
 
     def weighted_series(
         self,
         m: Sequence[int],
         R: np.ndarray,
         tol: float | None = None,
-        strict: bool = True,
-        budget: int = 20000,
     ) -> SeriesResult:
-        """sum over s in Z_+^k of prod_i C(s_i+m_i-1, m_i-1) Phi^s(R).
+        """sum over s in Z_+^k of prod_i C(s_i+m_i-1, m_i-1) Phi^s(R), certified or refused.
 
         Evaluated stage by stage (the factors commute); the returned
-        tail_bound certifies the Frobenius distance to the exact sum when
-        certified is True. tol is interpreted relative to max(1, ||R||_F).
+        tail_bound certifies the Frobenius distance to the exact sum, so
+        certified is always True. tol is interpreted relative to
+        max(1, ||R||_F).
 
         Each factor's bounds come from its identity orbit eta_s: the stage
         tail uses ||Phi_j^u(X)||_F <= sqrt(d) eta_u ||X||_2, and an error
         passed through stage j grows at most by sqrt(d) * norm_sum_j(m_j),
-        norm_sum_j(m_j) = sum_u C(u+m_j-1, m_j-1) eta_u. A factor whose radius
-        is above 1 - radius_margin is refused when strict, and otherwise
-        summed best effort and left uncertified.
+        norm_sum_j(m_j) = sum_u C(u+m_j-1, m_j-1) eta_u. DivergenceError is
+        raised when a factor's radius is above 1 - radius_margin, when a norm
+        sum finds no envelope, or when a stage needs more than SERIES_BUDGET
+        terms. The truncation and value depend only on the tuple, m, R and
+        tol, not on earlier calls.
         """
         if len(m) != self.k:
             raise ValueError(f"multi-degree length {len(m)} != k = {self.k}")
@@ -604,38 +595,28 @@ class CPMapTuple:
         target = tol * max(1.0, float(np.linalg.norm(R)))
 
         radii = tuple(self.joint_spectral_radius(i, crosscheck=False) for i in range(1, self.k + 1))
-        settled = [self._settled(i) for i in range(1, self.k + 1)]
-        if strict and not all(settled):
-            bad = [i + 1 for i, ok in enumerate(settled) if not ok]
+        self._refuse_unsettled(range(1, self.k + 1))
+        amps = [np.sqrt(self.dim) * self._orbit(j + 1).norm_sum(m[j]) for j in range(1, self.k)]
+        if not all(np.isfinite(amps)):
             raise DivergenceError(
-                f"factors {bad} have radius above {1.0 - self.tol.radius_margin}"
+                f"no certified norm sum within {SERIES_BUDGET} terms for factors "
+                f"{[j + 2 for j, a in enumerate(amps) if not np.isfinite(a)]}"
             )
-        amps = [
-            np.sqrt(self.dim) * self._orbit(j + 1).norm_sum(m[j], budget) if settled[j] else np.inf
-            for j in range(1, self.k)
-        ]
         value = R
         tail_total = 0.0
         terms: List[int] = []
-        certified = True
         for idx in range(self.k):
             downstream = float(np.prod(amps[idx:]))
-            # an uncertified downstream stage leaves the whole sum uncertified
-            share = target / (self.k * (downstream if np.isfinite(downstream) else 1.0))
-            value, tail, used, cert_ok = self._single_factor_series(
-                idx + 1, m[idx], value, share, budget, settled[idx]
+            value, tail, used = self._single_factor_series(
+                idx + 1, m[idx], value, target / (self.k * downstream)
             )
             terms.append(used)
-            certified = certified and cert_ok
-            if cert_ok:
-                tail_total += tail * downstream
-            else:
-                tail_total = float("nan")
+            tail_total += tail * downstream
         return SeriesResult(
             value=value,
             tail_bound=tail_total,
             terms=tuple(terms),
-            certified=certified,
+            certified=True,
             radii=radii,
         )
 
@@ -644,24 +625,18 @@ class CPMapTuple:
         i: int,
         p: int,
         X: np.ndarray,
-        budget: int = 20000,
         tol: float | None = None,
     ) -> SeriesResult:
-        """Lambda_i^{[p]}(X) = sum_s C(s+p-1, p-1) Phi_i^s(X), certified."""
+        """Lambda_i^{[p]}(X) = sum_s C(s+p-1, p-1) Phi_i^s(X), certified or refused."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         tol = self.tol.series_tol if tol is None else float(tol)
         X = _as_complex(X)
         target = tol * max(1.0, float(np.linalg.norm(X)))
         r = self.joint_spectral_radius(i, crosscheck=False)
-        if not self._settled(i):
-            raise DivergenceError(
-                f"factor {i} radius {r:.6f} is above {1.0 - self.tol.radius_margin}"
-            )
-        value, tail, used, certified = self._single_factor_series(
-            i, p, X, target, budget, certify=True
-        )
-        return SeriesResult(value, tail, (used,), certified, (r,))
+        self._refuse_unsettled((i,))
+        value, tail, used = self._single_factor_series(i, p, X, target)
+        return SeriesResult(value, tail, (used,), True, (r,))
 
     # --- means and radius ------------------------------------------------
 

@@ -96,9 +96,7 @@ class ModelOperators:
     def __init__(self, fock: TruncatedFock, tol: Tolerances):
         self.fock = fock
         self.tol = tol
-        self.truncated = True
         self._W: Dict[Tuple[int, int], sp.csr_matrix] = {}
-        self._factor_shifts: Dict[Tuple[int, int], sp.csr_matrix] = {}
         self._diag_maps: Dict[int, sp.csr_matrix] = {}
         for i in range(1, fock.k + 1):
             for j in range(1, fock.arities[i - 1] + 1):
@@ -122,7 +120,6 @@ class ModelOperators:
             cols.append(c)
         d_i = fock.factor_dims[i - 1]
         shift = sp.csr_matrix((vals, (rows, cols)), shape=(d_i, d_i))
-        self._factor_shifts[(i, j)] = shift
         pre = int(np.prod(fock.factor_dims[: i - 1], initial=1))
         post = int(np.prod(fock.factor_dims[i:], initial=1))
         W = sp.kron(sp.identity(pre, format="csr"), sp.kron(shift, sp.identity(post, format="csr"), format="csr"), format="csr")

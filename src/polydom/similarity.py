@@ -124,7 +124,7 @@ def model_embed(
     cond = float(sv[0] / sv[-1])
     # truncation and constraint leakage widen the witness window
     leak = ck.range_residual
-    tail = ck.base.tail_bound if np.isfinite(ck.base.tail_bound) else 0.0
+    tail = ck.base.tail_bound
     a_eff = a - tail - 2.0 * leak * sv[0] - leak ** 2
     b_eff = b + tail + 2.0 * leak * sv[0] + leak ** 2
     cert = SimilarityCertificate(
@@ -299,10 +299,13 @@ def solve_defect_equation(
 
 # --- Sz.-Nagy fixed point -----------------------------------------------------
 
+# iterates per factor on the two-sided sample grid
+_SAMPLE_LEN = 16
 
-def _sample_two_sided(phi: CPMapTuple, sample_len: int) -> Tuple[float, float]:
+
+def _sample_two_sided(phi: CPMapTuple) -> Tuple[float, float]:
     """(c, d) = extreme eigenvalues of composed iterates over a sample grid."""
-    L = sample_len
+    L = _SAMPLE_LEN
     while (L + 1) ** phi.k > 20000 and L > 2:
         L -= 1
     c = float("inf")
@@ -403,7 +406,6 @@ def _algebra_distance(A: OperatorTuple, Q: np.ndarray, max_len: int = 4) -> floa
 def sznagy_solve(
     symbols: Sequence[PositiveSymbol],
     A: OperatorTuple,
-    sample_len: int = 16,
     tol: float = 1e-7,
 ) -> Tuple[SimilarityCertificate, Optional[OperatorTuple]]:
     """Fixed point Q with Phi_i(Q) = Q, then T = Q^{-1/2} A Q^{1/2}.
@@ -416,7 +418,7 @@ def sznagy_solve(
     """
     symbols = tuple(symbols)
     phi = CPMapTuple(symbols, A)
-    c, d_up = _sample_two_sided(phi, sample_len)
+    c, d_up = _sample_two_sided(phi)
     cert = SimilarityCertificate(
         kind="isometric_conjugation",
         status="PENDING",
@@ -601,7 +603,9 @@ def cpmap_similarity(
       inside the target cone.
     pure_cone: builds the polyball Berezin kernel over the Kraus operators
       for R (default Delta^m(I)) and conjugates by the Gram square root,
-      yielding a pure tuple with I in its cone.
+      yielding a pure tuple with I in its cone; the certified series of R
+      raises DivergenceError before any model is built when a tuple radius
+      is above 1 - radius_margin.
     unital: the sznagy_solve fixed point Q with phi_i(Q) = Q, the ergodic
       projection of I, and lambda_i(I) = I.
     """
@@ -651,7 +655,7 @@ def cpmap_similarity(
         if R is None:
             R = phi.defect(m, eye)
         R = hermitize(np.asarray(R, dtype=np.complex128))
-        series = phi.weighted_series(m, R, strict=False)
+        series = phi.weighted_series(m, R)
         lam = np.linalg.eigvalsh(hermitize(series.value))
         a, b = float(lam[0]), float(lam[-1])
         if a <= phi.tol.tol_pd:
@@ -672,7 +676,7 @@ def cpmap_similarity(
             cond=None,
             notes=["mode=pure_cone"],
         )
-        tail = K.tail_bound if np.isfinite(K.tail_bound) else 0.0
+        tail = K.tail_bound
         rank = max(K.rank, 1)
         # Kraus operators of the target: compressions of W tensor I to range(K)
         lam_rows: List[List[np.ndarray]] = []

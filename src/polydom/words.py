@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .config import ResourceCapError, Tolerances, default_tolerances
 
@@ -49,12 +49,6 @@ IDENTITY = Word(())
 
 def graded_lex_key(word: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     return (len(word), tuple(word))
-
-
-def splits(word: Word) -> Iterator[Tuple[Word, Word]]:
-    """All factorizations word = prefix * suffix, empty factors included."""
-    for cut in range(len(word) + 1):
-        yield Word(word[:cut]), Word(word[cut:])
 
 
 def word_count(n: int, max_len: int) -> int:

@@ -20,7 +20,7 @@ from polydom.berezin import (
     vn_check_model,
     vn_check_polydisc,
 )
-from polydom.cpmap import CPMapTuple, OperatorTuple
+from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
 from polydom.fock import build_model
 from polydom.config import default_tolerances
 from polydom.generate import generate, random_symbol, strict_contractions
@@ -124,7 +124,7 @@ def test_kernel_tail_bound_refuses_radius_at_margin(a):
     symbols = (PositiveSymbol(1, {Word((1,)): a}, 1),)
     ops = OperatorTuple([[np.eye(3)]])
     kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
-    assert np.isnan(kern.tail_bound) and not kern.certified
+    assert np.isnan(kern.tail_bound) and not kern.certified and kern.series is None
 
 
 def test_kernel_tail_bound_certifies_radius_on_margin():
@@ -134,6 +134,15 @@ def test_kernel_tail_bound_certifies_radius_on_margin():
     assert CPMapTuple(symbols, ops).weighted_series((1,), np.eye(3)).certified
     kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
     assert kern.certified and np.isfinite(kern.tail_bound)
+
+
+def test_kernel_carries_the_series_of_R(rng):
+    inst = generate("commuting_polynomials", 4, dim=4, target_radius=0.8)
+    R = hermitize(random_psd(rng, 4))
+    kern = kernel(inst.symbols, inst.m, inst.ops, R, degree_cap=4)
+    fresh = CPMapTuple(inst.symbols, inst.ops).weighted_series(inst.m, R)
+    assert kern.series.terms == fresh.terms
+    assert np.array_equal(kern.series.value, fresh.value)
 
 
 def test_kernel_rejects_indefinite_R():

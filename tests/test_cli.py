@@ -183,6 +183,23 @@ def test_kernel_command_nilpotent_certified(tmp_path, capsys):
     assert rep["outputs"]["gram_vs_series"] <= 1e-10
 
 
+@pytest.mark.parametrize("family, seed, extra", [
+    ("conjugated_unitaries", 1, ()),
+    ("commuting_polynomials", 3, ("--target-radius", "0.997")),
+])
+def test_kernel_command_inconclusive_without_settled_radius(family, seed, extra, tmp_path, capsys):
+    # a factor radius above 1 - radius_margin: no certified series to test the Gram identity
+    path = gen_spec(tmp_path, capsys, family, seed, "--dim", "4", *extra)
+    code, out, _ = run_cli(
+        ["kernel", "--input", str(path), "--trunc-degree", "4"], capsys
+    )
+    assert code == 2
+    rep = load_report(out)
+    assert rep["outputs"]["status"] == "INCONCLUSIVE"
+    assert rep["outputs"]["certified"] is False
+    assert rep["outputs"]["gram_vs_series"] == "nan"
+
+
 def test_rota_command_round_trip(tmp_path, capsys):
     path = gen_spec(tmp_path, capsys, "commuting_polynomials", 7)
     code, out, _ = run_cli(["rota", "--input", str(path)], capsys)

@@ -314,6 +314,20 @@ def test_weighted_series_nilpotent_exact(rng):
     assert out.certified and out.tail_bound == 0.0
 
 
+def test_weighted_series_does_not_depend_on_how_far_the_orbit_was_read():
+    # the truncation reads eta_0..eta_s only: a longer orbit read in between
+    # changes neither the terms nor a bit of the value
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.5)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    before = phi.weighted_series(inst.m, np.eye(3))
+    for i in range(1, phi.k + 1):
+        phi._orbit(i).norm(3000)
+    after = phi.weighted_series(inst.m, np.eye(3))
+    assert after.terms == before.terms
+    assert np.array_equal(after.value, before.value)
+    assert after.tail_bound == before.tail_bound
+
+
 def test_series_then_defect_recovers_R(rng):
     phi, _ = small_random_instance(47)
     R = random_psd(rng, phi.dim)

@@ -439,6 +439,14 @@ def test_cpmap_pure_cone_nilpotent():
             assert r <= 1e-7 * max(1.0, cert.witnesses["b"]) + 1e-8
 
 
+def test_cpmap_pure_cone_refuses_unsettled_tuple():
+    # conjugated unitaries have tuple radius one: the series of R is refused
+    inst = generate("conjugated_unitaries", 1, dim=4)
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    with pytest.raises(DivergenceError):
+        cpmap_similarity(phi, (1,) * phi.k, "pure_cone")
+
+
 def test_cpmap_pure_cone_rejects_degenerate_R():
     symbols, m, ops = zero_tuple()
     phi = CPMapTuple(symbols, ops)
