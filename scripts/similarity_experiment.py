@@ -8,7 +8,9 @@ isometry residual stays at working precision until the null spaces that
 determine the fixed point lose accuracy to the conditioning of xi. Strict
 contractions are included as the
 negative control: their sampled lower bound collapses and the solver
-reports that no similarity exists.
+reports that no similarity exists. The "variety" column counts the tuples
+for which similarity_to_variety also finds a similarity onto the variety
+domain (through the same fixed point, the case where no radius is settled).
 
 Usage:
     python scripts/similarity_experiment.py --seeds 25 --dim 4
@@ -21,7 +23,7 @@ import numpy as np
 
 from polydom.cpmap import OperatorTuple
 from polydom.generate import conjugated_unitaries, strict_contractions
-from polydom.similarity import sznagy_solve
+from polydom.similarity import similarity_to_variety, sznagy_solve
 from polydom.words import polyball_symbol
 
 
@@ -43,15 +45,16 @@ def isometry_residual(T: OperatorTuple) -> float:
 
 
 def run(cfg: ExperimentConfig) -> None:
-    print(f"{'cond cap':>9s} {'pass':>5s} {'c med':>9s} {'d med':>9s} "
+    print(f"{'cond cap':>9s} {'pass':>5s} {'variety':>7s} {'c med':>9s} {'d med':>9s} "
           f"{'fixed pt':>9s} {'isometry':>9s}")
     for cap in cfg.cond_caps:
-        cs, ds, fps, isos, passed = [], [], [], [], 0
+        cs, ds, fps, isos, passed, found = [], [], [], [], 0, 0
         for s in range(cfg.seeds):
             inst = conjugated_unitaries(
                 cfg.base_seed + s, dim=cfg.dim, cond_cap=cap
             )
             cert, T = sznagy_solve(inst.symbols, inst.ops)
+            found += similarity_to_variety(inst.symbols, inst.m, inst.ops).verdict == "found"
             cs.append(cert.witnesses["c"])
             ds.append(cert.witnesses["d"])
             if cert.status == "PASS" and T is not None:
@@ -61,7 +64,7 @@ def run(cfg: ExperimentConfig) -> None:
                     for i in range(1, inst.ops.k + 1)
                 ))
                 isos.append(isometry_residual(T))
-        print(f"{cap:9.1f} {passed:5d} {np.median(cs):9.3e} "
+        print(f"{cap:9.1f} {passed:5d} {found:7d} {np.median(cs):9.3e} "
               f"{np.median(ds):9.3e} {max(fps):9.3e} {max(isos):9.3e}")
 
     # negative control: strict contractions admit no unitary similarity

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DivergenceError
+from .config import DivergenceError, Tolerances
 from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, hermitize
 from .fock import (
     CompressedModel,
@@ -150,6 +150,17 @@ def _kernel_tail_bound(
     return (float(np.linalg.norm(series.value, 2)) + series.tail_bound) * tails, series
 
 
+def require_psd(R: np.ndarray, d: int, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hermitized R, its eigenvalues, its eigenvectors); ValueError unless R is d x d and PSD."""
+    R = hermitize(np.asarray(R, dtype=np.complex128))
+    if R.shape != (d, d):
+        raise ValueError(f"R has shape {R.shape}, operators have dimension {d}")
+    lam, V = np.linalg.eigh(R)
+    if float(lam[0]) < -tol.tol_psd * max(1.0, float(lam[-1])):
+        raise ValueError(f"R is not positive semidefinite (eigenvalue {lam[0]:.3e})")
+    return R, lam, V
+
+
 def kernel(
     symbols: Sequence[PositiveSymbol],
     m: Sequence[int],
@@ -165,13 +176,8 @@ def kernel(
     summed, when some factor's radius is above 1 - radius_margin.
     """
     phi = CPMapTuple(symbols, ops)
-    R = hermitize(np.asarray(R, dtype=np.complex128))
     d = ops.dim
-    if R.shape != (d, d):
-        raise ValueError(f"R has shape {R.shape}, operators have dimension {d}")
-    lam, V = np.linalg.eigh(R)
-    if float(lam[0]) < -phi.tol.tol_psd * max(1.0, float(lam[-1])):
-        raise ValueError(f"R is not positive semidefinite (eigenvalue {lam[0]:.3e})")
+    R, lam, V = require_psd(R, d, phi.tol)
     # a rounding-negative R ~ 0 keeps no eigenvalue: the clip stays positive
     keep = lam > phi.tol.eig_clip * max(float(lam[-1]), 1e-300)
     rank = int(np.count_nonzero(keep))

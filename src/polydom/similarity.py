@@ -3,10 +3,12 @@
 Three families: model embedding through a constrained Berezin kernel,
 strict-contraction conjugation through the weighted series of the identity,
 and, for two-sided power-bounded tuples, conjugation by the common fixed
-point of the maps that is the ergodic projection of the identity. A fourth
-front end treats commuting tuples of completely positive maps given by raw
-Kraus families. Every certificate re-verifies its residuals before it is
-returned; failing certificates are returned marked FAILED, not dropped.
+point of the maps that is the ergodic projection of the identity. Similarity
+onto the variety domain is decided by the same two constructions, after a
+radius enclosure above one has ruled it out. A fourth front end treats
+commuting tuples of completely positive maps given by raw Kraus families.
+Every certificate re-verifies its residuals before it is returned; failing
+certificates are returned marked FAILED, not dropped.
 """
 
 from __future__ import annotations
@@ -16,17 +18,15 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .config import ResourceCapError
+from .config import DivergenceError
 from .cone import ConeReport, membership, min_eig
 from .cpmap import (
     CPMapTuple,
     OperatorTuple,
     SeriesResult,
     hermitize,
-    multi_grid,
     unvec,
     vec,
 )
@@ -35,6 +35,7 @@ from .berezin import (
     constrained_kernel,
     intertwine_check_constrained,
     kernel as berezin_kernel,
+    require_psd,
 )
 from .fock import build_model
 from .words import NCPolynomial, PositiveSymbol, polyball_symbol
@@ -81,9 +82,18 @@ def _psd_sqrt_pair(Q: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray, fl
     return sq, isq, float(np.sqrt(lam[-1] / lam[0]))
 
 
-def conjugate_tuple(A: OperatorTuple, isq: np.ndarray, sq: np.ndarray) -> OperatorTuple:
-    rows = [[isq @ M @ sq for M in row] for row in A.rows]
-    return OperatorTuple(rows, tol=A.tol)
+def _identity_series_conjugation(
+    phi: CPMapTuple, m: Tuple[int, ...]
+) -> Tuple[SeriesResult, np.ndarray, np.ndarray, np.ndarray, float, OperatorTuple]:
+    """The Rota construction: P = Delta^{-m}(I), the certified weighted series
+    of I, and T = P^{-1/2} A P^{1/2}.
+
+    Returns (series, P, P^{1/2}, P^{-1/2}, cond(P^{1/2}), T).
+    """
+    series = phi.weighted_series(m, np.eye(phi.dim, dtype=np.complex128))
+    P = hermitize(series.value)
+    sq, isq, cond = _psd_sqrt_pair(P, "the series value P")
+    return series, P, sq, isq, cond, phi.ops.conjugate(sq, isq)
 
 
 # --- model embedding ----------------------------------------------------------
@@ -102,12 +112,18 @@ def model_embed(
 
     Requires the weighted series of R to be bounded below by a positive
     constant; the embedding then satisfies Y A* = (S* tensor I) Y with
-    condition number at most sqrt(b/a).
+    condition number at most sqrt(b/a). The series is the one the kernel
+    sums; a tuple radius above 1 - radius_margin raises DivergenceError
+    before the model is built.
     """
     symbols = tuple(symbols)
     m = tuple(m)
     phi = CPMapTuple(symbols, A)
-    series = phi.weighted_series(m, R)
+    phi._refuse_unsettled(range(1, phi.k + 1))
+    ck = constrained_kernel(CompatibleTuple(symbols, m, A, R, tuple(Q_polys)), degree_cap)
+    series = ck.base.series
+    if series is None:
+        raise DivergenceError("the certified weighted series of R was refused")
     lam = np.linalg.eigvalsh(hermitize(series.value))
     a = float(lam[0]) - series.tail_bound
     b = float(lam[-1]) + series.tail_bound
@@ -115,8 +131,6 @@ def model_embed(
         raise ValueError(
             f"no embedding: the weighted series of R has lower bound {a:.3e}"
         )
-    omega = CompatibleTuple(symbols, m, A, R, tuple(Q_polys))
-    ck = constrained_kernel(omega, degree_cap)
     Y = ck.K
     sv = np.linalg.svd(Y, compute_uv=False)
     if sv[-1] <= 0:
@@ -182,10 +196,7 @@ def rota_conjugate(
     symbols = tuple(symbols)
     m = tuple(m)
     phi = CPMapTuple(symbols, A)
-    series = phi.weighted_series(m, np.eye(A.dim))
-    P = hermitize(series.value)
-    sq, isq, condP = _psd_sqrt_pair(P, "the series value P")
-    T = conjugate_tuple(A, isq, sq)
+    series, P, sq, _, condP, T = _identity_series_conjugation(phi, m)
     phi_T = CPMapTuple(symbols, T)
 
     bound_product = prod(phi._orbit(i).norm_sum(m[i - 1]) for i in range(1, phi.k + 1))
@@ -223,17 +234,6 @@ def rota_conjugate(
 # --- defect equation ----------------------------------------------------------
 
 
-def _dense_defect(phi: CPMapTuple, p: Sequence[int]) -> np.ndarray:
-    """Delta^p as the d^2 x d^2 matrix prod_i (I - M_i)^{p_i} of the matricized maps."""
-    eye2 = np.eye(phi.dim * phi.dim, dtype=np.complex128)
-    L = eye2
-    for i in range(1, phi.k + 1):
-        F = eye2 - phi.matricize(i)
-        for _ in range(p[i - 1]):
-            L = F @ L
-    return L
-
-
 @dataclass
 class DefectSolution:
     X: np.ndarray
@@ -269,8 +269,15 @@ def solve_defect_equation(
     X = hermitize(series.value)
     defect_residual = float(np.linalg.norm(phi.defect(m, X) - R, 2))
 
+    # the oracle: Delta^m as the d^2 x d^2 matrix prod_i (I - M_i)^{m_i}
+    eye2 = np.eye(phi.dim * phi.dim, dtype=np.complex128)
+    L = eye2
+    for i in range(1, phi.k + 1):
+        F = eye2 - phi.matricize(i)
+        for _ in range(m[i - 1]):
+            L = F @ L
     try:
-        x_oracle = np.linalg.solve(_dense_defect(phi, m), vec(R))
+        x_oracle = np.linalg.solve(L, vec(R))
     except np.linalg.LinAlgError as e:
         raise ArithmeticError(
             "matricized defect system is singular although every radius is "
@@ -466,7 +473,7 @@ def sznagy_solve(
     cert.cond = condQhalf
     cert.claimed_bound = float(10.0 * np.sqrt(d_up / c))
     cert.Y = sq
-    T = conjugate_tuple(A, isq, sq)
+    T = A.conjugate(sq, isq)
     phi_T = CPMapTuple(symbols, T)
     for i in range(1, phi.k + 1):
         r = float(np.linalg.norm(phi_T.apply(i, np.eye(A.dim)) - np.eye(A.dim), 2))
@@ -482,11 +489,10 @@ def sznagy_solve(
 
 @dataclass
 class VarietyFeasibility:
-    verdict: str  # "found" | "inconclusive"
+    verdict: str  # "found" | "infeasible" | "inconclusive"
     R: Optional[np.ndarray]
     T: Optional[OperatorTuple]
-    iterations: int
-    min_defect_eig: float
+    min_defect_eig: float  # over p != 0; NaN without R
     membership_report: Optional[ConeReport]
     variety_residuals: List[float]
     notes: List[str]
@@ -497,86 +503,68 @@ def similarity_to_variety(
     m: Sequence[int],
     A: OperatorTuple,
     Q_polys: Sequence[NCPolynomial] = (),
-    budget: int = 2000,
-    margin: float = 1e-6,
     tol: float = 1e-8,
 ) -> VarietyFeasibility:
-    """Searches for invertible positive R with every defect Delta^p(R) PSD.
+    """Joint similarity of A to a tuple T = R^{-1/2} A R^{1/2} in the variety domain.
 
-    Feasibility is convex; the solver is alternating projection on a product
-    space (the graph of the defect maps against the PSD cones), which can
-    stall, so failure is reported as inconclusive rather than infeasible.
-    On success T = R^{-1/2} A R^{1/2} lies in the variety domain.
+    Such a T exists exactly when the cone of (Phi, m) holds an invertible
+    positive R. After checking that every constraint annihilates A (to tol),
+    the paper's theorems decide:
+    - a factor i whose radius enclosure (radius_power_sequence) lies above
+      one: infeasible, since R >= cI and Delta^{e_i}(R) >= 0 (e_i <= m) give
+      Phi_i^s(I) <= R / c for all s, so rho <= 1;
+    - every factor settled: R = Delta^{-m}(I), the certified weighted series
+      of I (Rota), whose defects are all >= I; a refused series is
+      inconclusive;
+    - otherwise R is the ergodic fixed point of I (Sz.-Nagy) when it exists
+      and is positive definite; else inconclusive.
+    "found" is returned only when membership confirms R a posteriori.
     """
     symbols = tuple(symbols)
     m = tuple(m)
     phi = CPMapTuple(symbols, A)
+    if len(m) != phi.k or any(mi < 1 for mi in m):
+        raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
     for idx, q in enumerate(Q_polys):
         r = float(np.linalg.norm(A.evaluate_poly(q), 2))
-        if r > 1e-8:
+        if r > tol:
             raise ValueError(f"constraint polynomial {idx} does not annihilate A ({r:.3e})")
-    d = A.dim
-    d2 = d * d
-    if d2 > phi.tol.max_vec_dim:
-        raise ResourceCapError(f"need {d2}x{d2} matricized defects; cap {phi.tol.max_vec_dim}")
-    Ls = [_dense_defect(phi, p) for p in multi_grid(m) if any(p)]
-    normal = np.eye(d2, dtype=np.complex128) + sum(L.conj().T @ L for L in Ls)
-    cho = scipy.linalg.cho_factor(hermitize(normal))
 
-    def clip_psd(X: np.ndarray, floor: float) -> np.ndarray:
-        lam, U = np.linalg.eigh(hermitize(X))
-        lam = np.clip(lam, floor, None)
-        return U @ np.diag(lam) @ U.conj().T
+    def undecided(verdict: str, why: str) -> VarietyFeasibility:
+        return VarietyFeasibility(verdict, None, None, float("nan"), None, [], [why])
 
-    R = np.eye(d, dtype=np.complex128)
-    Zs = [clip_psd(unvec(L @ vec(R), d), 0.0) for L in Ls]
-    notes: List[str] = []
-    it = 0
-    found = False
-    min_def = float("-inf")
-    for it in range(1, budget + 1):
-        rhs = vec(R) + sum(L.conj().T @ vec(Z) for L, Z in zip(Ls, Zs))
-        v = scipy.linalg.cho_solve(cho, rhs)
-        Raff = hermitize(unvec(v, d))
-        nrm = float(np.linalg.norm(Raff, 2))
-        if nrm <= 1e-300:
-            notes.append("iterate collapsed to zero")
-            break
-        Raff = Raff / nrm
-        defect_vals = [unvec(L @ vec(Raff), d) for L in Ls]
-        min_def = min(min_eig(Z) for Z in defect_vals)
-        if min_eig(Raff) >= margin / 2 and min_def >= -tol:
-            R = Raff
-            found = True
-            break
-        R = clip_psd(Raff, margin)
-        Zs = [clip_psd(Z, 0.0) for Z in defect_vals]
-    if not found:
-        return VarietyFeasibility(
-            verdict="inconclusive",
-            R=None,
-            T=None,
-            iterations=it,
-            min_defect_eig=min_def,
-            membership_report=None,
-            variety_residuals=[],
-            notes=notes + [
-                "alternating projections exhausted the budget; the convex "
-                "feasibility problem was not resolved either way"
-            ],
-        )
+    for i in range(1, phi.k + 1):
+        lower = phi.radius_power_sequence(i)[0]
+        if lower > 1.0:
+            return undecided("infeasible", f"factor {i} has radius at least {lower:.6f} > 1")
+    if all(phi._settled(i) for i in range(1, phi.k + 1)):
+        try:
+            _, R, _, _, _, T = _identity_series_conjugation(phi, m)
+        except DivergenceError as e:
+            return undecided("inconclusive", str(e))
+    else:
+        R, _, why = _ergodic_fixed_point(phi)
+        if R is None:
+            return undecided("inconclusive", f"no ergodic projection of I: {why}")
+        low = float(np.linalg.eigvalsh(R)[0])
+        if low <= phi.tol.tol_pd:
+            return undecided("inconclusive", f"the ergodic projection of I is not "
+                             f"positive definite (min eigenvalue {low:.3e})")
+        sq, isq, _ = _psd_sqrt_pair(R, "the fixed point R")
+        T = A.conjugate(sq, isq)
     rep = membership(phi, m, R, with_purity=False)
-    sq, isq, _ = _psd_sqrt_pair(R + 0.0 * np.eye(d), "the witness R")
-    T = conjugate_tuple(A, isq, sq)
+    min_def = min(v for p, v in rep.min_eigs.items() if any(p))
+    if not rep.member:
+        return VarietyFeasibility("inconclusive", None, None, min_def, rep, [], [
+            f"the constructed R is not a cone member (defect eigenvalue {min_def:.3e})"])
     return VarietyFeasibility(
         verdict="found",
         R=R,
         T=T,
-        iterations=it,
         min_defect_eig=min_def,
         membership_report=rep,
         variety_residuals=[float(np.linalg.norm(T.evaluate_poly(q), 2)) for q in Q_polys],
-        notes=notes,
+        notes=[],
     )
 
 
@@ -602,10 +590,11 @@ def cpmap_similarity(
       lambda_i = Q^{-1/2} phi_i(Q^{1/2} . Q^{1/2}) Q^{-1/2} has I strictly
       inside the target cone.
     pure_cone: builds the polyball Berezin kernel over the Kraus operators
-      for R (default Delta^m(I)) and conjugates by the Gram square root,
-      yielding a pure tuple with I in its cone; the certified series of R
-      raises DivergenceError before any model is built when a tuple radius
-      is above 1 - radius_margin.
+      for R (default I, the Rota choice) and conjugates by the Gram square
+      root, yielding a pure tuple with I in its cone. An R that is not PSD
+      raises ValueError and a tuple radius above 1 - radius_margin raises
+      DivergenceError, both before any series term is summed or any model is
+      built; the kernel sums the certified series of R once.
     unital: the sznagy_solve fixed point Q with phi_i(Q) = Q, the ergodic
       projection of I, and lambda_i(I) = I.
     """
@@ -617,9 +606,7 @@ def cpmap_similarity(
         if bad:
             raise ValueError(f"strict mode needs tuple radius <= "
                              f"{1.0 - phi.tol.radius_margin}; factors {bad} fail")
-        series = phi.weighted_series(m, eye)
-        Q = hermitize(series.value)
-        sq, isq, condQhalf = _psd_sqrt_pair(Q, "the series value Q")
+        series, Q, sq, isq, condQhalf, _ = _identity_series_conjugation(phi, m)
         cert = SimilarityCertificate(
             kind="cpmap_similarity",
             status="PENDING",
@@ -650,20 +637,20 @@ def cpmap_similarity(
         return cert.finalize()
 
     if mode == "pure_cone":
+        R = eye if R is None else require_psd(R, d, phi.tol)[0]
+        phi._refuse_unsettled(range(1, phi.k + 1))
         base = membership(phi, m, eye, with_purity=True)
         pure = base.purity.pure
-        if R is None:
-            R = phi.defect(m, eye)
-        R = hermitize(np.asarray(R, dtype=np.complex128))
-        series = phi.weighted_series(m, R)
-        lam = np.linalg.eigvalsh(hermitize(series.value))
+        fock, model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)
+        K = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap, prebuilt=(fock, model))
+        if K.series is None:
+            raise DivergenceError("the certified weighted series of R was refused")
+        lam = np.linalg.eigvalsh(hermitize(K.series.value))
         a, b = float(lam[0]), float(lam[-1])
         if a <= phi.tol.tol_pd:
             raise ValueError(
                 f"pure_cone mode needs a two-sided bound; series lower bound {a:.3e}"
             )
-        fock, model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)
-        K = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap, prebuilt=(fock, model))
         G_basis, Ymat = np.linalg.qr(K.K)
         cert = SimilarityCertificate(
             kind="cpmap_similarity",

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import polydom.berezin
+import polydom.similarity
 from polydom.berezin import CompatibleTuple, constrained_kernel, intertwine_check_constrained
 from polydom.config import DivergenceError
 from polydom.cone import membership
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
-from polydom.generate import generate, strict_contractions
+from polydom.generate import FAMILIES, generate, strict_contractions
 from polydom.similarity import (
     cpmap_similarity,
     map_spectral_radius,
@@ -364,7 +366,7 @@ def test_variety_feasibility_conjugated_instance():
     rows = [[xi @ M @ xi_inv for M in row] for row in inst.ops.rows]
     ops = OperatorTuple(rows)
     polys = (commutator_polynomial(1, 1, 2),)
-    out = similarity_to_variety(inst.symbols, inst.m, ops, Q_polys=polys, budget=4000)
+    out = similarity_to_variety(inst.symbols, inst.m, ops, Q_polys=polys)
     assert out.verdict == "found"
     assert out.membership_report is not None and out.membership_report.member
     assert all(r <= 1e-6 for r in out.variety_residuals)
@@ -375,8 +377,41 @@ def test_variety_feasibility_radius_obstruction():
     G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     U, _ = np.linalg.qr(G)
     ops = OperatorTuple([[1.2 * U]])
-    out = similarity_to_variety((polyball_symbol(1),), (1,), ops, budget=60)
+    out = similarity_to_variety((polyball_symbol(1),), (1,), ops)
+    # Phi(I) = 1.44 I: no R >= cI can have Phi(R) <= R
+    assert out.verdict == "infeasible"
+    assert out.R is None and out.T is None
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_variety_feasibility_finds_the_series_of_identity_at_radius_099(seed):
+    inst = generate("commuting_polynomials", seed, dim=3, target_radius=0.99)
+    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    assert out.verdict == "found"
+    assert out.membership_report.member
+    # R = Delta^{-m}(I): every defect Delta^p(R), p <= m, is at least I
+    assert min(out.membership_report.min_eigs.values()) >= 1.0 - 1e-8
+    assert out.min_defect_eig >= 1.0 - 1e-8
+
+
+def test_variety_feasibility_finds_the_fixed_point_on_conjugated_unitaries():
+    inst = generate("conjugated_unitaries", 0, dim=4)
+    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    assert out.verdict == "found"
+    assert out.membership_report.member
+    assert np.linalg.eigvalsh(out.R)[0] > 0.0
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    for i in range(1, phi.k + 1):
+        assert np.linalg.norm(phi.apply(i, out.R) - out.R, 2) <= 1e-10
+
+
+def test_variety_feasibility_undecided_above_radius_one():
+    # the Collatz-Wielandt lower bound with Y = I stays below one here
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=1.02)
+    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
     assert out.verdict == "inconclusive"
+    assert out.R is None
+    assert out.notes and "ergodic projection" in out.notes[0]
 
 
 def test_variety_feasibility_rejects_nonannihilating_constraint():
@@ -390,6 +425,74 @@ def test_variety_feasibility_rejects_nonannihilating_constraint():
     bad = commutator_polynomial(1, 1, 2)
     with pytest.raises(ValueError):
         similarity_to_variety(symbols, (1, 1), ops, Q_polys=(bad,))
+
+
+@pytest.mark.parametrize("m", [(0,), (1, 1)])
+def test_variety_feasibility_rejects_a_bad_multi_degree(m):
+    symbols, _, ops = scalar_tuple(1.2)
+    with pytest.raises(ValueError, match="m must have"):
+        similarity_to_variety(symbols, m, ops)
+
+
+def implication_spec(name, seed):
+    if name != "scaled_unitary":
+        inst = generate(name, seed, dim=3)
+        return inst.symbols, inst.m, inst.ops
+    rng = np.random.default_rng(40)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return (polyball_symbol(1),), (1,), OperatorTuple([[1.2 * U]])
+
+
+def certificate_status(call):
+    try:
+        out = call()
+    except (ValueError, ArithmeticError, DivergenceError) as e:
+        return type(e).__name__
+    return (out[0] if isinstance(out, tuple) else out).status
+
+
+@pytest.mark.parametrize(
+    "name,seed", [(f, s) for f in FAMILIES for s in (0, 1)] + [("scaled_unitary", 0)])
+def test_similarity_verdicts_follow_the_theorems(name, seed):
+    # settled => a variety similarity, a Rota conjugation and a pure-cone model;
+    # a radius certified above one => no similarity at all; a Sz.-Nagy fixed
+    # point => a variety similarity
+    symbols, m, ops = implication_spec(name, seed)
+    phi = CPMapTuple(symbols, ops)
+    kraus = CPMapTuple.from_kraus([list(row) for row in ops.rows])
+    verdict = similarity_to_variety(symbols, m, ops).verdict
+    sznagy = certificate_status(lambda: sznagy_solve(symbols, ops))
+    if all(phi._settled(i) for i in range(1, phi.k + 1)):
+        assert verdict == "found"
+        assert certificate_status(lambda: rota_conjugate(symbols, m, ops)) == "PASS"
+        assert certificate_status(
+            lambda: cpmap_similarity(kraus, m, "pure_cone", degree_cap=4)) == "PASS"
+    if any(phi.radius_power_sequence(i)[0] > 1.0 for i in range(1, phi.k + 1)):
+        assert verdict == "infeasible"
+        assert certificate_status(lambda: rota_conjugate(symbols, m, ops)) != "PASS"
+        assert sznagy != "PASS"
+        for mode in ("strict", "pure_cone", "unital"):
+            assert certificate_status(
+                lambda: cpmap_similarity(kraus, m, mode, degree_cap=4)) != "PASS"
+    if sznagy == "PASS":
+        assert verdict == "found"
+
+
+def test_model_embed_and_pure_cone_sum_the_series_once(monkeypatch):
+    calls = []
+    original = CPMapTuple.weighted_series
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CPMapTuple, "weighted_series", counted)
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.8)
+    assert model_embed(inst.symbols, inst.m, inst.ops, np.eye(3), degree_cap=3).status == "PASS"
+    assert len(calls) == 1
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    assert cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=3).status == "PASS"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +542,48 @@ def test_cpmap_pure_cone_nilpotent():
             assert r <= 1e-7 * max(1.0, cert.witnesses["b"]) + 1e-8
 
 
+def test_cpmap_pure_cone_default_R_is_identity():
+    # Delta^m(I) is indefinite here, so the old default R failed the PSD check
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.8)
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    assert np.linalg.eigvalsh(phi.defect(inst.m, np.eye(3)))[0] < 0.0
+    cert = cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=4)
+    assert cert.status == "PASS"
+    assert cert.witnesses["target_member"] == 1.0
+
+
+def test_cpmap_pure_cone_rejects_indefinite_R_before_the_series(monkeypatch):
+    symbols, m, ops = zero_tuple()
+    phi = CPMapTuple(symbols, ops)
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series of an indefinite R was summed")
+
+    monkeypatch.setattr(CPMapTuple, "weighted_series", no_series)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        cpmap_similarity(phi, m, "pure_cone", R=np.diag([1.0, -1.0, 1.0]))
+
+
 def test_cpmap_pure_cone_refuses_unsettled_tuple():
     # conjugated unitaries have tuple radius one: the series of R is refused
     inst = generate("conjugated_unitaries", 1, dim=4)
     phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
     with pytest.raises(DivergenceError):
         cpmap_similarity(phi, (1,) * phi.k, "pure_cone")
+
+
+def test_unsettled_tuple_is_refused_before_the_model_is_built(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built for an unsettled tuple")
+
+    monkeypatch.setattr(polydom.similarity, "build_model", no_model)
+    monkeypatch.setattr(polydom.berezin, "build_model", no_model)
+    inst = generate("conjugated_unitaries", 1, dim=4)
+    with pytest.raises(DivergenceError):
+        model_embed(inst.symbols, inst.m, inst.ops, np.eye(4), degree_cap=3)
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    with pytest.raises(DivergenceError):
+        cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=3)
 
 
 def test_cpmap_pure_cone_rejects_degenerate_R():
