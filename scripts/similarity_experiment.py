@@ -3,14 +3,15 @@
 Conjugated commuting unitaries xi U_i xi^{-1} admit a positive fixed point Q
 of every factor map; conjugating by Q^{1/2} returns a jointly unitary tuple.
 The experiment grows the conditioning of xi and tracks how the certificate
-degrades: the sampled two-sided envelope [c, d] widens, while the recovered
-isometry residual stays at working precision until the null spaces that
-determine the fixed point lose accuracy to the conditioning of xi. Strict
-contractions are included as the
-negative control: their sampled lower bound collapses and the solver
-reports that no similarity exists. The "variety" column counts the tuples
-for which similarity_to_variety also finds a similarity onto the variety
-domain (through the same fixed point, the case where no radius is settled).
+degrades: the exact two-sided bounds c = 1/cond Q and d = cond Q on every
+composed iterate of I widen, while the recovered isometry residual stays at
+working precision until the null spaces that determine the fixed point lose
+accuracy to the conditioning of xi. Strict contractions are included as the
+negative control: their identity orbits decay, so no positive fixed point
+exists and the solver reports no similarity. The "variety" column counts
+the tuples for which similarity_to_variety also finds a similarity onto the
+variety domain (through the same fixed point, the case where no radius is
+settled).
 
 Usage:
     python scripts/similarity_experiment.py --seeds 25 --dim 4
@@ -45,8 +46,8 @@ def isometry_residual(T: OperatorTuple) -> float:
 
 
 def run(cfg: ExperimentConfig) -> None:
-    print(f"{'cond cap':>9s} {'pass':>5s} {'variety':>7s} {'c med':>9s} {'d med':>9s} "
-          f"{'fixed pt':>9s} {'isometry':>9s}")
+    print(f"{'cond cap':>9s} {'pass':>5s} {'variety':>7s} {'c = 1/cond Q':>12s} "
+          f"{'d = cond Q':>12s} {'fixed pt':>9s} {'isometry':>9s}")
     for cap in cfg.cond_caps:
         cs, ds, fps, isos, passed, found = [], [], [], [], 0, 0
         for s in range(cfg.seeds):
@@ -55,8 +56,10 @@ def run(cfg: ExperimentConfig) -> None:
             )
             cert, T = sznagy_solve(inst.symbols, inst.ops)
             found += similarity_to_variety(inst.symbols, inst.m, inst.ops).verdict == "found"
-            cs.append(cert.witnesses["c"])
-            ds.append(cert.witnesses["d"])
+            if cert.Q is not None:
+                # c and d are read off Q, so only a certificate with Q has them
+                cs.append(cert.witnesses["c"])
+                ds.append(cert.witnesses["d"])
             if cert.status == "PASS" and T is not None:
                 passed += 1
                 fps.append(max(
@@ -64,8 +67,8 @@ def run(cfg: ExperimentConfig) -> None:
                     for i in range(1, inst.ops.k + 1)
                 ))
                 isos.append(isometry_residual(T))
-        print(f"{cap:9.1f} {passed:5d} {found:7d} {np.median(cs):9.3e} "
-              f"{np.median(ds):9.3e} {max(fps):9.3e} {max(isos):9.3e}")
+        print(f"{cap:9.1f} {passed:5d} {found:7d} {np.median(cs):12.3e} "
+              f"{np.median(ds):12.3e} {max(fps):9.3e} {max(isos):9.3e}")
 
     # negative control: strict contractions admit no unitary similarity
     refused = 0

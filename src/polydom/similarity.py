@@ -2,13 +2,14 @@
 
 Three families: model embedding through a constrained Berezin kernel,
 strict-contraction conjugation through the weighted series of the identity,
-and, for two-sided power-bounded tuples, conjugation by the common fixed
-point of the maps that is the ergodic projection of the identity. Similarity
-onto the variety domain is decided by the same two constructions, after a
-radius enclosure above one has ruled it out. A fourth front end treats
-commuting tuples of completely positive maps given by raw Kraus families.
-Every certificate re-verifies its residuals before it is returned; failing
-certificates are returned marked FAILED, not dropped.
+and conjugation by the common fixed point of the maps that is the ergodic
+projection of the identity, refused when an identity orbit or that projection
+rules out every positive definite fixed point. Similarity onto the variety
+domain is decided by the same two constructions, after a radius enclosure
+above one has ruled it out. A fourth front end treats commuting tuples of
+completely positive maps given by raw Kraus families. Every certificate
+re-verifies its residuals before it is returned; failing certificates are
+returned marked FAILED, not dropped.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import scipy.sparse as sp
 from .config import DivergenceError
 from .cone import ConeReport, membership, min_eig
 from .cpmap import (
+    _DECAY_WINDOW,
     CPMapTuple,
     OperatorTuple,
     SeriesResult,
@@ -306,35 +308,6 @@ def solve_defect_equation(
 
 # --- Sz.-Nagy fixed point -----------------------------------------------------
 
-# iterates per factor on the two-sided sample grid
-_SAMPLE_LEN = 16
-
-
-def _sample_two_sided(phi: CPMapTuple) -> Tuple[float, float]:
-    """(c, d) = extreme eigenvalues of composed iterates over a sample grid."""
-    L = _SAMPLE_LEN
-    while (L + 1) ** phi.k > 20000 and L > 2:
-        L -= 1
-    c = float("inf")
-    d = float("-inf")
-
-    def rec(i: int, X: np.ndarray) -> None:
-        nonlocal c, d
-        if i > phi.k:
-            lam = np.linalg.eigvalsh(hermitize(X))
-            c = min(c, float(lam[0]))
-            d = max(d, float(lam[-1]))
-            return
-        Y = X
-        for s in range(L + 1):
-            rec(i + 1, Y)
-            if s < L:
-                Y = phi.apply(i, Y)
-
-    rec(1, np.eye(phi.dim, dtype=np.complex128))
-    return c, d
-
-
 def _null_basis(S: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space of the tall matrix S.
 
@@ -385,31 +358,6 @@ def _ergodic_fixed_point(
     return Q / np.linalg.norm(Q, 2), N.shape[1], ""
 
 
-def _algebra_distance(A: OperatorTuple, Q: np.ndarray, max_len: int = 4) -> float:
-    """Distance of Q to the span of words in the A_{i,j} and their adjoints."""
-    d = A.dim
-    gens: List[np.ndarray] = [np.eye(d, dtype=np.complex128)]
-    for row in A.rows:
-        for M in row:
-            gens.append(np.asarray(M))
-            gens.append(np.asarray(M).conj().T)
-    basis = [np.eye(d, dtype=np.complex128)]
-    frontier = [np.eye(d, dtype=np.complex128)]
-    for _ in range(max_len):
-        new = []
-        for F in frontier:
-            for G in gens[1:]:
-                new.append(F @ G)
-        basis.extend(new)
-        frontier = new
-        if len(basis) > 4 * d * d:
-            break
-    cols = np.stack([vec(B) for B in basis], axis=1)
-    qv = vec(Q)
-    sol, *_ = np.linalg.lstsq(cols, qv, rcond=None)
-    return float(np.linalg.norm(cols @ sol - qv) / max(np.linalg.norm(qv), 1e-300))
-
-
 def sznagy_solve(
     symbols: Sequence[PositiveSymbol],
     A: OperatorTuple,
@@ -417,32 +365,51 @@ def sznagy_solve(
 ) -> Tuple[SimilarityCertificate, Optional[OperatorTuple]]:
     """Fixed point Q with Phi_i(Q) = Q, then T = Q^{-1/2} A Q^{1/2}.
 
-    The two-sided bound c I <= composed iterates of I <= d I is sampled on a
-    grid first; c must be positive for a similarity to exist. Q is the
-    ergodic projection of I onto the common fixed space of the matricized
-    maps, the limit of its Cesaro means, solved for directly. Every check on
-    Q and T is a posteriori.
+    A is similar to a tuple with unital maps exactly when the maps have a
+    common positive definite fixed point P (Sz.-Nagy). With l = lambda_min(P)
+    and q = ||P||, such a P gives (l/q) I <= Phi^beta(I) <= (q/l) I for every
+    composed iterate. Each verdict rests on that:
+    - FAILED when the identity orbit of a factor, read to _DECAY_WINDOW
+      steps, certifies decay or a radius enclosure above one: P rules out
+      both;
+    - FAILED when the maps have no common fixed point;
+    - INCONCLUSIVE when I has no ergodic projection onto the common fixed
+      space (eigenvalue 1 is not semisimple, as on a Jordan block);
+    - FAILED when that projection Q is not positive definite: it would
+      satisfy Q >= P / ||P|| > 0;
+    - otherwise c = lambda_min(Q) / ||Q|| and d = 1/c are the exact
+      two-sided bounds, and the fixed-point and unital residuals of Q and
+      T are checked a posteriori.
     """
     symbols = tuple(symbols)
     phi = CPMapTuple(symbols, A)
-    c, d_up = _sample_two_sided(phi)
     cert = SimilarityCertificate(
         kind="isometric_conjugation",
         status="PENDING",
         residuals={},
         tolerances={},
-        witnesses={"c": c, "d": d_up},
+        witnesses={},
     )
-    if not (c > tol):
-        cert.residuals["two_sided_lower_bound"] = max(0.0, tol - c)
-        cert.tolerances["two_sided_lower_bound"] = 0.0
-        cert.notes.append(
-            f"sampled lower bound c = {c:.3e} is not positive; no similarity"
-        )
+
+    def refuted(why: str) -> Tuple[SimilarityCertificate, None]:
+        cert.residuals["positive_fixed_point"] = 1.0
+        cert.tolerances["positive_fixed_point"] = 0.0
+        cert.notes.append(f"{why}; no similarity")
         return cert.finalize(), None
+
+    for i in range(1, phi.k + 1):
+        orbit = phi._orbit(i)
+        orbit.norm(_DECAY_WINDOW)
+        if orbit.decays():
+            return refuted(f"the identity orbit of factor {i} decays")
+        lower = phi.radius_power_sequence(i)[0]
+        if lower > 1.0:
+            return refuted(f"factor {i} has radius at least {lower:.6f} > 1")
 
     Q, fixed_dim, why = _ergodic_fixed_point(phi)
     cert.witnesses["fixed_space_dim"] = float(fixed_dim)
+    if fixed_dim == 0:
+        return refuted("the maps have no common fixed point")
     if Q is None:
         cert.status = "INCONCLUSIVE"
         cert.notes.append(f"no ergodic projection of I: {why}")
@@ -453,25 +420,19 @@ def sznagy_solve(
     lamQ = np.linalg.eigvalsh(Q)
     cert.witnesses["Q_min_eig"] = float(lamQ[0])
     cert.witnesses["Q_max_eig"] = float(lamQ[-1])
+    if lamQ[0] <= phi.tol.tol_pd:
+        return refuted(f"the ergodic projection of I is not positive definite "
+                       f"(min eigenvalue {lamQ[0]:.3e})")
     for i in range(1, phi.k + 1):
         r = float(np.linalg.norm(phi.apply(i, Q) - Q, 2))
         cert.residuals[f"fixed_point_{i}"] = r
         cert.tolerances[f"fixed_point_{i}"] = tol
-    # consistency envelope, in scale-free form: eigenvalue spread of Q must
-    # not exceed the sampled spread d/c by more than the factor 100
-    ratio_ok = lamQ[0] > 0 and (lamQ[0] / lamQ[-1]) >= (c / d_up) / 100.0
-    cert.residuals["envelope"] = 0.0 if ratio_ok else 1.0
-    cert.tolerances["envelope"] = 0.0
-    if not ratio_ok:
-        cert.notes.append(
-            f"eigenvalue spread of Q ({lamQ[0]:.3e}..{lamQ[-1]:.3e}) is not "
-            f"consistent with the sampled bounds c={c:.3e}, d={d_up:.3e}"
-        )
-        return cert.finalize(), None
+    c = float(lamQ[0] / lamQ[-1])
+    cert.witnesses["c"] = c
+    cert.witnesses["d"] = 1.0 / c
 
     sq, isq, condQhalf = _psd_sqrt_pair(Q, "the fixed point Q")
     cert.cond = condQhalf
-    cert.claimed_bound = float(10.0 * np.sqrt(d_up / c))
     cert.Y = sq
     T = A.conjugate(sq, isq)
     phi_T = CPMapTuple(symbols, T)
@@ -479,8 +440,6 @@ def sznagy_solve(
         r = float(np.linalg.norm(phi_T.apply(i, np.eye(A.dim)) - np.eye(A.dim), 2))
         cert.residuals[f"unital_{i}"] = r
         cert.tolerances[f"unital_{i}"] = tol * condQhalf ** 2
-
-    cert.witnesses["algebra_distance"] = _algebra_distance(A, Q)
     return cert.finalize(), T
 
 
@@ -595,8 +554,10 @@ def cpmap_similarity(
       raises ValueError and a tuple radius above 1 - radius_margin raises
       DivergenceError, both before any series term is summed or any model is
       built; the kernel sums the certified series of R once.
-    unital: the sznagy_solve fixed point Q with phi_i(Q) = Q, the ergodic
-      projection of I, and lambda_i(I) = I.
+    unital: the sznagy_solve certificate: the fixed point Q with
+      phi_i(Q) = Q, the ergodic projection of I, with lambda_i(I) = I and the
+      exact two-sided bounds c = lambda_min(Q) / ||Q||, d = 1/c; FAILED when
+      an identity orbit or Q rules out every positive definite fixed point.
     """
     m = tuple(m)
     d = phi.dim

@@ -321,7 +321,7 @@ def test_sznagy_q_is_the_closed_form_ergodic_projection(seed):
 
 def test_sznagy_plateau_seed_gives_positive_q():
     # iterated Cesaro means stall at the rounding floor on this seed and can
-    # leave an indefinite Q (min eigenvalue -0.032 against a sampled c = 0.42)
+    # leave an indefinite Q (min eigenvalue -0.032)
     inst = generate("conjugated_unitaries", 3200033, dim=3)
     cert, T = sznagy_solve(inst.symbols, inst.ops)
     assert cert.status == "PASS"
@@ -332,18 +332,72 @@ def test_sznagy_plateau_seed_gives_positive_q():
 def test_sznagy_jordan_block_is_not_semisimple():
     J = np.array([[1.0, 1.0], [0.0, 1.0]])
     cert, T = sznagy_solve([polyball_symbol(1)], OperatorTuple([[J]]))
-    assert cert.status != "PASS"
+    assert cert.status == "INCONCLUSIVE"
     assert T is None
     assert any("not semisimple" in n for n in cert.notes)
 
 
-def test_sznagy_no_similarity_for_strict_contractions():
+def assert_refuted(cert, T, reason):
+    assert cert.status == "FAILED" and T is None
+    assert cert.residuals == {"positive_fixed_point": 1.0}
+    assert cert.tolerances == {"positive_fixed_point": 0.0}
+    assert len(cert.notes) == 1
+    assert reason in cert.notes[0] and "no similarity" in cert.notes[0]
+
+
+def test_sznagy_no_similarity_for_strict_contractions(monkeypatch):
+    # the decaying identity orbits refute it before any null space is formed
+    calls = []
+    real = polydom.similarity._ergodic_fixed_point
+    monkeypatch.setattr(polydom.similarity, "_ergodic_fixed_point",
+                        lambda phi: calls.append(phi) or real(phi))
     C = strict_contractions(9, k=2, dim=4, norm_cap=0.6)
     ops = OperatorTuple([[C[0]], [C[1]]])
     cert, T = sznagy_solve([polyball_symbol(1), polyball_symbol(1)], ops)
-    assert cert.status == "FAILED"
-    assert T is None
-    assert any("no similarity" in n for n in cert.notes)
+    assert_refuted(cert, T, "decays")
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_sznagy_refutes_a_decaying_orbit(seed):
+    inst = generate("polyball_random", seed, dim=3)
+    assert_refuted(*sznagy_solve(inst.symbols, inst.ops), "decays")
+
+
+def test_sznagy_refutes_a_singular_ergodic_projection():
+    # Phi^s(I) = diag(1, 0.25^s): the fixed space is spanned by E_11
+    ops = OperatorTuple([[np.diag([1.0, 0.5])]])
+    cert, T = sznagy_solve([polyball_symbol(1)], ops)
+    assert_refuted(cert, T, "not positive definite")
+    assert cert.witnesses["fixed_space_dim"] == 1.0
+
+
+def test_sznagy_refutes_maps_without_a_common_fixed_point():
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=1.2)
+    cert, T = sznagy_solve(inst.symbols, inst.ops)
+    assert_refuted(cert, T, "no common fixed point")
+    assert cert.witnesses["fixed_space_dim"] == 0.0
+
+
+@pytest.mark.parametrize("seed,d", [(s, d) for s in range(6) for d in (3, 4, 5)])
+def test_sznagy_bounds_hold_on_every_composed_iterate(seed, d):
+    # the oracle is a sample grid: Phi_1^{s1} Phi_2^{s2}(I) for s1, s2 <= 16
+    # must lie between c I and d I, the bounds read off Q
+    inst = generate("conjugated_unitaries", seed, dim=d)
+    cert, _ = sznagy_solve(inst.symbols, inst.ops)
+    assert cert.status == "PASS"
+    c, d_up = cert.witnesses["c"], cert.witnesses["d"]
+    assert c == cert.witnesses["Q_min_eig"] / cert.witnesses["Q_max_eig"]
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    assert phi.k == 2
+    X1 = np.eye(d, dtype=np.complex128)
+    for s1 in range(17):
+        X = X1
+        for s2 in range(17):
+            lam = np.linalg.eigvalsh(hermitize(X))
+            assert c * (1 - 1e-8) <= lam[0] and lam[-1] <= d_up * (1 + 1e-8), (s1, s2)
+            X = phi.apply(2, X)
+        X1 = phi.apply(1, X1)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +508,9 @@ def certificate_status(call):
 @pytest.mark.parametrize(
     "name,seed", [(f, s) for f in FAMILIES for s in (0, 1)] + [("scaled_unitary", 0)])
 def test_similarity_verdicts_follow_the_theorems(name, seed):
-    # settled => a variety similarity, a Rota conjugation and a pure-cone model;
-    # a radius certified above one => no similarity at all; a Sz.-Nagy fixed
-    # point => a variety similarity
+    # settled => a variety similarity, a Rota conjugation, a pure-cone model
+    # and a refuted Sz.-Nagy fixed point; a radius certified above one => no
+    # similarity at all; a Sz.-Nagy fixed point => a variety similarity
     symbols, m, ops = implication_spec(name, seed)
     phi = CPMapTuple(symbols, ops)
     kraus = CPMapTuple.from_kraus([list(row) for row in ops.rows])
@@ -464,13 +518,14 @@ def test_similarity_verdicts_follow_the_theorems(name, seed):
     sznagy = certificate_status(lambda: sznagy_solve(symbols, ops))
     if all(phi._settled(i) for i in range(1, phi.k + 1)):
         assert verdict == "found"
+        assert sznagy == "FAILED"
         assert certificate_status(lambda: rota_conjugate(symbols, m, ops)) == "PASS"
         assert certificate_status(
             lambda: cpmap_similarity(kraus, m, "pure_cone", degree_cap=4)) == "PASS"
     if any(phi.radius_power_sequence(i)[0] > 1.0 for i in range(1, phi.k + 1)):
         assert verdict == "infeasible"
         assert certificate_status(lambda: rota_conjugate(symbols, m, ops)) != "PASS"
-        assert sznagy != "PASS"
+        assert sznagy == "FAILED"
         for mode in ("strict", "pure_cone", "unital"):
             assert certificate_status(
                 lambda: cpmap_similarity(kraus, m, mode, degree_cap=4)) != "PASS"
