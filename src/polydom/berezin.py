@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DivergenceError, Tolerances
-from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, hermitize
+from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, _as_complex, hermitize
 from .fock import (
     CompressedModel,
     ModelOperators,
@@ -58,7 +58,7 @@ class CompatibleTuple:
     def __post_init__(self):
         self.symbols = tuple(self.symbols)
         self.m = tuple(int(x) for x in self.m)
-        self.R = hermitize(np.asarray(self.R, dtype=np.complex128))
+        self.R = hermitize(_as_complex(self.R, "R"))
         self.polys = tuple(self.polys)
 
     def phi(self) -> CPMapTuple:
@@ -151,8 +151,9 @@ def _kernel_tail_bound(
 
 
 def require_psd(R: np.ndarray, d: int, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hermitized R, its eigenvalues, its eigenvectors); ValueError unless R is d x d and PSD."""
-    R = hermitize(np.asarray(R, dtype=np.complex128))
+    """(hermitized R, its eigenvalues, its eigenvectors); ValueError unless R is
+    a finite d x d PSD matrix."""
+    R = hermitize(_as_complex(R, "R"))
     if R.shape != (d, d):
         raise ValueError(f"R has shape {R.shape}, operators have dimension {d}")
     lam, V = np.linalg.eigh(R)

@@ -19,6 +19,7 @@ from .cpmap import (
     MultiDegree,
     OperatorTuple,
     SeriesResult,
+    _as_complex,
     hermitize,
 )
 from .words import NCPolynomial, PositiveSymbol, scale_symbol_action
@@ -87,7 +88,7 @@ def is_pure_element(phi: CPMapTuple, X: np.ndarray) -> PurityReport:
     X = 0, None when not pure), and fitted_rate is the Gelfand bound
     min_{t<=64} eta_t^{1/t} >= rho(Phi_i).
     """
-    X = np.asarray(X, dtype=np.complex128)
+    X = _as_complex(X, "X")
     if X.shape != (phi.dim, phi.dim):
         raise ValueError(f"X has shape {X.shape}, expected {(phi.dim, phi.dim)}")
     xnorm = float(np.linalg.norm(hermitize(X), 2))
@@ -111,7 +112,7 @@ def membership(
     with_purity: bool = True,
 ) -> ConeReport:
     """Cone verdict from the minimum eigenvalue of every defect Delta^p(X), p <= m."""
-    X = np.asarray(X, dtype=np.complex128)
+    X = _as_complex(X, "X")
     if not np.allclose(X, X.conj().T, rtol=0, atol=1e-10 * (1 + np.linalg.norm(X))):
         raise ValueError("membership requires a Hermitian matrix")
     X = hermitize(X)

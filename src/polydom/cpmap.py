@@ -103,12 +103,13 @@ def _hermitian_form(M: np.ndarray, d: int) -> np.ndarray:
     return np.vstack([MU[diag], s * (MU[up] + MU[lo]), -1j * s * (MU[up] - MU[lo])]).real
 
 
-def _as_complex(M) -> np.ndarray:
+def _as_complex(M, what: str = "matrix") -> np.ndarray:
+    """M as a complex array; ValueError unless it is square with finite entries."""
     A = np.array(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.view(np.float64))):
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     return A
 
 

@@ -1,15 +1,17 @@
 """Similarity solvers with numeric certificates.
 
-Three families: model embedding through a constrained Berezin kernel,
-strict-contraction conjugation through the weighted series of the identity,
-and conjugation by the common fixed point of the maps that is the ergodic
-projection of the identity, refused when an identity orbit or that projection
-rules out every positive definite fixed point. Similarity onto the variety
-domain is decided by the same two constructions, after a radius enclosure
-above one has ruled it out. A fourth front end treats commuting tuples of
-completely positive maps given by raw Kraus families. Every certificate
-re-verifies its residuals before it is returned; failing certificates are
-returned marked FAILED, not dropped.
+Three certificates, one per theorem: model embedding through a Berezin
+kernel, constrained to the variety when constraints are given;
+strict-contraction conjugation through the weighted series of the identity
+(Rota); and conjugation by the common fixed point of the maps that is the
+ergodic projection of the identity (Sz.-Nagy), refused when an identity orbit
+or that projection rules out every positive definite fixed point. Similarity
+onto the variety domain is decided by the last two constructions, after a
+radius enclosure above one has ruled it out. cpmap_similarity is a front end
+for commuting tuples of completely positive maps given by raw Kraus
+families: each of its modes returns one of the three certificates. Every
+certificate re-verifies its residuals before it is returned; failing
+certificates are returned marked FAILED, not dropped.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import DivergenceError
-from .cone import ConeReport, membership, min_eig
+from .cone import ConeReport, membership
 from .cpmap import (
     _DECAY_WINDOW,
     CPMapTuple,
     OperatorTuple,
     SeriesResult,
+    _as_complex,
     hermitize,
     unvec,
     vec,
@@ -35,12 +37,13 @@ from .cpmap import (
 from .berezin import (
     CompatibleTuple,
     constrained_kernel,
+    intertwine_check,
     intertwine_check_constrained,
     kernel as berezin_kernel,
     require_psd,
 )
 from .fock import build_model
-from .words import NCPolynomial, PositiveSymbol, polyball_symbol
+from .words import NCPolynomial, PositiveSymbol
 
 
 @dataclass
@@ -115,15 +118,43 @@ def model_embed(
     Requires the weighted series of R to be bounded below by a positive
     constant; the embedding then satisfies Y A* = (S* tensor I) Y with
     condition number at most sqrt(b/a). The series is the one the kernel
-    sums; a tuple radius above 1 - radius_margin raises DivergenceError
-    before the model is built.
+    sums. An R that is not a finite PSD d x d matrix raises ValueError and a
+    tuple radius above 1 - radius_margin raises DivergenceError, both before
+    the model is built.
+
+    Without constraints N_Q is the whole model: Y is the kernel K, S = W, and
+    the residuals are the full residuals of intertwine_check with no range
+    leak, so no variety subspace is built.
     """
-    symbols = tuple(symbols)
-    m = tuple(m)
-    phi = CPMapTuple(symbols, A)
+    return _embed(CPMapTuple(tuple(symbols), A), tuple(m), R, tuple(Q_polys), degree_cap, tol)
+
+
+def _embed(
+    phi: CPMapTuple,
+    m: Tuple[int, ...],
+    R: np.ndarray,
+    Q_polys: Tuple[NCPolynomial, ...],
+    degree_cap: int,
+    tol: float,
+) -> SimilarityCertificate:
+    """model_embed on a tuple the caller built, so that its cached radii and
+    orbits are shared."""
+    R = require_psd(R, phi.dim, phi.tol)[0]
     phi._refuse_unsettled(range(1, phi.k + 1))
-    ck = constrained_kernel(CompatibleTuple(symbols, m, A, R, tuple(Q_polys)), degree_cap)
-    series = ck.base.series
+    if Q_polys:
+        ck = constrained_kernel(CompatibleTuple(phi.symbols, m, phi.ops, R, Q_polys), degree_cap)
+        kern, Y, leak = ck.base, ck.K, ck.range_residual
+        resid = intertwine_check_constrained(ck, phi.ops)
+        S_norms = {ij: float(np.linalg.norm(S, 2)) for ij, S in ck.compressed.S.items()}
+    else:
+        fock, model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)
+        kern = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap, prebuilt=(fock, model))
+        Y, leak = kern.K, 0.0
+        resid = {ij: full for ij, (full, _) in intertwine_check(kern, model, phi.ops).items()}
+        # W maps basis vectors to multiples of distinct basis vectors, so W^* W
+        # is diagonal and ||W||_2 is its largest weight
+        S_norms = {(i, j): float(abs(W.data).max(initial=0.0)) for i, j, W in model.all_W()}
+    series = kern.series
     if series is None:
         raise DivergenceError("the certified weighted series of R was refused")
     lam = np.linalg.eigvalsh(hermitize(series.value))
@@ -133,14 +164,12 @@ def model_embed(
         raise ValueError(
             f"no embedding: the weighted series of R has lower bound {a:.3e}"
         )
-    Y = ck.K
     sv = np.linalg.svd(Y, compute_uv=False)
     if sv[-1] <= 0:
         raise ValueError("kernel is not injective; embedding failed")
     cond = float(sv[0] / sv[-1])
     # truncation and constraint leakage widen the witness window
-    leak = ck.range_residual
-    tail = ck.base.tail_bound
+    tail = kern.tail_bound
     a_eff = a - tail - 2.0 * leak * sv[0] - leak ** 2
     b_eff = b + tail + 2.0 * leak * sv[0] + leak ** 2
     cert = SimilarityCertificate(
@@ -156,20 +185,17 @@ def model_embed(
     scale = max(1.0, sv[0])
     # the truncation part of the residual is P S^* (I - P) K_inf, and the rows
     # of K_inf outside the box have norm sqrt(mass) <= sqrt(tail)
-    resid = intertwine_check_constrained(ck, A)
     for (i, j), r in resid.items():
-        S_norm = float(np.linalg.norm(ck.compressed.S[(i, j)], 2))
         cert.residuals[f"intertwine_{i}_{j}"] = r
-        cert.tolerances[f"intertwine_{i}_{j}"] = tol * scale + 10.0 * (S_norm * tail ** 0.5 + leak)
+        cert.tolerances[f"intertwine_{i}_{j}"] = tol * scale + 10.0 * (S_norms[(i, j)] * tail ** 0.5 + leak)
     cert.residuals["range_leak"] = leak
     cert.tolerances["range_leak"] = tol * scale + 10.0 * tail
-    gram = ck.gram()
+    gram = hermitize(Y.conj().T @ Y)
     cert.residuals["gram_vs_series"] = float(np.linalg.norm(gram - series.value, 2))
     cert.tolerances["gram_vs_series"] = tol * max(1.0, b) + 10.0 * (tail + leak * sv[0])
     # witness for the cone formulation: Q = Y*Y lies in the cone and is pure
-    Qw = hermitize(gram)
-    cert.Q = Qw
-    rep = membership(phi, m, Qw, with_purity=True)
+    cert.Q = gram
+    rep = membership(phi, m, gram, with_purity=True)
     cert.residuals["Q_cone_min_eig"] = max(0.0, -rep.worst()[1])
     cert.tolerances["Q_cone_min_eig"] = phi.tol.tol_psd * rep.scale + 10.0 * (tail + leak * sv[0])
     if not rep.purity.pure:
@@ -195,11 +221,19 @@ def rota_conjugate(
     definite) and cond(P^{1/2})^2 is certified against the separable product
     of per-factor norm sums.
     """
-    symbols = tuple(symbols)
-    m = tuple(m)
-    phi = CPMapTuple(symbols, A)
+    return _rota(CPMapTuple(tuple(symbols), A), tuple(m), Q_polys, tol)
+
+
+def _rota(
+    phi: CPMapTuple,
+    m: Tuple[int, ...],
+    Q_polys: Sequence[NCPolynomial],
+    tol: float,
+) -> Tuple[SimilarityCertificate, OperatorTuple]:
+    """rota_conjugate on a tuple the caller built, so that its cached radii
+    and orbits are shared."""
     series, P, sq, _, condP, T = _identity_series_conjugation(phi, m)
-    phi_T = CPMapTuple(symbols, T)
+    phi_T = CPMapTuple(phi.symbols, T)
 
     bound_product = prod(phi._orbit(i).norm_sum(m[i - 1]) for i in range(1, phi.k + 1))
     cert = SimilarityCertificate(
@@ -215,16 +249,15 @@ def rota_conjugate(
     )
     scale = max(1.0, float(np.linalg.norm(P, 2)))
     # strict domain membership of T: smallest eigenvalue over the defect grid
-    rep = membership(phi_T, m, np.eye(A.dim), with_purity=False)
+    eye = np.eye(phi.dim)
+    rep = membership(phi_T, m, eye, with_purity=False)
     worst = rep.worst()[1]
     cert.residuals["T_strict_membership"] = max(0.0, phi.tol.tol_pd - worst)
     cert.tolerances["T_strict_membership"] = 0.0
     cert.witnesses["T_defect_min_eig"] = worst
     # back conversion: Delta^m(P) = I for the original tuple
     back = phi.defect(m, P)
-    cert.residuals["defect_of_P_vs_identity"] = float(
-        np.linalg.norm(back - np.eye(A.dim), 2)
-    )
+    cert.residuals["defect_of_P_vs_identity"] = float(np.linalg.norm(back - eye, 2))
     cert.tolerances["defect_of_P_vs_identity"] = tol * scale + 10.0 * series.tail_bound
     for idx, q in enumerate(Q_polys):
         r = float(np.linalg.norm(T.evaluate_poly(q), 2))
@@ -263,7 +296,7 @@ def solve_defect_equation(
     symbols = tuple(symbols)
     m = tuple(m)
     phi = CPMapTuple(symbols, A)
-    R = hermitize(np.asarray(R, dtype=np.complex128))
+    R = hermitize(_as_complex(R, "R"))
     lamR = np.linalg.eigvalsh(R)
     if lamR[0] < phi.tol.tol_pd * max(1.0, lamR[-1]):
         raise ValueError(f"R must be positive definite; min eigenvalue {lamR[0]:.3e}")
@@ -530,11 +563,6 @@ def similarity_to_variety(
 # --- positive-map (Kraus) similarity ------------------------------------------
 
 
-def map_spectral_radius(phi: CPMapTuple, i: int) -> float:
-    """Spectral radius of the map itself (the square of the tuple radius)."""
-    return phi.joint_spectral_radius(i, crosscheck=False) ** 2
-
-
 def cpmap_similarity(
     phi: CPMapTuple,
     m: Sequence[int],
@@ -545,122 +573,46 @@ def cpmap_similarity(
 ) -> SimilarityCertificate:
     """Joint similarity for a commuting tuple of CP maps in Kraus form.
 
-    strict: every tuple radius at most 1 - radius_margin; Q = weighted series of I and
-      lambda_i = Q^{-1/2} phi_i(Q^{1/2} . Q^{1/2}) Q^{-1/2} has I strictly
-      inside the target cone.
-    pure_cone: builds the polyball Berezin kernel over the Kraus operators
-      for R (default I, the Rota choice) and conjugates by the Gram square
-      root, yielding a pure tuple with I in its cone. An R that is not PSD
-      raises ValueError and a tuple radius above 1 - radius_margin raises
-      DivergenceError, both before any series term is summed or any model is
-      built; the kernel sums the certified series of R once.
+    Each mode returns the certificate of one theorem on phi, relabelled
+    kind="cpmap_similarity" with the note mode=<mode> last:
+    strict: the Rota certificate (rota_conjugate). P = Delta^{-m}(I), the
+      weighted series of I, conjugates the tuple strictly inside the domain,
+      with cond(P) certified against the product of per-factor norm sums.
+      A tuple radius above 1 - radius_margin raises ValueError up front.
+    pure_cone: the model-embedding certificate without constraints
+      (model_embed) for R, default I: Y is the kernel K and Q = K^*K. With
+      K = V C, V an isometry, the target tuple L = V^* (W tensor I) V gives
+      Delta^p(Q) = C^* Delta_L^p(I) C up to truncation, so the Q cone and
+      purity checks are those of I for L, and the intertwining residual
+      ||K A^* - (W^* tensor I) K|| bounds the similarity residual
+      ||A C^* - C^* L||. An R that is not a finite PSD matrix raises
+      ValueError and a tuple radius above 1 - radius_margin raises
+      DivergenceError, both before any series term is summed or any model
+      is built; the kernel sums the certified series of R once.
     unital: the sznagy_solve certificate: the fixed point Q with
       phi_i(Q) = Q, the ergodic projection of I, with lambda_i(I) = I and the
       exact two-sided bounds c = lambda_min(Q) / ||Q||, d = 1/c; FAILED when
       an identity orbit or Q rules out every positive definite fixed point.
+    m must have one entry >= 1 per factor in every mode.
     """
     m = tuple(m)
-    d = phi.dim
-    eye = np.eye(d, dtype=np.complex128)
+    if len(m) != phi.k or any(mi < 1 for mi in m):
+        raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
     if mode == "strict":
         bad = [i for i in range(1, phi.k + 1) if not phi._settled(i)]
         if bad:
             raise ValueError(f"strict mode needs tuple radius <= "
                              f"{1.0 - phi.tol.radius_margin}; factors {bad} fail")
-        series, Q, sq, isq, condQhalf, _ = _identity_series_conjugation(phi, m)
-        cert = SimilarityCertificate(
-            kind="cpmap_similarity",
-            status="PENDING",
-            residuals={},
-            tolerances={},
-            witnesses={"map_radii_max": max(map_spectral_radius(phi, i) for i in range(1, phi.k + 1))},
-            Y=sq,
-            Q=Q,
-            cond=condQhalf ** 2,
-            claimed_bound=None,
-            notes=["mode=strict"],
-        )
-        grid = phi.defect_grid(m, Q)
-        scale = max(1.0, float(np.linalg.norm(Q, 2)))
-        worst = float("inf")
-        for p, D in grid.items():
-            if not any(p):
-                continue
-            val = hermitize(isq @ D @ isq)  # Delta_Lambda^p(I)
-            worst = min(worst, min_eig(val))
-        cert.witnesses["target_defect_min_eig"] = worst
-        cert.residuals["target_strictness"] = max(0.0, 1e-6 - worst)
-        cert.tolerances["target_strictness"] = 0.0
-        cert.residuals["defect_equation"] = float(
-            np.linalg.norm(phi.defect(m, Q) - eye, 2)
-        )
-        cert.tolerances["defect_equation"] = tol * scale + 10.0 * series.tail_bound
-        return cert.finalize()
-
-    if mode == "pure_cone":
-        R = eye if R is None else require_psd(R, d, phi.tol)[0]
-        phi._refuse_unsettled(range(1, phi.k + 1))
-        base = membership(phi, m, eye, with_purity=True)
-        pure = base.purity.pure
-        fock, model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)
-        K = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap, prebuilt=(fock, model))
-        if K.series is None:
-            raise DivergenceError("the certified weighted series of R was refused")
-        lam = np.linalg.eigvalsh(hermitize(K.series.value))
-        a, b = float(lam[0]), float(lam[-1])
-        if a <= phi.tol.tol_pd:
-            raise ValueError(
-                f"pure_cone mode needs a two-sided bound; series lower bound {a:.3e}"
-            )
-        G_basis, Ymat = np.linalg.qr(K.K)
-        cert = SimilarityCertificate(
-            kind="cpmap_similarity",
-            status="PENDING",
-            residuals={},
-            tolerances={},
-            witnesses={"a": a, "b": b, "base_pure": float(pure), "base_member": float(base.member)},
-            Y=Ymat.conj().T,  # the conjugator: phi_i(R X R*) = R lambda_i(X) R*
-            Q=hermitize(K.gram()),
-            cond=None,
-            notes=["mode=pure_cone"],
-        )
-        tail = K.tail_bound
-        rank = max(K.rank, 1)
-        # Kraus operators of the target: compressions of W tensor I to range(K)
-        lam_rows: List[List[np.ndarray]] = []
-        for i in range(1, phi.k + 1):
-            row = []
-            for j in range(1, phi.ops.arities[i - 1] + 1):
-                Wij = sp.kron(model.W(i, j), sp.identity(rank, format="csr"), format="csr")
-                row.append(G_basis.conj().T @ (Wij @ G_basis))
-            lam_rows.append(row)
-        lam_tuple = OperatorTuple(lam_rows, tol=phi.tol, check_commutation=False)
-        lam_phi = CPMapTuple([polyball_symbol(n) for n in phi.ops.arities], lam_tuple)
-        Rc = Ymat.conj().T
-        RrR = np.kron(Rc, Rc.conj())
-        scale = max(1.0, float(np.linalg.norm(K.K, 2)) ** 2)
-        for i in range(1, phi.k + 1):
-            Mphi = phi.matricize(i)
-            Mlam = lam_phi.matricize(i)
-            r = float(np.linalg.norm(Mphi @ RrR - RrR @ Mlam, 2))
-            cert.residuals[f"similarity_{i}"] = r
-            cert.tolerances[f"similarity_{i}"] = tol * scale + 10.0 * tail
-        target_rep = membership(lam_phi, m, np.eye(lam_tuple.dim), with_purity=True)
-        cert.witnesses["target_member"] = float(target_rep.member)
-        cert.witnesses["target_pure"] = float(target_rep.purity.pure)
-        cert.residuals["target_cone_min_eig"] = max(0.0, -target_rep.worst()[1])
-        cert.tolerances["target_cone_min_eig"] = phi.tol.tol_psd * target_rep.scale + 10.0 * tail
-        if not pure:
-            cert.notes.append("base tuple iterates of I did not certify purity")
-        return cert.finalize()
-
-    if mode == "unital":
-        cert, _ = sznagy_solve(list(phi.symbols), phi.ops, tol=tol)
-        cert.kind = "cpmap_similarity"
-        cert.notes.append("mode=unital")
-        return cert
-
-    raise ValueError(f"unknown mode {mode!r}; expected strict, pure_cone, or unital")
+        cert, _ = _rota(phi, m, (), tol)
+    elif mode == "pure_cone":
+        cert = _embed(phi, m, np.eye(phi.dim) if R is None else R, (), degree_cap, tol)
+    elif mode == "unital":
+        cert, _ = sznagy_solve(phi.symbols, phi.ops, tol=tol)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected strict, pure_cone, or unital")
+    cert.kind = "cpmap_similarity"
+    cert.notes.append(f"mode={mode}")
+    return cert
 
 
 # --- radius equivalences -------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,23 @@ def test_cpsim_command(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cmd", ["kernel", "solve", "rota", "cone"])
+def test_non_finite_R_exits_one_by_name(cmd, tmp_path, capsys):
+    path = gen_spec(tmp_path, capsys, "nilpotent", 4)
+    obj = json.loads(path.read_text())
+    # off the diagonal, where eigh does not converge
+    R = np.eye(obj["dim"])
+    R[0, 1] = R[1, 0] = np.nan
+    obj["task"]["R"] = matrix_to_json(R)
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([cmd, "--input", str(path), "--trunc-degree", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "non-finite" in err
+    assert "Warning" not in err and not caught
+
 
 def test_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"

@@ -7,12 +7,11 @@ import polydom.berezin
 import polydom.similarity
 from polydom.berezin import CompatibleTuple, constrained_kernel, intertwine_check_constrained
 from polydom.config import DivergenceError
-from polydom.cone import membership
+from polydom.cone import is_pure_element, membership
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
 from polydom.generate import FAMILIES, generate, strict_contractions
 from polydom.similarity import (
     cpmap_similarity,
-    map_spectral_radius,
     model_embed,
     rota_conjugate,
     similarity_to_variety,
@@ -20,7 +19,7 @@ from polydom.similarity import (
     spectral_radius_equivalences,
     sznagy_solve,
 )
-from polydom.words import commutator_polynomial, polyball_symbol
+from polydom.words import PositiveSymbol, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
 
@@ -560,7 +559,7 @@ def test_cpmap_strict_scalar():
     cert = cpmap_similarity(phi, (1,), "strict")
     assert cert.status == "PASS"
     assert np.linalg.norm(cert.Q - np.eye(3) / (1 - c * c), 2) <= 1e-9
-    assert abs(cert.witnesses["target_defect_min_eig"] - (1 - c * c)) <= 1e-8
+    assert abs(cert.witnesses["T_defect_min_eig"] - (1 - c * c)) <= 1e-8
 
 
 def test_cpmap_strict_random_pair():
@@ -573,7 +572,7 @@ def test_cpmap_strict_random_pair():
     phi = CPMapTuple.from_kraus([[C1], [C2]])
     cert = cpmap_similarity(phi, (1, 1), "strict")
     assert cert.status == "PASS"
-    assert cert.witnesses["target_defect_min_eig"] >= 1e-6
+    assert cert.witnesses["T_defect_min_eig"] >= 1e-6
 
 
 def test_cpmap_strict_rejects_radius_one():
@@ -590,10 +589,11 @@ def test_cpmap_pure_cone_nilpotent():
     phi = CPMapTuple(inst.symbols, inst.ops)
     cert = cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=6)
     assert cert.status == "PASS"
-    assert cert.witnesses["target_member"] == 1.0
-    assert cert.witnesses["target_pure"] == 1.0
+    # the target tuple's I is a pure cone member exactly when Q = K^*K is
+    assert cert.residuals["Q_cone_min_eig"] <= cert.tolerances["Q_cone_min_eig"]
+    assert "Q_purity" not in cert.residuals
     for name, r in cert.residuals.items():
-        if name.startswith("similarity"):
+        if name.startswith("intertwine"):
             assert r <= 1e-7 * max(1.0, cert.witnesses["b"]) + 1e-8
 
 
@@ -604,7 +604,7 @@ def test_cpmap_pure_cone_default_R_is_identity():
     assert np.linalg.eigvalsh(phi.defect(inst.m, np.eye(3)))[0] < 0.0
     cert = cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=4)
     assert cert.status == "PASS"
-    assert cert.witnesses["target_member"] == 1.0
+    assert cert.residuals["Q_cone_min_eig"] <= cert.tolerances["Q_cone_min_eig"]
 
 
 def test_cpmap_pure_cone_rejects_indefinite_R_before_the_series(monkeypatch):
@@ -664,6 +664,101 @@ def test_cpmap_unknown_mode():
     phi = CPMapTuple(symbols, ops)
     with pytest.raises(ValueError):
         cpmap_similarity(phi, m, "fastest")
+
+
+@pytest.mark.parametrize("mode", ["strict", "pure_cone", "unital"])
+@pytest.mark.parametrize("m", [(1,), (1, 0), (1, 1, 1)])
+def test_cpmap_validates_m_in_every_mode(mode, m):
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.8)
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    with pytest.raises(ValueError, match="m must have k = 2 entries"):
+        cpmap_similarity(phi, m, mode, degree_cap=3)
+
+
+def test_cpmap_modes_return_the_theorem_certificates():
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.8)
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    rota, _ = rota_conjugate(inst.symbols, inst.m, inst.ops, tol=1e-7)
+    embed = model_embed(inst.symbols, inst.m, inst.ops, np.eye(3), degree_cap=3, tol=1e-7)
+    unital, _ = sznagy_solve(inst.symbols, inst.ops)
+    for mode, theorem in (("strict", rota), ("pure_cone", embed), ("unital", unital)):
+        cert = cpmap_similarity(phi, inst.m, mode, degree_cap=3)
+        assert cert.kind == "cpmap_similarity" and cert.notes[-1] == f"mode={mode}"
+        assert cert.status == theorem.status
+        assert cert.residuals == theorem.residuals
+        assert cert.witnesses == theorem.witnesses
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cpmap_pure_cone_degree_two_symbol(seed):
+    # a settled tuple whose symbol is not a polyball one: the model is built
+    # from phi's own symbols
+    f = PositiveSymbol(2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}, 2)
+    inst = generate("commuting_polynomials", seed, dim=3, arities=(2,), target_radius=0.3)
+    phi = CPMapTuple((f,), inst.ops)
+    assert phi._settled(1)
+    assert cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=10).status == "PASS"
+
+
+def test_unconstrained_embedding_builds_no_variety_subspace(monkeypatch):
+    # at D = 8 the (2, 1) model has dimension 4599, above the dense cap of
+    # variety_subspace; without constraints N_Q is the whole model
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    original = polydom.berezin.variety_subspace
+    monkeypatch.setattr(polydom.berezin, "variety_subspace", counted)
+    inst = generate("commuting_polynomials", 0, dim=3)
+    assert inst.ops.arities == (2, 1)
+    cert = model_embed(inst.symbols, inst.m, inst.ops, np.eye(3), degree_cap=8)
+    assert cert.status == "PASS"
+    assert cert.residuals["range_leak"] == 0.0
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    assert cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=8).status == "PASS"
+    assert calls == []
+
+
+def _non_finite_calls():
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.8)
+    symbols, m, ops = inst.symbols, inst.m, inst.ops
+    polys = (commutator_polynomial(1, 1, 2),)
+    phi = CPMapTuple(symbols, ops)
+    return {
+        "kernel": lambda M: polydom.berezin.kernel(symbols, m, ops, M, 3),
+        "constrained_kernel": lambda M: constrained_kernel(
+            CompatibleTuple(symbols, m, ops, M, polys), 3),
+        "model_embed": lambda M: model_embed(symbols, m, ops, M, polys, degree_cap=3),
+        "pure_cone": lambda M: cpmap_similarity(phi, m, "pure_cone", R=M, degree_cap=3),
+        "solve_defect_equation": lambda M: solve_defect_equation(symbols, m, ops, M),
+        "membership": lambda M: membership(phi, m, M),
+        "is_pure_element": lambda M: is_pure_element(phi, M),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(_non_finite_calls()))
+def test_non_finite_R_or_X_is_refused_by_name(call, bad):
+    M = np.eye(3, dtype=np.complex128)
+    M[0, 1] = M[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _non_finite_calls()[call](M)
+
+
+def test_model_embed_refuses_a_non_finite_R_before_the_model(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built for a non-finite R")
+
+    monkeypatch.setattr(polydom.similarity, "build_model", no_model)
+    monkeypatch.setattr(polydom.berezin, "build_model", no_model)
+    inst = generate("nilpotent", 0, dim=4)
+    R = np.eye(4)
+    R[2, 2] = np.nan
+    with pytest.raises(ValueError, match="R has non-finite entries"):
+        model_embed(inst.symbols, inst.m, inst.ops, R,
+                    (commutator_polynomial(1, 1, 2),), degree_cap=3)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +845,7 @@ def test_radius_report_extends_the_orbit_below_the_margin():
 def test_strict_mode_refuses_tuple_radius_above_margin():
     # tuple radius 0.996 > 1 - radius_margin, map radius 0.992 < 1 - radius_margin
     phi = CPMapTuple.from_kraus([[0.996 * np.eye(3)]])
-    assert map_spectral_radius(phi, 1) < 1.0 - phi.tol.radius_margin
+    assert phi.joint_spectral_radius(1) ** 2 < 1.0 - phi.tol.radius_margin
     with pytest.raises(ValueError, match="tuple radius"):
         cpmap_similarity(phi, (1,), "strict")
 
@@ -760,5 +855,4 @@ def test_map_radius_is_square_of_tuple_radius():
     phi = CPMapTuple(inst.symbols, inst.ops)
     for i in range(1, phi.k + 1):
         eig = float(np.max(np.abs(np.linalg.eigvals(phi.matricize(i)))))
-        assert abs(map_spectral_radius(phi, i) - eig) <= 1e-8
-        assert abs(map_spectral_radius(phi, i) - phi.joint_spectral_radius(i) ** 2) <= 1e-12
+        assert abs(phi.joint_spectral_radius(i) ** 2 - eig) <= 1e-8
