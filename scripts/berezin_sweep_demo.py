@@ -18,12 +18,13 @@ import numpy as np
 
 from polydom.berezin import (
     constrained_kernel,
-    CompatibleTuple,
     extended_transform_sweep,
+    kernel,
     model_word_value,
     tuple_word_product,
 )
 from polydom.cpmap import CPMapTuple
+from polydom.fock import build_model, variety_subspace
 from polydom.generate import nilpotent
 from polydom.words import commutator_polynomial
 
@@ -45,10 +46,9 @@ def run(cfg: SweepConfig) -> None:
 
     # chi = S_(alpha) S_(alpha)* on the compressed model space; the same
     # subspace is shared by every grid point, so build it once at r = 1
-    omega = CompatibleTuple(
-        inst.symbols, inst.m, inst.ops, phi.defect(inst.m, D), polys
-    )
-    ck = constrained_kernel(omega, cfg.cap)
+    model = build_model(inst.symbols, inst.m, cfg.cap)[1]
+    base = kernel(phi, inst.m, phi.defect(inst.m, D), cfg.cap, model)
+    ck = constrained_kernel(base, model, variety_subspace(model, polys))
     S = model_word_value(ck.compressed, cfg.word)
     chis = [np.eye(ck.subspace.dim_N, dtype=np.complex128), S @ S.conj().T]
 

@@ -59,7 +59,6 @@ from .fock import (
 )
 from .berezin import (
     BerezinKernel,
-    CompatibleTuple,
     ConstrainedKernel,
     VNReport,
     constrained_kernel,

@@ -37,60 +37,6 @@ def tuple_word_product(ops: OperatorTuple, alphas: Sequence[Sequence[int]]) -> n
 
 
 @dataclass
-class CompatibilityReport:
-    ok: bool
-    series_bound: float
-    series_tail: float
-    q_residuals: List[float]
-    notes: List[str]
-
-
-@dataclass
-class CompatibleTuple:
-    """(f, m, A, R, Q) with the boundedness and annihilation checks attached."""
-
-    symbols: Tuple[PositiveSymbol, ...]
-    m: Tuple[int, ...]
-    ops: OperatorTuple
-    R: np.ndarray
-    polys: Tuple[NCPolynomial, ...] = ()
-
-    def __post_init__(self):
-        self.symbols = tuple(self.symbols)
-        self.m = tuple(int(x) for x in self.m)
-        self.R = hermitize(_as_complex(self.R, "R"))
-        self.polys = tuple(self.polys)
-
-    def phi(self) -> CPMapTuple:
-        return CPMapTuple(self.symbols, self.ops)
-
-    def verify(self) -> CompatibilityReport:
-        notes: List[str] = []
-        phi = self.phi()
-        lam = np.linalg.eigvalsh(self.R)
-        ok = True
-        if lam[0] < -phi.tol.tol_psd * max(1.0, lam[-1]):
-            ok = False
-            notes.append(f"R has negative eigenvalue {lam[0]:.3e}")
-        try:
-            series = phi.weighted_series(self.m, self.R)
-            bound = float(np.linalg.norm(series.value, 2)) + series.tail_bound
-            tail = series.tail_bound
-        except DivergenceError as e:
-            ok = False
-            bound, tail = float("inf"), float("inf")
-            notes.append(str(e))
-        q_res: List[float] = []
-        for q in self.polys:
-            r = float(np.linalg.norm(self.ops.evaluate_poly(q), 2))
-            q_res.append(r)
-            if r > 1e-8 * max(1.0, float(np.sqrt(self.ops.dim))):
-                ok = False
-                notes.append(f"constraint polynomial residual {r:.3e}")
-        return CompatibilityReport(ok, bound, tail, q_res, notes)
-
-
-@dataclass
 class BerezinKernel:
     """K as a (fockdim * rank) x d matrix, fock index most significant.
 
@@ -162,29 +108,46 @@ def require_psd(R: np.ndarray, d: int, tol: Tolerances) -> Tuple[np.ndarray, np.
     return R, lam, V
 
 
+def _require_model(model: ModelOperators, symbols: Sequence[PositiveSymbol],
+                   m: Sequence[int], degree_cap: int) -> None:
+    """ValueError unless model was built for these symbols, m and degree cap (by value)."""
+    fock = model.fock
+    want = (tuple(symbols), tuple(int(x) for x in m), int(degree_cap))
+    if (fock.symbols, fock.m, fock.degree_cap) != want:
+        raise ValueError(
+            f"the model was built for m = {fock.m}, degree cap {fock.degree_cap}; "
+            f"needed: m = {want[1]}, degree cap {want[2]}, on the same symbols"
+        )
+
+
 def kernel(
-    symbols: Sequence[PositiveSymbol],
+    phi: CPMapTuple,
     m: Sequence[int],
-    ops: OperatorTuple,
     R: np.ndarray,
     degree_cap: int,
-    prebuilt: Optional[Tuple[TruncatedFock, ModelOperators]] = None,
+    model: Optional[ModelOperators] = None,
 ) -> BerezinKernel:
-    """The generalized Berezin kernel truncated at per-factor degree degree_cap.
+    """The generalized Berezin kernel of phi truncated at per-factor degree degree_cap.
 
-    The weighted series of R is summed once, certified, for the tail bound
-    and carried as the kernel's series; it is None, and no series term is
-    summed, when some factor's radius is above 1 - radius_margin.
+    model is the truncated model for (phi.symbols, m, degree_cap), built
+    here when not given; a model built for other values raises ValueError.
+    The weighted series of R is summed once on phi, certified, for the tail
+    bound and carried as the kernel's series; it is None, and no series term
+    is summed, when some factor's radius is above 1 - radius_margin.
     """
-    phi = CPMapTuple(symbols, ops)
-    d = ops.dim
+    if model is not None:
+        _require_model(model, phi.symbols, m, degree_cap)
+    ops = phi.ops
+    d = phi.dim
     R, lam, V = require_psd(R, d, phi.tol)
     # a rounding-negative R ~ 0 keeps no eigenvalue: the clip stays positive
     keep = lam > phi.tol.eig_clip * max(float(lam[-1]), 1e-300)
     rank = int(np.count_nonzero(keep))
     R2 = (np.sqrt(lam[keep])[:, None] * V[:, keep].conj().T) if rank else np.zeros((0, d))
 
-    fock, model = prebuilt if prebuilt is not None else build_model(symbols, m, degree_cap, tol=phi.tol)
+    if model is None:
+        model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)[1]
+    fock = model.fock
     K = np.zeros((fock.dim * max(rank, 1), d), dtype=np.complex128)
     if rank > 0:
         for g in range(fock.dim):
@@ -208,7 +171,6 @@ class ConstrainedKernel:
     K: np.ndarray  # (dim_N * rank) x d
     base: BerezinKernel
     subspace: VarietySubspace
-    model: ModelOperators
     compressed: CompressedModel
     range_residual: float
 
@@ -228,22 +190,20 @@ class ConstrainedKernel:
 
 
 def constrained_kernel(
-    omega: CompatibleTuple,
-    degree_cap: int,
-    prebuilt: Optional[Tuple[TruncatedFock, ModelOperators, VarietySubspace]] = None,
+    base: BerezinKernel,
+    model: ModelOperators,
+    sub: VarietySubspace,
 ) -> ConstrainedKernel:
     """K_omega = (P_N tensor I) K, returned in N_Q coordinates.
 
-    The range of the unconstrained kernel lies inside N_Q tensor R-bar when
-    the constraints annihilate A; the measured leakage is reported as
-    range_residual rather than silently projected away.
+    base is the kernel of the tuple, model the model it was built on and sub
+    the variety subspace of that model. The range of the unconstrained
+    kernel lies inside N_Q tensor R-bar when the constraints annihilate A;
+    the measured leakage is reported as range_residual rather than silently
+    projected away.
     """
-    if prebuilt is not None:
-        fock, model, sub = prebuilt
-    else:
-        fock, model = build_model(omega.symbols, omega.m, degree_cap)
-        sub = variety_subspace(model, omega.polys)
-    base = kernel(omega.symbols, omega.m, omega.ops, omega.R, degree_cap, prebuilt=(fock, model))
+    fock = base.fock
+    _require_model(model, fock.symbols, fock.m, fock.degree_cap)
     rank = max(base.rank, 1)
     T = base.K.reshape(fock.dim, rank, base.d)
     B = sub.basis_N
@@ -251,10 +211,16 @@ def constrained_kernel(
     K = proj.reshape(B.shape[1] * rank, base.d)
     back = np.einsum("na,ard->nrd", B, proj)
     leak = float(np.linalg.norm((T - back).reshape(fock.dim * rank, base.d), 2))
-    comp = compress(model, sub)
     return ConstrainedKernel(
-        K=K, base=base, subspace=sub, model=model, compressed=comp, range_residual=leak
+        K=K, base=base, subspace=sub, compressed=compress(model, sub), range_residual=leak
     )
+
+
+def _intertwine_residual(K: np.ndarray, rank: int, A: np.ndarray, S) -> np.ndarray:
+    """K A^* - (S^* tensor I_rank) K, without the Kronecker product: K's rows
+    are model-basis-major."""
+    d = K.shape[1]
+    return K @ A.conj().T - (S.conj().T @ K.reshape(-1, rank * d)).reshape(-1, d)
 
 
 def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTuple) -> Dict[Tuple[int, int], Tuple[float, float]]:
@@ -268,10 +234,7 @@ def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTu
     rank = max(kern.rank, 1)
     out: Dict[Tuple[int, int], Tuple[float, float]] = {}
     for (i, j, W) in model.all_W():
-        lhs = kern.K @ ops.matrix(i, j).conj().T
-        # (W^* tensor I_rank) K without the Kronecker product: K's rows are fock-major
-        rhs = (W.conj().T @ kern.K.reshape(-1, rank * kern.d)).reshape(-1, kern.d)
-        diff = lhs - rhs
+        diff = _intertwine_residual(kern.K, rank, ops.matrix(i, j), W)
         full = float(np.linalg.norm(diff, 2))
         deg_i = fock.factor_degree_array(i - 1)
         interior_rows = np.repeat(deg_i < fock.degree_cap, rank)
@@ -283,12 +246,10 @@ def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTu
 def intertwine_check_constrained(ck: ConstrainedKernel, ops: OperatorTuple) -> Dict[Tuple[int, int], float]:
     """Residuals ||K_omega A_{i,j}^* - (S_{i,j}^* tensor I) K_omega||."""
     rank = max(ck.rank, 1)
-    out: Dict[Tuple[int, int], float] = {}
-    for (i, j), S in sorted(ck.compressed.S.items()):
-        lhs = ck.K @ ops.matrix(i, j).conj().T
-        rhs = (S.conj().T @ ck.K.reshape(-1, rank * ck.d)).reshape(-1, ck.d)
-        out[(i, j)] = float(np.linalg.norm(lhs - rhs, 2))
-    return out
+    return {
+        (i, j): float(np.linalg.norm(_intertwine_residual(ck.K, rank, ops.matrix(i, j), S), 2))
+        for (i, j), S in sorted(ck.compressed.S.items())
+    }
 
 
 def transform(ck: ConstrainedKernel, chi: np.ndarray) -> np.ndarray:
@@ -348,7 +309,7 @@ def extended_transform_sweep(
     for q in polys:
         if not q.is_homogeneous(k):
             raise ValueError("sweep requires homogeneous constraint polynomials")
-    fock, model = build_model(symbols, m, degree_cap)
+    model = build_model(symbols, m, degree_cap)[1]
     sub = variety_subspace(model, polys)
     notes: List[str] = []
     if chis is None:
@@ -364,8 +325,7 @@ def extended_transform_sweep(
         if lam[0] < -1e-9 * max(1.0, lam[-1]):
             notes.append(f"r={r}: defect not PSD (min eig {lam[0]:.3e})")
             R_r = R_r - lam[0] * np.eye(R_r.shape[0])
-        omega = CompatibleTuple(symbols, m, ops_r, R_r, polys)
-        ck = constrained_kernel(omega, degree_cap, prebuilt=(fock, model, sub))
+        ck = constrained_kernel(kernel(phi_r, m, R_r, degree_cap, model), model, sub)
         gram_res = float(np.linalg.norm(ck.gram() - D_pos, 2))
         vals = [transform(ck, chi) for chi in chis]
         points.append(SweepPoint(r=r, gram_residual=gram_res, transforms=vals))

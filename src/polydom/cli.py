@@ -22,7 +22,6 @@ from .config import default_tolerances
 from .cone import flat_equivalence, membership, reconstruct
 from .cpmap import CPMapTuple
 from .berezin import (
-    CompatibleTuple,
     constrained_kernel,
     intertwine_check,
     intertwine_check_constrained,
@@ -45,10 +44,10 @@ from .jsonio import (
     sanitize,
 )
 from .similarity import (
+    _embed,
     _radius_equivalences,
+    _rota,
     cpmap_similarity,
-    model_embed,
-    rota_conjugate,
     solve_defect_equation,
     sznagy_solve,
 )
@@ -144,8 +143,10 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
     D = int(_task_value(spec, args, "D", "trunc_degree", 6))
     tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
     R = _default_R(spec, args)
-    kern = kernel(spec.symbols, spec.m, spec.ops, R, D)
-    fock, model = build_model(spec.symbols, spec.m, D)
+    kern = kernel(CPMapTuple(spec.symbols, spec.ops), spec.m, R, D)
+    # a second model, equal to the kernel's; perfbench's test_real_call_nests_and_adds_up
+    # counts this rebuild, so it goes with the next change to the benchmark
+    model = build_model(spec.symbols, spec.m, D)[1]
     inter = intertwine_check(kern, model, spec.ops)
     series = kern.series
     gram_gap = float("nan") if series is None else float(np.linalg.norm(kern.gram() - series.value, 2))
@@ -162,8 +163,7 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
     if interior_bad or (series is not None
                         and gram_gap > tol + 10.0 * (kern.tail_bound + series.tail_bound)):
         statuses.append("FAILED")
-    omega = CompatibleTuple(spec.symbols, spec.m, spec.ops, R, spec.constraints)
-    ck = constrained_kernel(omega, D)
+    ck = constrained_kernel(kern, model, variety_subspace(model, spec.constraints))
     cinter = intertwine_check_constrained(ck, spec.ops)
     out["constrained"] = {
         "dim_N": ck.subspace.dim_N,
@@ -183,13 +183,11 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
 def cmd_rota(spec: ProblemSpec, args) -> Dict[str, Any]:
     tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
     D = int(_task_value(spec, args, "D", "trunc_degree", 6))
-    cert, T = rota_conjugate(spec.symbols, spec.m, spec.ops, spec.constraints, tol=tol)
+    phi = CPMapTuple(spec.symbols, spec.ops)
+    cert, T = _rota(phi, spec.m, spec.constraints, tol)
     out: Dict[str, Any] = {"rota": sanitize(cert)}
     statuses = [cert.status]
-    embed = model_embed(
-        spec.symbols, spec.m, spec.ops, _default_R(spec, args),
-        spec.constraints, degree_cap=D, tol=tol,
-    )
+    embed = _embed(phi, spec.m, _default_R(spec, args), spec.constraints, D, tol)
     out["model_embed"] = sanitize(embed)
     statuses.append(embed.status)
     out["T"] = [[matrix_to_json(A) for A in row] for row in T.rows]

@@ -381,8 +381,10 @@ class CPMapTuple:
         check='maps' verifies commutation of the maps themselves
         (M_i M_j = M_j M_i), which is weaker than entrywise commutation;
         check='operators' requires the Kraus operators to commute across
-        factors; check='none' skips verification.
+        factors. Any other value raises ValueError.
         """
+        if check not in ("maps", "operators"):
+            raise ValueError(f"unknown check {check!r}; expected 'maps' or 'operators'")
         ops = OperatorTuple(families, tol=tol, check_commutation=(check == "operators"))
         symbols = [polyball_symbol(n) for n in ops.arities]
         phi = cls(symbols, ops)

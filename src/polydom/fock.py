@@ -231,7 +231,6 @@ class VarietySubspace:
     """Orthocomplement of the constraint span, with invariance diagnostics."""
 
     basis_N: np.ndarray  # dim x r, orthonormal columns
-    basis_M: np.ndarray  # dim x rank(M_Q)
     polys: Tuple[NCPolynomial, ...]
     invariance_residual_full: float
     invariance_residual_interior: float
@@ -356,7 +355,8 @@ def variety_subspace(
     most one nonzero block per block row and column, so its 2-norm is the
     largest block norm. When some constraint is not homogeneous the whole
     space is one block, and the same steps are one dense computation.
-    The columns of basis_N and basis_M come in block order.
+    The columns of basis_N come in block order; the M basis is kept per
+    block only, for the invariance residuals.
     """
     fock = model.fock
     if fock.dim > dense_cap:
@@ -373,7 +373,6 @@ def variety_subspace(
     if not polys:
         return VarietySubspace(
             basis_N=np.eye(fock.dim, dtype=np.complex128),
-            basis_M=np.zeros((fock.dim, 0), dtype=np.complex128),
             polys=polys,
             invariance_residual_full=0.0,
             invariance_residual_interior=0.0,
@@ -435,7 +434,6 @@ def variety_subspace(
         basis_N = _assemble(fock.dim, rows, complement)
     else:
         basis_N = np.eye(fock.dim, dtype=np.complex128)
-    basis_M = _assemble(fock.dim, rows, basis)
     if basis_N.shape[1] == 0:
         raise ValueError("the variety subspace is {0}; no compression exists")
 
@@ -457,7 +455,6 @@ def variety_subspace(
                 interior.append(((scale * low)[:, None] * WM).conj().T @ complement[h])
     return VarietySubspace(
         basis_N=basis_N,
-        basis_M=basis_M,
         polys=polys,
         invariance_residual_full=_max_norm(full),
         invariance_residual_interior=_max_norm(interior),

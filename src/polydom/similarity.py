@@ -35,14 +35,13 @@ from .cpmap import (
     vec,
 )
 from .berezin import (
-    CompatibleTuple,
     constrained_kernel,
     intertwine_check,
     intertwine_check_constrained,
     kernel as berezin_kernel,
     require_psd,
 )
-from .fock import build_model
+from .fock import build_model, variety_subspace
 from .words import NCPolynomial, PositiveSymbol
 
 
@@ -113,20 +112,34 @@ def model_embed(
     degree_cap: int = 8,
     tol: float = 1e-8,
 ) -> SimilarityCertificate:
-    """Embeds A* into the compressed model adjoints via Y = K_omega.
+    """Embeds A* into the compressed model adjoints via K_omega.
 
     Requires the weighted series of R to be bounded below by a positive
-    constant; the embedding then satisfies Y A* = (S* tensor I) Y with
-    condition number at most sqrt(b/a). The series is the one the kernel
-    sums. An R that is not a finite PSD d x d matrix raises ValueError and a
-    tuple radius above 1 - radius_margin raises DivergenceError, both before
-    the model is built.
+    constant; the embedding then satisfies K_omega A* = (S* tensor I) K_omega
+    with condition number at most sqrt(b/a). The series is the one the kernel
+    sums. The certificate's Y is the d x d factor C of K_omega = V C, V an
+    isometry: the R factor of its QR with a positive diagonal, so that
+    Y^*Y = Q = K_omega^* K_omega and Y does not depend on the basis of N_Q.
+    An R that is not a finite PSD d x d matrix raises ValueError and a tuple
+    radius above 1 - radius_margin raises DivergenceError, both before the
+    model is built.
 
-    Without constraints N_Q is the whole model: Y is the kernel K, S = W, and
-    the residuals are the full residuals of intertwine_check with no range
-    leak, so no variety subspace is built.
+    Without constraints N_Q is the whole model: K_omega is the kernel K,
+    S = W, and the residuals are the full residuals of intertwine_check with
+    no range leak, so no variety subspace is built.
     """
     return _embed(CPMapTuple(tuple(symbols), A), tuple(m), R, tuple(Q_polys), degree_cap, tol)
+
+
+def _gram_factor(K: np.ndarray) -> np.ndarray:
+    """C with K = V C, V an isometry: the R factor of K's QR, its diagonal made
+    real and non-negative."""
+    C = np.linalg.qr(K, mode="r")
+    diag = np.diagonal(C)
+    phase = np.ones_like(diag)
+    nonzero = diag != 0
+    phase[nonzero] = diag[nonzero] / np.abs(diag[nonzero])
+    return phase.conj()[:, None] * C
 
 
 def _embed(
@@ -141,15 +154,16 @@ def _embed(
     orbits are shared."""
     R = require_psd(R, phi.dim, phi.tol)[0]
     phi._refuse_unsettled(range(1, phi.k + 1))
-    if Q_polys:
-        ck = constrained_kernel(CompatibleTuple(phi.symbols, m, phi.ops, R, Q_polys), degree_cap)
-        kern, Y, leak = ck.base, ck.K, ck.range_residual
+    model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)[1]
+    sub = variety_subspace(model, Q_polys) if Q_polys else None
+    kern = berezin_kernel(phi, m, R, degree_cap, model)
+    if sub is not None:
+        ck = constrained_kernel(kern, model, sub)
+        K, leak = ck.K, ck.range_residual
         resid = intertwine_check_constrained(ck, phi.ops)
         S_norms = {ij: float(np.linalg.norm(S, 2)) for ij, S in ck.compressed.S.items()}
     else:
-        fock, model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)
-        kern = berezin_kernel(phi.symbols, m, phi.ops, R, degree_cap, prebuilt=(fock, model))
-        Y, leak = kern.K, 0.0
+        K, leak = kern.K, 0.0
         resid = {ij: full for ij, (full, _) in intertwine_check(kern, model, phi.ops).items()}
         # W maps basis vectors to multiples of distinct basis vectors, so W^* W
         # is diagonal and ||W||_2 is its largest weight
@@ -164,7 +178,7 @@ def _embed(
         raise ValueError(
             f"no embedding: the weighted series of R has lower bound {a:.3e}"
         )
-    sv = np.linalg.svd(Y, compute_uv=False)
+    sv = np.linalg.svd(K, compute_uv=False)
     if sv[-1] <= 0:
         raise ValueError("kernel is not injective; embedding failed")
     cond = float(sv[0] / sv[-1])
@@ -178,7 +192,7 @@ def _embed(
         residuals={},
         tolerances={},
         witnesses={"a": a, "b": b, "a_effective": a_eff, "b_effective": b_eff},
-        Y=Y,
+        Y=_gram_factor(K),
         cond=cond,
         claimed_bound=float(np.sqrt(b_eff / max(a_eff, 1e-300))) if a_eff > 0 else float("inf"),
     )
@@ -190,10 +204,10 @@ def _embed(
         cert.tolerances[f"intertwine_{i}_{j}"] = tol * scale + 10.0 * (S_norms[(i, j)] * tail ** 0.5 + leak)
     cert.residuals["range_leak"] = leak
     cert.tolerances["range_leak"] = tol * scale + 10.0 * tail
-    gram = hermitize(Y.conj().T @ Y)
+    gram = hermitize(K.conj().T @ K)
     cert.residuals["gram_vs_series"] = float(np.linalg.norm(gram - series.value, 2))
     cert.tolerances["gram_vs_series"] = tol * max(1.0, b) + 10.0 * (tail + leak * sv[0])
-    # witness for the cone formulation: Q = Y*Y lies in the cone and is pure
+    # witness for the cone formulation: Q = K*K lies in the cone and is pure
     cert.Q = gram
     rep = membership(phi, m, gram, with_purity=True)
     cert.residuals["Q_cone_min_eig"] = max(0.0, -rep.worst()[1])
@@ -414,8 +428,14 @@ def sznagy_solve(
       two-sided bounds, and the fixed-point and unital residuals of Q and
       T are checked a posteriori.
     """
-    symbols = tuple(symbols)
-    phi = CPMapTuple(symbols, A)
+    return _sznagy(CPMapTuple(tuple(symbols), A), tol)
+
+
+def _sznagy(
+    phi: CPMapTuple, tol: float
+) -> Tuple[SimilarityCertificate, Optional[OperatorTuple]]:
+    """sznagy_solve on a tuple the caller built, so that its cached
+    matricizations, radii and orbits are shared."""
     cert = SimilarityCertificate(
         kind="isometric_conjugation",
         status="PENDING",
@@ -467,10 +487,11 @@ def sznagy_solve(
     sq, isq, condQhalf = _psd_sqrt_pair(Q, "the fixed point Q")
     cert.cond = condQhalf
     cert.Y = sq
-    T = A.conjugate(sq, isq)
-    phi_T = CPMapTuple(symbols, T)
+    T = phi.ops.conjugate(sq, isq)
+    phi_T = CPMapTuple(phi.symbols, T)
+    eye = np.eye(phi.dim)
     for i in range(1, phi.k + 1):
-        r = float(np.linalg.norm(phi_T.apply(i, np.eye(A.dim)) - np.eye(A.dim), 2))
+        r = float(np.linalg.norm(phi_T.apply(i, eye) - eye, 2))
         cert.residuals[f"unital_{i}"] = r
         cert.tolerances[f"unital_{i}"] = tol * condQhalf ** 2
     return cert.finalize(), T
@@ -580,10 +601,11 @@ def cpmap_similarity(
       with cond(P) certified against the product of per-factor norm sums.
       A tuple radius above 1 - radius_margin raises ValueError up front.
     pure_cone: the model-embedding certificate without constraints
-      (model_embed) for R, default I: Y is the kernel K and Q = K^*K. With
-      K = V C, V an isometry, the target tuple L = V^* (W tensor I) V gives
-      Delta^p(Q) = C^* Delta_L^p(I) C up to truncation, so the Q cone and
-      purity checks are those of I for L, and the intertwining residual
+      (model_embed) for R, default I: Q = K^*K for the kernel K, and Y is
+      the factor C of K = V C. With V an isometry, the target tuple
+      L = V^* (W tensor I) V gives Delta^p(Q) = C^* Delta_L^p(I) C up to
+      truncation, so the Q cone and purity checks are those of I for L, and
+      the intertwining residual
       ||K A^* - (W^* tensor I) K|| bounds the similarity residual
       ||A C^* - C^* L||. An R that is not a finite PSD matrix raises
       ValueError and a tuple radius above 1 - radius_margin raises
@@ -607,7 +629,7 @@ def cpmap_similarity(
     elif mode == "pure_cone":
         cert = _embed(phi, m, np.eye(phi.dim) if R is None else R, (), degree_cap, tol)
     elif mode == "unital":
-        cert, _ = sznagy_solve(phi.symbols, phi.ops, tol=tol)
+        cert, _ = _sznagy(phi, tol)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected strict, pure_cone, or unital")
     cert.kind = "cpmap_similarity"

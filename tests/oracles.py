@@ -173,11 +173,11 @@ def dense_defect_solve(phi, m, R):
 # ---------------------------------------------------------------------------
 
 def dense_variety_subspace(model, Q_polys):
-    """N_Q and M_Q from one dense SVD per closure round, ignoring any grading.
+    """N_Q from one dense SVD per closure round, ignoring any grading.
 
     Seeds are the stacked columns of q(W); M_Q is their left-W-invariant
     closure, grown breadth first; N_Q is the orthocomplement read off the
-    full SVD of the M_Q basis. The thresholds are the library's: cutoff
+    full SVD of the M_Q basis, which stays local. The thresholds are the library's: cutoff
     times ||seeds||_2 for the seeds, cutoff * max(||seeds||_2, 1) for
     children, cutoff * s[0] for the complement.
     """
@@ -219,7 +219,6 @@ def dense_variety_subspace(model, Q_polys):
             interior = max(interior, float(np.linalg.norm(X, 2)))
     return VarietySubspace(
         basis_N=basis_N,
-        basis_M=basis_M,
         polys=polys,
         invariance_residual_full=full,
         invariance_residual_interior=interior,

@@ -14,7 +14,6 @@ from math import comb
 import numpy as np
 
 from polydom.berezin import (
-    CompatibleTuple,
     constrained_kernel,
     intertwine_check,
     kernel,
@@ -29,7 +28,7 @@ from polydom.cone import (
     radial_membership,
 )
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
-from polydom.fock import build_model
+from polydom.fock import build_model, variety_subspace
 from polydom.generate import (
     commuting_polynomials,
     conjugated_unitaries,
@@ -132,8 +131,8 @@ def test_03_nilpotent_exact_kernel(acceptance_report):
         phi = CPMapTuple(inst.symbols, inst.ops)
         R = _random_psd_unit(rng, d)
         cap = d - 1  # every nonzero word has length < d
-        fock, model = build_model(inst.symbols, inst.m, cap, tol=phi.tol)
-        kern = kernel(inst.symbols, inst.m, inst.ops, R, cap, prebuilt=(fock, model))
+        model = build_model(inst.symbols, inst.m, cap, tol=phi.tol)[1]
+        kern = kernel(phi, inst.m, R, cap, model)
         gram = kern.K.conj().T @ kern.K
         series = phi.weighted_series(inst.m, R)
         worst_gram = max(worst_gram, float(np.linalg.norm(gram - series.value, 2)))
@@ -263,8 +262,9 @@ def test_08_constrained_kernel_isometry(acceptance_report):
         inst = nilpotent(8000 + s, dim=4, ensure_cone=True)
         phi = CPMapTuple(inst.symbols, inst.ops)
         R = phi.defect(inst.m, np.eye(4))
-        omega = CompatibleTuple(inst.symbols, inst.m, inst.ops, R, (q,))
-        ck = constrained_kernel(omega, 3)
+        model = build_model(inst.symbols, inst.m, 3)[1]
+        kern = kernel(phi, inst.m, R, 3, model)
+        ck = constrained_kernel(kern, model, variety_subspace(model, (q,)))
         gram = ck.K.conj().T @ ck.K
         worst = max(worst, float(np.linalg.norm(gram - np.eye(4), 2)))
     t = time.perf_counter() - t0

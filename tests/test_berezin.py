@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from polydom.berezin import (
-    CompatibleTuple,
     constrained_kernel,
     extended_transform_sweep,
     intertwine_check,
@@ -21,7 +20,7 @@ from polydom.berezin import (
     vn_check_polydisc,
 )
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
-from polydom.fock import build_model
+from polydom.fock import build_model, variety_subspace
 from polydom.config import default_tolerances
 from polydom.generate import generate, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
@@ -61,7 +60,7 @@ def test_kernel_gram_identity_nilpotent(seed, rng):
     inst = nilpotent_instance(seed)
     phi = CPMapTuple(inst.symbols, inst.ops)
     R = random_psd(rng, phi.dim)
-    kern = kernel(inst.symbols, inst.m, inst.ops, R, degree_cap=6)
+    kern = kernel(phi, inst.m, R, degree_cap=6)
     series = phi.weighted_series(inst.m, R)
     gap = np.linalg.norm(kern.gram() - series.value, 2)
     assert gap <= 1e-10 * max(1.0, np.linalg.norm(R))
@@ -108,7 +107,7 @@ def test_kernel_tail_bound_is_sound(case, rng):
         symbols, m, ops = inst.symbols, inst.m, inst.ops
     phi = CPMapTuple(symbols, ops)
     R = random_psd(rng, phi.dim)
-    kern = kernel(symbols, m, ops, R, degree_cap=D)
+    kern = kernel(phi, m, R, degree_cap=D)
     series = phi.weighted_series(m, R, tol=1e-13)
     gap = np.linalg.norm(kern.gram() - series.value, 2)
     assert kern.certified
@@ -123,7 +122,7 @@ def test_kernel_tail_bound_refuses_radius_at_margin(a):
     # Phi(X) = a X: the tuple radius is sqrt(a), just above 1 - radius_margin for the first a
     symbols = (PositiveSymbol(1, {Word((1,)): a}, 1),)
     ops = OperatorTuple([[np.eye(3)]])
-    kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
+    kern = kernel(CPMapTuple(symbols, ops), (1,), np.eye(3), degree_cap=4)
     assert np.isnan(kern.tail_bound) and not kern.certified and kern.series is None
 
 
@@ -132,14 +131,14 @@ def test_kernel_tail_bound_certifies_radius_on_margin():
     symbols = (PositiveSymbol(1, {Word((1,)): _MARGIN_A}, 1),)
     ops = OperatorTuple([[np.eye(3)]])
     assert CPMapTuple(symbols, ops).weighted_series((1,), np.eye(3)).certified
-    kern = kernel(symbols, (1,), ops, np.eye(3), degree_cap=4)
+    kern = kernel(CPMapTuple(symbols, ops), (1,), np.eye(3), degree_cap=4)
     assert kern.certified and np.isfinite(kern.tail_bound)
 
 
 def test_kernel_carries_the_series_of_R(rng):
     inst = generate("commuting_polynomials", 4, dim=4, target_radius=0.8)
     R = hermitize(random_psd(rng, 4))
-    kern = kernel(inst.symbols, inst.m, inst.ops, R, degree_cap=4)
+    kern = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, R, degree_cap=4)
     fresh = CPMapTuple(inst.symbols, inst.ops).weighted_series(inst.m, R)
     assert kern.series.terms == fresh.terms
     assert np.array_equal(kern.series.value, fresh.value)
@@ -148,18 +147,18 @@ def test_kernel_carries_the_series_of_R(rng):
 def test_kernel_rejects_indefinite_R():
     inst = nilpotent_instance(1)
     with pytest.raises(ValueError):
-        kernel(inst.symbols, inst.m, inst.ops, np.diag([1.0, -1.0, 0, 0, 0]), 6)
+        kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, np.diag([1.0, -1.0, 0, 0, 0]), 6)
 
 
 def test_kernel_rejects_negative_definite_R():
     inst = nilpotent_instance(1)
     with pytest.raises(ValueError):
-        kernel(inst.symbols, inst.m, inst.ops, -np.eye(5), 6)
+        kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, -np.eye(5), 6)
 
 
 def test_kernel_of_rounding_negative_R_has_rank_zero():
     inst = nilpotent_instance(1)
-    kern = kernel(inst.symbols, inst.m, inst.ops, -1e-18 * np.eye(5), 6)
+    kern = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, -1e-18 * np.eye(5), 6)
     assert kern.rank == 0
     assert not np.any(kern.K)
 
@@ -168,8 +167,8 @@ def test_kernel_of_rounding_negative_R_has_rank_zero():
 def test_kernel_intertwining_nilpotent(seed, rng):
     inst = nilpotent_instance(seed + 10)
     R = random_psd(rng, inst.ops.dim)
-    fock, model = build_model(inst.symbols, inst.m, 6)
-    kern = kernel(inst.symbols, inst.m, inst.ops, R, 6, prebuilt=(fock, model))
+    model = build_model(inst.symbols, inst.m, 6)[1]
+    kern = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, R, 6, model)
     res = intertwine_check(kern, model, inst.ops)
     for (i, j), (full, interior) in res.items():
         assert interior <= 1e-12
@@ -179,8 +178,8 @@ def test_kernel_intertwining_nilpotent(seed, rng):
 def test_kernel_intertwining_interior_small_radius(rng):
     inst = generate("commuting_polynomials", 8, target_radius=0.7)
     R = random_psd(rng, inst.ops.dim)
-    fock, model = build_model(inst.symbols, inst.m, 8)
-    kern = kernel(inst.symbols, inst.m, inst.ops, R, 8, prebuilt=(fock, model))
+    model = build_model(inst.symbols, inst.m, 8)[1]
+    kern = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, R, 8, model)
     res = intertwine_check(kern, model, inst.ops)
     for (i, j), (full, interior) in res.items():
         assert interior <= 1e-10
@@ -193,72 +192,73 @@ def test_kernel_intertwining_interior_small_radius(rng):
 # constrained kernels on a variety
 # ---------------------------------------------------------------------------
 
-def variety_tuple(seed, rng=None, dim=5):
+def variety_tuple(seed, dim=5):
+    """A nilpotent tuple annihilated by the factor-1 commutator, its defect of I, and that constraint."""
     inst = nilpotent_instance(seed, dim=dim, ensure_cone=True)
+    R = CPMapTuple(inst.symbols, inst.ops).defect(inst.m, np.eye(dim))
+    return inst, R, (commutator_polynomial(1, 1, 2),)
+
+
+def constrained(inst, R, polys, D):
+    """phi -> build_model -> kernel -> variety_subspace -> constrained_kernel."""
+    model = build_model(inst.symbols, inst.m, D)[1]
+    base = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, R, D, model)
+    return constrained_kernel(base, model, variety_subspace(model, polys))
+
+
+def test_kernel_refuses_a_model_built_for_other_values():
+    inst, R, polys = variety_tuple(2)
     phi = CPMapTuple(inst.symbols, inst.ops)
-    R = phi.defect(inst.m, np.eye(dim))
-    polys = (commutator_polynomial(1, 1, 2),)
-    return CompatibleTuple(inst.symbols, inst.m, inst.ops, R, polys)
-
-
-def test_compatible_tuple_verify_ok():
-    omega = variety_tuple(2)
-    rep = omega.verify()
-    assert rep.ok, rep.notes
-    assert rep.q_residuals[0] <= 1e-10
-
-
-def test_compatible_tuple_verify_flags_bad_constraint():
-    inst = generate("commuting_polynomials", 5, target_radius=0.7)
-    # generic polynomial tuples do not satisfy a cross-factor relation
-    bad = NCPolynomial(((1.0, ((1, 1), (2, 1))),))  # Z_{1,1} Z_{2,1}
-    omega = CompatibleTuple(inst.symbols, inst.m, inst.ops, np.eye(4), (bad,))
-    rep = omega.verify()
-    assert not rep.ok
-    assert any("constraint" in n for n in rep.notes)
+    model = build_model(inst.symbols, inst.m, 4)[1]
+    for m, D in ((inst.m, 5), ((2, 1), 4)):
+        with pytest.raises(ValueError, match="model was built for"):
+            kernel(phi, m, R, D, model)
+    # an equal model built separately is accepted: the check is by value
+    base = kernel(phi, inst.m, R, 4, build_model(inst.symbols, inst.m, 4)[1])
+    assert np.array_equal(base.K, kernel(phi, inst.m, R, 4, model).K)
+    other = build_model(inst.symbols, inst.m, 3)[1]
+    with pytest.raises(ValueError, match="model was built for"):
+        constrained_kernel(base, other, variety_subspace(other, polys))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_constrained_kernel_isometry_on_pure_variety(seed):
-    omega = variety_tuple(seed + 20)
-    ck = constrained_kernel(omega, 6)
+    ck = constrained(*variety_tuple(seed + 20), 6)
     G = ck.gram()
     assert np.linalg.norm(G - np.eye(G.shape[0]), 2) <= 1e-8
     assert ck.range_residual <= 1e-8
 
 
 def test_constrained_kernel_intertwines(seed=31):
-    omega = variety_tuple(seed)
-    ck = constrained_kernel(omega, 6)
-    res = intertwine_check_constrained(ck, omega.ops)
+    inst, R, polys = variety_tuple(seed)
+    ck = constrained(inst, R, polys, 6)
+    res = intertwine_check_constrained(ck, inst.ops)
     assert max(res.values()) <= 1e-10
     # against the explicit (S^* kron I_rank) K, also where truncation leaves a residual
-    inst = generate("commuting_polynomials", seed, target_radius=0.8)
-    wide = CompatibleTuple(inst.symbols, inst.m, inst.ops, random_psd(np.random.default_rng(seed), 4),
-                           (commutator_polynomial(1, 1, 2),))
-    for om, ck in ((omega, ck), (wide, constrained_kernel(wide, 3))):
-        res = intertwine_check_constrained(ck, om.ops)
+    wide = generate("commuting_polynomials", seed, target_radius=0.8)
+    wide_ck = constrained(wide, random_psd(np.random.default_rng(seed), 4), polys, 3)
+    for ops, ck in ((inst.ops, ck), (wide.ops, wide_ck)):
+        res = intertwine_check_constrained(ck, ops)
         for (i, j), S in ck.compressed.S.items():
             rhs = np.kron(S.conj().T, np.eye(ck.rank)) @ ck.K
-            want = np.linalg.norm(ck.K @ om.ops.matrix(i, j).conj().T - rhs, 2)
+            want = np.linalg.norm(ck.K @ ops.matrix(i, j).conj().T - rhs, 2)
             assert abs(res[(i, j)] - want) <= 1e-12 * max(want, 1.0)
     assert max(res.values()) > 1e-3
 
 
 def test_transform_reproduces_point_values():
-    omega = variety_tuple(7)
-    ck = constrained_kernel(omega, 6)
+    inst, R, polys = variety_tuple(7)
+    ck = constrained(inst, R, polys, 6)
     comp = ck.compressed
     for alphas in [((1,), ()), ((1, 2), ()), ((), (1,))]:
         chi = model_word_value(comp, alphas)
         got = transform(ck, chi)
-        want = tuple_word_product(omega.ops, alphas)
+        want = tuple_word_product(inst.ops, alphas)
         assert np.linalg.norm(got - want, 2) <= 1e-8
 
 
 def test_transform_shape_guard():
-    omega = variety_tuple(9)
-    ck = constrained_kernel(omega, 6)
+    ck = constrained(*variety_tuple(9), 6)
     with pytest.raises(ValueError):
         transform(ck, np.eye(ck.subspace.dim_N + 1))
 
@@ -268,17 +268,17 @@ def test_transform_shape_guard():
 # ---------------------------------------------------------------------------
 
 def test_extended_sweep_variety_gram_and_r_powers():
-    omega = variety_tuple(12)
-    D = np.eye(omega.ops.dim)
-    ck = constrained_kernel(omega, 6)
+    inst, R, polys = variety_tuple(12)
+    D = np.eye(inst.ops.dim)
+    ck = constrained(inst, R, polys, 6)
     S1 = model_word_value(ck.compressed, ((1,), ()))
     dim_N = ck.subspace.dim_N
     chis = [np.eye(dim_N, dtype=np.complex128), S1 @ S1.conj().T]
     rep = extended_transform_sweep(
-        omega.symbols, omega.m, omega.ops, D, omega.polys,
+        inst.symbols, inst.m, inst.ops, D, polys,
         r_grid=(0.5, 0.7, 0.9), chis=chis, degree_cap=6,
     )
-    A1 = tuple_word_product(omega.ops, ((1,), ()))
+    A1 = tuple_word_product(inst.ops, ((1,), ()))
     assert len(rep.points) == 3
     for pt in rep.points:
         assert pt.gram_residual <= 1e-8

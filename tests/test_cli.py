@@ -15,6 +15,7 @@ from polydom.cli import main
 from polydom.cpmap import CPMapTuple
 from polydom.jsonio import (
     canonical_json,
+    matrix_from_json,
     matrix_to_json,
     poly_to_json,
     problem_from_json,
@@ -330,6 +331,99 @@ def test_cpsim_command(tmp_path, capsys):
     assert code == 0
     rep = load_report(out)
     assert rep["outputs"]["certificate"]["kind"] == "cpmap_similarity"
+
+
+# ---------------------------------------------------------------------------
+# one tuple, one model and one kernel per problem
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, owner, name, key=None):
+    """Wraps owner.name, and every polydom module attribute bound to the same
+    function, to record key(*args) per call (default: 1)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1 if key is None else key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    if not isinstance(owner, type):
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "polydom" and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def cpsim_spec(tmp_path, capsys, family, mode):
+    path = gen_spec(tmp_path, capsys, family, 0, "--dim", "4")
+    obj = json.loads(path.read_text())
+    obj["task"]["mode"] = mode
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_kernel_command_builds_one_kernel_and_one_series(tmp_path, capsys, monkeypatch):
+    import polydom.berezin
+    import polydom.fock
+
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 0, "--dim", "4")
+    kernels = count_calls(monkeypatch, polydom.berezin, "kernel")
+    series = count_calls(monkeypatch, CPMapTuple, "weighted_series")
+    models = count_calls(monkeypatch, polydom.fock, "build_model")
+    code, _, err = run_cli(["kernel", "--input", str(path), "--trunc-degree", "5"], capsys)
+    assert code == 0, err
+    assert len(kernels) == 1 and len(series) == 1
+    # the kernel's model and the command's own copy, which the benchmark counts
+    assert len(models) == 2
+
+
+def test_rota_command_computes_each_radius_once(tmp_path, capsys, monkeypatch):
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 0, "--dim", "4")
+    radii = count_calls(monkeypatch, CPMapTuple, "_map_radius")
+    code, _, err = run_cli(["rota", "--input", str(path)], capsys)
+    assert code == 0, err
+    assert len(radii) == 2
+
+
+def test_pure_cone_computes_each_radius_once(tmp_path, capsys, monkeypatch):
+    path = cpsim_spec(tmp_path, capsys, "commuting_polynomials", "pure_cone")
+    radii = count_calls(monkeypatch, CPMapTuple, "_map_radius")
+    code, _, err = run_cli(["cpsim", "--input", str(path)], capsys)
+    assert code == 0, err
+    assert len(radii) == 2
+
+
+def test_unital_cpsim_matricizes_each_factor_once(tmp_path, capsys, monkeypatch):
+    path = cpsim_spec(tmp_path, capsys, "conjugated_unitaries", "unital")
+    # a call that finds no cached matrix builds one
+    built = count_calls(monkeypatch, CPMapTuple, "matricize",
+                        key=lambda phi, i: None if i in phi._matricized else i)
+    code, _, err = run_cli(["cpsim", "--input", str(path)], capsys)
+    assert code == 0, err
+    assert sorted(i for i in built if i is not None) == [1, 2]
+
+
+@pytest.mark.parametrize("cmd, family, mode, field", [
+    ("cpsim", "commuting_polynomials", "pure_cone", "certificate"),
+    ("rota", "nilpotent", None, "model_embed"),
+])
+def test_model_embed_reports_a_d_by_d_Y(cmd, family, mode, field, tmp_path, capsys):
+    if mode is None:
+        path = gen_spec(tmp_path, capsys, family, 0, "--dim", "4")
+    else:
+        path = cpsim_spec(tmp_path, capsys, family, mode)
+    out_path = tmp_path / "report.json"
+    code, _, err = run_cli([cmd, "--input", str(path), "--trunc-degree", "6",
+                            "--output", str(out_path)], capsys)
+    assert code == 0, err
+    assert out_path.stat().st_size < 10_000
+    cert = load_report(out_path.read_text())["outputs"][field]
+    Y, Q = matrix_from_json(cert["Y"]), matrix_from_json(cert["Q"])
+    assert Y.shape == (4, 4)
+    assert np.linalg.norm(Y.conj().T @ Y - Q, 2) <= 1e-12 * np.linalg.norm(Q, 2)
 
 
 # ---------------------------------------------------------------------------

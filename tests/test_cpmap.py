@@ -147,6 +147,19 @@ def test_from_kraus_map_level_commutation():
     assert phi.k == 2
 
 
+def test_from_kraus_rejects_an_unknown_check():
+    # the maps X -> A X A^* and X -> C X C^* do not commute
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    C = np.diag([1.0, 2.0])
+    with pytest.raises(CommutationError):
+        CPMapTuple.from_kraus([[A], [C]], check="maps")
+    for check in ("map", "none", "", None):
+        with pytest.raises(ValueError, match="unknown check"):
+            CPMapTuple.from_kraus([[A], [C]], check=check)
+    with pytest.raises(ValueError, match="unknown check"):
+        CPMapTuple.from_kraus([[A], [A]], check="none")
+
+
 def test_conjugate_radius_invariance(rng):
     phi, inst = small_random_instance(17)
     Y = random_pd(rng, phi.dim, cond=8.0)

@@ -5,10 +5,11 @@ import pytest
 
 import polydom.berezin
 import polydom.similarity
-from polydom.berezin import CompatibleTuple, constrained_kernel, intertwine_check_constrained
+from polydom.berezin import constrained_kernel, intertwine_check_constrained, kernel
 from polydom.config import DivergenceError
 from polydom.cone import is_pure_element, membership
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
+from polydom.fock import build_model, variety_subspace
 from polydom.generate import FAMILIES, generate, strict_contractions
 from polydom.similarity import (
     cpmap_similarity,
@@ -104,10 +105,11 @@ def test_intertwining_residual_within_sqrt_tail(seed):
     # at most sqrt(tail_bound)
     for d in (4, 5):
         inst = generate("nilpotent", seed, dim=d)
-        omega = CompatibleTuple(inst.symbols, inst.m, inst.ops, np.eye(d),
-                                (commutator_polynomial(1, 1, 2),))
+        phi = CPMapTuple(inst.symbols, inst.ops)
         for D in (2, 3):
-            ck = constrained_kernel(omega, D)
+            model = build_model(inst.symbols, inst.m, D)[1]
+            sub = variety_subspace(model, (commutator_polynomial(1, 1, 2),))
+            ck = constrained_kernel(kernel(phi, inst.m, np.eye(d), D, model), model, sub)
             tail = ck.base.tail_bound
             assert ck.base.certified
             for (i, j), r in intertwine_check_constrained(ck, inst.ops).items():
@@ -120,6 +122,27 @@ def test_model_embed_rejects_unbounded_below_series():
     R = np.diag([1.0, 0.0, 0.0]).astype(np.complex128)
     with pytest.raises(ValueError):
         model_embed(symbols, m, ops, R, degree_cap=4)
+
+
+@pytest.mark.parametrize("family,seed,polys", [
+    ("commuting_polynomials", 0, ()),
+    ("commuting_polynomials", 1, (commutator_polynomial(1, 1, 2),)),
+    ("nilpotent", 0, (commutator_polynomial(1, 1, 2),)),
+    ("polyball_random", 2, ()),
+])
+def test_model_embed_Y_is_the_d_by_d_factor_of_Q(family, seed, polys):
+    inst = generate(family, seed, dim=4)
+    cert = model_embed(inst.symbols, inst.m, inst.ops, np.eye(4), polys, degree_cap=5)
+    assert cert.Y.shape == (4, 4)
+    assert np.allclose(np.tril(cert.Y, -1), 0.0)
+    assert np.all(np.diagonal(cert.Y).real > 0) and not np.diagonal(cert.Y).imag.any()
+    Q_norm = np.linalg.norm(cert.Q, 2)
+    assert np.linalg.norm(cert.Y.conj().T @ cert.Y - cert.Q, 2) <= 1e-12 * Q_norm
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    if not polys and family != "polyball_random":
+        pure = cpmap_similarity(phi, inst.m, "pure_cone", degree_cap=5)
+        assert pure.Y.shape == (4, 4)
+        assert np.linalg.norm(pure.Y.conj().T @ pure.Y - pure.Q, 2) <= 1e-12 * Q_norm
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +732,8 @@ def test_unconstrained_embedding_builds_no_variety_subspace(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    original = polydom.berezin.variety_subspace
-    monkeypatch.setattr(polydom.berezin, "variety_subspace", counted)
+    original = polydom.similarity.variety_subspace
+    monkeypatch.setattr(polydom.similarity, "variety_subspace", counted)
     inst = generate("commuting_polynomials", 0, dim=3)
     assert inst.ops.arities == (2, 1)
     cert = model_embed(inst.symbols, inst.m, inst.ops, np.eye(3), degree_cap=8)
@@ -726,10 +749,11 @@ def _non_finite_calls():
     symbols, m, ops = inst.symbols, inst.m, inst.ops
     polys = (commutator_polynomial(1, 1, 2),)
     phi = CPMapTuple(symbols, ops)
+    model = build_model(symbols, m, 3)[1]
     return {
-        "kernel": lambda M: polydom.berezin.kernel(symbols, m, ops, M, 3),
+        "kernel": lambda M: polydom.berezin.kernel(phi, m, M, 3),
         "constrained_kernel": lambda M: constrained_kernel(
-            CompatibleTuple(symbols, m, ops, M, polys), 3),
+            kernel(phi, m, M, 3, model), model, variety_subspace(model, polys)),
         "model_embed": lambda M: model_embed(symbols, m, ops, M, polys, degree_cap=3),
         "pure_cone": lambda M: cpmap_similarity(phi, m, "pure_cone", R=M, degree_cap=3),
         "solve_defect_equation": lambda M: solve_defect_equation(symbols, m, ops, M),
