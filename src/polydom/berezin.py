@@ -58,7 +58,8 @@ class BerezinKernel:
         return self.K.shape[1]
 
     def as_tensor(self) -> np.ndarray:
-        return self.K.reshape(self.fock.dim, self.rank, self.d)
+        # a zero R keeps one zero row per basis vector
+        return self.K.reshape(self.fock.dim, max(self.rank, 1), self.d)
 
     def gram(self) -> np.ndarray:
         return hermitize(self.K.conj().T @ self.K)
@@ -183,7 +184,7 @@ class ConstrainedKernel:
         return self.base.rank
 
     def as_tensor(self) -> np.ndarray:
-        return self.K.reshape(self.subspace.dim_N, self.rank, self.d)
+        return self.K.reshape(self.subspace.dim_N, max(self.rank, 1), self.d)
 
     def gram(self) -> np.ndarray:
         return hermitize(self.K.conj().T @ self.K)
@@ -204,13 +205,12 @@ def constrained_kernel(
     """
     fock = base.fock
     _require_model(model, fock.symbols, fock.m, fock.degree_cap)
-    rank = max(base.rank, 1)
-    T = base.K.reshape(fock.dim, rank, base.d)
+    T = base.as_tensor()
     B = sub.basis_N
     proj = np.einsum("na,nrd->ard", B.conj(), T)
-    K = proj.reshape(B.shape[1] * rank, base.d)
+    K = proj.reshape(-1, base.d)
     back = np.einsum("na,ard->nrd", B, proj)
-    leak = float(np.linalg.norm((T - back).reshape(fock.dim * rank, base.d), 2))
+    leak = float(np.linalg.norm((T - back).reshape(-1, base.d), 2))
     return ConstrainedKernel(
         K=K, base=base, subspace=sub, compressed=compress(model, sub), range_residual=leak
     )
@@ -252,13 +252,14 @@ def intertwine_check_constrained(ck: ConstrainedKernel, ops: OperatorTuple) -> D
     }
 
 
-def transform(ck: ConstrainedKernel, chi: np.ndarray) -> np.ndarray:
-    """B_omega[chi] = K_omega^* (chi tensor I) K_omega."""
-    r = ck.subspace.dim_N
+def transform(ck: ConstrainedKernel | BerezinKernel, chi: np.ndarray) -> np.ndarray:
+    """B_omega[chi] = K_omega^* (chi tensor I) K_omega; on a BerezinKernel,
+    K^* (chi tensor I) K over the whole model."""
+    T = ck.as_tensor()
+    r = T.shape[0]
     chi = np.asarray(chi, dtype=np.complex128)
     if chi.shape != (r, r):
         raise ValueError(f"chi has shape {chi.shape}, expected {(r, r)}")
-    T = ck.as_tensor()
     return np.einsum("apx,ab,bpy->xy", T.conj(), chi, T, optimize=True)
 
 

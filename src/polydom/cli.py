@@ -163,18 +163,21 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
     if interior_bad or (series is not None
                         and gram_gap > tol + 10.0 * (kern.tail_bound + series.tail_bound)):
         statuses.append("FAILED")
-    ck = constrained_kernel(kern, model, variety_subspace(model, spec.constraints))
-    cinter = intertwine_check_constrained(ck, spec.ops)
+    if spec.constraints:
+        ck = constrained_kernel(kern, model, variety_subspace(model, spec.constraints))
+        dim_N, leak = ck.subspace.dim_N, ck.range_residual
+        cinter = intertwine_check_constrained(ck, spec.ops)
+    else:
+        # without constraints N_Q is the whole model: the section is the kernel's own
+        ck, dim_N, leak = kern, kern.fock.dim, 0.0
+        cinter = {ij: full for ij, (full, _) in inter.items()}
     out["constrained"] = {
-        "dim_N": ck.subspace.dim_N,
-        "range_leak": ck.range_residual,
+        "dim_N": dim_N,
+        "range_leak": leak,
         "intertwine": {f"{i},{j}": v for (i, j), v in cinter.items()},
     }
     chi_obj = spec.task.get("chi")
-    if chi_obj is not None:
-        chi = matrix_from_json(chi_obj)
-    else:
-        chi = np.eye(ck.subspace.dim_N, dtype=np.complex128)
+    chi = matrix_from_json(chi_obj) if chi_obj is not None else np.eye(dim_N, dtype=np.complex128)
     out["transform_of_chi"] = matrix_to_json(transform(ck, chi))
     out["status"] = _worst(statuses)
     return out

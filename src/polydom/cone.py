@@ -234,7 +234,7 @@ def factor_through(
     tol = 1e-8 if tol is None else float(tol)
     for q in Q_polys:
         qa = float(np.linalg.norm(A.evaluate_poly(q), 2))
-        if qa > 1e-8 * qa_scale:
+        if qa > tol * qa_scale:
             raise ValueError(f"a constraint polynomial does not annihilate A: ||q(A)|| = {qa:.3e}")
 
     lam, U = np.linalg.eigh(Gamma)
@@ -247,12 +247,6 @@ def factor_through(
     keep = lam > clip
     rank = int(np.count_nonzero(keep))
     d = Gamma.shape[0]
-    if rank == 0:
-        zero = [[np.zeros((d, d), dtype=np.complex128) for _ in row] for row in A.rows]
-        T = OperatorTuple(zero, tol=A.tol, check_commutation=False)
-        domain_report = membership(CPMapTuple(symbols, T), m, np.eye(d), with_purity=False)
-        return FactorizationResult(T, 0, [[0.0] * len(r) for r in A.rows], [0.0] * len(Q_polys),
-                                   gamma_report, domain_report, 0.0)
     Ur = U[:, keep]
     sq = np.sqrt(lam[keep])
     sqrt_gamma = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T

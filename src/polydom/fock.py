@@ -33,6 +33,7 @@ from .words import (
     enumerate_words,
     require_valid,
     weight_table,
+    word_count,
 )
 
 
@@ -191,10 +192,7 @@ def build_model(
         raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
     for f in symbols:
         require_valid(f)
-    dims = []
-    for f in symbols:
-        n = f.arity
-        dims.append((n ** (degree_cap + 1) - 1) // (n - 1) if n > 1 else degree_cap + 1)
+    dims = [word_count(f.arity, degree_cap) for f in symbols]
     dim = int(np.prod(dims))
     if dim > tol.max_fock_dim:
         raise ResourceCapError(
@@ -369,13 +367,6 @@ def variety_subspace(
     if bad:
         raise ValueError(
             f"constraint letters (i, j) in {bad} lie outside a model with arities {fock.arities}"
-        )
-    if not polys:
-        return VarietySubspace(
-            basis_N=np.eye(fock.dim, dtype=np.complex128),
-            polys=polys,
-            invariance_residual_full=0.0,
-            invariance_residual_interior=0.0,
         )
     rows, sources, shifts = _grade_blocks(model, polys)
     nb = len(rows)

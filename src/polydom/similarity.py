@@ -6,8 +6,8 @@ strict-contraction conjugation through the weighted series of the identity
 (Rota); and conjugation by the common fixed point of the maps that is the
 ergodic projection of the identity (Sz.-Nagy), refused when an identity orbit
 or that projection rules out every positive definite fixed point. Similarity
-onto the variety domain is decided by the last two constructions, after a
-radius enclosure above one has ruled it out. cpmap_similarity is a front end
+onto the variety domain reads the last two certificates, after a radius
+enclosure above one has ruled it out. cpmap_similarity is a front end
 for commuting tuples of completely positive maps given by raw Kraus
 families: each of its modes returns one of the three certificates. Every
 certificate re-verifies its residuals before it is returned; failing
@@ -84,20 +84,6 @@ def _psd_sqrt_pair(Q: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray, fl
     sq = U @ np.diag(np.sqrt(lam)) @ U.conj().T
     isq = U @ np.diag(1.0 / np.sqrt(lam)) @ U.conj().T
     return sq, isq, float(np.sqrt(lam[-1] / lam[0]))
-
-
-def _identity_series_conjugation(
-    phi: CPMapTuple, m: Tuple[int, ...]
-) -> Tuple[SeriesResult, np.ndarray, np.ndarray, np.ndarray, float, OperatorTuple]:
-    """The Rota construction: P = Delta^{-m}(I), the certified weighted series
-    of I, and T = P^{-1/2} A P^{1/2}.
-
-    Returns (series, P, P^{1/2}, P^{-1/2}, cond(P^{1/2}), T).
-    """
-    series = phi.weighted_series(m, np.eye(phi.dim, dtype=np.complex128))
-    P = hermitize(series.value)
-    sq, isq, cond = _psd_sqrt_pair(P, "the series value P")
-    return series, P, sq, isq, cond, phi.ops.conjugate(sq, isq)
 
 
 # --- model embedding ----------------------------------------------------------
@@ -246,7 +232,10 @@ def _rota(
 ) -> Tuple[SimilarityCertificate, OperatorTuple]:
     """rota_conjugate on a tuple the caller built, so that its cached radii
     and orbits are shared."""
-    series, P, sq, _, condP, T = _identity_series_conjugation(phi, m)
+    series = phi.weighted_series(m, np.eye(phi.dim, dtype=np.complex128))
+    P = hermitize(series.value)
+    sq, isq, condP = _psd_sqrt_pair(P, "the series value P")
+    T = phi.ops.conjugate(sq, isq)
     phi_T = CPMapTuple(phi.symbols, T)
 
     bound_product = prod(phi._orbit(i).norm_sum(m[i - 1]) for i in range(1, phi.k + 1))
@@ -526,11 +515,12 @@ def similarity_to_variety(
     - a factor i whose radius enclosure (radius_power_sequence) lies above
       one: infeasible, since R >= cI and Delta^{e_i}(R) >= 0 (e_i <= m) give
       Phi_i^s(I) <= R / c for all s, so rho <= 1;
-    - every factor settled: R = Delta^{-m}(I), the certified weighted series
-      of I (Rota), whose defects are all >= I; a refused series is
-      inconclusive;
-    - otherwise R is the ergodic fixed point of I (Sz.-Nagy) when it exists
-      and is positive definite; else inconclusive.
+    - every factor settled: R is the Q of the Rota certificate (_rota),
+      Delta^{-m}(I), whose defects are all >= I, and T its conjugated tuple;
+      a refused series is inconclusive;
+    - otherwise R is the Q of the Sz.-Nagy certificate (_sznagy), the
+      ergodic fixed point of I, and T its conjugated tuple; a certificate
+      without T is inconclusive, with its last note as the reason.
     "found" is returned only when membership confirms R a posteriori.
     """
     symbols = tuple(symbols)
@@ -552,19 +542,14 @@ def similarity_to_variety(
             return undecided("infeasible", f"factor {i} has radius at least {lower:.6f} > 1")
     if all(phi._settled(i) for i in range(1, phi.k + 1)):
         try:
-            _, R, _, _, _, T = _identity_series_conjugation(phi, m)
+            cert, T = _rota(phi, m, Q_polys, tol)
         except DivergenceError as e:
             return undecided("inconclusive", str(e))
     else:
-        R, _, why = _ergodic_fixed_point(phi)
-        if R is None:
-            return undecided("inconclusive", f"no ergodic projection of I: {why}")
-        low = float(np.linalg.eigvalsh(R)[0])
-        if low <= phi.tol.tol_pd:
-            return undecided("inconclusive", f"the ergodic projection of I is not "
-                             f"positive definite (min eigenvalue {low:.3e})")
-        sq, isq, _ = _psd_sqrt_pair(R, "the fixed point R")
-        T = A.conjugate(sq, isq)
+        cert, T = _sznagy(phi, tol)
+        if T is None:
+            return undecided("inconclusive", f"Sz.-Nagy certificate: {cert.notes[-1]}")
+    R = cert.Q
     rep = membership(phi, m, R, with_purity=False)
     min_def = min(v for p, v in rep.min_eigs.items() if any(p))
     if not rep.member:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite
+from math import isfinite
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .config import ResourceCapError, Tolerances, default_tolerances
@@ -169,10 +169,11 @@ def weight_table(
 ) -> WeightTable:
     """Weights b_alpha^{(m)} for all |alpha| <= max_len.
 
-    Dynamic programming over factorizations into nonempty blocks:
-        c1[alpha] = a_alpha
-        cp[alpha] = sum over alpha = beta.gamma (both nonempty) of a_beta * c(p-1)[gamma]
-        b[alpha]  = sum_p cp[alpha] * C(p+m-1, m-1)
+    The weights are the coefficients of (1 - f)^{-m}, so with B_0 the unit
+    at the identity, one pass per m of
+        B_m[alpha] = B_{m-1}[alpha] + sum over alpha = beta.gamma, beta
+                     nonempty, of a_beta * B_m[gamma]
+    in graded order (B_m = B_{m-1} + f B_m) gives b = B_m.
     In exact mode integer and Fraction coefficients are carried exactly
     (Python integers cannot overflow, so no fallback is ever needed);
     float mode checks finiteness of the result.
@@ -195,36 +196,16 @@ def weight_table(
     deg_f = max((len(w) for w in coeffs), default=0)
 
     zero = 0 if exact else 0.0
-    b: Dict[Word, Scalar] = {w: zero for w in words}
-    b[IDENTITY] = 1 if exact else 1.0
-
-    # c_prev holds c^{(p)} restricted to the enumerated words
-    c_prev: Dict[Word, Scalar] = {w: coeffs[w] for w in words if w in coeffs}
-    p = 1
-    while c_prev and p <= max_len:
-        weight = comb(p + m - 1, m - 1)
-        for w, cval in c_prev.items():
-            b[w] += cval * weight
-        c_next: Dict[Word, Scalar] = {}
+    b: Dict[Word, Scalar] = {IDENTITY: 1 if exact else 1.0}
+    for _ in range(m):
+        prev, b = b, {}
         for w in words:
-            if len(w) < p + 1:
-                continue
-            acc = zero
-            hit = False
-            for cut in range(1, min(deg_f, len(w) - 1) + 1):
-                head = Word(w[:cut])
-                a = coeffs.get(head)
-                if a is None:
-                    continue
-                cval = c_prev.get(Word(w[cut:]))
-                if cval is None:
-                    continue
-                acc += a * cval
-                hit = True
-            if hit and acc != 0:
-                c_next[w] = acc
-        c_prev = c_next
-        p += 1
+            acc = prev.get(w, zero)
+            for cut in range(1, min(deg_f, len(w)) + 1):
+                a = coeffs.get(w[:cut])
+                if a is not None:
+                    acc += a * b[w[cut:]]
+            b[w] = acc
 
     if not exact:
         bad = [w for w, v in b.items() if not isfinite(v)]
@@ -238,10 +219,11 @@ def weight_table(
 def scale_symbol_action(f: PositiveSymbol, r: Scalar) -> PositiveSymbol:
     """Coefficient scaling a_alpha -> a_alpha * r^{|alpha|}.
 
-    Equivalent to replacing the operator tuple A by rA in every CP-map
-    formula. r = 1 is the identity; r = 0 yields the zero symbol, which is
-    not regular and is accepted only for evaluation purposes. r must lie in
-    [0, 1].
+    Equivalent to replacing the operator tuple A by sqrt(r) A in every CP-map
+    formula, since each summand a_alpha A_alpha X A_alpha^* is quadratic in
+    A (cone.scaled_map passes r^2 for A -> rA). r = 1 is the identity; r = 0
+    yields the zero symbol, which is not regular and is accepted only for
+    evaluation purposes. r must lie in [0, 1].
     """
     if not (0 <= r <= 1):
         raise ValueError(f"r must lie in [0, 1], got {r}")

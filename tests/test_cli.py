@@ -202,6 +202,34 @@ def test_kernel_command_inconclusive_without_settled_radius(family, seed, extra,
     assert rep["outputs"]["gram_vs_series"] == "nan"
 
 
+def test_kernel_command_with_zero_R(tmp_path, capsys):
+    # a rank-zero kernel keeps one zero row per basis vector
+    path = gen_spec(tmp_path, capsys, "nilpotent", 0, "--dim", "3")
+    obj = json.loads(path.read_text())
+    obj["task"]["R"] = matrix_to_json(np.zeros((3, 3)))
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["kernel", "--input", str(path), "--trunc-degree", "3"], capsys)
+    assert code == 0, err
+    rep = load_report(out)
+    assert rep["outputs"]["rank"] == 0
+    assert rep["outputs"]["gram_vs_series"] == 0.0
+    assert rep["outputs"]["transform_of_chi"] == matrix_to_json(np.zeros((3, 3)))
+
+
+def test_kernel_command_without_constraints_reads_the_kernel(tmp_path, capsys, monkeypatch):
+    import polydom.cli
+
+    path = gen_spec(tmp_path, capsys, "polyball_random", 0, "--dim", "4", "--arities", "3")
+    subspaces = count_calls(monkeypatch, polydom.cli, "variety_subspace")
+    code, out, err = run_cli(["kernel", "--input", str(path), "--trunc-degree", "4"], capsys)
+    assert code == 0, err
+    assert subspaces == []
+    outputs = load_report(out)["outputs"]
+    section = outputs["constrained"]
+    assert section["dim_N"] == (3 ** 5 - 1) // 2 and section["range_leak"] == 0.0
+    assert section["intertwine"] == {ij: v[0] for ij, v in outputs["intertwine"].items()}
+
+
 def test_rota_command_round_trip(tmp_path, capsys):
     path = gen_spec(tmp_path, capsys, "commuting_polynomials", 7)
     code, out, _ = run_cli(["rota", "--input", str(path)], capsys)

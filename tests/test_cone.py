@@ -13,7 +13,7 @@ from polydom.cone import (
 )
 from polydom.cpmap import CPMapTuple, OperatorTuple, multi_grid
 from polydom.generate import generate, random_pd
-from polydom.words import polyball_symbol, scale_symbol_action
+from polydom.words import NCPolynomial, polyball_symbol, scale_symbol_action
 
 from conftest import random_complex, random_psd
 
@@ -379,6 +379,30 @@ def test_factor_through_zero_gamma():
     for i in range(1, inst.ops.k + 1):
         for j in range(1, inst.ops.arities[i - 1] + 1):
             assert np.linalg.norm(res.T.matrix(i, j)) == 0.0
+
+
+def half_identity_constraint(gap):
+    """One factor of arity 1, A = 0.5 I, and q = Z_11 - (0.5 - gap) with q(A) = gap I."""
+    ops = OperatorTuple([[0.5 * np.eye(2, dtype=np.complex128)]])
+    q = NCPolynomial(((1.0, ((1, 1),)), (-(0.5 - gap), ())))
+    return (polyball_symbol(1),), (1,), ops, q
+
+
+def test_factor_through_checks_the_constraints_against_tol():
+    symbols, m, ops, q = half_identity_constraint(1e-6)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        factor_through(np.eye(2), symbols, m, ops, Q_polys=(q,))
+    res = factor_through(np.eye(2), symbols, m, ops, Q_polys=(q,), tol=1e-3)
+    assert res.variety_residuals == [pytest.approx(1e-6, rel=1e-6)]
+
+
+def test_factor_through_zero_gamma_evaluates_the_constraints():
+    # T = 0 on a zero Gamma, so q(T) = -0.5 I although q(A) = 0
+    symbols, m, ops, q = half_identity_constraint(0.0)
+    res = factor_through(np.zeros((2, 2)), symbols, m, ops, Q_polys=(q,))
+    assert res.rank == 0
+    assert res.variety_residuals == [0.5]
+    assert res.intertwine_residuals == [[0.0]] and res.max_intertwine == 0.0
 
 
 def test_factor_through_recovers_conjugated_tuple(rng):

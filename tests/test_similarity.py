@@ -487,7 +487,28 @@ def test_variety_feasibility_undecided_above_radius_one():
     out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
     assert out.verdict == "inconclusive"
     assert out.R is None
-    assert out.notes and "ergodic projection" in out.notes[0]
+    assert out.notes and "Sz.-Nagy certificate: the maps have no common fixed point" in out.notes[0]
+
+
+def same_tuple(S, T):
+    return all(np.array_equal(a, b) for ra, rb in zip(S.rows, T.rows) for a, b in zip(ra, rb))
+
+
+def test_variety_feasibility_reads_the_rota_certificate():
+    inst = generate("commuting_polynomials", 1, dim=4, target_radius=0.8)
+    polys = (commutator_polynomial(1, 1, 2),)
+    out = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
+    cert, T = rota_conjugate(inst.symbols, inst.m, inst.ops, polys)
+    assert out.verdict == "found"
+    assert np.array_equal(out.R, cert.Q) and same_tuple(out.T, T)
+
+
+def test_variety_feasibility_reads_the_sznagy_certificate():
+    inst = generate("conjugated_unitaries", 0, dim=4)
+    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    cert, T = sznagy_solve(inst.symbols, inst.ops)
+    assert out.verdict == "found"
+    assert np.array_equal(out.R, cert.Q) and same_tuple(out.T, T)
 
 
 def test_variety_feasibility_rejects_nonannihilating_constraint():
