@@ -216,11 +216,11 @@ def constrained_kernel(
     )
 
 
-def _intertwine_residual(K: np.ndarray, rank: int, A: np.ndarray, S) -> np.ndarray:
+def _intertwine_residual(K: np.ndarray, rank: int, A: np.ndarray, S_adjoint) -> np.ndarray:
     """K A^* - (S^* tensor I_rank) K, without the Kronecker product: K's rows
-    are model-basis-major."""
+    are model-basis-major, and S_adjoint(Y) is S^* @ Y."""
     d = K.shape[1]
-    return K @ A.conj().T - (S.conj().T @ K.reshape(-1, rank * d)).reshape(-1, d)
+    return K @ A.conj().T - S_adjoint(K.reshape(-1, rank * d)).reshape(-1, d)
 
 
 def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTuple) -> Dict[Tuple[int, int], Tuple[float, float]]:
@@ -234,7 +234,7 @@ def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTu
     rank = max(kern.rank, 1)
     out: Dict[Tuple[int, int], Tuple[float, float]] = {}
     for (i, j, W) in model.all_W():
-        diff = _intertwine_residual(kern.K, rank, ops.matrix(i, j), W)
+        diff = _intertwine_residual(kern.K, rank, ops.matrix(i, j), W.adjoint)
         full = float(np.linalg.norm(diff, 2))
         deg_i = fock.factor_degree_array(i - 1)
         interior_rows = np.repeat(deg_i < fock.degree_cap, rank)
@@ -247,7 +247,7 @@ def intertwine_check_constrained(ck: ConstrainedKernel, ops: OperatorTuple) -> D
     """Residuals ||K_omega A_{i,j}^* - (S_{i,j}^* tensor I) K_omega||."""
     rank = max(ck.rank, 1)
     return {
-        (i, j): float(np.linalg.norm(_intertwine_residual(ck.K, rank, ops.matrix(i, j), S), 2))
+        (i, j): float(np.linalg.norm(_intertwine_residual(ck.K, rank, ops.matrix(i, j), lambda Y: S.conj().T @ Y), 2))
         for (i, j), S in sorted(ck.compressed.S.items())
     }
 

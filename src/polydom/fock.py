@@ -5,6 +5,10 @@ spaces, each spanned by words of length <= D in graded-lex order, factor 1
 most significant. The shifts W_{i,j} carry the square-root weight ratios of
 the per-factor weight tables and annihilate top-degree vectors, so the
 truncated space is co-invariant and all adjoint-side identities are exact.
+Each W_{i,j}, and each product of them, sends a basis vector to a multiple
+of one other basis vector, so it is stored as a weighted gather (Shift): one
+source index and one weight per row. Products compose gathers, adjoints
+scatter, and no sparse-matrix library is needed.
 
 The space is graded by the per-factor degree profile (|beta_1|, ...,
 |beta_k|) of its basis vectors. W_{i,j} raises the grade by e_i and a
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import ResourceCapError, Tolerances, default_tolerances
 from .cpmap import MultiDegree, defect_sweep
@@ -64,10 +67,18 @@ class TruncatedFock:
             raise ValueError(f"expected {self.k} words, got {len(beta)}")
         g = 0
         for i, w in enumerate(beta):
-            g += self.factor_index[i][Word(w)] * self.strides[i]
+            idx = self.factor_index[i].get(Word(w))
+            if idx is None:
+                raise ValueError(
+                    f"{tuple(w)} is not a word of factor {i + 1}: letters 1..{self.arities[i]}, "
+                    f"length <= {self.degree_cap}"
+                )
+            g += idx * self.strides[i]
         return g
 
     def words_at(self, g: int) -> Tuple[Word, ...]:
+        if not 0 <= g < self.dim:
+            raise ValueError(f"basis index {g} lies outside 0..{self.dim - 1}")
         out = []
         for i in range(self.k):
             idx = (g // self.strides[i]) % self.factor_dims[i]
@@ -91,86 +102,141 @@ class TruncatedFock:
         return 0
 
 
+@dataclass(frozen=True, eq=False)
+class Shift:
+    """A weighted gather on the truncated space: (W @ X)[r] = scale[r] * X[take[r]].
+
+    Every product of the W_{i,j} sends each basis vector to a multiple of one
+    other basis vector, so it has at most one nonzero per row and per
+    column; row r holds scale[r] in column take[r]. A zero row has scale 0
+    and still a valid take, and the takes of the nonzero rows are distinct.
+    """
+
+    take: np.ndarray  # int64, one source index per row
+    scale: np.ndarray  # float64, the row weights
+
+    @property
+    def dim(self) -> int:
+        return len(self.take)
+
+    def __matmul__(self, other):
+        if isinstance(other, Shift):
+            return Shift(other.take[self.take], self.scale * other.scale[self.take])
+        return _gather(_rows_of(other, self.dim), self.take, self.scale)
+
+    def adjoint(self, Y) -> np.ndarray:
+        """W^* @ Y, by scattering each nonzero row onto its source."""
+        Y = _rows_of(Y, self.dim)
+        hit = np.flatnonzero(self.scale)
+        out = np.zeros(Y.shape, dtype=np.result_type(Y, self.scale))
+        out[self.take[hit]] = _gather(Y, hit, self.scale[hit])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        out[np.arange(self.dim), self.take] = self.scale
+        return out
+
+
+def _rows_of(X, dim: int) -> np.ndarray:
+    """X as an array whose leading dimension is the model dimension."""
+    X = np.asarray(X)
+    if X.ndim == 0 or X.shape[0] != dim:
+        raise ValueError(f"operand of shape {X.shape} does not match model dimension {dim}")
+    return X
+
+
+def _gather(X: np.ndarray, take: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The rows scale[r] * X[take[r]], as a new array."""
+    out = X[take].astype(np.result_type(X, scale), copy=False)
+    # in place: a real-by-complex product with a broadcast operand is several
+    # times slower out of place
+    out *= scale.reshape((-1,) + (1,) * (out.ndim - 1))
+    return out
+
+
 class ModelOperators:
-    """The weighted left creation operators W_{i,j} on the truncated space."""
+    """The weighted left creation operators W_{i,j} on the truncated space.
+
+    Each W_{i,j} is a Shift: row beta reads the vector beta minus the first
+    letter of its factor-i word, weighted by sqrt(b_gamma / b_beta) when that
+    letter is j (beta = j gamma) and by 0 otherwise. Top-degree vectors are
+    annihilated, since no row reads them.
+    """
 
     def __init__(self, fock: TruncatedFock, tol: Tolerances):
         self.fock = fock
         self.tol = tol
-        self._W: Dict[Tuple[int, int], sp.csr_matrix] = {}
-        self._diag_maps: Dict[int, sp.csr_matrix] = {}
+        self._W: Dict[Tuple[int, int], Shift] = {}
+        self._diag_maps: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         for i in range(1, fock.k + 1):
             for j in range(1, fock.arities[i - 1] + 1):
-                self._build_shift(i, j)
+                self._W[(i, j)] = self._build_shift(i, j)
 
-    def _build_shift(self, i: int, j: int) -> None:
+    def _build_shift(self, i: int, j: int) -> Shift:
         fock = self.fock
         words = fock.factor_words[i - 1]
         index = fock.factor_index[i - 1]
         b = fock.weights[i - 1]
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for c, w in enumerate(words):
-            if len(w) >= fock.degree_cap:
-                continue  # annihilate top degree
-            target = Word((j,) + tuple(w))
-            r = index[target]
-            vals.append(float(np.sqrt(b.value(w) / b.value(target))))
-            rows.append(r)
-            cols.append(c)
-        d_i = fock.factor_dims[i - 1]
-        shift = sp.csr_matrix((vals, (rows, cols)), shape=(d_i, d_i))
-        pre = int(np.prod(fock.factor_dims[: i - 1], initial=1))
-        post = int(np.prod(fock.factor_dims[i:], initial=1))
-        W = sp.kron(sp.identity(pre, format="csr"), sp.kron(shift, sp.identity(post, format="csr"), format="csr"), format="csr")
-        self._W[(i, j)] = W
+        # per factor: word w reads w[1:], with weight when w = j w[1:]
+        take = np.array([index[w[1:]] if w else 0 for w in words], dtype=np.int64)
+        scale = np.array([
+            float(np.sqrt(b.value(w[1:]) / b.value(w))) if w and w[0] == j else 0.0
+            for w in words
+        ])
+        g = np.arange(fock.dim)
+        stride = fock.strides[i - 1]
+        r = (g // stride) % fock.factor_dims[i - 1]
+        return Shift(g + (take[r] - r) * stride, scale[r])
 
-    def W(self, i: int, j: int) -> sp.csr_matrix:
+    def W(self, i: int, j: int) -> Shift:
         return self._W[(i, j)]
 
-    def all_W(self) -> List[Tuple[int, int, sp.csr_matrix]]:
+    def all_W(self) -> List[Tuple[int, int, Shift]]:
         return [(i, j, W) for (i, j), W in sorted(self._W.items())]
 
-    def W_word(self, i: int, word: Sequence[int]) -> sp.csr_matrix:
-        out = sp.identity(self.fock.dim, format="csr")
-        for j in word:
+    def W_mono(self, mono: Sequence[Tuple[int, int]]) -> Shift:
+        """The product W_{i_1,j_1} ... W_{i_s,j_s} of a monomial's letters."""
+        out = Shift(np.arange(self.fock.dim), np.ones(self.fock.dim))
+        for (i, j) in mono:
             out = out @ self._W[(i, int(j))]
         return out
 
-    def evaluate_poly(self, q: NCPolynomial) -> sp.csr_matrix:
-        return q.evaluate(self.W, sp.identity(self.fock.dim, format="csr")).tocsr()
+    def W_word(self, i: int, word: Sequence[int]) -> Shift:
+        return self.W_mono([(i, j) for j in word])
 
     # --- diagonal CP-map engine ------------------------------------------
     # Every W word maps basis vectors to scaled basis vectors, so the maps
-    # Phi_i preserve diagonals; the diagonal action is a sparse nonnegative
-    # matrix applied to the vector of diagonal entries.
+    # Phi_i preserve diagonals; the diagonal action is a sum of gathers
+    # u -> a_w |scale_w|^2 u[take_w] of the vector of diagonal entries.
 
-    def _diag_map(self, i: int) -> sp.csr_matrix:
+    def _diag_map(self, i: int) -> List[Tuple[np.ndarray, np.ndarray]]:
         hit = self._diag_maps.get(i)
         if hit is not None:
             return hit
-        f = self.fock.symbols[i - 1]
-        acc = None
-        for w, a in f.coeffs.items():
+        terms = []
+        # longest word first: each row then sums its terms in ascending order
+        # of source index, as the sparse reference in tests/oracles.py does,
+        # so that the two agree bitwise
+        for w, a in sorted(self.fock.symbols[i - 1].coeffs.items(), key=lambda wa: -len(wa[0])):
             if a == 0 or len(w) == 0:
                 continue
             Ww = self.W_word(i, w)
-            S = Ww.multiply(Ww.conj())  # entrywise |.|^2; real here
-            term = float(a) * S
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = sp.csr_matrix((self.fock.dim, self.fock.dim))
-        acc = acc.tocsr()
-        self._diag_maps[i] = acc
-        return acc
+            terms.append((float(a) * (Ww.scale * Ww.scale), Ww.take))
+        self._diag_maps[i] = terms
+        return terms
 
     def apply_diag(self, i: int, u: np.ndarray) -> np.ndarray:
         """diag(Phi_i(diag(u))) as a vector."""
-        return self._diag_map(i) @ np.asarray(u, dtype=np.float64)
+        u = _rows_of(np.asarray(u, dtype=np.float64), self.fock.dim)
+        out = np.zeros(u.shape)
+        for coef, take in self._diag_map(i):
+            out += _gather(u, take, coef)
+        return out
 
     def defect_diag_grid(self, m: Sequence[int], u: np.ndarray) -> Dict[MultiDegree, np.ndarray]:
-        return defect_sweep(m, np.asarray(u, dtype=np.float64), self.apply_diag)
+        u = _rows_of(np.asarray(u, dtype=np.float64), self.fock.dim)
+        return defect_sweep(m, u, self.apply_diag)
 
 
 def build_model(
@@ -248,12 +314,13 @@ def _grade_blocks(model: ModelOperators, polys: Tuple[NCPolynomial, ...]):
     (|beta_1|, ..., |beta_k|) when every constraint is homogeneous; otherwise
     every vector has the empty grade and the whole space is one block.
     Returns the basis indices of each block (in lexicographic grade order),
-    ``sources(shift)``, whose entry b is the block that an operator of that
-    grade shift maps into block b (None when there is none), and for each
+    each basis vector's position within its block, ``sources(shift)``,
+    whose entry b is the block that an operator of that grade shift maps
+    into block b (None when there is none), and for each
     W_{i,j} of ``model.all_W()`` one entry per target block h: None, or
     ``(a, take, scale)`` with W[rows[h], rows[a]] @ F == scale[:, None] *
-    F[take]. Each W_{i,j} is a weighted shift, one nonzero per row and
-    column, so its block maps are gathers and need no sparse indexing.
+    F[take]. Each W_{i,j} is a Shift, so its block maps are the block rows
+    of its gather with the takes made block-local.
     """
     fock = model.fock
     if all(q.is_homogeneous(fock.k) for q in polys):
@@ -280,17 +347,34 @@ def _grade_blocks(model: ModelOperators, polys: Tuple[NCPolynomial, ...]):
     maps = []
     unit = np.eye(fock.k, dtype=np.int64)
     for (i, _, W) in model.all_W():
-        row = np.repeat(np.arange(fock.dim), np.diff(W.indptr))
-        take = np.zeros(fock.dim, dtype=np.int64)
-        take[row] = local[W.indices]
-        scale = np.zeros(fock.dim)
-        scale[row] = W.data
-        take, scale = take[order], scale[order]
+        take, scale = local[W.take][order], W.scale[order]
         maps.append([
             None if a is None else (a, take[s:e], scale[s:e])
             for s, e, a in zip(starts, ends, sources(unit[i - 1]))
         ])
-    return rows, sources, maps
+    return rows, local, sources, maps
+
+
+def _poly_blocks(model: ModelOperators, q: NCPolynomial, rows, local, sources) -> Dict[int, np.ndarray]:
+    """q(W)[rows[b], rows[a]] for each block b into which q maps a block a.
+
+    The blocks are those of ``_grade_blocks`` for a set of constraints that
+    includes q. Each term of q is a product of shifts, itself a Shift, so
+    the blocks are summed from the terms' gathers and q(W) is never formed.
+    """
+    terms = [(c, model.W_mono(mono)) for c, mono in q.terms]
+    profile = q.degree_profiles(model.fock.k)[0] if q.terms else (0,) * model.fock.k
+    out: Dict[int, np.ndarray] = {}
+    for b, a in enumerate(sources(profile)):
+        if a is None:
+            continue
+        block = np.zeros((len(rows[b]), len(rows[a])), dtype=np.complex128)
+        for c, W in terms:
+            scale = W.scale[rows[b]]
+            hit = np.flatnonzero(scale)
+            block[hit, local[W.take[rows[b][hit]]]] += c * scale[hit]
+        out[b] = block
+    return out
 
 
 def _svds(mats: Sequence[np.ndarray], full_matrices: bool) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -338,7 +422,7 @@ def variety_subspace(
     The constraint span M is the smallest left-W-invariant subspace
     containing every vector q(W) W_{(beta)} vacuum; since those seed vectors
     are exactly the columns of q(W), M is computed as the invariant closure
-    of the stacked column spaces.
+    of the stacked column spaces, cut into grade blocks by _poly_blocks.
 
     The work is done per grade block. W_{i,j} maps the basis vectors of
     grade g = (|beta_1|, ..., |beta_k|) into grade g + e_i, and a
@@ -368,18 +452,15 @@ def variety_subspace(
         raise ValueError(
             f"constraint letters (i, j) in {bad} lie outside a model with arities {fock.arities}"
         )
-    rows, sources, shifts = _grade_blocks(model, polys)
+    rows, local, sources, shifts = _grade_blocks(model, polys)
     nb = len(rows)
     empty = [np.zeros((len(R), 0), dtype=np.complex128) for R in rows]
 
     # seeds: block b holds the columns of each q(W) that land in it
     parts: List[List[np.ndarray]] = [[] for _ in rows]
     for q in polys:
-        Q = model.evaluate_poly(q).toarray()
-        profile = q.degree_profiles(fock.k)[0] if q.terms else (0,) * fock.k
-        for b, a in enumerate(sources(profile)):
-            if a is not None:
-                parts[b].append(Q[np.ix_(rows[b], rows[a])])
+        for b, block in _poly_blocks(model, q, rows, local, sources).items():
+            parts[b].append(block)
     seeded = [b for b in range(nb) if parts[b]]
     seeds = dict(zip(seeded, _svds([np.hstack(parts[b]) for b in seeded], False)))
     scale0 = max((float(s[0]) for _, s in seeds.values()), default=0.0)
@@ -399,7 +480,7 @@ def variety_subspace(
             for maps in shifts:
                 if maps[h] is not None and frontier[maps[h][0]].shape[1]:
                     a, take, scale = maps[h]
-                    children.append(scale[:, None] * frontier[a][take])
+                    children.append(_gather(frontier[a], take, scale))
             if children:
                 C = np.hstack(children)
                 B = basis[h]
@@ -440,10 +521,9 @@ def variety_subspace(
                 if m is None:
                     continue
                 a, take, scale = m
-                WM = basis[a][take]
-                full.append((scale[:, None] * WM).conj().T @ complement[h])
+                full.append(_gather(basis[a], take, scale).conj().T @ complement[h])
                 low = low_rows[rows[a]][take]
-                interior.append(((scale * low)[:, None] * WM).conj().T @ complement[h])
+                interior.append(_gather(basis[a], take, scale * low).conj().T @ complement[h])
     return VarietySubspace(
         basis_N=basis_N,
         polys=polys,

@@ -153,7 +153,7 @@ def _embed(
         resid = {ij: full for ij, (full, _) in intertwine_check(kern, model, phi.ops).items()}
         # W maps basis vectors to multiples of distinct basis vectors, so W^* W
         # is diagonal and ||W||_2 is its largest weight
-        S_norms = {(i, j): float(abs(W.data).max(initial=0.0)) for i, j, W in model.all_W()}
+        S_norms = {(i, j): float(abs(W.scale).max(initial=0.0)) for i, j, W in model.all_W()}
     series = kern.series
     if series is None:
         raise DivergenceError("the certified weighted series of R was refused")

@@ -169,6 +169,64 @@ def dense_defect_solve(phi, m, R):
 
 
 # ---------------------------------------------------------------------------
+# weighted shifts as scipy.sparse matrices
+# ---------------------------------------------------------------------------
+
+def csr_shift(fock, i, j):
+    """W_{i,j} as a CSR matrix: the factor-i shift e_w -> sqrt(b_w / b_{jw}) e_{jw},
+    built column by column over the factor's words, in a Kronecker product
+    with identities on the other factors. Top-degree columns stay empty."""
+    import scipy.sparse as sp
+    from polydom.words import Word
+
+    words = fock.factor_words[i - 1]
+    index = fock.factor_index[i - 1]
+    b = fock.weights[i - 1]
+    rows, cols, vals = [], [], []
+    for c, w in enumerate(words):
+        if len(w) >= fock.degree_cap:
+            continue  # annihilate top degree
+        target = Word((j,) + tuple(w))
+        rows.append(index[target])
+        cols.append(c)
+        vals.append(float(np.sqrt(b.value(w) / b.value(target))))
+    d_i = fock.factor_dims[i - 1]
+    shift = sp.csr_matrix((vals, (rows, cols)), shape=(d_i, d_i))
+    pre = sp.identity(int(np.prod(fock.factor_dims[: i - 1], initial=1)), format="csr")
+    post = sp.identity(int(np.prod(fock.factor_dims[i:], initial=1)), format="csr")
+    return sp.kron(pre, sp.kron(shift, post, format="csr"), format="csr")
+
+
+def csr_mono(fock, mono):
+    """W_{i_1,j_1} ... W_{i_s,j_s} as a CSR product, from the identity."""
+    import scipy.sparse as sp
+
+    out = sp.identity(fock.dim, format="csr")
+    for (i, j) in mono:
+        out = out @ csr_shift(fock, i, j)
+    return out
+
+
+def evaluate_poly(fock, q):
+    """q(W) as a dense matrix, summed term by term over CSR products."""
+    import scipy.sparse as sp
+
+    return q.evaluate(lambda i, j: csr_shift(fock, i, j), sp.identity(fock.dim, format="csr")).toarray()
+
+
+def csr_diag_map(fock, i):
+    """The diagonal action of Phi_i on the model, sum_w a_w |W_w|^2 entrywise, as CSR."""
+    import scipy.sparse as sp
+
+    acc = sp.csr_matrix((fock.dim, fock.dim))
+    for w, a in fock.symbols[i - 1].coeffs.items():
+        if a != 0 and len(w):
+            Ww = csr_mono(fock, [(i, j) for j in w])
+            acc = acc + float(a) * Ww.multiply(Ww.conj())
+    return acc.tocsr()
+
+
+# ---------------------------------------------------------------------------
 # variety subspace by dense SVDs over the whole truncated space
 # ---------------------------------------------------------------------------
 
@@ -186,16 +244,17 @@ def dense_variety_subspace(model, Q_polys):
     fock = model.fock
     cutoff = model.tol.svd_cutoff
     polys = tuple(Q_polys)
+    shifts = [csr_shift(fock, i, j) for (i, j, _) in model.all_W()]
     basis_M = np.zeros((fock.dim, 0), dtype=np.complex128)
     if polys:
-        seeds = np.hstack([model.evaluate_poly(q).toarray() for q in polys])
+        seeds = np.hstack([evaluate_poly(fock, q) for q in polys])
         U, s, _ = np.linalg.svd(seeds, full_matrices=False)
         scale0 = float(s[0]) if s.size else 0.0
         if scale0 > 0.0:
             basis_M = U[:, s > cutoff * scale0]
         frontier = basis_M
         while frontier.shape[1] > 0:
-            children = np.hstack([W @ frontier for (_, _, W) in model.all_W()])
+            children = np.hstack([W @ frontier for W in shifts])
             children = children - basis_M @ (basis_M.conj().T @ children)
             children = children - basis_M @ (basis_M.conj().T @ children)
             U, s, _ = np.linalg.svd(children, full_matrices=False)
@@ -212,7 +271,7 @@ def dense_variety_subspace(model, Q_polys):
     interior = 0.0
     if basis_M.shape[1] > 0:
         low_rows = fock.max_degree_array() <= fock.degree_cap - 1
-        for (_, _, W) in model.all_W():
+        for W in shifts:
             Y = W.conj().T @ basis_N
             full = max(full, float(np.linalg.norm(basis_M.conj().T @ Y, 2)))
             X = basis_M[low_rows].conj().T @ Y[low_rows]

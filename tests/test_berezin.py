@@ -26,7 +26,7 @@ from polydom.generate import generate, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
-from oracles import torus_grid_sup
+from oracles import csr_shift, torus_grid_sup
 
 
 def nilpotent_instance(seed, dim=5, ensure_cone=False):
@@ -183,7 +183,7 @@ def test_kernel_intertwining_interior_small_radius(rng):
     res = intertwine_check(kern, model, inst.ops)
     for (i, j), (full, interior) in res.items():
         assert interior <= 1e-10
-        rhs = sp.kron(model.W(i, j).conj().T, sp.identity(kern.rank)) @ kern.K
+        rhs = sp.kron(csr_shift(model.fock, i, j).conj().T, sp.identity(kern.rank)) @ kern.K
         want = np.linalg.norm(kern.K @ inst.ops.matrix(i, j).conj().T - rhs, 2)
         assert abs(full - want) <= 1e-12 * max(want, 1.0)
 

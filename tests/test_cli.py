@@ -552,13 +552,23 @@ def test_console_script_pipeline(tmp_path):
     assert rep["task"] == "radius"
 
 
-def test_cli_import_leaves_arpack_out():
-    # scipy.sparse.linalg is imported only when a radius takes the Arnoldi path
+def test_cli_import_leaves_arpack_out(tmp_path):
+    # scipy.sparse is imported only when a radius takes the Arnoldi path (d >= 12):
+    # not by the import, and not by the Fock commands at d = 4
     import polydom
 
     src = str(Path(polydom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, polydom.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    code = "\n".join([
+        "import sys",
+        "import polydom.cli as cli",
+        "assert 'scipy.sparse' not in sys.modules, 'import'",
+        f"cli.main(['gen', '--family', 'commuting_polynomials', '--dim', '4', '--output', {str(spec)!r}])",
+        "for cmd in ('model', 'kernel', 'rota'):",
+        f"    assert cli.main([cmd, '--input', {str(spec)!r}, '--trunc-degree', '4', '--output', {str(out)!r}]) == 0, cmd",
+        "    assert 'scipy.sparse' not in sys.modules, cmd",
+    ])
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
 

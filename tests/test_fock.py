@@ -1,16 +1,23 @@
 """Truncated Fock models: shifts, weights, varieties, compressions."""
 
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from polydom.cli import _instance_to_spec
 from polydom.config import ResourceCapError, Tolerances, default_tolerances
 from polydom.cpmap import CPMapTuple, OperatorTuple
-from polydom.fock import _grade_blocks, build_model, compress, domain_check_model, variety_subspace
+from polydom.fock import (
+    _grade_blocks,
+    _poly_blocks,
+    build_model,
+    compress,
+    domain_check_model,
+    variety_subspace,
+)
 from polydom.generate import generate
 from polydom.words import (
     NCPolynomial,
@@ -20,7 +27,14 @@ from polydom.words import (
     polyball_symbol,
 )
 
-from oracles import brute_weight, dense_variety_subspace
+from oracles import (
+    brute_weight,
+    csr_diag_map,
+    csr_mono,
+    csr_shift,
+    dense_variety_subspace,
+    evaluate_poly,
+)
 
 
 def polyball_model(n=2, m=1, cap=4):
@@ -45,6 +59,22 @@ def test_index_words_roundtrip():
     assert fock.k == 2 and fock.arities == (2, 1)
 
 
+@pytest.mark.parametrize("g", [-1, 15, 20])
+def test_words_at_rejects_indices_outside_the_space(g):
+    fock, _ = polyball_model(n=2, cap=3)
+    assert fock.dim == 15
+    with pytest.raises(ValueError, match="outside 0..14"):
+        fock.words_at(g)
+
+
+@pytest.mark.parametrize("beta", [[(1, 2, 1, 2)], [(3,)], [(0,)], [(1, 3)]])
+def test_index_of_rejects_words_outside_the_basis(beta):
+    # cap 3 and arity 2: too long, letter 3, letter 0, letter 3 after 1
+    fock, _ = polyball_model(n=2, cap=3)
+    with pytest.raises(ValueError, match="is not a word of factor 1"):
+        fock.index_of(beta)
+
+
 def test_fock_resource_cap():
     tol = Tolerances(max_fock_dim=50)
     with pytest.raises(ResourceCapError):
@@ -64,6 +94,85 @@ def test_polyball_shift_is_isometry_below_cap():
         W = model.W(1, j).toarray()
         G = W.conj().T @ W
         assert np.allclose(G[np.ix_(interior, interior)], np.eye(fock.dim)[np.ix_(interior, interior)], atol=1e-12)
+
+
+def gen_models(max_cap=4):
+    """(spec, fock, model) for the gen families at d = 3, seeds 0-1, degree caps 2..max_cap."""
+    for family in ("commuting_polynomials", "conjugated_unitaries", "nilpotent", "polyball_random"):
+        for seed in range(2):
+            spec = _instance_to_spec(generate(family, seed, dim=3))
+            for cap in range(2, max_cap + 1):
+                fock, model = build_model(spec.symbols, spec.m, cap)
+                yield spec, fock, model
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def test_shifts_match_the_sparse_oracle(rng):
+    # a single gather is one product per entry: bitwise equal to CSR
+    for _, fock, model in gen_models():
+        X = rng.standard_normal((fock.dim, 2)) + 1j * rng.standard_normal((fock.dim, 2))
+        csr = {(i, j): csr_shift(fock, i, j) for (i, j, _) in model.all_W()}
+        for (i, j, W) in model.all_W():
+            C = csr[(i, j)]
+            assert np.array_equal(W.toarray(), C.toarray())
+            assert np.array_equal(W @ X, C @ X)
+            assert np.array_equal(W @ X[:, 0], C @ X[:, 0])
+            assert np.array_equal(W.adjoint(X), C.conj().T @ X)
+            for (i2, j2, W2) in model.all_W():
+                assert np.array_equal((W @ W2).toarray(), (C @ csr[(i2, j2)]).toarray())
+
+
+def test_words_and_diagonal_maps_match_the_sparse_oracle(rng):
+    for spec, fock, model in gen_models():
+        for i, f in enumerate(spec.symbols, start=1):
+            for w in f.coeffs:
+                assert np.array_equal(model.W_word(i, w).toarray(), csr_mono(fock, [(i, j) for j in w]).toarray())
+            u = rng.random(fock.dim)
+            assert rel_gap(model.apply_diag(i, u), csr_diag_map(fock, i) @ u) <= 1e-15
+
+
+def test_seed_blocks_match_the_dense_constraint_value():
+    for spec, fock, model in gen_models():
+        polys = tuple(spec.constraints) + (NON_HOMOGENEOUS,) * (fock.arities[0] >= 2)
+        for q in polys:
+            rows, local, sources, _ = _grade_blocks(model, (q,))
+            Q = evaluate_poly(fock, q)
+            blocks = _poly_blocks(model, q, rows, local, sources)
+            profile = q.degree_profiles(fock.k)[0]
+            assert sorted(blocks) == [b for b, a in enumerate(sources(profile)) if a is not None]
+            covered = 0.0
+            for b, a in enumerate(sources(profile)):
+                if a is not None:
+                    want = Q[np.ix_(rows[b], rows[a])]
+                    assert rel_gap(blocks[b], want) <= 1e-15
+                    covered += np.linalg.norm(want) ** 2
+            # the blocks hold all of q(W)
+            assert covered == pytest.approx(np.linalg.norm(Q) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(14,), (16,), (1, 15), (14, 2)], ids=["short", "long", "row", "short-2d"])
+def test_model_operands_of_the_wrong_length_raise(shape):
+    fock, model = polyball_model(n=2, cap=3)
+    assert fock.dim == 15
+    X = np.ones(shape)
+    with pytest.raises(ValueError, match="does not match model dimension 15"):
+        model.W(1, 1) @ X
+    with pytest.raises(ValueError, match="does not match model dimension 15"):
+        model.W(1, 1).adjoint(X)
+    with pytest.raises(ValueError, match="does not match model dimension 15"):
+        model.apply_diag(1, X)
+    with pytest.raises(ValueError, match="does not match model dimension 15"):
+        model.defect_diag_grid((1,), X)
+
+
+def test_model_operands_act_column_by_column():
+    fock, model = polyball_model(n=2, cap=3)
+    U = np.arange(2.0 * fock.dim).reshape(fock.dim, 2)
+    for apply in (model.W(1, 2).__matmul__, model.W(1, 2).adjoint, lambda u: model.apply_diag(1, u)):
+        assert np.array_equal(apply(U), np.stack([apply(U[:, 0]), apply(U[:, 1])], axis=1))
 
 
 def test_shift_weight_ratios_match_brute_weights():
@@ -87,9 +196,9 @@ def test_w_word_matches_products():
     fock, model = build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)
     w121 = model.W_word(1, (1, 2))
     direct = model.W(1, 1) @ model.W(1, 2)
-    assert sp.linalg.norm(w121 - direct) <= 1e-13
+    assert np.linalg.norm(w121.toarray() - direct.toarray()) <= 1e-13
     wid = model.W_word(2, ())
-    assert sp.linalg.norm(wid - sp.identity(fock.dim, format="csr")) <= 1e-14
+    assert np.linalg.norm(wid.toarray() - np.eye(fock.dim)) <= 1e-14
 
 
 def test_cross_factor_model_commutation():
@@ -98,15 +207,15 @@ def test_cross_factor_model_commutation():
         for l in (1, 2):
             A = model.W(1, j)
             B = model.W(2, l)
-            assert sp.linalg.norm(A @ B - B @ A) <= 1e-13
+            assert np.linalg.norm((A @ B).toarray() - (B @ A).toarray()) <= 1e-13
 
 
 def test_evaluate_poly_on_model():
     fock, model = build_model([polyball_symbol(2)], [1], 3)
     q = commutator_polynomial(1, 1, 2)
-    val = model.evaluate_poly(q)
-    direct = model.W(1, 1) @ model.W(1, 2) - model.W(1, 2) @ model.W(1, 1)
-    assert sp.linalg.norm(val - direct) <= 1e-14
+    val = evaluate_poly(fock, q)
+    direct = (model.W(1, 1) @ model.W(1, 2)).toarray() - (model.W(1, 2) @ model.W(1, 1)).toarray()
+    assert np.linalg.norm(val - direct) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +427,21 @@ def test_variety_svds_stay_within_one_grade_block(monkeypatch):
     assert sub.dim_N == 196
     assert shapes and max(max(s) for s in shapes) <= 64
     assert wall < 1.0
+
+
+def test_variety_seeds_never_form_the_dense_constraint_value():
+    # default gen spec at degree cap 7, dimension 2040: forming q(W) densely
+    # took 66.6 MB of an 84.9 MB tracemalloc peak
+    spec = _instance_to_spec(generate("commuting_polynomials", 0))
+    fock, model = build_model(spec.symbols, spec.m, 7)
+    assert fock.dim == 2040
+    tracemalloc.start()
+    try:
+        sub = variety_subspace(model, spec.constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 84.9e6 / 3
+    assert sub.dim_N == 288
+    assert sub.invariance_residual_full <= 1e-13
+    assert sub.invariance_residual_interior <= 1e-13
