@@ -9,9 +9,9 @@ working precision until the null spaces that determine the fixed point lose
 accuracy to the conditioning of xi. Strict contractions are included as the
 negative control: their identity orbits decay, so no positive fixed point
 exists and the solver reports no similarity. The "variety" column counts
-the tuples for which similarity_to_variety also finds a similarity onto the
-variety domain (through the same fixed point, the case where no radius is
-settled).
+the tuples for which similarity_to_variety also passes a similarity onto
+the variety domain (through the same fixed point, the case where no radius
+is settled).
 
 Usage:
     python scripts/similarity_experiment.py --seeds 25 --dim 4
@@ -55,7 +55,7 @@ def run(cfg: ExperimentConfig) -> None:
                 cfg.base_seed + s, dim=cfg.dim, cond_cap=cap
             )
             cert, T = sznagy_solve(inst.symbols, inst.ops)
-            found += similarity_to_variety(inst.symbols, inst.m, inst.ops).verdict == "found"
+            found += similarity_to_variety(inst.symbols, inst.m, inst.ops)[0].status == "PASS"
             if cert.Q is not None:
                 # c and d are read off Q, so only a certificate with Q has them
                 cs.append(cert.witnesses["c"])

@@ -9,17 +9,17 @@ implications the paper gives:
 
 - settled (every factor radius at most 1 - radius_margin): the radius report
   is consistent and decays, I is pure, rota, cpsim strict and cpsim
-  pure_cone pass, sznagy fails, and the variety similarity is found;
+  pure_cone pass, sznagy fails, and the variety similarity passes;
 - above one (some factor's radius enclosure lies above one): no PASS from
-  rota, sznagy or any cpsim mode, and the variety similarity is infeasible;
+  rota, sznagy or any cpsim mode, and the variety similarity fails;
 - sznagy (sznagy PASS): every factor's radius enclosure contains one, and
-  the variety similarity is found;
+  the variety similarity passes;
 - nilpotent (the nilpotent family): every identity orbit is zero by s = d
   and every radius is 0.
 
 For each implication it prints the number of specs checked and every
-violation. The last line is a sha256 digest over (spec, entry point, status,
-verdict or exception type), notes excluded, so two versions of the library
+violation. The last line is a sha256 digest over (spec, entry point, status
+or exception type), notes excluded, so two versions of the library
 can be compared in one command each. Exits 1 on any violation.
 
 Usage:
@@ -77,7 +77,7 @@ def specs(seeds, dims):
 
 
 def status(call):
-    """A certificate's status, a verdict string, or the name of a typed exception."""
+    """A certificate's status, or the name of a typed exception."""
     try:
         out = call()
     except TYPED as e:
@@ -96,7 +96,7 @@ def run_spec(symbols, m, ops, cons):
         else "not pure",
         "rota": status(lambda: rota_conjugate(symbols, m, ops, cons)),
         "sznagy": status(lambda: sznagy_solve(symbols, ops)),
-        "variety": similarity_to_variety(symbols, m, ops, cons).verdict,
+        "variety": status(lambda: similarity_to_variety(symbols, m, ops, cons)),
     }
     for mode in MODES:
         out[f"cpsim_{mode}"] = status(lambda: cpmap_similarity(kraus, m, mode, degree_cap=4))
@@ -121,20 +121,20 @@ def violations(family, d, out, facts):
             ("cpsim strict PASS", out["cpsim_strict"] == "PASS"),
             ("cpsim pure_cone PASS", out["cpsim_pure_cone"] == "PASS"),
             ("sznagy FAILED", out["sznagy"] == "FAILED"),
-            ("variety found", out["variety"] == "found"),
+            ("variety PASS", out["variety"] == "PASS"),
         ) if not ok]
     if any(lower > 1.0 for lower, _ in facts["enclosures"]):
         found["above one"] = [clause for clause, ok in (
             ("rota not PASS", out["rota"] != "PASS"),
             ("sznagy not PASS", out["sznagy"] != "PASS"),
             *((f"cpsim {mode} not PASS", out[f"cpsim_{mode}"] != "PASS") for mode in MODES),
-            ("variety infeasible", out["variety"] == "infeasible"),
+            ("variety FAILED", out["variety"] == "FAILED"),
         ) if not ok]
     if out["sznagy"] == "PASS":
         found["sznagy"] = [clause for clause, ok in (
             ("enclosures contain 1",
              all(lower <= 1.0 <= upper for lower, upper in facts["enclosures"])),
-            ("variety found", out["variety"] == "found"),
+            ("variety PASS", out["variety"] == "PASS"),
         ) if not ok]
     if family == "nilpotent":
         found["nilpotent"] = [clause for clause, ok in (

@@ -74,7 +74,6 @@ from .similarity import (
     DefectSolution,
     RadiusReport,
     SimilarityCertificate,
-    VarietyFeasibility,
     cpmap_similarity,
     model_embed,
     rota_conjugate,

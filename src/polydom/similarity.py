@@ -5,13 +5,12 @@ kernel, constrained to the variety when constraints are given;
 strict-contraction conjugation through the weighted series of the identity
 (Rota); and conjugation by the common fixed point of the maps that is the
 ergodic projection of the identity (Sz.-Nagy), refused when an identity orbit
-or that projection rules out every positive definite fixed point. Similarity
-onto the variety domain reads the last two certificates, after a radius
-enclosure above one has ruled it out. cpmap_similarity is a front end
-for commuting tuples of completely positive maps given by raw Kraus
-families: each of its modes returns one of the three certificates. Every
-certificate re-verifies its residuals before it is returned; failing
-certificates are returned marked FAILED, not dropped.
+or that projection rules out every positive definite fixed point. Two front
+ends return them relabelled: similarity_to_variety, the Rota or Sz.-Nagy
+certificate, whichever theorem decides, once no radius enclosure lies above
+one; cpmap_similarity, for commuting CP maps in raw Kraus form, the
+certificate of its mode. Every certificate re-verifies its residuals before
+it is returned; failing certificates are returned marked FAILED, not dropped.
 """
 
 from __future__ import annotations
@@ -47,11 +46,11 @@ from .words import NCPolynomial, PositiveSymbol
 
 @dataclass
 class SimilarityCertificate:
-    kind: str  # model_embed | strict_conjugation | isometric_conjugation | cpmap_similarity
-    status: str  # PASS | FAILED | INCONCLUSIVE
-    residuals: Dict[str, float]
-    tolerances: Dict[str, float]
-    witnesses: Dict[str, float]
+    kind: str  # model_embed | strict_conjugation | isometric_conjugation | cpmap_similarity | variety_similarity
+    status: str = "PENDING"  # PASS | FAILED | INCONCLUSIVE once finalized
+    residuals: Dict[str, float] = field(default_factory=dict)
+    tolerances: Dict[str, float] = field(default_factory=dict)
+    witnesses: Dict[str, float] = field(default_factory=dict)
     Y: Optional[np.ndarray] = None
     Q: Optional[np.ndarray] = None
     cond: Optional[float] = None
@@ -174,9 +173,6 @@ def _embed(
     b_eff = b + tail + 2.0 * leak * sv[0] + leak ** 2
     cert = SimilarityCertificate(
         kind="model_embed",
-        status="PENDING",
-        residuals={},
-        tolerances={},
         witnesses={"a": a, "b": b, "a_effective": a_eff, "b_effective": b_eff},
         Y=_gram_factor(K),
         cond=cond,
@@ -241,9 +237,6 @@ def _rota(
     bound_product = prod(phi._orbit(i).norm_sum(m[i - 1]) for i in range(1, phi.k + 1))
     cert = SimilarityCertificate(
         kind="strict_conjugation",
-        status="PENDING",
-        residuals={},
-        tolerances={},
         witnesses={"cond_P": condP ** 2, "product_bound": bound_product},
         Y=sq,
         Q=P,
@@ -262,11 +255,17 @@ def _rota(
     back = phi.defect(m, P)
     cert.residuals["defect_of_P_vs_identity"] = float(np.linalg.norm(back - eye, 2))
     cert.tolerances["defect_of_P_vs_identity"] = tol * scale + 10.0 * series.tail_bound
-    for idx, q in enumerate(Q_polys):
-        r = float(np.linalg.norm(T.evaluate_poly(q), 2))
-        cert.residuals[f"variety_{idx}"] = r
-        cert.tolerances[f"variety_{idx}"] = tol * scale * condP
+    _variety_residuals(cert, T, Q_polys, tol * scale * condP)
     return cert.finalize(), T
+
+
+def _variety_residuals(
+    cert: SimilarityCertificate, T: OperatorTuple, Q_polys: Sequence[NCPolynomial], bound: float
+) -> None:
+    """Records ||q(T)||_2 for every constraint q as variety_<idx>, gated by bound."""
+    for idx, q in enumerate(Q_polys):
+        cert.residuals[f"variety_{idx}"] = float(np.linalg.norm(T.evaluate_poly(q), 2))
+        cert.tolerances[f"variety_{idx}"] = bound
 
 
 # --- defect equation ----------------------------------------------------------
@@ -420,18 +419,23 @@ def sznagy_solve(
     return _sznagy(CPMapTuple(tuple(symbols), A), tol)
 
 
+def _radius_above_one(phi: CPMapTuple, factors: Optional[Sequence[int]] = None) -> Optional[str]:
+    """Why no similarity exists when the radius enclosure (radius_power_sequence)
+    of one of the factors, by default all, lies above one; None otherwise."""
+    for i in factors or range(1, phi.k + 1):
+        lower = phi.radius_power_sequence(i)[0]
+        if lower > 1.0:
+            return f"factor {i} has radius at least {lower:.6f} > 1"
+    return None
+
+
 def _sznagy(
-    phi: CPMapTuple, tol: float
+    phi: CPMapTuple, tol: float, Q_polys: Sequence[NCPolynomial] = ()
 ) -> Tuple[SimilarityCertificate, Optional[OperatorTuple]]:
     """sznagy_solve on a tuple the caller built, so that its cached
-    matricizations, radii and orbits are shared."""
-    cert = SimilarityCertificate(
-        kind="isometric_conjugation",
-        status="PENDING",
-        residuals={},
-        tolerances={},
-        witnesses={},
-    )
+    matricizations, radii and orbits are shared. Constraints with ||q(A)|| <=
+    tol are gated at tol * cond(Q^{1/2}), as q(T) = Q^{-1/2} q(A) Q^{1/2}."""
+    cert = SimilarityCertificate(kind="isometric_conjugation")
 
     def refuted(why: str) -> Tuple[SimilarityCertificate, None]:
         cert.residuals["positive_fixed_point"] = 1.0
@@ -444,9 +448,9 @@ def _sznagy(
         orbit.norm(_DECAY_WINDOW)
         if orbit.decays():
             return refuted(f"the identity orbit of factor {i} decays")
-        lower = phi.radius_power_sequence(i)[0]
-        if lower > 1.0:
-            return refuted(f"factor {i} has radius at least {lower:.6f} > 1")
+        why = _radius_above_one(phi, (i,))
+        if why is not None:
+            return refuted(why)
 
     Q, fixed_dim, why = _ergodic_fixed_point(phi)
     cert.witnesses["fixed_space_dim"] = float(fixed_dim)
@@ -483,21 +487,11 @@ def _sznagy(
         r = float(np.linalg.norm(phi_T.apply(i, eye) - eye, 2))
         cert.residuals[f"unital_{i}"] = r
         cert.tolerances[f"unital_{i}"] = tol * condQhalf ** 2
+    _variety_residuals(cert, T, Q_polys, tol * condQhalf)
     return cert.finalize(), T
 
 
 # --- similarity into a variety-domain tuple ----------------------------------
-
-
-@dataclass
-class VarietyFeasibility:
-    verdict: str  # "found" | "infeasible" | "inconclusive"
-    R: Optional[np.ndarray]
-    T: Optional[OperatorTuple]
-    min_defect_eig: float  # over p != 0; NaN without R
-    membership_report: Optional[ConeReport]
-    variety_residuals: List[float]
-    notes: List[str]
 
 
 def similarity_to_variety(
@@ -506,26 +500,29 @@ def similarity_to_variety(
     A: OperatorTuple,
     Q_polys: Sequence[NCPolynomial] = (),
     tol: float = 1e-8,
-) -> VarietyFeasibility:
+) -> Tuple[SimilarityCertificate, Optional[OperatorTuple]]:
     """Joint similarity of A to a tuple T = R^{-1/2} A R^{1/2} in the variety domain.
 
     Such a T exists exactly when the cone of (Phi, m) holds an invertible
-    positive R. After checking that every constraint annihilates A (to tol),
-    the paper's theorems decide:
-    - a factor i whose radius enclosure (radius_power_sequence) lies above
-      one: infeasible, since R >= cI and Delta^{e_i}(R) >= 0 (e_i <= m) give
-      Phi_i^s(I) <= R / c for all s, so rho <= 1;
-    - every factor settled: R is the Q of the Rota certificate (_rota),
-      Delta^{-m}(I), whose defects are all >= I, and T its conjugated tuple;
-      a refused series is inconclusive;
-    - otherwise R is the Q of the Sz.-Nagy certificate (_sznagy), the
-      ergodic fixed point of I, and T its conjugated tuple; a certificate
-      without T is inconclusive, with its last note as the reason.
-    "found" is returned only when membership confirms R a posteriori.
+    positive R. A bad m, or a constraint that does not annihilate A to tol,
+    raises ValueError. Then the paper's theorems decide, and the deciding
+    certificate is returned with T, relabelled kind="variety_similarity",
+    with R as its Q and each constraint on T gated as variety_<idx>:
+    - some factor's radius enclosure lies above one (_radius_above_one):
+      FAILED, since R >= cI and Delta^{e_i}(R) >= 0 give Phi_i^s(I) <= R / c
+      for all s, so rho <= 1;
+    - every factor settled: the Rota certificate (_rota), R = Delta^{-m}(I).
+      Its T_strict_membership proves R in the cone by congruence,
+      Delta_T^p(I) = R^{-1/2} Delta^p(R) R^{-1/2};
+    - otherwise R = I with T = A, when membership confirms I;
+    - otherwise the Sz.-Nagy certificate (_sznagy), R its fixed point.
+    Any Rota or Sz.-Nagy status other than PASS is INCONCLUSIVE, its last
+    note prefixed with the theorem's name: Rota guarantees a similarity, and
+    Sz.-Nagy rules out only a fixed R. So is a series that Rota refuses with
+    DivergenceError or ValueError.
     """
-    symbols = tuple(symbols)
     m = tuple(m)
-    phi = CPMapTuple(symbols, A)
+    phi = CPMapTuple(tuple(symbols), A)
     if len(m) != phi.k or any(mi < 1 for mi in m):
         raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
     for idx, q in enumerate(Q_polys):
@@ -533,37 +530,40 @@ def similarity_to_variety(
         if r > tol:
             raise ValueError(f"constraint polynomial {idx} does not annihilate A ({r:.3e})")
 
-    def undecided(verdict: str, why: str) -> VarietyFeasibility:
-        return VarietyFeasibility(verdict, None, None, float("nan"), None, [], [why])
-
-    for i in range(1, phi.k + 1):
-        lower = phi.radius_power_sequence(i)[0]
-        if lower > 1.0:
-            return undecided("infeasible", f"factor {i} has radius at least {lower:.6f} > 1")
+    cert = SimilarityCertificate(kind="variety_similarity")
+    why = _radius_above_one(phi)
+    if why is not None:
+        cert.residuals["radius_at_most_one"] = 1.0
+        cert.tolerances["radius_at_most_one"] = 0.0
+        cert.notes.append(why)
+        return cert.finalize(), None
     if all(phi._settled(i) for i in range(1, phi.k + 1)):
+        theorem = "Rota"
         try:
             cert, T = _rota(phi, m, Q_polys, tol)
-        except DivergenceError as e:
-            return undecided("inconclusive", str(e))
+        except (DivergenceError, ValueError) as e:
+            cert.status, cert.notes = "INCONCLUSIVE", [str(e)]
+            return cert, None
     else:
-        cert, T = _sznagy(phi, tol)
-        if T is None:
-            return undecided("inconclusive", f"Sz.-Nagy certificate: {cert.notes[-1]}")
-    R = cert.Q
-    rep = membership(phi, m, R, with_purity=False)
-    min_def = min(v for p, v in rep.min_eigs.items() if any(p))
-    if not rep.member:
-        return VarietyFeasibility("inconclusive", None, None, min_def, rep, [], [
-            f"the constructed R is not a cone member (defect eigenvalue {min_def:.3e})"])
-    return VarietyFeasibility(
-        verdict="found",
-        R=R,
-        T=T,
-        min_defect_eig=min_def,
-        membership_report=rep,
-        variety_residuals=[float(np.linalg.norm(T.evaluate_poly(q), 2)) for q in Q_polys],
-        notes=[],
-    )
+        rep = membership(phi, m, np.eye(phi.dim), with_purity=False)
+        if rep.member:
+            # R = I is a cone member, so A itself lies in the domain
+            cert.Q = cert.Y = np.eye(phi.dim, dtype=np.complex128)
+            cert.cond = 1.0
+            worst = rep.worst()[1]
+            cert.residuals["identity_membership"] = max(0.0, -worst)
+            cert.tolerances["identity_membership"] = phi.tol.tol_psd * rep.scale
+            cert.witnesses["T_defect_min_eig"] = worst
+            _variety_residuals(cert, A, Q_polys, tol)
+            return cert.finalize(), A
+        theorem = "Sz.-Nagy"
+        cert, T = _sznagy(phi, tol, Q_polys)
+    if cert.status != "PASS":
+        why = cert.notes.pop() if cert.notes else f"{cert.status}, residuals over tolerance"
+        cert.notes.append(f"{theorem} certificate: {why}")
+        cert.status = "INCONCLUSIVE"
+    cert.kind = "variety_similarity"
+    return cert, T
 
 
 # --- positive-map (Kraus) similarity ------------------------------------------

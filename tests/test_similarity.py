@@ -20,7 +20,7 @@ from polydom.similarity import (
     spectral_radius_equivalences,
     sznagy_solve,
 )
-from polydom.words import PositiveSymbol, commutator_polynomial, polyball_symbol
+from polydom.words import NCPolynomial, PositiveSymbol, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
 
@@ -423,16 +423,25 @@ def test_sznagy_bounds_hold_on_every_composed_iterate(seed, d):
 
 
 # ---------------------------------------------------------------------------
-# variety feasibility
+# variety similarity
 # ---------------------------------------------------------------------------
+
+def cone_report(symbols, m, ops, R):
+    # checked outside the certificate, from the original tuple
+    return membership(CPMapTuple(symbols, ops), m, R, with_purity=False)
+
+
+def variety_residuals(cert, polys):
+    return [cert.residuals[f"variety_{idx}"] for idx in range(len(polys))]
+
 
 def test_variety_feasibility_already_in_domain():
     inst = generate("nilpotent", 14, dim=4, ensure_cone=True)
     polys = (commutator_polynomial(1, 1, 2),)
-    out = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
-    assert out.verdict == "found"
-    assert out.membership_report is not None and out.membership_report.member
-    assert all(r <= 1e-6 for r in out.variety_residuals)
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
+    assert cert.status == "PASS" and cert.kind == "variety_similarity" and T is not None
+    assert cone_report(inst.symbols, inst.m, inst.ops, cert.Q).member
+    assert all(r <= 1e-6 for r in variety_residuals(cert, polys))
 
 
 def test_variety_feasibility_conjugated_instance():
@@ -442,10 +451,10 @@ def test_variety_feasibility_conjugated_instance():
     rows = [[xi @ M @ xi_inv for M in row] for row in inst.ops.rows]
     ops = OperatorTuple(rows)
     polys = (commutator_polynomial(1, 1, 2),)
-    out = similarity_to_variety(inst.symbols, inst.m, ops, Q_polys=polys)
-    assert out.verdict == "found"
-    assert out.membership_report is not None and out.membership_report.member
-    assert all(r <= 1e-6 for r in out.variety_residuals)
+    cert, T = similarity_to_variety(inst.symbols, inst.m, ops, Q_polys=polys)
+    assert cert.status == "PASS" and T is not None
+    assert cone_report(inst.symbols, inst.m, ops, cert.Q).member
+    assert all(r <= 1e-6 for r in variety_residuals(cert, polys))
 
 
 def test_variety_feasibility_radius_obstruction():
@@ -453,41 +462,45 @@ def test_variety_feasibility_radius_obstruction():
     G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     U, _ = np.linalg.qr(G)
     ops = OperatorTuple([[1.2 * U]])
-    out = similarity_to_variety((polyball_symbol(1),), (1,), ops)
+    cert, T = similarity_to_variety((polyball_symbol(1),), (1,), ops)
     # Phi(I) = 1.44 I: no R >= cI can have Phi(R) <= R
-    assert out.verdict == "infeasible"
-    assert out.R is None and out.T is None
+    assert cert.status == "FAILED" and cert.kind == "variety_similarity"
+    assert cert.Q is None and T is None
+    assert cert.notes == ["factor 1 has radius at least 1.200000 > 1"]
 
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_variety_feasibility_finds_the_series_of_identity_at_radius_099(seed):
     inst = generate("commuting_polynomials", seed, dim=3, target_radius=0.99)
-    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
-    assert out.verdict == "found"
-    assert out.membership_report.member
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    assert cert.status == "PASS"
+    rep = cone_report(inst.symbols, inst.m, inst.ops, cert.Q)
+    assert rep.member
     # R = Delta^{-m}(I): every defect Delta^p(R), p <= m, is at least I
-    assert min(out.membership_report.min_eigs.values()) >= 1.0 - 1e-8
-    assert out.min_defect_eig >= 1.0 - 1e-8
+    assert min(rep.min_eigs.values()) >= 1.0 - 1e-8
+    # and T lies strictly inside the domain
+    assert cert.witnesses["T_defect_min_eig"] > 0.0
 
 
 def test_variety_feasibility_finds_the_fixed_point_on_conjugated_unitaries():
     inst = generate("conjugated_unitaries", 0, dim=4)
-    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
-    assert out.verdict == "found"
-    assert out.membership_report.member
-    assert np.linalg.eigvalsh(out.R)[0] > 0.0
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    assert cert.status == "PASS" and T is not None
+    assert cone_report(inst.symbols, inst.m, inst.ops, cert.Q).member
+    assert np.linalg.eigvalsh(cert.Q)[0] > 0.0
     phi = CPMapTuple(inst.symbols, inst.ops)
     for i in range(1, phi.k + 1):
-        assert np.linalg.norm(phi.apply(i, out.R) - out.R, 2) <= 1e-10
+        assert np.linalg.norm(phi.apply(i, cert.Q) - cert.Q, 2) <= 1e-10
 
 
 def test_variety_feasibility_undecided_above_radius_one():
     # the Collatz-Wielandt lower bound with Y = I stays below one here
     inst = generate("commuting_polynomials", 0, dim=3, target_radius=1.02)
-    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
-    assert out.verdict == "inconclusive"
-    assert out.R is None
-    assert out.notes and "Sz.-Nagy certificate: the maps have no common fixed point" in out.notes[0]
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    assert cert.status == "INCONCLUSIVE"
+    assert cert.Q is None and T is None
+    assert cert.notes == [
+        "Sz.-Nagy certificate: the maps have no common fixed point; no similarity"]
 
 
 def same_tuple(S, T):
@@ -497,18 +510,103 @@ def same_tuple(S, T):
 def test_variety_feasibility_reads_the_rota_certificate():
     inst = generate("commuting_polynomials", 1, dim=4, target_radius=0.8)
     polys = (commutator_polynomial(1, 1, 2),)
-    out = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
+    out, T_out = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
     cert, T = rota_conjugate(inst.symbols, inst.m, inst.ops, polys)
-    assert out.verdict == "found"
-    assert np.array_equal(out.R, cert.Q) and same_tuple(out.T, T)
+    assert out.status == "PASS" and out.kind == "variety_similarity"
+    assert np.array_equal(out.Q, cert.Q) and same_tuple(T_out, T)
+    assert out.residuals == cert.residuals and out.tolerances == cert.tolerances
 
 
 def test_variety_feasibility_reads_the_sznagy_certificate():
     inst = generate("conjugated_unitaries", 0, dim=4)
-    out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    out, T_out = similarity_to_variety(inst.symbols, inst.m, inst.ops)
     cert, T = sznagy_solve(inst.symbols, inst.ops)
-    assert out.verdict == "found"
-    assert np.array_equal(out.R, cert.Q) and same_tuple(out.T, T)
+    assert out.status == "PASS" and out.kind == "variety_similarity"
+    assert np.array_equal(out.Q, cert.Q) and same_tuple(T_out, T)
+    assert out.residuals == cert.residuals
+
+
+def test_variety_similarity_reads_one_membership_on_the_rota_path(monkeypatch):
+    calls = []
+    real = polydom.similarity.membership
+    monkeypatch.setattr(polydom.similarity, "membership",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    inst = generate("commuting_polynomials", 1, dim=4, target_radius=0.8)
+    polys = (commutator_polynomial(1, 1, 2),)
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
+    assert cert.status == "PASS"
+    # the one call is _rota's strict membership of I for T
+    assert len(calls) == 1 and calls[0][0].ops is not inst.ops
+
+
+def test_variety_similarity_reports_a_failed_rota_certificate_inconclusive(monkeypatch):
+    real = polydom.similarity._rota
+
+    def failing(*args):
+        cert, T = real(*args)
+        cert.status = "FAILED"
+        cert.notes.append("forced")
+        return cert, T
+
+    monkeypatch.setattr(polydom.similarity, "_rota", failing)
+    inst = generate("commuting_polynomials", 1, dim=4, target_radius=0.8)
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    # every factor is settled, so Rota's theorem guarantees a similarity
+    assert cert.status == "INCONCLUSIVE" and cert.notes[-1] == "Rota certificate: forced"
+
+
+def cross_commutator():
+    # Z_{1,1} Z_{2,1} - Z_{2,1} Z_{1,1}: the two factors commute
+    return NCPolynomial(((1.0, ((1, 1), (2, 1))), (-1.0, ((2, 1), (1, 1)))))
+
+
+def test_variety_similarity_gates_the_constraints_on_the_sznagy_path():
+    inst = generate("conjugated_unitaries", 0, dim=4)
+    polys = (cross_commutator(),)
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops, Q_polys=polys)
+    assert cert.status == "PASS" and T is not None and "fixed_point_1" in cert.residuals
+    # q(T) = Q^{-1/2} q(A) Q^{1/2}, with ||q(A)|| <= tol = 1e-8
+    assert cert.tolerances["variety_0"] == 1e-8 * cert.cond
+    assert cert.residuals["variety_0"] <= cert.tolerances["variety_0"]
+    assert cert.residuals["variety_0"] == np.linalg.norm(T.evaluate_poly(polys[0]), 2)
+    # the gate has teeth: Z_{1,1} itself is far from zero on T
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    bad = NCPolynomial(((1.0, ((1, 1),)),))
+    failed, _ = polydom.similarity._sznagy(phi, 1e-8, (bad,))
+    assert failed.status == "FAILED"
+    assert failed.residuals["variety_0"] > failed.tolerances["variety_0"]
+
+
+def rotated(blocks, seed):
+    A = np.zeros((3, 3), dtype=np.complex128)
+    A[:2, :2], A[2, 2] = blocks
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return V @ A @ V.conj().T
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([1.0, 0.5]).astype(np.complex128),
+    rotated((np.diag(np.exp([0.3j, 2.1j])), 0.5), 7),
+], ids=["diag", "rotated_unitary_plus_half"])
+def test_variety_similarity_passes_a_tuple_already_in_the_domain(A):
+    # R = I is in the cone (Delta(I) = I - A A^* >= 0), but the radius is one,
+    # so neither Rota nor Sz.-Nagy (ergodic projection of I singular) decides
+    ops = OperatorTuple([[A]])
+    cert, T = similarity_to_variety((polyball_symbol(1),), (1,), ops)
+    assert cert.status == "PASS" and cert.kind == "variety_similarity"
+    assert np.array_equal(cert.Q, np.eye(A.shape[0])) and cert.cond == 1.0
+    assert T is ops
+    assert sznagy_solve((polyball_symbol(1),), ops)[0].status != "PASS"
+
+
+def test_variety_similarity_reports_an_unrepresentable_series_inconclusive():
+    # settled, but Delta^{-m}(I) at m = (30, 1) is about 1e36 and its computed
+    # minimum eigenvalue negative
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.99, m=(30, 1))
+    cert, T = similarity_to_variety(inst.symbols, inst.m, inst.ops)
+    assert cert.status == "INCONCLUSIVE" and T is None
+    assert cert.notes[-1].startswith("the series value P is not positive definite")
 
 
 def test_variety_feasibility_rejects_nonannihilating_constraint():
@@ -557,23 +655,23 @@ def test_similarity_verdicts_follow_the_theorems(name, seed):
     symbols, m, ops = implication_spec(name, seed)
     phi = CPMapTuple(symbols, ops)
     kraus = CPMapTuple.from_kraus([list(row) for row in ops.rows])
-    verdict = similarity_to_variety(symbols, m, ops).verdict
+    variety = certificate_status(lambda: similarity_to_variety(symbols, m, ops))
     sznagy = certificate_status(lambda: sznagy_solve(symbols, ops))
     if all(phi._settled(i) for i in range(1, phi.k + 1)):
-        assert verdict == "found"
+        assert variety == "PASS"
         assert sznagy == "FAILED"
         assert certificate_status(lambda: rota_conjugate(symbols, m, ops)) == "PASS"
         assert certificate_status(
             lambda: cpmap_similarity(kraus, m, "pure_cone", degree_cap=4)) == "PASS"
     if any(phi.radius_power_sequence(i)[0] > 1.0 for i in range(1, phi.k + 1)):
-        assert verdict == "infeasible"
+        assert variety == "FAILED"
         assert certificate_status(lambda: rota_conjugate(symbols, m, ops)) != "PASS"
         assert sznagy == "FAILED"
         for mode in ("strict", "pure_cone", "unital"):
             assert certificate_status(
                 lambda: cpmap_similarity(kraus, m, mode, degree_cap=4)) != "PASS"
     if sznagy == "PASS":
-        assert verdict == "found"
+        assert variety == "PASS"
 
 
 def test_model_embed_and_pure_cone_sum_the_series_once(monkeypatch):
