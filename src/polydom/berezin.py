@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DivergenceError, Tolerances
-from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, _as_complex, hermitize
+from .cone import hermitian, positive, psd_range
+from .config import DivergenceError
+from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, hermitize
 from .fock import (
     CompressedModel,
     ModelOperators,
@@ -97,18 +98,6 @@ def _kernel_tail_bound(
     return (float(np.linalg.norm(series.value, 2)) + series.tail_bound) * tails, series
 
 
-def require_psd(R: np.ndarray, d: int, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hermitized R, its eigenvalues, its eigenvectors); ValueError unless R is
-    a finite d x d PSD matrix."""
-    R = hermitize(_as_complex(R, "R"))
-    if R.shape != (d, d):
-        raise ValueError(f"R has shape {R.shape}, operators have dimension {d}")
-    lam, V = np.linalg.eigh(R)
-    if float(lam[0]) < -tol.tol_psd * max(1.0, float(lam[-1])):
-        raise ValueError(f"R is not positive semidefinite (eigenvalue {lam[0]:.3e})")
-    return R, lam, V
-
-
 def _require_model(model: ModelOperators, symbols: Sequence[PositiveSymbol],
                    m: Sequence[int], degree_cap: int) -> None:
     """ValueError unless model was built for these symbols, m and degree cap (by value)."""
@@ -131,7 +120,8 @@ def kernel(
     """The generalized Berezin kernel of phi truncated at per-factor degree degree_cap.
 
     model is the truncated model for (phi.symbols, m, degree_cap), built
-    here when not given; a model built for other values raises ValueError.
+    here when not given; a model built for other values raises ValueError, as
+    does an R that is not Hermitian PSD (cone.hermitian, cone.positive).
     The weighted series of R is summed once on phi, certified, for the tail
     bound and carried as the kernel's series; it is None, and no series term
     is summed, when some factor's radius is above 1 - radius_margin.
@@ -140,9 +130,9 @@ def kernel(
         _require_model(model, phi.symbols, m, degree_cap)
     ops = phi.ops
     d = phi.dim
-    R, lam, V = require_psd(R, d, phi.tol)
-    # a rounding-negative R ~ 0 keeps no eigenvalue: the clip stays positive
-    keep = lam > phi.tol.eig_clip * max(float(lam[-1]), 1e-300)
+    R = hermitian(R, "R", d)
+    _, lam, V = positive(R, phi.tol, what="R", vectors=True)
+    keep = psd_range(lam, phi.tol)[0]
     rank = int(np.count_nonzero(keep))
     R2 = (np.sqrt(lam[keep])[:, None] * V[:, keep].conj().T) if rank else np.zeros((0, d))
 
@@ -302,11 +292,15 @@ def extended_transform_sweep(
     Each grid point uses the tuple (f, m, rA, Delta_{f,rA}^m(D_pos), Q); the
     Gram identity K*K = D_pos is reported per point and Cauchy differences
     of the transform values across the grid stand in for the r -> 1 limit.
+    A D_pos that is not Hermitian PSD raises ValueError; a defect that is not
+    PSD is noted and shifted by its minimum eigenvalue.
     """
     symbols = tuple(symbols)
     m = tuple(m)
     polys = tuple(polys)
     k = len(symbols)
+    D_pos = hermitian(D_pos, "D_pos", ops.dim)
+    positive(D_pos, ops.tol, what="D_pos")
     for q in polys:
         if not q.is_homogeneous(k):
             raise ValueError("sweep requires homogeneous constraint polynomials")
@@ -322,8 +316,8 @@ def extended_transform_sweep(
         ops_r = OperatorTuple(rows, tol=ops.tol, check_commutation=False)
         phi_r = CPMapTuple(symbols, ops_r, validate=False)
         R_r = hermitize(phi_r.defect(m, D_pos))
-        lam = np.linalg.eigvalsh(R_r)
-        if lam[0] < -1e-9 * max(1.0, lam[-1]):
+        psd, lam, _ = positive(R_r, ops.tol)
+        if not psd:
             notes.append(f"r={r}: defect not PSD (min eig {lam[0]:.3e})")
             R_r = R_r - lam[0] * np.eye(R_r.shape[0])
         ck = constrained_kernel(kernel(phi_r, m, R_r, degree_cap, model), model, sub)
@@ -369,13 +363,15 @@ def vn_check_model(
     """Checks ||sum A_(alpha) D A_(beta)^* (x) C|| <= ||D|| ||sum S_(alpha) S_(beta)^* (x) C||.
 
     terms is a list of (C, alpha, beta) with C a q x q coefficient block and
-    alpha, beta k-tuples of words. The model side is evaluated at three
-    consecutive truncation degrees; since truncated norms only increase with
-    the cap, an unstabilized right side yields INCONCLUSIVE, never PASS.
+    alpha, beta k-tuples of words; D_pos must be Hermitian PSD (ValueError).
+    The model side is evaluated at three consecutive truncation degrees;
+    since truncated norms only increase with the cap, an unstabilized right
+    side yields INCONCLUSIVE, never PASS.
     """
     symbols = tuple(symbols)
     m = tuple(m)
-    D_pos = hermitize(np.asarray(D_pos, dtype=np.complex128))
+    D_pos = hermitian(D_pos, "D_pos", ops.dim)
+    positive(D_pos, ops.tol, what="D_pos")
     d = ops.dim
     qdim = np.atleast_2d(terms[0][0]).shape[0] if terms else 1
     lhs_mat = np.zeros((d * qdim, d * qdim), dtype=np.complex128)

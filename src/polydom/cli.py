@@ -292,7 +292,9 @@ def cmd_gen(args) -> Dict[str, Any]:
         kwargs["arities"] = tuple(int(x) for x in args.arities.split(","))
     if args.m is not None:
         kwargs["m"] = tuple(int(x) for x in args.m.split(","))
-    if args.family in ("commuting_polynomials", "polyball_random"):
+    if args.target_radius is not None:
+        if args.family not in ("commuting_polynomials", "polyball_random"):
+            raise ValueError(f"{args.family} has no --target-radius")
         kwargs["target_radius"] = args.target_radius
     if args.family == "conjugated_unitaries":
         kwargs.pop("arities", None)
@@ -305,6 +307,12 @@ def cmd_gen(args) -> Dict[str, Any]:
         if "m" in kwargs:
             kwargs["m"] = int(kwargs["m"][0])
     inst = generate(args.family, args.seed, **kwargs)
+    # a family that fixes arities or m must not drop the flags silently
+    for flag, got in (("arities", inst.ops.arities), ("m", inst.m)):
+        asked = getattr(args, flag)
+        if asked is not None and tuple(int(x) for x in asked.split(",")) != tuple(got):
+            raise ValueError(f"{args.family} writes --{flag} {','.join(map(str, got))}, "
+                             f"not {asked}")
     return problem_to_json(_instance_to_spec(inst))
 
 
@@ -346,7 +354,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     g = sub.add_parser("gen", help="generate a seeded problem spec")
     g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--target-radius", type=float, default=0.8, dest="target_radius")
+    g.add_argument("--target-radius", type=float, dest="target_radius",
+                   help="commuting_polynomials and polyball_random only (default 0.8)")
     g.add_argument("--dim", type=int)
     g.add_argument("--k", type=int)
     g.add_argument("--arities", type=str, help="comma separated, e.g. 2,1")

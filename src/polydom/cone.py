@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import Tolerances
 from .cpmap import (
     _DECAY_WINDOW,
     CPMapTuple,
@@ -31,6 +32,45 @@ class RankAmbiguityError(ValueError):
 
 def min_eig(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(X))[0])
+
+
+def hermitian(X, what: str, dim: int) -> np.ndarray:
+    """X hermitized; ValueError unless X is a finite dim x dim matrix that is
+    Hermitian entrywise to 1e-10 (1 + ||X||_F)."""
+    X = _as_complex(X, what)
+    if X.shape != (dim, dim):
+        raise ValueError(f"{what} has shape {X.shape}, operators have dimension {dim}")
+    if not np.allclose(X, X.conj().T, rtol=0, atol=1e-10 * (1 + np.linalg.norm(X))):
+        raise ValueError(f"{what} is not Hermitian")
+    return hermitize(X)
+
+
+def positive(X: np.ndarray, tol: Tolerances, definite: bool = False, error: float = 0.0,
+             what: Optional[str] = None, vectors: bool = False):
+    """(verdict, ascending eigenvalues, eigenvectors if vectors else None) of the
+    Hermitian X: PSD when l >= -tol_psd s, PD when l > tol_pd s, s = max(1, ||X||_2),
+    l = lam_min - error (error bounds ||X - exact||_2); ValueError naming what, if given."""
+    lam, U = np.linalg.eigh(X) if vectors else (np.linalg.eigvalsh(X), None)
+    low, s = float(lam[0]) - error, max(1.0, -float(lam[0]), float(lam[-1]))
+    ok = low > tol.tol_pd * s if definite else low >= -tol.tol_psd * s
+    if not ok and what is not None:
+        raise ValueError(f"{what} is not positive {'' if definite else 'semi'}definite "
+                         f"(min eigenvalue {low:.3e})")
+    return ok, lam, U
+
+
+def psd_range(lam: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, float]:
+    """(lam > c, c) with c = eig_clip lam_max: the range of a PSD matrix, none of
+    a rounding-negative X ~ 0."""
+    clip = tol.eig_clip * max(float(lam[-1]), 1e-300)
+    return lam > clip, clip
+
+
+def sqrt_pair(lam: np.ndarray, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(X^{1/2}, X^{-1/2}, cond(X^{1/2})) from the eigenpairs of a PD X."""
+    sq = U @ np.diag(np.sqrt(lam)) @ U.conj().T
+    isq = U @ np.diag(1.0 / np.sqrt(lam)) @ U.conj().T
+    return sq, isq, float(np.sqrt(lam[-1] / lam[0]))
 
 
 def scaled_map(phi: CPMapTuple, r: float) -> CPMapTuple:
@@ -88,10 +128,7 @@ def is_pure_element(phi: CPMapTuple, X: np.ndarray) -> PurityReport:
     X = 0, None when not pure), and fitted_rate is the Gelfand bound
     min_{t<=64} eta_t^{1/t} >= rho(Phi_i).
     """
-    X = _as_complex(X, "X")
-    if X.shape != (phi.dim, phi.dim):
-        raise ValueError(f"X has shape {X.shape}, expected {(phi.dim, phi.dim)}")
-    xnorm = float(np.linalg.norm(hermitize(X), 2))
+    xnorm = float(np.linalg.norm(hermitian(X, "X", phi.dim), 2))
     factors: List[FactorPurity] = []
     for i in range(1, phi.k + 1):
         pure = phi.decays(i)
@@ -112,10 +149,7 @@ def membership(
     with_purity: bool = True,
 ) -> ConeReport:
     """Cone verdict from the minimum eigenvalue of every defect Delta^p(X), p <= m."""
-    X = _as_complex(X, "X")
-    if not np.allclose(X, X.conj().T, rtol=0, atol=1e-10 * (1 + np.linalg.norm(X))):
-        raise ValueError("membership requires a Hermitian matrix")
-    X = hermitize(X)
+    X = hermitian(X, "X", phi.dim)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
     t_psd = phi.tol.tol_psd if tol_psd is None else float(tol_psd)
     t_pd = phi.tol.tol_pd
@@ -224,7 +258,7 @@ def factor_through(
     extended by zero on the kernel.
     """
     phi = CPMapTuple(symbols, A)
-    Gamma = hermitize(np.asarray(Gamma, dtype=np.complex128))
+    Gamma = hermitian(Gamma, "Gamma", A.dim)
     gamma_report = membership(phi, m, Gamma, with_purity=False)
     if gamma_report.verdict == "outside":
         raise ValueError(
@@ -237,14 +271,13 @@ def factor_through(
         if qa > tol * qa_scale:
             raise ValueError(f"a constraint polynomial does not annihilate A: ||q(A)|| = {qa:.3e}")
 
-    lam, U = np.linalg.eigh(Gamma)
-    clip = phi.tol.eig_clip * max(float(lam[-1]), 1e-300)
+    lam, U = positive(Gamma, phi.tol, vectors=True)[1:]
+    keep, clip = psd_range(lam, phi.tol)
     ambiguous = [v for v in lam if clip / 3 < v < 3 * clip]
     if ambiguous:
         raise RankAmbiguityError(
             f"eigenvalues {ambiguous[:3]} are within a factor 3 of the cutoff {clip:.3e}"
         )
-    keep = lam > clip
     rank = int(np.count_nonzero(keep))
     d = Gamma.shape[0]
     Ur = U[:, keep]

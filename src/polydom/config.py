@@ -14,14 +14,16 @@ from dataclasses import asdict, dataclass
 class Tolerances:
     # relative cross-factor commutation tolerance for operator tuples
     tol_comm: float = 1e-10
-    # PSD verdicts: min eigenvalue >= -tol_psd * max(1, ||X||)
+    # PSD verdicts (cone.positive): lambda_min >= -tol_psd * max(1, ||X||_2);
+    # cone.membership scales the defects of X by the same max(1, ||X||_2)
     tol_psd: float = 1e-9
-    # strict-positivity margin for strict cone verdicts
+    # PD verdicts (cone.positive): lambda_min > tol_pd * max(1, ||X||_2);
+    # strict cone verdicts ask every defect for >= tol_pd * max(1, ||X||_2)
     tol_pd: float = 1e-9
     # a factor is settled when its tuple radius is at most 1 - radius_margin;
     # only settled factors get certified series, kernel tails and a decay search
     radius_margin: float = 0.005
-    # relative eigenvalue clip for PSD square roots and rank decisions
+    # the range of a PSD matrix (cone.psd_range): eigenvalues above eig_clip * lambda_max
     eig_clip: float = 1e-12
     # relative singular value cutoff when orthonormalizing spans
     svd_cutoff: float = 1e-10

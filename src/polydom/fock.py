@@ -271,11 +271,6 @@ def build_model(
         weight_table(f, mi, degree_cap, exact=exact_weights, tol=tol)
         for f, mi in zip(symbols, m)
     )
-    if not exact_weights:
-        weights = tuple(
-            WeightTable(w.m, {k: float(v) for k, v in w.entries.items()}, False)
-            for w in weights
-        )
     fock = TruncatedFock(
         symbols=symbols,
         m=m,

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cone import membership
 from .cpmap import CPMapTuple, OperatorTuple
 from .words import PositiveSymbol, Word, polyball_symbol
 
@@ -200,9 +201,7 @@ def nilpotent(
         for _ in range(80):
             ops = OperatorTuple(rows, check_commutation=False)
             phi = CPMapTuple(symbols, ops, validate=False)
-            grid = phi.defect_grid(m, eye)
-            low = min(float(np.linalg.eigvalsh(D)[0]) for D in grid.values())
-            if low >= 0.0:
+            if membership(phi, m, eye, tol_psd=0.0, with_purity=False).member:
                 break
             rows = [[0.7 * A for A in row] for row in rows]
             shrink *= 0.7

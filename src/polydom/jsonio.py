@@ -160,33 +160,50 @@ def problem_to_json(spec: ProblemSpec) -> Dict[str, Any]:
     }
 
 
+# top-level spec fields and their JSON types; constraints and task may be left out
+_SPEC_FIELDS = {"k": int, "arities": list, "dim": int, "symbols": list,
+                "operators": list, "constraints": list, "task": dict}
+
+
+def _field(obj: Dict[str, Any], name: str, parse=lambda v: v):
+    """parse(obj[name]); ValueError naming the field when it is missing, of the
+    wrong JSON type, or malformed inside."""
+    kind = _SPEC_FIELDS[name]
+    if name not in obj and name not in ("constraints", "task"):
+        raise ValueError(f"spec field {name!r} is missing")
+    value = obj.get(name, kind())
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"spec field {name!r} must be {kind.__name__}, got {type(value).__name__}")
+    try:
+        return parse(value)
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as e:
+        raise ValueError(f"spec field {name!r} is malformed ({type(e).__name__}: {e})") from e
+
+
 def problem_from_json(obj: Dict[str, Any], check_commutation: bool = True) -> ProblemSpec:
-    symbols: List[PositiveSymbol] = []
-    ms: List[int] = []
-    for s in obj["symbols"]:
-        f, mi = symbol_from_json(s)
-        symbols.append(f)
-        ms.append(mi)
-    if len(symbols) != int(obj["k"]):
+    if not isinstance(obj, dict):
+        raise ValueError(f"a problem spec is a JSON object, got {type(obj).__name__}")
+    pairs = _field(obj, "symbols", lambda v: [symbol_from_json(s) for s in v])
+    symbols = tuple(f for f, _ in pairs)
+    if len(symbols) != _field(obj, "k"):
         raise ValueError(f"k = {obj['k']} but {len(symbols)} symbols given")
-    rows = [[matrix_from_json(a) for a in row] for row in obj["operators"]]
+    rows = _field(obj, "operators", lambda v: [[matrix_from_json(a) for a in row] for row in v])
     ops = OperatorTuple(rows, check_commutation=check_commutation)
-    if list(ops.arities) != [int(n) for n in obj["arities"]]:
+    if list(ops.arities) != _field(obj, "arities", lambda v: [int(n) for n in v]):
         raise ValueError(
             f"arities field {obj['arities']} disagrees with operator rows {ops.arities}"
         )
-    if ops.dim != int(obj["dim"]):
+    if ops.dim != _field(obj, "dim"):
         raise ValueError(f"dim field {obj['dim']} disagrees with matrices ({ops.dim})")
     for f, row in zip(symbols, ops.rows):
         if f.arity != len(row):
             raise ValueError("symbol arity disagrees with its operator row")
-    constraints = tuple(poly_from_json(q) for q in obj.get("constraints", []))
     return ProblemSpec(
-        symbols=tuple(symbols),
-        m=tuple(ms),
+        symbols=symbols,
+        m=tuple(mi for _, mi in pairs),
         ops=ops,
-        constraints=constraints,
-        task=dict(obj.get("task", {})),
+        constraints=_field(obj, "constraints", lambda v: tuple(poly_from_json(q) for q in v)),
+        task=_field(obj, "task", dict),
     )
 
 

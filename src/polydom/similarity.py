@@ -22,13 +22,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DivergenceError
-from .cone import ConeReport, membership
+from .cone import ConeReport, hermitian, membership, positive, sqrt_pair
 from .cpmap import (
     _DECAY_WINDOW,
     CPMapTuple,
     OperatorTuple,
     SeriesResult,
-    _as_complex,
     hermitize,
     unvec,
     vec,
@@ -38,7 +37,6 @@ from .berezin import (
     intertwine_check,
     intertwine_check_constrained,
     kernel as berezin_kernel,
-    require_psd,
 )
 from .fock import build_model, variety_subspace
 from .words import NCPolynomial, PositiveSymbol
@@ -75,16 +73,6 @@ class SimilarityCertificate:
         return self
 
 
-def _psd_sqrt_pair(Q: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(Q^{1/2}, Q^{-1/2}, cond(Q^{1/2})) for positive definite Q."""
-    lam, U = np.linalg.eigh(hermitize(Q))
-    if lam[0] <= 0:
-        raise ValueError(f"{what} is not positive definite (min eigenvalue {lam[0]:.3e})")
-    sq = U @ np.diag(np.sqrt(lam)) @ U.conj().T
-    isq = U @ np.diag(1.0 / np.sqrt(lam)) @ U.conj().T
-    return sq, isq, float(np.sqrt(lam[-1] / lam[0]))
-
-
 # --- model embedding ----------------------------------------------------------
 
 
@@ -105,9 +93,9 @@ def model_embed(
     sums. The certificate's Y is the d x d factor C of K_omega = V C, V an
     isometry: the R factor of its QR with a positive diagonal, so that
     Y^*Y = Q = K_omega^* K_omega and Y does not depend on the basis of N_Q.
-    An R that is not a finite PSD d x d matrix raises ValueError and a tuple
-    radius above 1 - radius_margin raises DivergenceError, both before the
-    model is built.
+    An R that is not a finite Hermitian PSD d x d matrix raises ValueError
+    and a tuple radius above 1 - radius_margin raises DivergenceError, both
+    before the model is built.
 
     Without constraints N_Q is the whole model: K_omega is the kernel K,
     S = W, and the residuals are the full residuals of intertwine_check with
@@ -137,7 +125,8 @@ def _embed(
 ) -> SimilarityCertificate:
     """model_embed on a tuple the caller built, so that its cached radii and
     orbits are shared."""
-    R = require_psd(R, phi.dim, phi.tol)[0]
+    R = hermitian(R, "R", phi.dim)
+    positive(R, phi.tol, what="R")
     phi._refuse_unsettled(range(1, phi.k + 1))
     model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)[1]
     sub = variety_subspace(model, Q_polys) if Q_polys else None
@@ -156,13 +145,10 @@ def _embed(
     series = kern.series
     if series is None:
         raise DivergenceError("the certified weighted series of R was refused")
-    lam = np.linalg.eigvalsh(hermitize(series.value))
+    lam = positive(series.value, phi.tol, definite=True, error=series.tail_bound,
+                   what="no embedding: the weighted series of R")[1]
     a = float(lam[0]) - series.tail_bound
     b = float(lam[-1]) + series.tail_bound
-    if a <= phi.tol.tol_pd:
-        raise ValueError(
-            f"no embedding: the weighted series of R has lower bound {a:.3e}"
-        )
     sv = np.linalg.svd(K, compute_uv=False)
     if sv[-1] <= 0:
         raise ValueError("kernel is not injective; embedding failed")
@@ -193,7 +179,7 @@ def _embed(
     cert.Q = gram
     rep = membership(phi, m, gram, with_purity=True)
     cert.residuals["Q_cone_min_eig"] = max(0.0, -rep.worst()[1])
-    cert.tolerances["Q_cone_min_eig"] = phi.tol.tol_psd * rep.scale + 10.0 * (tail + leak * sv[0])
+    cert.tolerances["Q_cone_min_eig"] = rep.tol_psd * rep.scale + 10.0 * (tail + leak * sv[0])
     if not rep.purity.pure:
         cert.notes.append("the identity orbits did not certify that the witness Q is pure")
         cert.residuals["Q_purity"] = 1.0
@@ -230,7 +216,8 @@ def _rota(
     and orbits are shared."""
     series = phi.weighted_series(m, np.eye(phi.dim, dtype=np.complex128))
     P = hermitize(series.value)
-    sq, isq, condP = _psd_sqrt_pair(P, "the series value P")
+    _, lam, U = positive(P, phi.tol, definite=True, what="the series value P", vectors=True)
+    sq, isq, condP = sqrt_pair(lam, U)
     T = phi.ops.conjugate(sq, isq)
     phi_T = CPMapTuple(phi.symbols, T)
 
@@ -248,7 +235,7 @@ def _rota(
     eye = np.eye(phi.dim)
     rep = membership(phi_T, m, eye, with_purity=False)
     worst = rep.worst()[1]
-    cert.residuals["T_strict_membership"] = max(0.0, phi.tol.tol_pd - worst)
+    cert.residuals["T_strict_membership"] = max(0.0, rep.tol_pd * rep.scale - worst)
     cert.tolerances["T_strict_membership"] = 0.0
     cert.witnesses["T_defect_min_eig"] = worst
     # back conversion: Delta^m(P) = I for the original tuple
@@ -291,17 +278,16 @@ def solve_defect_equation(
 ) -> DefectSolution:
     """The unique positive solution of Delta^m(X) = R when all radii are < 1.
 
-    The weighted-series value is cross-checked against an independent dense
-    linear solve of the matricized equation; a singular matricized system
-    contradicts the radius precondition and raises.
+    R must be Hermitian positive definite (ValueError). The weighted-series
+    value is cross-checked against an independent dense linear solve of the
+    matricized equation; a singular matricized system contradicts the radius
+    precondition and raises.
     """
     symbols = tuple(symbols)
     m = tuple(m)
     phi = CPMapTuple(symbols, A)
-    R = hermitize(_as_complex(R, "R"))
-    lamR = np.linalg.eigvalsh(R)
-    if lamR[0] < phi.tol.tol_pd * max(1.0, lamR[-1]):
-        raise ValueError(f"R must be positive definite; min eigenvalue {lamR[0]:.3e}")
+    R = hermitian(R, "R", phi.dim)
+    positive(R, phi.tol, definite=True, what="R")
     series = phi.weighted_series(m, R)
     X = hermitize(series.value)
     defect_residual = float(np.linalg.norm(phi.defect(m, X) - R, 2))
@@ -322,7 +308,7 @@ def solve_defect_equation(
         )
     gap = float(np.linalg.norm(x_oracle - vec(X)) / max(np.linalg.norm(vec(X)), 1e-300))
     rep = membership(phi, m, X, with_purity=False)
-    invertible = bool(np.linalg.eigvalsh(X)[0] > phi.tol.tol_pd)
+    invertible = positive(X, phi.tol, definite=True)[0]
     scale = max(1.0, float(np.linalg.norm(R, 2)))
     ok = (
         defect_residual <= tol * scale + 10.0 * series.tail_bound
@@ -463,10 +449,10 @@ def _sznagy(
     # Q is normalized to spectral norm one; every check below is either
     # scale-invariant or stated on this normalization
     cert.Q = Q
-    lamQ = np.linalg.eigvalsh(Q)
+    pd, lamQ, U = positive(Q, phi.tol, definite=True, vectors=True)
     cert.witnesses["Q_min_eig"] = float(lamQ[0])
     cert.witnesses["Q_max_eig"] = float(lamQ[-1])
-    if lamQ[0] <= phi.tol.tol_pd:
+    if not pd:
         return refuted(f"the ergodic projection of I is not positive definite "
                        f"(min eigenvalue {lamQ[0]:.3e})")
     for i in range(1, phi.k + 1):
@@ -477,7 +463,7 @@ def _sznagy(
     cert.witnesses["c"] = c
     cert.witnesses["d"] = 1.0 / c
 
-    sq, isq, condQhalf = _psd_sqrt_pair(Q, "the fixed point Q")
+    sq, isq, condQhalf = sqrt_pair(lamQ, U)
     cert.cond = condQhalf
     cert.Y = sq
     T = phi.ops.conjugate(sq, isq)
@@ -552,7 +538,7 @@ def similarity_to_variety(
             cert.cond = 1.0
             worst = rep.worst()[1]
             cert.residuals["identity_membership"] = max(0.0, -worst)
-            cert.tolerances["identity_membership"] = phi.tol.tol_psd * rep.scale
+            cert.tolerances["identity_membership"] = rep.tol_psd * rep.scale
             cert.witnesses["T_defect_min_eig"] = worst
             _variety_residuals(cert, A, Q_polys, tol)
             return cert.finalize(), A
@@ -592,7 +578,7 @@ def cpmap_similarity(
       truncation, so the Q cone and purity checks are those of I for L, and
       the intertwining residual
       ||K A^* - (W^* tensor I) K|| bounds the similarity residual
-      ||A C^* - C^* L||. An R that is not a finite PSD matrix raises
+      ||A C^* - C^* L||. An R that is not a finite Hermitian PSD matrix raises
       ValueError and a tuple radius above 1 - radius_margin raises
       DivergenceError, both before any series term is summed or any model
       is built; the kernel sums the certified series of R once.

@@ -97,6 +97,49 @@ def test_gen_rejects_inconsistent_factor_counts(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--family", "conjugated_unitaries", "--arities", "2,1", "--m", "3,3"),
+     "conjugated_unitaries writes --arities 1,1, not 2,1"),
+    (("--family", "conjugated_unitaries", "--m", "3,3"),
+     "conjugated_unitaries writes --m 1,1, not 3,3"),
+    (("--family", "polyball_random", "--arities", "2,3", "--m", "2,5"),
+     "polyball_random writes --arities 2, not 2,3"),
+    (("--family", "polyball_random", "--m", "2,5"),
+     "polyball_random writes --m 2, not 2,5"),
+    (("--family", "nilpotent", "--target-radius", "0.5"), "nilpotent has no --target-radius"),
+    (("--family", "conjugated_unitaries", "--target-radius", "0.8"),
+     "conjugated_unitaries has no --target-radius"),
+])
+def test_gen_refuses_flags_it_would_drop(flags, message, tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    code, _, err = run_cli(["gen", "--dim", "3", "--output", str(out), *flags], capsys)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("polyball_random", ("--arities", "3", "--m", "2")),
+    ("conjugated_unitaries", ("--k", "3", "--arities", "1,1,1", "--m", "1,1,1")),
+])
+def test_gen_keeps_the_flags_it_writes(family, flags, tmp_path, capsys):
+    spec = problem_from_json(json.loads(gen_spec(tmp_path, capsys, family, 2, *flags).read_text()))
+    assert ",".join(map(str, spec.ops.arities)) == flags[flags.index("--arities") + 1]
+    assert ",".join(map(str, spec.m)) == flags[flags.index("--m") + 1]
+
+
+@pytest.mark.parametrize("family", ["commuting_polynomials", "polyball_random"])
+def test_gen_default_radius_is_explicit_08(family, tmp_path, capsys):
+    texts = []
+    for name, extra in (("plain", ()), ("explicit", ("--target-radius", "0.8"))):
+        out = tmp_path / f"{name}.json"
+        code, _, err = run_cli(["gen", "--family", family, "--output", str(out), *extra], capsys)
+        assert code == 0, err
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["task"]["target_radius"] == 0.8
+
+
 def test_problem_to_json_rejects_short_m():
     from polydom.generate import generate
     from polydom.jsonio import ProblemSpec, problem_to_json
@@ -473,6 +516,35 @@ def test_non_finite_R_exits_one_by_name(cmd, tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "non-finite" in err
     assert "Warning" not in err and not caught
+
+
+@pytest.mark.parametrize("cmd, mode", [
+    ("solve", None), ("kernel", None), ("rota", None), ("cpsim", "pure_cone"), ("cone", None),
+])
+def test_non_hermitian_R_exits_one(cmd, mode, tmp_path, capsys):
+    # every command reads R by the rule that cone always used
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 0, "--dim", "3")
+    obj = json.loads(path.read_text())
+    obj["task"]["R"] = matrix_to_json(np.eye(3) + np.triu(np.ones((3, 3)), 1))
+    if mode is not None:
+        obj["task"]["mode"] = mode
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([cmd, "--input", str(path), "--trunc-degree", "4"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "is not Hermitian" in err
+
+
+def test_vn_model_mode_refuses_an_indefinite_D_pos(tmp_path, capsys):
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 0, "--dim", "3")
+    obj = json.loads(path.read_text())
+    obj["task"]["terms"] = [
+        {"coeff": matrix_to_json(np.eye(1)), "alpha": [[1], []], "beta": [[1], []]},
+    ]
+    obj["task"]["D_pos"] = matrix_to_json(np.diag([1.0, -5.0, 1.0]))
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["vn", "--input", str(path), "--trunc-degree", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: D_pos is not positive semidefinite (min eigenvalue -5.000e+00)\n"
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):

@@ -18,13 +18,14 @@ from polydom.fock import (
     domain_check_model,
     variety_subspace,
 )
-from polydom.generate import generate
+from polydom.generate import generate, random_symbol
 from polydom.words import (
     NCPolynomial,
     PositiveSymbol,
     Word,
     commutator_polynomial,
     polyball_symbol,
+    weight_table,
 )
 
 from oracles import (
@@ -35,6 +36,19 @@ from oracles import (
     dense_variety_subspace,
     evaluate_poly,
 )
+
+
+@pytest.mark.parametrize("symbols, m", [
+    ((polyball_symbol(2), polyball_symbol(1)), (1, 2)),
+    ((random_symbol(3, 2), random_symbol(4, 1, degree=2)), (2, 1)),
+])
+def test_build_model_carries_the_float_weight_tables(symbols, m):
+    # float weight tables hold Python floats, so the model keeps them as they are
+    fock = build_model(symbols, m, 4)[0]
+    for f, mi, table in zip(symbols, m, fock.weights):
+        ref = weight_table(f, mi, 4)
+        assert all(type(v) is float for v in ref.entries.values())
+        assert table == ref
 
 
 def polyball_model(n=2, m=1, cap=4):

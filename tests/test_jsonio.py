@@ -1,15 +1,23 @@
 """Canonical JSON, codecs, and the problem-spec schema."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from polydom.cli import main
 from polydom.generate import generate
 from polydom.jsonio import (
     ProblemSpec,
     canonical_json,
     digest,
+    load_problem,
     matrix_from_json,
     matrix_to_json,
     poly_from_json,
@@ -134,6 +142,74 @@ def test_problem_validation_errors():
     bad["symbols"][0]["arity"] = 5
     with pytest.raises(ValueError):
         problem_from_json(bad)
+
+
+def _json_type(value):
+    return {bool: "boolean", int: "integer", float: "number", str: "string",
+            list: "array", dict: "object", type(None): "null"}[type(value)]
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+_VALID = json.loads(canonical_json(problem_to_json(spec_of(generate("nilpotent", 0, dim=3)))))
+# constraints and task are optional: a spec without them has none and an empty task
+_REQUIRED = ("arities", "dim", "k", "operators", "symbols")
+
+
+@given(key=st.sampled_from(sorted(_VALID)), drop=st.booleans(), value=_JSON_VALUES)
+def test_malformed_spec_raises_value_error_naming_the_field(key, drop, value):
+    assume(drop or _json_type(value) != _json_type(_VALID[key]))
+    assume(not drop or key in _REQUIRED)
+    bad = dict(_VALID)
+    if drop:
+        del bad[key]
+    else:
+        bad[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(ValueError, match=f"spec field '{key}'"):
+            load_problem(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["radius", "--input", path])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: spec field '{key}'")
+
+
+@pytest.mark.parametrize("key, default", [("constraints", ()), ("task", {})])
+def test_optional_spec_fields_default(key, default):
+    bad = dict(_VALID)
+    del bad[key]
+    spec = problem_from_json(bad)
+    assert getattr(spec, key) == default
+
+
+@pytest.mark.parametrize("path, bad, message", [
+    (("symbols", 0), "coeffs", r"spec field 'symbols' is malformed \(KeyError"),
+    (("operators", 0, 0), "shape", r"spec field 'operators' is malformed \(KeyError"),
+    (("arities",), ["x"], r"spec field 'arities' is malformed \(ValueError"),
+])
+def test_malformed_nested_field_names_its_top_field(path, bad, message):
+    obj = json.loads(json.dumps(_VALID))
+    target = obj
+    for p in path[:-1]:
+        target = target[p]
+    if isinstance(bad, str):
+        del target[path[-1]][bad]
+    else:
+        target[path[-1]] = bad
+    with pytest.raises(ValueError, match=message):
+        problem_from_json(obj)
+
+
+def test_spec_that_is_not_an_object_raises_value_error():
+    with pytest.raises(ValueError, match="a problem spec is a JSON object"):
+        problem_from_json([_VALID])
 
 
 # ---------------------------------------------------------------------------
