@@ -192,15 +192,26 @@ def constrained_kernel(
     kernel lies inside N_Q tensor R-bar when the constraints annihilate A;
     the measured leakage is reported as range_residual rather than silently
     projected away.
+
+    The projection runs block by block: the rows of K in grade block b are
+    projected onto N_b. The leak L = (I - P_N) K stacks one block of rows
+    per grade block, a block with dim N_b = 0 counting in full, so
+    ||L||_2^2 is the largest eigenvalue of the d x d sum of the blocks'
+    Gram matrices L_b^* L_b.
     """
     fock = base.fock
     _require_model(model, fock.symbols, fock.m, fock.degree_cap)
-    T = base.as_tensor()
-    B = sub.basis_N
-    proj = np.einsum("na,nrd->ard", B.conj(), T)
-    K = proj.reshape(-1, base.d)
-    back = np.einsum("na,ard->nrd", B, proj)
-    leak = float(np.linalg.norm((T - back).reshape(-1, base.d), 2))
+    T = base.K.reshape(fock.dim, -1)
+    parts = []
+    gram = np.zeros((base.d, base.d), dtype=np.complex128)
+    for R, N in zip(sub.rows, sub.blocks):
+        Tb = T[R]
+        P = N.conj().T @ Tb
+        L = (Tb - N @ P).reshape(-1, base.d)
+        gram += L.conj().T @ L
+        parts.append(P)
+    K = np.vstack(parts).reshape(-1, base.d)
+    leak = float(np.sqrt(np.linalg.norm(gram, 2)))
     return ConstrainedKernel(
         K=K, base=base, subspace=sub, compressed=compress(model, sub), range_residual=leak
     )
@@ -255,8 +266,7 @@ def transform(ck: ConstrainedKernel | BerezinKernel, chi: np.ndarray) -> np.ndar
 
 def model_word_value(comp: CompressedModel, alphas: Sequence[Sequence[int]]) -> np.ndarray:
     """S_{(alpha)} = S_{1,alpha_1} ... S_{k,alpha_k} on the compressed space."""
-    r = comp.basis.shape[1]
-    out = np.eye(r, dtype=np.complex128)
+    out = np.eye(comp.dim_N, dtype=np.complex128)
     for i, w in enumerate(alphas, start=1):
         for j in w:
             out = out @ comp.S[(i, int(j))]
@@ -388,7 +398,7 @@ def vn_check_model(
         _, model = build_model(symbols, m, cap)
         sub = variety_subspace(model, polys)
         comp = compress(model, sub)
-        r = comp.basis.shape[1]
+        r = comp.dim_N
         rhs_mat = np.zeros((r * qdim, r * qdim), dtype=np.complex128)
         for C, alpha, beta in terms:
             C = np.atleast_2d(np.asarray(C, dtype=np.complex128))

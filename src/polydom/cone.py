@@ -186,9 +186,11 @@ def reconstruct(phi: CPMapTuple, m: Sequence[int], X: np.ndarray) -> Reconstruct
     """Weighted series of Delta^m(X); recovers X when every factor is pure.
 
     The series is truncated two orders below the reporting tolerance so the
-    returned residual reflects reconstruction quality, not truncation.
+    returned residual reflects reconstruction quality, not truncation. X
+    is read by the one input rule of hermitian, so a matrix that is not a
+    finite Hermitian d x d matrix raises ValueError.
     """
-    X = np.asarray(X, dtype=np.complex128)
+    X = hermitian(X, "X", phi.dim)
     R = phi.defect(tuple(m), X)
     series = phi.weighted_series(m, R, tol=0.01 * phi.tol.series_tol)
     residual = float(np.linalg.norm(series.value - X))

@@ -16,13 +16,18 @@ homogeneous constraint q raises it by its profile, so for homogeneous
 constraints the constraint span M_Q and its complement N_Q are sums of
 per-grade blocks, and variety_subspace works block by block with exactly the
 thresholds of one dense computation. A constraint that is not homogeneous
-makes the whole space one block.
+makes the whole space one block. The VarietySubspace keeps N_Q in these
+blocks, and compress and the constrained kernel read them block by block:
+W_{i,j} maps each block into one other block, so each compressed shift
+S_{i,j} and each q(S) has at most one nonzero block per block row and block
+column, and its 2-norm is the largest block norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,18 +290,43 @@ def build_model(
     return fock, ModelOperators(fock, tol)
 
 
-@dataclass
-class VarietySubspace:
-    """Orthocomplement of the constraint span, with invariance diagnostics."""
+# a block of a shift into target block h: None, or (a, take, scale) with
+# W[rows[h], rows[a]] @ F == scale[:, None] * F[take]
+BlockMap = Optional[Tuple[int, np.ndarray, np.ndarray]]
 
-    basis_N: np.ndarray  # dim x r, orthonormal columns
+
+@dataclass(eq=False)
+class VarietySubspace:
+    """Orthocomplement N_Q of the constraint span, kept per grade block, with
+    invariance diagnostics.
+
+    rows[b] lists the basis indices of block b and blocks[b] is an
+    orthonormal basis of N_Q's part of block b, len(rows[b]) x r_b.
+    shifts[(i, j)][h] is W_{i,j}'s block map into block h (see BlockMap).
+    The coordinates of N_Q are the blocks' columns in block order; basis_N,
+    the dense dim x dim_N basis in those coordinates, is assembled on first
+    access and read by no computation here.
+    """
+
+    rows: List[np.ndarray]
+    blocks: List[np.ndarray]
+    shifts: Dict[Tuple[int, int], List[BlockMap]]
     polys: Tuple[NCPolynomial, ...]
     invariance_residual_full: float
     invariance_residual_interior: float
 
     @property
     def dim_N(self) -> int:
-        return self.basis_N.shape[1]
+        return sum(N.shape[1] for N in self.blocks)
+
+    def columns(self) -> List[slice]:
+        """The coordinates of each block's columns."""
+        ends = np.cumsum([N.shape[1] for N in self.blocks]).tolist()
+        return [slice(e - N.shape[1], e) for e, N in zip(ends, self.blocks)]
+
+    @cached_property
+    def basis_N(self) -> np.ndarray:
+        return _assemble(sum(len(R) for R in self.rows), self.rows, self.blocks)
 
     def projector(self) -> np.ndarray:
         return self.basis_N @ self.basis_N.conj().T
@@ -311,11 +341,10 @@ def _grade_blocks(model: ModelOperators, polys: Tuple[NCPolynomial, ...]):
     Returns the basis indices of each block (in lexicographic grade order),
     each basis vector's position within its block, ``sources(shift)``,
     whose entry b is the block that an operator of that grade shift maps
-    into block b (None when there is none), and for each
-    W_{i,j} of ``model.all_W()`` one entry per target block h: None, or
-    ``(a, take, scale)`` with W[rows[h], rows[a]] @ F == scale[:, None] *
-    F[take]. Each W_{i,j} is a Shift, so its block maps are the block rows
-    of its gather with the takes made block-local.
+    into block b (None when there is none), and for each W_{i,j} of
+    ``model.all_W()``, keyed by (i, j), its BlockMap into each target block.
+    Each W_{i,j} is a Shift, so its block maps are the block rows of its
+    gather with the takes made block-local.
     """
     fock = model.fock
     if all(q.is_homogeneous(fock.k) for q in polys):
@@ -339,14 +368,14 @@ def _grade_blocks(model: ModelOperators, polys: Tuple[NCPolynomial, ...]):
         shift = np.asarray(shift, dtype=np.int64)[: keys.shape[1]]
         return [index.get(tuple(key)) for key in (keys - shift).tolist()]
 
-    maps = []
+    maps: Dict[Tuple[int, int], List[BlockMap]] = {}
     unit = np.eye(fock.k, dtype=np.int64)
-    for (i, _, W) in model.all_W():
+    for (i, j, W) in model.all_W():
         take, scale = local[W.take][order], W.scale[order]
-        maps.append([
+        maps[(i, j)] = [
             None if a is None else (a, take[s:e], scale[s:e])
             for s, e, a in zip(starts, ends, sources(unit[i - 1]))
-        ])
+        ]
     return rows, local, sources, maps
 
 
@@ -432,8 +461,11 @@ def variety_subspace(
     most one nonzero block per block row and column, so its 2-norm is the
     largest block norm. When some constraint is not homogeneous the whole
     space is one block, and the same steps are one dense computation.
-    The columns of basis_N come in block order; the M basis is kept per
-    block only, for the invariance residuals.
+    The result keeps N per block, with the block layout and each shift's
+    block maps, so compress and constrained_kernel read it block by block;
+    its coordinates are the blocks' columns in block order. When nothing is
+    removed, N is the whole space as one block in natural order. The M
+    basis is only used for the invariance residuals.
     """
     fock = model.fock
     if fock.dim > dense_cap:
@@ -472,7 +504,7 @@ def variety_subspace(
         targets, stacks = [], []
         for h in range(nb):
             children = []
-            for maps in shifts:
+            for maps in shifts.values():
                 if maps[h] is not None and frontier[maps[h][0]].shape[1]:
                     a, take, scale = maps[h]
                     children.append(_gather(frontier[a], take, scale))
@@ -490,18 +522,24 @@ def variety_subspace(
 
     # orthocomplement block by block, via the full SVD of each M block
     spanned = [b for b in range(nb) if basis[b].shape[1]]
-    if spanned:
-        full_svd = dict(zip(spanned, _svds([basis[b] for b in spanned], True)))
-        smax = max(float(s[0]) for _, s in full_svd.values())
-        complement = [
-            full_svd[b][0][:, int(np.count_nonzero(full_svd[b][1] > cutoff * smax)):]
-            if b in full_svd else np.eye(len(rows[b]), dtype=np.complex128)
-            for b in range(nb)
-        ]
-        basis_N = _assemble(fock.dim, rows, complement)
-    else:
-        basis_N = np.eye(fock.dim, dtype=np.complex128)
-    if basis_N.shape[1] == 0:
+    if not spanned:
+        # nothing is removed: N_Q is the whole space, one block in natural order
+        return VarietySubspace(
+            rows=[np.arange(fock.dim)],
+            blocks=[np.eye(fock.dim, dtype=np.complex128)],
+            shifts={(i, j): [(0, W.take, W.scale)] for i, j, W in model.all_W()},
+            polys=polys,
+            invariance_residual_full=0.0,
+            invariance_residual_interior=0.0,
+        )
+    full_svd = dict(zip(spanned, _svds([basis[b] for b in spanned], True)))
+    smax = max(float(s[0]) for _, s in full_svd.values())
+    complement = [
+        full_svd[b][0][:, int(np.count_nonzero(full_svd[b][1] > cutoff * smax)):]
+        if b in full_svd else np.eye(len(rows[b]), dtype=np.complex128)
+        for b in range(nb)
+    ]
+    if not any(N.shape[1] for N in complement):
         raise ValueError("the variety subspace is {0}; no compression exists")
 
     # adjoint invariance of N: ||P_M W^* P_N|| per shift, full and interior.
@@ -509,64 +547,137 @@ def variety_subspace(
     # the interior part keeps the rows of block a below the top degree.
     full: List[np.ndarray] = []
     interior: List[np.ndarray] = []
-    if spanned:
-        low_rows = fock.max_degree_array() <= fock.degree_cap - 1
-        for maps in shifts:
-            for h, m in enumerate(maps):
-                if m is None:
-                    continue
-                a, take, scale = m
-                full.append(_gather(basis[a], take, scale).conj().T @ complement[h])
-                low = low_rows[rows[a]][take]
-                interior.append(_gather(basis[a], take, scale * low).conj().T @ complement[h])
+    low_rows = fock.max_degree_array() <= fock.degree_cap - 1
+    for maps in shifts.values():
+        for h, m in enumerate(maps):
+            if m is None:
+                continue
+            a, take, scale = m
+            full.append(_gather(basis[a], take, scale).conj().T @ complement[h])
+            low = low_rows[rows[a]][take]
+            interior.append(_gather(basis[a], take, scale * low).conj().T @ complement[h])
     return VarietySubspace(
-        basis_N=basis_N,
+        rows=rows,
+        blocks=complement,
+        shifts=shifts,
         polys=polys,
         invariance_residual_full=_max_norm(full),
         invariance_residual_interior=_max_norm(interior),
     )
 
 
-@dataclass
+# S_{i,j}'s block in block row h: None, or (a, S_{i,j}[h, a])
+BlockRow = Optional[Tuple[int, np.ndarray]]
+
+
+@dataclass(eq=False)
 class CompressedModel:
-    """S_{i,j} = P_N W_{i,j} |_N in an orthonormal basis of N."""
+    """S_{i,j} = P_N W_{i,j} |_N in the coordinates of subspace's N_Q basis.
+
+    S[(i, j)] is the dense dim_N x dim_N matrix and blocks[(i, j)][h] its only
+    nonzero block in block row h (see BlockRow).
+    """
 
     S: Dict[Tuple[int, int], np.ndarray]
-    basis: np.ndarray
+    blocks: Dict[Tuple[int, int], List[BlockRow]]
+    subspace: VarietySubspace
     q_residuals_full: List[float]
     q_residuals_interior: List[float]
 
+    @property
+    def dim_N(self) -> int:
+        return self.subspace.dim_N
+
+    def norm(self, i: int, j: int) -> float:
+        """||S_{i,j}||_2, the largest norm of its blocks."""
+        return _max_norm([row[1] for row in self.blocks[(i, j)] if row is not None])
+
     def poly_value(self, q: NCPolynomial) -> np.ndarray:
-        r = self.basis.shape[1]
-        eye = np.eye(r, dtype=np.complex128)
+        eye = np.eye(self.dim_N, dtype=np.complex128)
         return q.evaluate(lambda i, j: self.S[(i, j)], eye)
+
+    def poly_blocks(self, q: NCPolynomial) -> Dict[Tuple[int, int], np.ndarray]:
+        """The nonzero blocks q(S)[h, a], keyed (h, a), each product of
+        letters chained through the blocks: S_{l_1} ... S_{l_s} reads block row
+        h of S_{l_1}, then the row of S_{l_2} at its source, and so on."""
+        widths = [N.shape[1] for N in self.subspace.blocks]
+        out: Dict[Tuple[int, int], np.ndarray] = {}
+        for c, mono in q.terms:
+            for h, width in enumerate(widths):
+                if not width:
+                    continue
+                a, prod = h, np.eye(width, dtype=np.complex128)
+                for (i, j) in mono:
+                    row = self.blocks[(i, j)][a]
+                    if row is None:
+                        break
+                    a, prod = row[0], prod @ row[1]
+                else:
+                    term = c * prod
+                    out[(h, a)] = out[(h, a)] + term if (h, a) in out else term
+        return out
+
+
+def _interior_columns(N: np.ndarray, high: np.ndarray, svd_cutoff: float) -> np.ndarray | None:
+    """An orthonormal basis of the vectors N x that vanish on the rows marked
+    high: None when no row is high (every x), the null space of N[high] else.
+    N has orthonormal columns, so when every row is high the null space is
+    empty and no SVD is needed."""
+    if not high.any():
+        return None
+    if high.all():
+        return np.zeros((N.shape[1], 0), dtype=np.complex128)
+    rows = N[high]
+    # a full Vt is needed only when rows has fewer rows than columns
+    _, s, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    rank = int(np.count_nonzero(s > svd_cutoff * max(s[0], 1e-300))) if s.size else 0
+    return Vt.conj().T[:, rank:]
 
 
 def compress(model: ModelOperators, subspace: VarietySubspace) -> CompressedModel:
+    """S_{i,j} = P_N W_{i,j} |_N block by block, and the residuals of q(S).
+
+    W_{i,j} maps block a of N_Q into block h only, so S_{i,j}[h, a] =
+    N_h^* (scale N_a[take]) with (a, take, scale) its block map. For each
+    constraint q, q_residuals_full is ||q(S)||_2 and q_residuals_interior is
+    ||q(S) C||_2, C an orthonormal basis of the compressed vectors supported
+    at degree <= degree_cap - max(deg q, 1), where q(S) = q(W) restricted to N.
+    A homogeneous q(S) has at most one nonzero block per block row and
+    column, and so has q(S) C, so each norm is the largest block norm. The
+    grade fixes each basis vector's degree, so C keeps a block's columns
+    when it lies below the cutoff and drops them when it lies above; only a
+    block that the cutoff cuts, which happens in the one-block layout of a
+    non-homogeneous constraint, takes an SVD.
+    """
     fock = model.fock
-    B = subspace.basis_N
+    sub = subspace
+    cols = sub.columns()
     S: Dict[Tuple[int, int], np.ndarray] = {}
-    for (i, j, W) in model.all_W():
-        S[(i, j)] = B.conj().T @ (W @ B)
-    out = CompressedModel(S=S, basis=B, q_residuals_full=[], q_residuals_interior=[])
+    blocks: Dict[Tuple[int, int], List[BlockRow]] = {}
+    for ij, maps in sorted(sub.shifts.items()):
+        dense = np.zeros((sub.dim_N, sub.dim_N), dtype=np.complex128)
+        rows: List[BlockRow] = []
+        for h, m in enumerate(maps):
+            if m is None:
+                rows.append(None)
+                continue
+            a, take, scale = m
+            block = sub.blocks[h].conj().T @ _gather(sub.blocks[a], take, scale)
+            dense[cols[h], cols[a]] = block
+            rows.append((a, block))
+        S[ij] = dense
+        blocks[ij] = rows
+    out = CompressedModel(S=S, blocks=blocks, subspace=sub, q_residuals_full=[], q_residuals_interior=[])
     deg = fock.max_degree_array()
-    for q in subspace.polys:
-        qS = out.poly_value(q)
-        out.q_residuals_full.append(float(np.linalg.norm(qS, 2)))
-        # restrict to compressed vectors supported below the truncation boundary
+    for q in sub.polys:
+        qS = out.poly_blocks(q)
+        out.q_residuals_full.append(_max_norm(list(qS.values())))
         cutoff = fock.degree_cap - max(q.max_degree(), 1)
-        high = B[deg > cutoff]
-        if high.shape[0] == 0:
-            C = np.eye(B.shape[1], dtype=np.complex128)
-        else:
-            # a full Vt is needed only when high has fewer rows than columns
-            _, s, Vt = np.linalg.svd(high, full_matrices=high.shape[0] < high.shape[1])
-            rank = int(np.count_nonzero(s > model.tol.svd_cutoff * max(s[0], 1e-300))) if s.size else 0
-            C = Vt.conj().T[:, rank:]
-        if C.shape[1] == 0:
-            out.q_residuals_interior.append(0.0)
-        else:
-            out.q_residuals_interior.append(float(np.linalg.norm(qS @ C, 2)))
+        C = [_interior_columns(N, deg[R] > cutoff, model.tol.svd_cutoff)
+             for R, N in zip(sub.rows, sub.blocks)]
+        out.q_residuals_interior.append(_max_norm([
+            M if C[a] is None else M @ C[a] for (_, a), M in qS.items()
+        ]))
     return out
 
 

@@ -98,14 +98,23 @@ def symbol_to_json(f: PositiveSymbol, m: int) -> Dict[str, Any]:
     }
 
 
+def _int(value: Any, what: str) -> int:
+    """value, when it is a JSON integer; ValueError naming what otherwise (a
+    float such as 1.7 is not truncated, and true is not 1)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be int, got {type(value).__name__}")
+    return value
+
+
 def symbol_from_json(obj: Dict[str, Any]) -> Tuple[PositiveSymbol, int]:
-    coeffs = {Word(tuple(t["word"])): float(t["a"]) for t in obj["coeffs"]}
+    coeffs = {Word(tuple(_int(x, "word letter") for x in t["word"])): float(t["a"])
+              for t in obj["coeffs"]}
     f = PositiveSymbol(
-        arity=int(obj["arity"]),
+        arity=_int(obj["arity"], "symbol field 'arity'"),
         coeffs=coeffs,
-        max_degree=int(obj["max_degree"]),
+        max_degree=_int(obj["max_degree"], "symbol field 'max_degree'"),
     )
-    return f, int(obj["m"])
+    return f, _int(obj["m"], "symbol field 'm'")
 
 
 def poly_to_json(q: NCPolynomial) -> List[Dict[str, Any]]:
@@ -122,7 +131,7 @@ def poly_from_json(obj: Sequence[Dict[str, Any]]) -> NCPolynomial:
     terms = tuple(
         (
             complex(t["coeff"][0], t["coeff"][1]),
-            tuple((int(i), int(j)) for i, j in t["monomial"]),
+            tuple((_int(i, "monomial index"), _int(j, "monomial index")) for i, j in t["monomial"]),
         )
         for t in obj
     )
@@ -189,7 +198,7 @@ def problem_from_json(obj: Dict[str, Any], check_commutation: bool = True) -> Pr
         raise ValueError(f"k = {obj['k']} but {len(symbols)} symbols given")
     rows = _field(obj, "operators", lambda v: [[matrix_from_json(a) for a in row] for row in v])
     ops = OperatorTuple(rows, check_commutation=check_commutation)
-    if list(ops.arities) != _field(obj, "arities", lambda v: [int(n) for n in v]):
+    if list(ops.arities) != _field(obj, "arities", lambda v: [_int(n, "arity") for n in v]):
         raise ValueError(
             f"arities field {obj['arities']} disagrees with operator rows {ops.arities}"
         )

@@ -276,12 +276,50 @@ def dense_variety_subspace(model, Q_polys):
             full = max(full, float(np.linalg.norm(basis_M.conj().T @ Y, 2)))
             X = basis_M[low_rows].conj().T @ Y[low_rows]
             interior = max(interior, float(np.linalg.norm(X, 2)))
+    # one block: the whole space, each shift its own block map
     return VarietySubspace(
-        basis_N=basis_N,
+        rows=[np.arange(fock.dim)],
+        blocks=[basis_N],
+        shifts={(i, j): [(0, W.take, W.scale)] for i, j, W in model.all_W()},
         polys=polys,
         invariance_residual_full=full,
         invariance_residual_interior=interior,
     )
+
+
+def dense_compress(model, sub):
+    """(S, q_residuals_full, q_residuals_interior) through the dense basis B of
+    N_Q: S_{i,j} = B^*(W B), and the interior residual restricts q(S) to the
+    null space of the high-degree row block of B, read off one SVD."""
+    fock = model.fock
+    B = sub.basis_N
+    S = {(i, j): B.conj().T @ (W @ B) for i, j, W in model.all_W()}
+    eye = np.eye(B.shape[1], dtype=np.complex128)
+    deg = fock.max_degree_array()
+    full, interior = [], []
+    for q in sub.polys:
+        qS = q.evaluate(lambda i, j: S[(i, j)], eye)
+        full.append(float(np.linalg.norm(qS, 2)))
+        high = B[deg > fock.degree_cap - max(q.max_degree(), 1)]
+        if high.shape[0] == 0:
+            C = eye
+        else:
+            _, s, Vt = np.linalg.svd(high, full_matrices=high.shape[0] < high.shape[1])
+            rank = int(np.count_nonzero(s > model.tol.svd_cutoff * max(s[0], 1e-300))) if s.size else 0
+            C = Vt.conj().T[:, rank:]
+        interior.append(float(np.linalg.norm(qS @ C, 2)) if C.shape[1] else 0.0)
+    return S, full, interior
+
+
+def dense_constrained_projection(base, sub):
+    """(K_omega, range_residual) by projecting the kernel tensor through the
+    dense basis of N_Q with two einsums."""
+    T = base.as_tensor()
+    B = sub.basis_N
+    proj = np.einsum("na,nrd->ard", B.conj(), T)
+    back = np.einsum("na,ard->nrd", B, proj)
+    leak = float(np.linalg.norm((T - back).reshape(-1, base.d), 2))
+    return proj.reshape(-1, base.d), leak
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,17 @@ def test_reconstruct_random_small_radius(rng):
     assert rec.residual <= 1e-8 * max(1.0, np.linalg.norm(X))
 
 
+def test_reconstruct_refuses_a_non_hermitian_x():
+    # the disc tuple diag(0.5, 0.3, 0.2): a non-Hermitian X was reconstructed
+    # with a residual of 2.3e-13 instead of being refused
+    phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[np.diag([0.5, 0.3, 0.2])]]))
+    X = np.eye(3) + np.triu(np.ones((3, 3)), 1)
+    with pytest.raises(ValueError, match="X is not Hermitian"):
+        reconstruct(phi, (1,), X)
+    with pytest.raises(ValueError, match="X has shape"):
+        reconstruct(phi, (1,), np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # flatness equivalence
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polydom.cli import _instance_to_spec
+from polydom.berezin import BerezinKernel, constrained_kernel, kernel
 from polydom.config import ResourceCapError, Tolerances, default_tolerances
 from polydom.cpmap import CPMapTuple, OperatorTuple
 from polydom.fock import (
@@ -33,6 +34,8 @@ from oracles import (
     csr_diag_map,
     csr_mono,
     csr_shift,
+    dense_compress,
+    dense_constrained_projection,
     dense_variety_subspace,
     evaluate_poly,
 )
@@ -385,23 +388,23 @@ NON_HOMOGENEOUS = NCPolynomial(((1.0, ((1, 1), (1, 2))), (-0.5, ((1, 1),))))
 GENERAL_SYMBOL = PositiveSymbol(2, {Word((1,)): 0.8, Word((2,)): 0.6, Word((2, 1)): 0.3}, 2)
 
 
-@pytest.mark.parametrize(
-    "symbols, m, cap, polys",
-    [
-        ([polyball_symbol(2)], [1], 5, _commutators((2,))),
-        ([polyball_symbol(3)], [1], 4, _commutators((3,))),
-        ([polyball_symbol(3)], [2], 3, _commutators((3,))),
-        ([polyball_symbol(2), polyball_symbol(2), polyball_symbol(1)], [1, 1, 1], 2, _commutators((2, 2, 1))),
-        ([GENERAL_SYMBOL, polyball_symbol(1)], [2, 1], 4, _commutators((2, 1))),
-        # two constraints with different degree profiles, (2, 0) and (1, 1)
-        ([polyball_symbol(2), polyball_symbol(2)], [1, 1], 3,
-         _commutators((2, 2)) + [NCPolynomial(((1.0, ((1, 1), (2, 2))), (-1.0, ((2, 2), (1, 1)))))]),
-        # q(W) = 0: N is the whole space, and compress sees more columns than high rows
-        ([polyball_symbol(1), polyball_symbol(1)], [1, 1], 4,
-         [NCPolynomial(((1.0, ((1, 1), (2, 1))), (-1.0, ((2, 1), (1, 1)))))]),
-    ],
-    ids=["polyball2", "polyball3", "polyball3-m2", "k3-221", "general-symbol", "mixed-profiles", "zero-constraint"],
-)
+FAMILY_CASES = [
+    ([polyball_symbol(2)], [1], 5, _commutators((2,))),
+    ([polyball_symbol(3)], [1], 4, _commutators((3,))),
+    ([polyball_symbol(3)], [2], 3, _commutators((3,))),
+    ([polyball_symbol(2), polyball_symbol(2), polyball_symbol(1)], [1, 1, 1], 2, _commutators((2, 2, 1))),
+    ([GENERAL_SYMBOL, polyball_symbol(1)], [2, 1], 4, _commutators((2, 1))),
+    # two constraints with different degree profiles, (2, 0) and (1, 1)
+    ([polyball_symbol(2), polyball_symbol(2)], [1, 1], 3,
+     _commutators((2, 2)) + [NCPolynomial(((1.0, ((1, 1), (2, 2))), (-1.0, ((2, 2), (1, 1)))))]),
+    # q(W) = 0: N is the whole space, and compress sees more columns than high rows
+    ([polyball_symbol(1), polyball_symbol(1)], [1, 1], 4,
+     [NCPolynomial(((1.0, ((1, 1), (2, 1))), (-1.0, ((2, 1), (1, 1)))))]),
+]
+FAMILY_IDS = ["polyball2", "polyball3", "polyball3-m2", "k3-221", "general-symbol", "mixed-profiles", "zero-constraint"]
+
+
+@pytest.mark.parametrize("symbols, m, cap, polys", FAMILY_CASES, ids=FAMILY_IDS)
 def test_variety_matches_dense_on_families(symbols, m, cap, polys):
     _, model = build_model(symbols, m, cap)
     _assert_matches_dense(model, polys)
@@ -412,6 +415,80 @@ def test_non_homogeneous_constraint_is_one_block(arities, cap):
     _, model = build_model([polyball_symbol(n) for n in arities], [1] * len(arities), cap)
     assert len(_grade_blocks(model, (NON_HOMOGENEOUS,))[0]) == 1
     _assert_matches_dense(model, [NON_HOMOGENEOUS])
+
+
+# ---------------------------------------------------------------------------
+# block compression and constrained kernel against the dense basis
+# ---------------------------------------------------------------------------
+
+def _close(got, want):
+    """Entrywise |got - want| <= 1e-12 max(1, |want|)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _random_kernel(fock, rank, d, rng):
+    """A BerezinKernel whose K is a random tensor: the projection is linear in
+    K, and a K outside N_Q tensor C^rank gives a range leak of order one."""
+    K = rng.standard_normal((fock.dim * rank, d)) + 1j * rng.standard_normal((fock.dim * rank, d))
+    return BerezinKernel(K=K, fock=fock, rank=rank, R2=np.eye(rank, d), tail_bound=0.0,
+                         certified=True, series=None)
+
+
+def _assert_blocks_match_dense(model, sub, base):
+    """compress and constrained_kernel on the grade blocks of sub agree with
+    the dense-basis computations of tests/oracles.py."""
+    comp = compress(model, sub)
+    S, full, interior = dense_compress(model, sub)
+    assert sorted(comp.S) == sorted(S)
+    for ij in S:
+        _close(comp.S[ij], S[ij])
+        _close(comp.norm(*ij), np.linalg.norm(S[ij], 2))
+    _close(comp.q_residuals_full, full)
+    _close(comp.q_residuals_interior, interior)
+    ck = constrained_kernel(base, model, sub)
+    K, leak = dense_constrained_projection(base, sub)
+    _close(ck.K, K)
+    _close(ck.range_residual, leak)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_block_compression_matches_dense_on_gen_specs(D):
+    models = {}
+    for family in ("commuting_polynomials", "nilpotent"):
+        for seed in range(3):
+            inst = generate(family, seed, dim=4)
+            spec = _instance_to_spec(inst)
+            key = repr((spec.symbols, spec.m, spec.constraints))
+            if key not in models:
+                _, model = build_model(spec.symbols, spec.m, D)
+                models[key] = (model, variety_subspace(model, spec.constraints))
+            model, sub = models[key]
+            base = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, np.eye(4), D, model)
+            _assert_blocks_match_dense(model, sub, base)
+
+
+@pytest.mark.parametrize(
+    "symbols, m, cap, polys",
+    FAMILY_CASES + [
+        ([polyball_symbol(2)], [1], 4, [NON_HOMOGENEOUS]),
+        ([polyball_symbol(2), polyball_symbol(1)], [1, 1], 3, [NON_HOMOGENEOUS]),
+        ([polyball_symbol(2), polyball_symbol(1)], [1, 1], 3, []),
+    ],
+    ids=FAMILY_IDS + ["non-homogeneous-2", "non-homogeneous-21", "no-constraint"],
+)
+def test_block_compression_matches_dense_on_families(symbols, m, cap, polys, rng):
+    fock, model = build_model(symbols, m, cap)
+    sub = variety_subspace(model, polys)
+    ref = dense_variety_subspace(model, polys)
+    for rank, d in ((1, 3), (2, 2)):
+        base = _random_kernel(fock, rank, d, rng)
+        _assert_blocks_match_dense(model, sub, base)
+        # the oracle's one-block subspace takes the same path
+        _assert_blocks_match_dense(model, ref, base)
+    if not polys or NON_HOMOGENEOUS in polys:
+        assert len(sub.rows) == 1 and np.array_equal(sub.rows[0], np.arange(fock.dim))
 
 
 def test_variety_svds_stay_within_one_grade_block(monkeypatch):
@@ -441,6 +518,38 @@ def test_variety_svds_stay_within_one_grade_block(monkeypatch):
     assert sub.dim_N == 196
     assert shapes and max(max(s) for s in shapes) <= 64
     assert wall < 1.0
+
+
+def test_compression_and_constrained_kernel_stay_within_one_grade_block(monkeypatch):
+    # default gen spec at degree cap 6: dim_N 196, largest grade block 64;
+    # the dense basis took the SVD of the 734 x 196 high-degree row block
+    inst = generate("commuting_polynomials", 0)
+    spec = _instance_to_spec(inst)
+    fock, model = build_model(spec.symbols, spec.m, 6)
+    assert max(len(r) for r in _grade_blocks(model, spec.constraints)[0]) == 64
+    sub = variety_subspace(model, spec.constraints)
+    base = kernel(CPMapTuple(inst.symbols, inst.ops), inst.m, np.eye(inst.ops.dim), 6, model)
+    shapes = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def spy_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    def spy_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(x)[-2:])
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    comp = compress(model, sub)
+    ck = constrained_kernel(base, model, sub)
+    norms = [comp.norm(i, j) for (i, j) in comp.S]
+    assert comp.dim_N == ck.subspace.dim_N == 196
+    assert shapes and max(max(s) for s in shapes) <= 64
+    assert max(comp.q_residuals_full + comp.q_residuals_interior) <= 1e-10
+    assert min(norms) > 0.0
 
 
 def test_variety_seeds_never_form_the_dense_constraint_value():

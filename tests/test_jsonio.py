@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from polydom.cli import main
+from polydom.cli import _instance_to_spec, main
 from polydom.generate import generate
 from polydom.jsonio import (
     ProblemSpec,
@@ -205,6 +205,45 @@ def test_malformed_nested_field_names_its_top_field(path, bad, message):
         target[path[-1]] = bad
     with pytest.raises(ValueError, match=message):
         problem_from_json(obj)
+
+
+_NIL0 = json.loads(canonical_json(problem_to_json(
+    _instance_to_spec(generate("nilpotent", 0, dim=3)))))
+
+
+@pytest.mark.parametrize("path, bad, top, what", [
+    (("symbols", 0, "m"), 1.7, "symbols", "symbol field 'm' must be int, got float"),
+    (("symbols", 0, "arity"), 2.0, "symbols", "symbol field 'arity' must be int, got float"),
+    (("symbols", 0, "max_degree"), True, "symbols", "symbol field 'max_degree' must be int, got bool"),
+    (("symbols", 0, "coeffs", 0, "word", 0), 1.0, "symbols", "word letter must be int, got float"),
+    (("constraints", 0, 0, "monomial", 0, 1), 1.5, "constraints", "monomial index must be int, got float"),
+    (("arities", 0), 2.0, "arities", "arity must be int, got float"),
+])
+def test_nested_spec_numbers_are_type_checked(path, bad, top, what, tmp_path):
+    # "m": 1.7 loaded as m = 1, and `polydom radius` exited 0
+    obj = json.loads(json.dumps(_NIL0))
+    target = obj
+    for p in path[:-1]:
+        target = target[p]
+    target[path[-1]] = bad
+    message = f"spec field '{top}' is malformed (ValueError: {what})"
+    with pytest.raises(ValueError) as info:
+        problem_from_json(obj)
+    assert str(info.value) == message
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["radius", "--input", str(spec_path)])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family", ["commuting_polynomials", "conjugated_unitaries", "nilpotent", "polyball_random"])
+def test_every_gen_spec_loads_as_before(family):
+    for seed in range(3):
+        obj = json.loads(canonical_json(problem_to_json(_instance_to_spec(generate(family, seed)))))
+        assert canonical_json(problem_to_json(problem_from_json(obj))) == canonical_json(obj)
 
 
 def test_spec_that_is_not_an_object_raises_value_error():
