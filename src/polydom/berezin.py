@@ -10,6 +10,7 @@ universal-model adjoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -246,10 +247,10 @@ def intertwine_check(kern: BerezinKernel, model: ModelOperators, ops: OperatorTu
 
 def intertwine_check_constrained(ck: ConstrainedKernel, ops: OperatorTuple) -> Dict[Tuple[int, int], float]:
     """Residuals ||K_omega A_{i,j}^* - (S_{i,j}^* tensor I) K_omega||."""
-    rank = max(ck.rank, 1)
+    rank, comp = max(ck.rank, 1), ck.compressed
     return {
-        (i, j): float(np.linalg.norm(_intertwine_residual(ck.K, rank, ops.matrix(i, j), lambda Y: S.conj().T @ Y), 2))
-        for (i, j), S in sorted(ck.compressed.S.items())
+        (i, j): float(np.linalg.norm(_intertwine_residual(ck.K, rank, ops.matrix(i, j), partial(comp.adjoint, i, j)), 2))
+        for (i, j) in sorted(comp.blocks)
     }
 
 
@@ -265,11 +266,13 @@ def transform(ck: ConstrainedKernel | BerezinKernel, chi: np.ndarray) -> np.ndar
 
 
 def model_word_value(comp: CompressedModel, alphas: Sequence[Sequence[int]]) -> np.ndarray:
-    """S_{(alpha)} = S_{1,alpha_1} ... S_{k,alpha_k} on the compressed space."""
-    out = np.eye(comp.dim_N, dtype=np.complex128)
-    for i, w in enumerate(alphas, start=1):
-        for j in w:
-            out = out @ comp.S[(i, int(j))]
+    """S_{(alpha)} = S_{1,alpha_1} ... S_{k,alpha_k} on the compressed space,
+    as a dense dim_N x dim_N matrix assembled from the word's blocks."""
+    cols = comp.subspace.columns()
+    out = np.zeros((comp.dim_N, comp.dim_N), dtype=np.complex128)
+    mono = [(i, j) for i, w in enumerate(alphas, start=1) for j in w]
+    for h, (a, block) in comp.word_blocks(mono).items():
+        out[cols[h], cols[a]] = block
     return out
 
 
@@ -314,7 +317,7 @@ def extended_transform_sweep(
     for q in polys:
         if not q.is_homogeneous(k):
             raise ValueError("sweep requires homogeneous constraint polynomials")
-    model = build_model(symbols, m, degree_cap)[1]
+    model = build_model(symbols, m, degree_cap, tol=ops.tol)[1]
     sub = variety_subspace(model, polys)
     notes: List[str] = []
     if chis is None:
@@ -360,6 +363,25 @@ class VNReport:
     details: Dict[str, object]
 
 
+def _vn_terms(symbols: Tuple[PositiveSymbol, ...], terms) -> List[Tuple[np.ndarray, Sequence, Sequence]]:
+    """The terms with each C as a complex matrix; ValueError naming the first
+    term whose words leave the model or whose C is not square or not of term 0's shape."""
+    arities = tuple(f.arity for f in symbols)
+    out: List[Tuple[np.ndarray, Sequence, Sequence]] = []
+    for t, (C, alpha, beta) in enumerate(terms):
+        for name, words in (("alpha", alpha), ("beta", beta)):
+            if len(words) != len(arities) or any(j not in range(1, n + 1) for w, n in zip(words, arities) for j in w):
+                raise ValueError(f"vn term {t}: {name} must be {len(arities)} words with letters "
+                                 f"in 1..n_i for arities {arities}, got {words}")
+        C = np.atleast_2d(np.asarray(C, dtype=np.complex128))
+        first = out[0][0].shape if out else C.shape
+        if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape != first:
+            raise ValueError(f"vn term {t}: coefficient block of shape {C.shape} is not square "
+                             f"or not of term 0's shape {first}")
+        out.append((C, alpha, beta))
+    return out
+
+
 def vn_check_model(
     symbols: Sequence[PositiveSymbol],
     m: Sequence[int],
@@ -372,21 +394,23 @@ def vn_check_model(
 ) -> VNReport:
     """Checks ||sum A_(alpha) D A_(beta)^* (x) C|| <= ||D|| ||sum S_(alpha) S_(beta)^* (x) C||.
 
-    terms is a list of (C, alpha, beta) with C a q x q coefficient block and
-    alpha, beta k-tuples of words; D_pos must be Hermitian PSD (ValueError).
-    The model side is evaluated at three consecutive truncation degrees;
-    since truncated norms only increase with the cap, an unstabilized right
-    side yields INCONCLUSIVE, never PASS.
+    terms is a list of (C, alpha, beta) with C a q x q coefficient block, one
+    q for all terms, and alpha, beta k-tuples of words with letters in
+    1..n_i; D_pos must be Hermitian PSD. Both are checked before any model
+    is built (ValueError). The model side is evaluated, on models built with
+    ops.tol, at three consecutive truncation degrees; since truncated norms
+    only increase with the cap, an unstabilized right side yields
+    INCONCLUSIVE, never PASS.
     """
     symbols = tuple(symbols)
     m = tuple(m)
     D_pos = hermitian(D_pos, "D_pos", ops.dim)
     positive(D_pos, ops.tol, what="D_pos")
+    terms = _vn_terms(symbols, terms)
     d = ops.dim
-    qdim = np.atleast_2d(terms[0][0]).shape[0] if terms else 1
+    qdim = terms[0][0].shape[0] if terms else 1
     lhs_mat = np.zeros((d * qdim, d * qdim), dtype=np.complex128)
     for C, alpha, beta in terms:
-        C = np.atleast_2d(np.asarray(C, dtype=np.complex128))
         Aa = tuple_word_product(ops, alpha)
         Ab = tuple_word_product(ops, beta)
         lhs_mat += np.kron(Aa @ D_pos @ Ab.conj().T, C)
@@ -395,13 +419,12 @@ def vn_check_model(
 
     rhs_values: List[float] = []
     for cap in (degree_cap, degree_cap + 1, degree_cap + 2):
-        _, model = build_model(symbols, m, cap)
+        _, model = build_model(symbols, m, cap, tol=ops.tol)
         sub = variety_subspace(model, polys)
         comp = compress(model, sub)
         r = comp.dim_N
         rhs_mat = np.zeros((r * qdim, r * qdim), dtype=np.complex128)
         for C, alpha, beta in terms:
-            C = np.atleast_2d(np.asarray(C, dtype=np.complex128))
             Sa = model_word_value(comp, alpha)
             Sb = model_word_value(comp, beta)
             rhs_mat += np.kron(Sa @ Sb.conj().T, C)

@@ -16,17 +16,15 @@ homogeneous constraint q raises it by its profile, so for homogeneous
 constraints the constraint span M_Q and its complement N_Q are sums of
 per-grade blocks, and variety_subspace works block by block with exactly the
 thresholds of one dense computation. A constraint that is not homogeneous
-makes the whole space one block. The VarietySubspace keeps N_Q in these
-blocks, and compress and the constrained kernel read them block by block:
-W_{i,j} maps each block into one other block, so each compressed shift
-S_{i,j} and each q(S) has at most one nonzero block per block row and block
-column, and its 2-norm is the largest block norm.
+makes the whole space one block. N_Q and each compressed shift S_{i,j} are
+kept only in these blocks: W_{i,j} maps each block into one other block, so
+S_{i,j}, its words and each q(S) have at most one nonzero block per block
+row and block column, and a 2-norm is the largest block norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -303,9 +301,8 @@ class VarietySubspace:
     rows[b] lists the basis indices of block b and blocks[b] is an
     orthonormal basis of N_Q's part of block b, len(rows[b]) x r_b.
     shifts[(i, j)][h] is W_{i,j}'s block map into block h (see BlockMap).
-    The coordinates of N_Q are the blocks' columns in block order; basis_N,
-    the dense dim x dim_N basis in those coordinates, is assembled on first
-    access and read by no computation here.
+    The coordinates of N_Q are the blocks' columns in block order, and no
+    dense dim x dim_N basis is formed.
     """
 
     rows: List[np.ndarray]
@@ -323,13 +320,6 @@ class VarietySubspace:
         """The coordinates of each block's columns."""
         ends = np.cumsum([N.shape[1] for N in self.blocks]).tolist()
         return [slice(e - N.shape[1], e) for e, N in zip(ends, self.blocks)]
-
-    @cached_property
-    def basis_N(self) -> np.ndarray:
-        return _assemble(sum(len(R) for R in self.rows), self.rows, self.blocks)
-
-    def projector(self) -> np.ndarray:
-        return self.basis_N @ self.basis_N.conj().T
 
 
 def _grade_blocks(model: ModelOperators, polys: Tuple[NCPolynomial, ...]):
@@ -426,16 +416,6 @@ def _max_norm(mats: Sequence[np.ndarray]) -> float:
     )
 
 
-def _assemble(dim: int, rows: List[np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense dim x r basis from per-block bases, columns in block order."""
-    out = np.zeros((dim, sum(B.shape[1] for B in blocks)), dtype=np.complex128)
-    col = 0
-    for R, B in zip(rows, blocks):
-        out[R, col:col + B.shape[1]] = B
-        col += B.shape[1]
-    return out
-
-
 def variety_subspace(
     model: ModelOperators,
     Q_polys: Sequence[NCPolynomial],
@@ -464,8 +444,8 @@ def variety_subspace(
     The result keeps N per block, with the block layout and each shift's
     block maps, so compress and constrained_kernel read it block by block;
     its coordinates are the blocks' columns in block order. When nothing is
-    removed, N is the whole space as one block in natural order. The M
-    basis is only used for the invariance residuals.
+    removed, every block of N is an identity. The M basis is only used for
+    the invariance residuals.
     """
     fock = model.fock
     if fock.dim > dense_cap:
@@ -522,18 +502,8 @@ def variety_subspace(
 
     # orthocomplement block by block, via the full SVD of each M block
     spanned = [b for b in range(nb) if basis[b].shape[1]]
-    if not spanned:
-        # nothing is removed: N_Q is the whole space, one block in natural order
-        return VarietySubspace(
-            rows=[np.arange(fock.dim)],
-            blocks=[np.eye(fock.dim, dtype=np.complex128)],
-            shifts={(i, j): [(0, W.take, W.scale)] for i, j, W in model.all_W()},
-            polys=polys,
-            invariance_residual_full=0.0,
-            invariance_residual_interior=0.0,
-        )
     full_svd = dict(zip(spanned, _svds([basis[b] for b in spanned], True)))
-    smax = max(float(s[0]) for _, s in full_svd.values())
+    smax = max((float(s[0]) for _, s in full_svd.values()), default=0.0)
     complement = [
         full_svd[b][0][:, int(np.count_nonzero(full_svd[b][1] > cutoff * smax)):]
         if b in full_svd else np.eye(len(rows[b]), dtype=np.complex128)
@@ -572,13 +542,10 @@ BlockRow = Optional[Tuple[int, np.ndarray]]
 
 @dataclass(eq=False)
 class CompressedModel:
-    """S_{i,j} = P_N W_{i,j} |_N in the coordinates of subspace's N_Q basis.
+    """S_{i,j} = P_N W_{i,j} |_N in the coordinates of subspace's N_Q basis,
+    kept only as blocks: blocks[(i, j)][h] is S_{i,j}'s only nonzero block in
+    block row h (see BlockRow)."""
 
-    S[(i, j)] is the dense dim_N x dim_N matrix and blocks[(i, j)][h] its only
-    nonzero block in block row h (see BlockRow).
-    """
-
-    S: Dict[Tuple[int, int], np.ndarray]
     blocks: Dict[Tuple[int, int], List[BlockRow]]
     subspace: VarietySubspace
     q_residuals_full: List[float]
@@ -592,29 +559,43 @@ class CompressedModel:
         """||S_{i,j}||_2, the largest norm of its blocks."""
         return _max_norm([row[1] for row in self.blocks[(i, j)] if row is not None])
 
-    def poly_value(self, q: NCPolynomial) -> np.ndarray:
-        eye = np.eye(self.dim_N, dtype=np.complex128)
-        return q.evaluate(lambda i, j: self.S[(i, j)], eye)
+    def adjoint(self, i: int, j: int, Y) -> np.ndarray:
+        """S_{i,j}^* @ Y, one block row at a time: the block in row h, column a
+        sends rows h of Y back onto rows a."""
+        Y = _rows_of(Y, self.dim_N)
+        cols = self.subspace.columns()
+        out = np.zeros(Y.shape, dtype=np.result_type(Y, np.complex128))
+        for h, row in enumerate(self.blocks[(i, j)]):
+            if row is not None:
+                a, block = row
+                out[cols[a]] = block.conj().T @ Y[cols[h]]
+        return out
+
+    def word_blocks(self, mono: Sequence[Tuple[int, int]]) -> Dict[int, Tuple[int, np.ndarray]]:
+        """The nonzero blocks of S_{l_1} ... S_{l_s} for the letters l of mono,
+        keyed by block row h as (a, block): block row h of S_{l_1}, then the
+        row of S_{l_2} at its source, and so on."""
+        out: Dict[int, Tuple[int, np.ndarray]] = {}
+        for h, N in enumerate(self.subspace.blocks):
+            if not N.shape[1]:
+                continue
+            a, prod = h, np.eye(N.shape[1], dtype=np.complex128)
+            for (i, j) in mono:
+                row = self.blocks[(i, int(j))][a]
+                if row is None:
+                    break
+                a, prod = row[0], prod @ row[1]
+            else:
+                out[h] = (a, prod)
+        return out
 
     def poly_blocks(self, q: NCPolynomial) -> Dict[Tuple[int, int], np.ndarray]:
-        """The nonzero blocks q(S)[h, a], keyed (h, a), each product of
-        letters chained through the blocks: S_{l_1} ... S_{l_s} reads block row
-        h of S_{l_1}, then the row of S_{l_2} at its source, and so on."""
-        widths = [N.shape[1] for N in self.subspace.blocks]
+        """The nonzero blocks q(S)[h, a], keyed (h, a): word_blocks summed over
+        the terms of q."""
         out: Dict[Tuple[int, int], np.ndarray] = {}
         for c, mono in q.terms:
-            for h, width in enumerate(widths):
-                if not width:
-                    continue
-                a, prod = h, np.eye(width, dtype=np.complex128)
-                for (i, j) in mono:
-                    row = self.blocks[(i, j)][a]
-                    if row is None:
-                        break
-                    a, prod = row[0], prod @ row[1]
-                else:
-                    term = c * prod
-                    out[(h, a)] = out[(h, a)] + term if (h, a) in out else term
+            for h, (a, prod) in self.word_blocks(mono).items():
+                out[(h, a)] = out.get((h, a), 0.0) + c * prod
         return out
 
 
@@ -638,10 +619,11 @@ def compress(model: ModelOperators, subspace: VarietySubspace) -> CompressedMode
     """S_{i,j} = P_N W_{i,j} |_N block by block, and the residuals of q(S).
 
     W_{i,j} maps block a of N_Q into block h only, so S_{i,j}[h, a] =
-    N_h^* (scale N_a[take]) with (a, take, scale) its block map. For each
-    constraint q, q_residuals_full is ||q(S)||_2 and q_residuals_interior is
-    ||q(S) C||_2, C an orthonormal basis of the compressed vectors supported
-    at degree <= degree_cap - max(deg q, 1), where q(S) = q(W) restricted to N.
+    N_h^* (scale N_a[take]) with (a, take, scale) its block map, and these
+    blocks are all that is kept of S_{i,j}. For each constraint q,
+    q_residuals_full is ||q(S)||_2 and q_residuals_interior is ||q(S) C||_2,
+    C an orthonormal basis of the compressed vectors supported at degree
+    <= degree_cap - max(deg q, 1), where q(S) = q(W) restricted to N.
     A homogeneous q(S) has at most one nonzero block per block row and
     column, and so has q(S) C, so each norm is the largest block norm. The
     grade fixes each basis vector's degree, so C keeps a block's columns
@@ -651,23 +633,17 @@ def compress(model: ModelOperators, subspace: VarietySubspace) -> CompressedMode
     """
     fock = model.fock
     sub = subspace
-    cols = sub.columns()
-    S: Dict[Tuple[int, int], np.ndarray] = {}
     blocks: Dict[Tuple[int, int], List[BlockRow]] = {}
     for ij, maps in sorted(sub.shifts.items()):
-        dense = np.zeros((sub.dim_N, sub.dim_N), dtype=np.complex128)
         rows: List[BlockRow] = []
         for h, m in enumerate(maps):
             if m is None:
                 rows.append(None)
                 continue
             a, take, scale = m
-            block = sub.blocks[h].conj().T @ _gather(sub.blocks[a], take, scale)
-            dense[cols[h], cols[a]] = block
-            rows.append((a, block))
-        S[ij] = dense
+            rows.append((a, sub.blocks[h].conj().T @ _gather(sub.blocks[a], take, scale)))
         blocks[ij] = rows
-    out = CompressedModel(S=S, blocks=blocks, subspace=sub, q_residuals_full=[], q_residuals_interior=[])
+    out = CompressedModel(blocks=blocks, subspace=sub, q_residuals_full=[], q_residuals_interior=[])
     deg = fock.max_degree_array()
     for q in sub.polys:
         qS = out.poly_blocks(q)

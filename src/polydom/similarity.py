@@ -135,7 +135,7 @@ def _embed(
         ck = constrained_kernel(kern, model, sub)
         K, leak = ck.K, ck.range_residual
         resid = intertwine_check_constrained(ck, phi.ops)
-        S_norms = {ij: ck.compressed.norm(*ij) for ij in ck.compressed.S}
+        S_norms = {ij: ck.compressed.norm(*ij) for ij in ck.compressed.blocks}
     else:
         K, leak = kern.K, 0.0
         resid = {ij: full for ij, (full, _) in intertwine_check(kern, model, phi.ops).items()}

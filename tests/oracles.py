@@ -287,12 +287,34 @@ def dense_variety_subspace(model, Q_polys):
     )
 
 
+def dense_basis(sub):
+    """The dense dim x dim_N basis of N_Q, assembled from sub's grade blocks;
+    its columns are the blocks' columns in block order."""
+    out = np.zeros((sum(len(R) for R in sub.rows), sub.dim_N), dtype=np.complex128)
+    for R, N, cols in zip(sub.rows, sub.blocks, sub.columns()):
+        out[R, cols] = N
+    return out
+
+
+def dense_shifts(comp):
+    """Each compressed shift S_{i,j} as a dense dim_N x dim_N matrix, its
+    blocks placed at the subspace's columns."""
+    cols = comp.subspace.columns()
+    out = {}
+    for ij, block_rows in comp.blocks.items():
+        out[ij] = np.zeros((comp.dim_N, comp.dim_N), dtype=np.complex128)
+        for h, row in enumerate(block_rows):
+            if row is not None:
+                out[ij][cols[h], cols[row[0]]] = row[1]
+    return out
+
+
 def dense_compress(model, sub):
     """(S, q_residuals_full, q_residuals_interior) through the dense basis B of
     N_Q: S_{i,j} = B^*(W B), and the interior residual restricts q(S) to the
     null space of the high-degree row block of B, read off one SVD."""
     fock = model.fock
-    B = sub.basis_N
+    B = dense_basis(sub)
     S = {(i, j): B.conj().T @ (W @ B) for i, j, W in model.all_W()}
     eye = np.eye(B.shape[1], dtype=np.complex128)
     deg = fock.max_degree_array()
@@ -315,7 +337,7 @@ def dense_constrained_projection(base, sub):
     """(K_omega, range_residual) by projecting the kernel tensor through the
     dense basis of N_Q with two einsums."""
     T = base.as_tensor()
-    B = sub.basis_N
+    B = dense_basis(sub)
     proj = np.einsum("na,nrd->ard", B.conj(), T)
     back = np.einsum("na,ard->nrd", B, proj)
     leak = float(np.linalg.norm((T - back).reshape(-1, base.d), 2))

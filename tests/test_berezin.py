@@ -21,12 +21,12 @@ from polydom.berezin import (
 )
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
 from polydom.fock import build_model, variety_subspace
-from polydom.config import default_tolerances
+from polydom.config import ResourceCapError, Tolerances, default_tolerances
 from polydom.generate import generate, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
-from oracles import csr_shift, torus_grid_sup
+from oracles import csr_shift, dense_shifts, torus_grid_sup
 
 
 def nilpotent_instance(seed, dim=5, ensure_cone=False):
@@ -239,7 +239,7 @@ def test_constrained_kernel_intertwines(seed=31):
     wide_ck = constrained(wide, random_psd(np.random.default_rng(seed), 4), polys, 3)
     for ops, ck in ((inst.ops, ck), (wide.ops, wide_ck)):
         res = intertwine_check_constrained(ck, ops)
-        for (i, j), S in ck.compressed.S.items():
+        for (i, j), S in dense_shifts(ck.compressed).items():
             rhs = np.kron(S.conj().T, np.eye(ck.rank)) @ ck.K
             want = np.linalg.norm(ck.K @ ops.matrix(i, j).conj().T - rhs, 2)
             assert abs(res[(i, j)] - want) <= 1e-12 * max(want, 1.0)
@@ -337,6 +337,17 @@ def test_vn_model_scalar_coefficient_matches_one_by_one(rng):
     scalar = vn_check_model(*args, [(0.5, a, b) for a, b in words], degree_cap=8)
     block = vn_check_model(*args, [(np.array([[0.5]]), a, b) for a, b in words], degree_cap=8)
     assert scalar == block
+
+
+def test_vn_and_sweep_build_their_models_with_the_tuple_tolerances():
+    # arities (2, 1): the models at D = 4, 5, 6 have dimension 155, 381, 889
+    inst = generate("commuting_polynomials", 0, dim=4)
+    ops = OperatorTuple(inst.ops.rows, tol=Tolerances(max_fock_dim=100))
+    with pytest.raises(ResourceCapError, match="exceeds the cap 100"):
+        vn_check_model(inst.symbols, inst.m, ops, np.eye(4), [(np.eye(1), [[1], []], [[], []])],
+                       degree_cap=4)
+    with pytest.raises(ResourceCapError, match="exceeds the cap 100"):
+        extended_transform_sweep(inst.symbols, inst.m, ops, np.eye(4), (), [0.5], degree_cap=4)
 
 
 def test_vn_polydisc_pass_and_oracle_consistency(rng):

@@ -3,6 +3,7 @@ report determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polydom.berezin
+from polydom.berezin import vn_check_model
 from polydom.cli import main
 from polydom.cpmap import CPMapTuple
 from polydom.jsonio import (
@@ -545,6 +548,34 @@ def test_vn_model_mode_refuses_an_indefinite_D_pos(tmp_path, capsys):
     code, out, err = run_cli(["vn", "--input", str(path), "--trunc-degree", "3"], capsys)
     assert code == 1 and out == ""
     assert err == "error: D_pos is not positive semidefinite (min eigenvalue -5.000e+00)\n"
+
+
+@pytest.mark.parametrize("alpha, coeffs, message", [
+    ([[3], []], [np.eye(1)], "vn term 0: alpha must be 2 words with letters in 1..n_i for arities (2, 1)"),
+    ([[1], [], [1]], [np.eye(1)], "vn term 0: alpha must be 2 words"),
+    ([[1]], [np.eye(1)], "vn term 0: alpha must be 2 words"),
+    ([[1], []], [np.eye(2), np.eye(3)], "vn term 1: coefficient block of shape (3, 3) is not square "
+                                        "or not of term 0's shape (2, 2)"),
+], ids=["letter-outside", "three-words", "one-word", "two-shapes"])
+def test_vn_model_mode_checks_its_terms_before_any_model(alpha, coeffs, message, tmp_path, capsys, monkeypatch):
+    path = gen_spec(tmp_path, capsys, "nilpotent", 300, "--dim", "4")
+    obj = json.loads(path.read_text())
+    obj["task"]["mode"] = "model"
+    obj["task"]["terms"] = [{"coeff": matrix_to_json(C), "alpha": alpha, "beta": [[], []]} for C in coeffs]
+    path.write_text(json.dumps(obj))
+    spec = problem_from_json(obj)
+    assert tuple(f.arity for f in spec.symbols) == (2, 1)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(polydom.berezin, "build_model", no_model)
+    terms = [(C, [tuple(w) for w in alpha], [(), ()]) for C in coeffs]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        vn_check_model(spec.symbols, spec.m, spec.ops, np.eye(4), terms, spec.constraints, degree_cap=3)
+    code, out, err = run_cli(["vn", "--input", str(path), "--trunc-degree", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polydom.cli import _instance_to_spec
-from polydom.berezin import BerezinKernel, constrained_kernel, kernel
+from polydom.berezin import BerezinKernel, constrained_kernel, kernel, model_word_value
 from polydom.config import ResourceCapError, Tolerances, default_tolerances
 from polydom.cpmap import CPMapTuple, OperatorTuple
 from polydom.fock import (
@@ -34,8 +34,10 @@ from oracles import (
     csr_diag_map,
     csr_mono,
     csr_shift,
+    dense_basis,
     dense_compress,
     dense_constrained_projection,
+    dense_shifts,
     dense_variety_subspace,
     evaluate_poly,
 )
@@ -281,8 +283,10 @@ def test_variety_empty_constraints_full_space():
     sub = variety_subspace(model, [])
     assert sub.dim_N == fock.dim
     comp = compress(model, sub)
+    # N_Q's coordinates are in grade-block order; B maps them to the natural order
+    B, S = dense_basis(sub), dense_shifts(comp)
     for j in (1, 2):
-        assert np.linalg.norm(comp.S[(1, j)] - model.W(1, j).toarray()) <= 1e-12
+        assert np.linalg.norm(B @ S[(1, j)] @ B.conj().T - model.W(1, j).toarray()) <= 1e-12
 
 
 def test_variety_commutator_dimension():
@@ -310,7 +314,8 @@ def test_compressed_model_annihilates_constraint():
     sub = variety_subspace(model, [q])
     comp = compress(model, sub)
     assert comp.q_residuals_interior[0] <= 1e-10
-    qS = comp.poly_value(q)
+    S = dense_shifts(comp)
+    qS = q.evaluate(lambda i, j: S[(i, j)], np.eye(sub.dim_N, dtype=np.complex128))
     assert np.linalg.norm(qS, 2) == pytest.approx(comp.q_residuals_full[0], rel=1e-9, abs=1e-12)
 
 
@@ -321,11 +326,11 @@ def test_compression_is_coisometric_on_variety():
     q = commutator_polynomial(1, 1, 2)
     sub = variety_subspace(model, [q])
     comp = compress(model, sub)
-    B = sub.basis_N
+    B, S = dense_basis(sub), dense_shifts(comp)
     for word in [(1, 2), (2, 2, 1)]:
         Sw = np.eye(sub.dim_N, dtype=np.complex128)
         for letter in word:
-            Sw = Sw @ comp.S[(1, letter)]
+            Sw = Sw @ S[(1, letter)]
         direct = B.conj().T @ (model.W_word(1, word) @ B)
         # equality holds on compressed vectors supported below the boundary:
         # C spans the null space of the high-degree coordinate block
@@ -356,7 +361,8 @@ def _assert_matches_dense(model, polys, sub=None):
     sub = sub if sub is not None else variety_subspace(model, polys)
     ref = dense_variety_subspace(model, polys)
     assert sub.dim_N == ref.dim_N
-    assert np.linalg.norm(sub.projector() - ref.projector(), 2) <= 1e-10
+    B, B_ref = dense_basis(sub), dense_basis(ref)
+    assert np.linalg.norm(B @ B.conj().T - B_ref @ B_ref.conj().T, 2) <= 1e-10
     assert sub.invariance_residual_full <= 1e-10
     assert sub.invariance_residual_interior <= 1e-10
     comp = compress(model, sub)
@@ -381,7 +387,7 @@ def test_variety_matches_dense_on_gen_specs(D):
                 checked[key] = sub
             ref = checked[key]
             assert sub.dim_N == ref.dim_N
-            assert np.array_equal(sub.basis_N, ref.basis_N)
+            assert np.array_equal(dense_basis(sub), dense_basis(ref))
 
 
 NON_HOMOGENEOUS = NCPolynomial(((1.0, ((1, 1), (1, 2))), (-0.5, ((1, 1),))))
@@ -437,14 +443,31 @@ def _random_kernel(fock, rank, d, rng):
 
 
 def _assert_blocks_match_dense(model, sub, base):
-    """compress and constrained_kernel on the grade blocks of sub agree with
-    the dense-basis computations of tests/oracles.py."""
+    """compress, the compressed words and adjoints, and constrained_kernel on
+    the grade blocks of sub agree with the dense-basis computations of
+    tests/oracles.py."""
     comp = compress(model, sub)
     S, full, interior = dense_compress(model, sub)
-    assert sorted(comp.S) == sorted(S)
+    blocks = dense_shifts(comp)
+    assert sorted(blocks) == sorted(S)
+    rng = np.random.default_rng(0)
+    Y = rng.standard_normal((comp.dim_N, 3)) + 1j * rng.standard_normal((comp.dim_N, 3))
     for ij in S:
-        _close(comp.S[ij], S[ij])
+        _close(blocks[ij], S[ij])
         _close(comp.norm(*ij), np.linalg.norm(S[ij], 2))
+        _close(comp.adjoint(*ij, Y), S[ij].conj().T @ Y)
+    fock = model.fock
+    empty = ((),) * fock.k
+    words = [empty, ((1,),) + empty[1:], ((fock.arities[0], 1),) + empty[1:],
+             ((1,) * (fock.degree_cap + 1),) + empty[1:]]  # the last leaves the space: S_(alpha) = 0
+    if fock.k > 1:
+        words.append(((1,), (fock.arities[1],)) + empty[2:])
+    for alphas in words:
+        want = np.eye(comp.dim_N, dtype=np.complex128)
+        for i, w in enumerate(alphas, start=1):
+            for j in w:
+                want = want @ blocks[(i, j)]
+        _close(model_word_value(comp, alphas), want)
     _close(comp.q_residuals_full, full)
     _close(comp.q_residuals_interior, interior)
     ck = constrained_kernel(base, model, sub)
@@ -487,8 +510,12 @@ def test_block_compression_matches_dense_on_families(symbols, m, cap, polys, rng
         _assert_blocks_match_dense(model, sub, base)
         # the oracle's one-block subspace takes the same path
         _assert_blocks_match_dense(model, ref, base)
-    if not polys or NON_HOMOGENEOUS in polys:
+    if NON_HOMOGENEOUS in polys:
         assert len(sub.rows) == 1 and np.array_equal(sub.rows[0], np.arange(fock.dim))
+    if sub.dim_N == fock.dim:
+        # nothing is removed: N_Q keeps the grade blocks, each an identity
+        assert all(np.array_equal(N, np.eye(len(R))) for R, N in zip(sub.rows, sub.blocks))
+        assert sub.invariance_residual_full == sub.invariance_residual_interior == 0.0
 
 
 def test_variety_svds_stay_within_one_grade_block(monkeypatch):
@@ -518,6 +545,8 @@ def test_variety_svds_stay_within_one_grade_block(monkeypatch):
     assert sub.dim_N == 196
     assert shapes and max(max(s) for s in shapes) <= 64
     assert wall < 1.0
+    # nothing removed: N_Q keeps the grade blocks, one identity each
+    assert max(max(N.shape) for N in variety_subspace(model, []).blocks) <= 64
 
 
 def test_compression_and_constrained_kernel_stay_within_one_grade_block(monkeypatch):
@@ -545,7 +574,7 @@ def test_compression_and_constrained_kernel_stay_within_one_grade_block(monkeypa
     monkeypatch.setattr(np.linalg, "norm", spy_norm)
     comp = compress(model, sub)
     ck = constrained_kernel(base, model, sub)
-    norms = [comp.norm(i, j) for (i, j) in comp.S]
+    norms = [comp.norm(i, j) for (i, j) in comp.blocks]
     assert comp.dim_N == ck.subspace.dim_N == 196
     assert shapes and max(max(s) for s in shapes) <= 64
     assert max(comp.q_residuals_full + comp.q_residuals_interior) <= 1e-10

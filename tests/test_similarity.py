@@ -23,6 +23,7 @@ from polydom.similarity import (
 from polydom.words import NCPolynomial, PositiveSymbol, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
+from oracles import dense_shifts
 
 
 def scalar_tuple(c, d=3):
@@ -113,7 +114,7 @@ def test_intertwining_residual_within_sqrt_tail(seed):
             tail = ck.base.tail_bound
             assert ck.base.certified
             for (i, j), r in intertwine_check_constrained(ck, inst.ops).items():
-                S_norm = np.linalg.norm(ck.compressed.S[(i, j)], 2)
+                S_norm = np.linalg.norm(dense_shifts(ck.compressed)[(i, j)], 2)
                 assert r <= S_norm * np.sqrt(tail) + ck.range_residual + 1e-12
 
 
