@@ -13,8 +13,12 @@ Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate. Series
 tails are stated in the Frobenius norm, which costs a factor sqrt(d).
 
 The radius of each factor is computed once per tuple (the paths are in
-CPMapTuple.joint_spectral_radius) and only gates the certificates. The orbit
-encloses it, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
+CPMapTuple.joint_spectral_radius) and only gates the certificates. A row whose
+letters commute is first put in one joint triangular form (Radjavi-Rosenthal),
+U^* A_{i,j} U upper triangular for one unitary U, and the radius is read off
+its diagonals in O(d^3), numpy only; a row without one found, or whose value
+exceeds the orbit's Gelfand bound, goes on to dense eigvals or ARPACK. The orbit
+encloses the radius, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
 lambda_t = lambda_min(Phi_i^t(I)), since Phi_i^t(I) >= lambda_t I
 (Collatz-Wielandt with Y = I); the radius cross-check reads this enclosure.
 
@@ -37,8 +41,16 @@ from .config import DivergenceError, ResourceCapError, Tolerances, default_toler
 from .words import NCPolynomial, PositiveSymbol, polyball_symbol, require_valid
 
 MultiDegree = Tuple[int, ...]
+# the letter Z_{i,j} as (i, j), both 1-based
+Letter = Tuple[int, int]
 
 # Radius paths and their measured crossover: see CPMapTuple.joint_spectral_radius.
+# the joint triangular form diagonalizes G = sum_j (j + _TRI_SHIFT) A_{i,j}; fixed
+# irrational weights keep reports identical from run to run, and real ones
+# leave a real triangular row as it is
+_TRI_SHIFT = float(np.sqrt(0.5))
+# it is refused when a strictly lower part exceeds _TRI_SLACK d eps ||A_{i,j}||_F
+_TRI_SLACK = 64.0
 _ARNOLDI_MIN_DIM = 12
 _ARNOLDI_MAXITER = 10
 _ARNOLDI_NCV = 40
@@ -156,20 +168,31 @@ class OperatorTuple:
         if check_commutation:
             self._check_commutation()
 
-    def _check_commutation(self) -> None:
+    def _commutation_failure(self, pairs: Iterator[Tuple[Letter, Letter]]) -> Optional[str]:
+        """The first pair of letters ((s, j), (u, l)) with
+        ||[A_{s,j}, A_{u,l}]||_F > tol_comm ||A_{s,j}||_F ||A_{u,l}||_F, described; None if none is."""
         t = self.tol.tol_comm
-        for s in range(self.k):
-            for u in range(s + 1, self.k):
-                for j, A in enumerate(self.rows[s]):
-                    na = np.linalg.norm(A)
-                    for l, B in enumerate(self.rows[u]):
-                        nb = np.linalg.norm(B)
-                        gap = np.linalg.norm(A @ B - B @ A)
-                        if gap > t * na * nb:
-                            raise CommutationError(
-                                f"[A_{s+1},{j+1}, A_{u+1},{l+1}] has norm "
-                                f"{gap:.3e} > {t:.1e}*{na:.3e}*{nb:.3e}"
-                            )
+        for (s, j), (u, l) in pairs:
+            A, B = self.rows[s - 1][j - 1], self.rows[u - 1][l - 1]
+            na, nb = np.linalg.norm(A), np.linalg.norm(B)
+            gap = np.linalg.norm(A @ B - B @ A)
+            if gap > t * na * nb:
+                return f"[A_{s},{j}, A_{u},{l}] has norm {gap:.3e} > {t:.1e}*{na:.3e}*{nb:.3e}"
+        return None
+
+    def _check_commutation(self) -> None:
+        letters = [[(s, j) for j in range(1, n + 1)] for s, n in enumerate(self.arities, start=1)]
+        pairs = (
+            pair for rs, ru in itertools.combinations(letters, 2) for pair in itertools.product(rs, ru)
+        )
+        failure = self._commutation_failure(pairs)
+        if failure is not None:
+            raise CommutationError(failure)
+
+    def row_commutes(self, i: int) -> bool:
+        """Whether the letters of row i commute pairwise, to tol_comm as across factors."""
+        letters = [(i, j) for j in range(1, self.arities[i - 1] + 1)]
+        return self._commutation_failure(itertools.combinations(letters, 2)) is None
 
     def matrix(self, i: int, j: int) -> np.ndarray:
         return self.rows[i - 1][j - 1]
@@ -180,10 +203,16 @@ class OperatorTuple:
         hit = self._word_cache.get(key)
         if hit is not None:
             return hit
+        # a miss checks the range: each cached prefix was checked when it was stored
+        if not 1 <= i <= self.k:
+            raise ValueError(f"factor {i} outside 1..{self.k}")
         if not key[1]:
             out = np.eye(self.dim, dtype=np.complex128)
         else:
-            out = self.word_product(i, key[1][:-1]) @ self.rows[i - 1][key[1][-1] - 1]
+            j = key[1][-1]
+            if not 1 <= j <= self.arities[i - 1]:
+                raise ValueError(f"letter {j} outside 1..{self.arities[i - 1]} in row {i}")
+            out = self.word_product(i, key[1][:-1]) @ self.rows[i - 1][j - 1]
         out.setflags(write=False)
         self._word_cache[key] = out
         return out
@@ -382,13 +411,21 @@ class CPMapTuple:
         (M_i M_j = M_j M_i), which is weaker than entrywise commutation;
         check='operators' requires the Kraus operators to commute across
         factors. Any other value raises ValueError.
+
+        Entrywise commutation implies that the maps commute, so check='maps'
+        first tries it (d^3 per pair of letters) and matricizes (d^6 per pair
+        of factors) only for a family that fails it.
         """
         if check not in ("maps", "operators"):
             raise ValueError(f"unknown check {check!r}; expected 'maps' or 'operators'")
-        ops = OperatorTuple(families, tol=tol, check_commutation=(check == "operators"))
+        ops = OperatorTuple(families, tol=tol, check_commutation=False)
         symbols = [polyball_symbol(n) for n in ops.arities]
         phi = cls(symbols, ops)
-        if check == "maps":
+        try:
+            ops._check_commutation()
+        except CommutationError:
+            if check == "operators":
+                raise
             phi._check_map_commutation()
         return phi
 
@@ -481,6 +518,9 @@ class CPMapTuple:
 
     def _map_radius(self, i: int) -> float:
         """rho(Phi_i) by the path joint_spectral_radius describes."""
+        rho = self._triangular_radius(i)
+        if rho is not None:
+            return rho
         if self.dim < _ARNOLDI_MIN_DIM:
             return float(np.max(np.abs(np.linalg.eigvals(self.matricize(i))), initial=0.0))
         rho = self._arnoldi_radius(i)
@@ -488,6 +528,43 @@ class CPMapTuple:
             M = _hermitian_form(self.matricize(i), self.dim)
             rho = float(np.max(np.abs(np.linalg.eigvals(M))))
         return self._orbit(i).gelfand(64) if rho is None else rho
+
+    def _triangular_radius(self, i: int) -> Optional[float]:
+        """rho(Phi_i) from one joint triangular form of row i, or None when none is found.
+
+        A nilpotent factor is settled by its orbit. Otherwise the letters of
+        row i must commute; the Q factor U of the eigenvectors of a generic
+        combination G of them then triangularizes every A_{i,j}, unless G is
+        defective or clustered, which the test of each strictly lower part of
+        U^* A_{i,j} U against _TRI_SLACK d eps ||A_{i,j}||_F refuses. With the
+        diagonals lambda_j(k), the map Phi_i is triangular too, with
+        eigenvalues sum_w a_w lambda_w(k) conj(lambda_w(l)); a_w >= 0 and
+        Cauchy-Schwarz put the largest modulus at k = l. The value is accepted,
+        as the Arnoldi value is, when it is at most min_{t<=d} eta_t^{1/t}.
+        """
+        orbit = self._orbit(i)
+        if orbit.nilpotency_index() is not None:
+            return 0.0
+        if not self.ops.row_commutes(i):
+            return None
+        row = self.ops.rows[i - 1]
+        G = sum((j + _TRI_SHIFT) * A for j, A in enumerate(row, start=1))
+        try:
+            U = np.linalg.qr(np.linalg.eig(G)[1])[0]
+        except np.linalg.LinAlgError:
+            return None
+        lam = np.empty((len(row), self.dim), dtype=np.complex128)
+        for j, A in enumerate(row):
+            T = U.conj().T @ A @ U
+            if np.linalg.norm(np.tril(T, -1)) > _TRI_SLACK * self.dim * _EPS * np.linalg.norm(A):
+                return None
+            lam[j] = np.diagonal(T)
+        rho = np.zeros(self.dim)
+        for w, a in self.symbols[i - 1].coeffs.items():
+            if a != 0:
+                rho += float(a) * np.abs(np.prod(lam[[j - 1 for j in w]], axis=0)) ** 2
+        top = float(rho.max())
+        return top if top <= orbit.gelfand(self.dim) * (1.0 + 1e-12) else None
 
     def _arnoldi_radius(self, i: int) -> Optional[float]:
         """rho(Phi_i) matrix-free, or None when the Arnoldi value cannot be trusted.
@@ -685,7 +762,14 @@ class CPMapTuple:
     def joint_spectral_radius(self, i: int, crosscheck: bool = True) -> float:
         """sqrt of the spectral radius of Phi_i, computed once per factor.
 
-        Three paths:
+        Four paths, in order:
+        - any d: a joint triangular form (_triangular_radius). 0 when the
+          identity orbit hits zero by s = d; else, when the letters of row i
+          commute, U^* A_{i,j} U for U the Q factor of the eigenvectors of
+          G = sum_j (j + 1/sqrt2) A_{i,j}, refused when a strictly lower
+          part exceeds 64 d eps ||A_{i,j}||_F, and
+          max_k sum_w a_w |lambda_w(k)|^2 from its diagonals, accepted when
+          it is at most min_{t<=d} eta_t^{1/t} (1 + 1e-12);
         - d < 12: dense eigvals of the d^2 x d^2 matricization;
         - d >= 12: 0 when the identity orbit hits zero by s = d; else the top
           Ritz value of ARPACK (k=1, which="LM", tol=0, v0 = vec(I), at most
@@ -695,18 +779,25 @@ class CPMapTuple:
           Hermitian matrices while d^2 <= 6400, and above that to the Gelfand
           bound min_{t<=64} eta_t^{1/t}, an upper bound.
 
-        The crossover is measured: at d = 8 an Arnoldi run costs as much as
-        eigvals of the 64 x 64 matricization (4-10 ms against 3-5 ms), at
-        d = 12 it costs a third (8-16 ms against 20-32 ms), at d = 24 a
-        thirtieth. vec(I) is a valid start: the radius of a positive map is
-        an eigenvalue whose dual eigenvector Q is PSD (Evans-Hoegh-Krohn), so
-        I has the component tr(Q) > 0 along it, and the Krylov space is the
-        span of the orbit Phi_i^s(I).
+        Every commuting gen family takes the first path. Measured on one
+        2-vCPU host, one BLAS thread, a commuting_polynomials tuple costs
+        1.8 / 4.5 / 10 ms at d = 8 / 16 / 24 there against 7 / 23 / 35 ms
+        by the later paths, and conjugated unitaries at d = 24 cost 10 ms
+        against 1.2 s (a refused Arnoldi run and dense eigvals); the value
+        agrees with dense eigvals to about 1e-14 relative.
+
+        The crossover of the later paths is measured: at d = 8 an Arnoldi
+        run costs as much as eigvals of the 64 x 64 matricization (4-10 ms
+        against 3-5 ms), at d = 12 it costs a third (8-16 ms against
+        20-32 ms), at d = 24 a thirtieth. vec(I) is a valid start: the
+        radius of a positive map is an eigenvalue whose dual eigenvector Q
+        is PSD (Evans-Hoegh-Krohn), so I has the component tr(Q) > 0 along
+        it, and the Krylov space is the span of the orbit Phi_i^s(I).
 
         With crosscheck=True the value is tested against the orbit enclosure
         radius_power_sequence(i) and ArithmeticError is raised when it lies
         outside [lower (1 - 1e-12), upper (1 + 1e-12)], the rounding slack of
-        the Arnoldi acceptance test.
+        the triangular and Arnoldi acceptance tests.
         """
         r = self._radii.get(i)
         if r is None:

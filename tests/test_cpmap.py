@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polydom.berezin import tuple_word_product
 from polydom.config import DivergenceError
 from polydom.cpmap import (
     CommutationError,
@@ -128,6 +129,25 @@ def test_cross_factor_commutation_enforced(rng):
         OperatorTuple([[A], [B]])
 
 
+def test_word_product_rejects_letters_outside_the_row():
+    # arities (2, 1): letter 0 and negative letters must not wrap around
+    ops = generate("nilpotent", 300, dim=4).ops
+    for letter in (0, -1, ops.arities[0] + 1):
+        with pytest.raises(ValueError, match="outside"):
+            ops.word_product(1, (letter,))
+        with pytest.raises(ValueError, match="outside"):
+            ops.word_product(1, (1, letter))
+        with pytest.raises(ValueError, match="outside"):
+            tuple_word_product(ops, [[letter], []])
+    with pytest.raises(ValueError, match="outside"):
+        ops.word_product(2, (ops.arities[1] + 1,))
+    with pytest.raises(ValueError, match="outside"):
+        ops.word_product(0, ())
+    with pytest.raises(ValueError, match="outside"):
+        tuple_word_product(ops, [[1], [1], [1]])
+    assert np.array_equal(ops.word_product(1, (1, 2)), ops.matrix(1, 1) @ ops.matrix(1, 2))
+
+
 def test_within_factor_entries_need_not_commute(rng):
     A = rng.standard_normal((3, 3))
     B = rng.standard_normal((3, 3))
@@ -145,6 +165,30 @@ def test_from_kraus_map_level_commutation():
         CPMapTuple.from_kraus([[A, B], [B, A]], check="operators")
     phi = CPMapTuple.from_kraus([[A, B], [B, A]], check="maps")
     assert phi.k == 2
+
+
+def test_from_kraus_commuting_family_skips_the_map_check(monkeypatch):
+    # entrywise commutation implies that the maps commute: no matricization
+    def matricized_check(self):
+        raise AssertionError("the matricized commutation check ran")
+
+    monkeypatch.setattr(CPMapTuple, "_check_map_commutation", matricized_check)
+    inst = generate("commuting_polynomials", 0, dim=4)
+    phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
+    assert phi.k == 2 and not phi._matricized
+
+
+def test_from_kraus_noncommuting_entries_run_the_map_check(monkeypatch):
+    # X -> A X A^* and X -> C X C^* commute neither entrywise nor as maps
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    C = np.diag([1.0, 2.0])
+    calls = []
+    check = CPMapTuple._check_map_commutation
+    monkeypatch.setattr(CPMapTuple, "_check_map_commutation",
+                        lambda self: calls.append(self) or check(self))
+    with pytest.raises(CommutationError, match="maps 1 and 2"):
+        CPMapTuple.from_kraus([[A], [C]], check="maps")
+    assert len(calls) == 1
 
 
 def test_from_kraus_rejects_an_unknown_check():
@@ -487,8 +531,8 @@ RADIUS_FAMILIES = ("commuting_polynomials", "polyball_random", "nilpotent",
 @pytest.mark.parametrize("family", RADIUS_FAMILIES)
 @pytest.mark.parametrize("d", [12, 16, 24])
 def test_radius_matches_dense_oracle_above_crossover(family, d):
-    # d >= 12 takes the matrix-free path; conjugated unitaries (a degenerate
-    # peripheral spectrum) fall back to dense eigvals
+    # d >= 12: commuting rows take the joint triangular form; polyball_random's
+    # rows do not commute and go on to ARPACK or dense eigvals
     for seed in (0, 1) if d < 24 else (0,):
         phi = radius_instance(family, seed, d)
         for i in range(1, phi.k + 1):
@@ -498,17 +542,89 @@ def test_radius_matches_dense_oracle_above_crossover(family, d):
             assert r == 0.0 and not phi._matricized
 
 
+def jordan_block(d):
+    return 0.5 * np.eye(d) + 0.5 * np.diag(np.ones(d - 1), k=1)
+
+
+def rotated_jordan_block(d):
+    """The Jordan block in a random unitary basis: defective, so no eigenvector
+    basis triangularizes it."""
+    rng = np.random.default_rng(d)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q @ jordan_block(d) @ Q.conj().T
+
+
 def test_radius_jordan_type_takes_dense_fallback():
     # non-normal: ARPACK's Ritz values sit in the pseudospectrum, off the
-    # real axis, so the Arnoldi value is refused
+    # real axis, so the Arnoldi value is refused. A row with a Jordan block
+    # and a letter that does not commute with it has no joint triangular
+    # form either; both letters are upper triangular, so the dense value is
+    # exact, sqrt(0.5^2 + 0.1^2)
     d = 16
-    jordan = 0.5 * np.eye(d) + 0.5 * np.diag(np.ones(d - 1), k=1)
-    phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[jordan]]))
+    corner = np.zeros((d, d))
+    corner[0, 0] = 0.1
+    phi = CPMapTuple([polyball_symbol(2)], OperatorTuple([[jordan_block(d), corner]]))
+    assert phi._triangular_radius(1) is None
     assert phi._arnoldi_radius(1) is None
     assert phi.joint_spectral_radius(1, crosscheck=False) == pytest.approx(
         dense_radius(phi, 1), rel=1e-10
     )
+    assert dense_radius(phi, 1) == pytest.approx(np.sqrt(0.26), rel=1e-12)
     assert phi._matricized
+    # the rotated block is refused by both paths as well; its dense value is
+    # only as good as the eigenvalues of a defective matrix (Jordan blocks of
+    # the map up to size 2d - 1), so it is held to the orbit enclosure
+    rotated = CPMapTuple([polyball_symbol(1)], OperatorTuple([[rotated_jordan_block(d)]]))
+    assert rotated._triangular_radius(1) is None
+    assert rotated._arnoldi_radius(1) is None
+    rotated.joint_spectral_radius(1, crosscheck=True)
+    assert rotated._matricized
+    # the plain block is its own joint triangular form: exactly 0.25, no matricization
+    plain = CPMapTuple([polyball_symbol(1)], OperatorTuple([[jordan_block(d)]]))
+    assert plain._map_radius(1) == 0.25
+    assert plain.joint_spectral_radius(1, crosscheck=False) == 0.5
+    assert not plain._matricized
+
+
+TRIANGULAR_FAMILIES = ("commuting_polynomials", "conjugated_unitaries", "nilpotent")
+
+
+@pytest.mark.parametrize("family", TRIANGULAR_FAMILIES)
+@pytest.mark.parametrize("d", [3, 5, 8, 12, 16, 24])
+def test_triangular_radius_matches_dense_oracle(family, d):
+    phi = radius_instance(family, 0, d)
+    for i in range(1, phi.k + 1):
+        rho = phi._triangular_radius(i)
+        assert rho is not None
+        assert np.sqrt(rho) == pytest.approx(dense_radius(phi, i), rel=1e-10)
+        assert phi.joint_spectral_radius(i, crosscheck=True) == np.sqrt(rho)
+    assert not phi._matricized
+
+
+@pytest.mark.parametrize("d", [5, 12])
+def test_triangular_radius_refuses_and_falls_through(d, monkeypatch):
+    # a row whose letters do not commute, and a defective block
+    cases = [radius_instance("polyball_random", 0, d),
+             CPMapTuple([polyball_symbol(1)], OperatorTuple([[rotated_jordan_block(d)]]))]
+    for phi in cases:
+        assert phi._triangular_radius(1) is None
+        today = CPMapTuple(phi.symbols, phi.ops)
+        monkeypatch.setattr(today, "_triangular_radius", lambda i: None)
+        assert phi.joint_spectral_radius(1, crosscheck=False) == today.joint_spectral_radius(
+            1, crosscheck=False
+        )
+
+
+@pytest.mark.parametrize("d", [12, 16, 24])
+def test_conjugated_unitaries_take_no_arnoldi_run(d, monkeypatch):
+    def arnoldi(self, i):
+        raise AssertionError("the Arnoldi path ran")
+
+    monkeypatch.setattr(CPMapTuple, "_arnoldi_radius", arnoldi)
+    phi = radius_instance("conjugated_unitaries", 1, d)
+    for i in range(1, phi.k + 1):
+        assert phi.joint_spectral_radius(i, crosscheck=False) == pytest.approx(1.0, rel=1e-12)
+    assert not phi._matricized
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
