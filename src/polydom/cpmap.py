@@ -12,12 +12,14 @@ eta_t < 1 into a geometric envelope for all s, and Phi_i^s = 0 exactly when
 Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate. Series
 tails are stated in the Frobenius norm, which costs a factor sqrt(d).
 
-The radius of each factor is computed once per tuple (the paths are in
-CPMapTuple.joint_spectral_radius) and only gates the certificates. A row whose
-letters commute is first put in one joint triangular form (Radjavi-Rosenthal),
-U^* A_{i,j} U upper triangular for one unitary U, and the radius is read off
-its diagonals in O(d^3), numpy only; a row without one found, or whose value
-exceeds the orbit's Gelfand bound, goes on to dense eigvals or ARPACK. The orbit
+The radius of each factor is computed once per tuple, by the one rule that
+CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
+nilpotent orbit gives 0. Otherwise the first candidate at most the orbit's
+Gelfand bound is taken: the diagonals of one joint triangular form of a row
+whose letters commute (Radjavi-Rosenthal; U^* A_{i,j} U upper triangular for
+one unitary U, O(d^3), numpy only), then an ARPACK Ritz value from d = 12 on.
+A row with neither gets one dense eigvals of the map's real form while
+d <= 80, and the Gelfand bound above that. The orbit
 encloses the radius, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
 lambda_t = lambda_min(Phi_i^t(I)), since Phi_i^t(I) >= lambda_t I
 (Collatz-Wielandt with Y = I); the radius cross-check reads this enclosure.
@@ -44,7 +46,7 @@ MultiDegree = Tuple[int, ...]
 # the letter Z_{i,j} as (i, j), both 1-based
 Letter = Tuple[int, int]
 
-# Radius paths and their measured crossover: see CPMapTuple.joint_spectral_radius.
+# The radius rule and its measured crossover: see CPMapTuple.joint_spectral_radius.
 # the joint triangular form diagonalizes G = sum_j (j + _TRI_SHIFT) A_{i,j}; fixed
 # irrational weights keep reports identical from run to run, and real ones
 # leave a real triangular row as it is
@@ -71,6 +73,14 @@ class CommutationError(ValueError):
 def multi_grid(m: Sequence[int]) -> Iterator[MultiDegree]:
     """All multi-degrees p with 0 <= p <= m, lexicographic."""
     return itertools.product(*(range(mi + 1) for mi in m))
+
+
+def _require_degree(name: str, p: Sequence[int], k: int, least: int) -> None:
+    """ValueError unless the multi-degree p has k entries, each >= least."""
+    if len(p) != k:
+        raise ValueError(f"multi-degree length {len(p)} != k = {k}")
+    if any(pi < least for pi in p):
+        raise ValueError(f"{name} must be >= {least} componentwise, got {tuple(p)}")
 
 
 def defect_sweep(
@@ -403,29 +413,21 @@ class CPMapTuple:
         cls,
         families: Sequence[Sequence[np.ndarray]],
         tol: Tolerances | None = None,
-        check: str = "maps",
     ) -> "CPMapTuple":
         """CP maps given by raw Kraus families; symbols implicitly Z_1+...+Z_n.
 
-        check='maps' verifies commutation of the maps themselves
-        (M_i M_j = M_j M_i), which is weaker than entrywise commutation;
-        check='operators' requires the Kraus operators to commute across
-        factors. Any other value raises ValueError.
-
-        Entrywise commutation implies that the maps commute, so check='maps'
-        first tries it (d^3 per pair of letters) and matricizes (d^6 per pair
-        of factors) only for a family that fails it.
+        The maps themselves must commute (M_i M_j = M_j M_i), which is weaker
+        than entrywise commutation of the Kraus operators. Entrywise
+        commutation implies it, so that is tried first (d^3 per pair of
+        letters), and only a family that fails it is matricized (d^6 per
+        pair of factors).
         """
-        if check not in ("maps", "operators"):
-            raise ValueError(f"unknown check {check!r}; expected 'maps' or 'operators'")
         ops = OperatorTuple(families, tol=tol, check_commutation=False)
         symbols = [polyball_symbol(n) for n in ops.arities]
         phi = cls(symbols, ops)
         try:
             ops._check_commutation()
         except CommutationError:
-            if check == "operators":
-                raise
             phi._check_map_commutation()
         return phi
 
@@ -480,8 +482,7 @@ class CPMapTuple:
 
     def defect(self, p: Sequence[int], X: np.ndarray) -> np.ndarray:
         """(id - Phi_1)^{p_1} o ... o (id - Phi_k)^{p_k} (X)."""
-        if len(p) != self.k:
-            raise ValueError(f"multi-degree length {len(p)} != k = {self.k}")
+        _require_degree("p", p, self.k, 0)
         Y = np.asarray(X, dtype=np.complex128)
         for i in range(1, self.k + 1):
             for _ in range(p[i - 1]):
@@ -490,8 +491,7 @@ class CPMapTuple:
 
     def defect_grid(self, m: Sequence[int], X: np.ndarray) -> Dict[MultiDegree, np.ndarray]:
         """All defects Delta^p(X) for 0 <= p <= m via one incremental sweep."""
-        if len(m) != self.k:
-            raise ValueError(f"multi-degree length {len(m)} != k = {self.k}")
+        _require_degree("m", m, self.k, 0)
         return defect_sweep(m, np.asarray(X, dtype=np.complex128), self.apply)
 
     # --- certified series -----------------------------------------------
@@ -517,34 +517,32 @@ class CPMapTuple:
         return orbit.decays(extend_to=SERIES_BUDGET if self._settled(i) else 0)
 
     def _map_radius(self, i: int) -> float:
-        """rho(Phi_i) by the path joint_spectral_radius describes."""
-        rho = self._triangular_radius(i)
-        if rho is not None:
-            return rho
-        if self.dim < _ARNOLDI_MIN_DIM:
-            return float(np.max(np.abs(np.linalg.eigvals(self.matricize(i))), initial=0.0))
-        rho = self._arnoldi_radius(i)
-        if rho is None and self.dim ** 2 <= _DENSE_MAX_VEC_DIM:
+        """rho(Phi_i) by the rule joint_spectral_radius describes."""
+        orbit = self._orbit(i)
+        if orbit.nilpotency_index() is not None:
+            return 0.0
+        # rounding slack: for a normal map eta_1 is already the radius
+        bound = orbit.gelfand(self.dim) * (1.0 + 1e-12)
+        for path in (self._triangular_radius, self._arnoldi_radius):
+            rho = path(i)
+            if rho is not None and rho <= bound:
+                return rho
+        if self.dim ** 2 <= _DENSE_MAX_VEC_DIM:
             M = _hermitian_form(self.matricize(i), self.dim)
-            rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-        return self._orbit(i).gelfand(64) if rho is None else rho
+            return float(np.max(np.abs(np.linalg.eigvals(M))))
+        return orbit.gelfand(64)
 
     def _triangular_radius(self, i: int) -> Optional[float]:
         """rho(Phi_i) from one joint triangular form of row i, or None when none is found.
 
-        A nilpotent factor is settled by its orbit. Otherwise the letters of
-        row i must commute; the Q factor U of the eigenvectors of a generic
-        combination G of them then triangularizes every A_{i,j}, unless G is
-        defective or clustered, which the test of each strictly lower part of
-        U^* A_{i,j} U against _TRI_SLACK d eps ||A_{i,j}||_F refuses. With the
-        diagonals lambda_j(k), the map Phi_i is triangular too, with
-        eigenvalues sum_w a_w lambda_w(k) conj(lambda_w(l)); a_w >= 0 and
-        Cauchy-Schwarz put the largest modulus at k = l. The value is accepted,
-        as the Arnoldi value is, when it is at most min_{t<=d} eta_t^{1/t}.
+        The letters of row i must commute; the Q factor U of the eigenvectors
+        of a generic combination G of them then triangularizes every A_{i,j},
+        unless G is defective or clustered, which the test of each strictly
+        lower part of U^* A_{i,j} U against _TRI_SLACK d eps ||A_{i,j}||_F
+        refuses. With the diagonals lambda_j(k), the map Phi_i is triangular
+        too, with eigenvalues sum_w a_w lambda_w(k) conj(lambda_w(l));
+        a_w >= 0 and Cauchy-Schwarz put the largest modulus at k = l.
         """
-        orbit = self._orbit(i)
-        if orbit.nilpotency_index() is not None:
-            return 0.0
         if not self.ops.row_commutes(i):
             return None
         row = self.ops.rows[i - 1]
@@ -563,23 +561,20 @@ class CPMapTuple:
         for w, a in self.symbols[i - 1].coeffs.items():
             if a != 0:
                 rho += float(a) * np.abs(np.prod(lam[[j - 1 for j in w]], axis=0)) ** 2
-        top = float(rho.max())
-        return top if top <= orbit.gelfand(self.dim) * (1.0 + 1e-12) else None
+        return float(rho.max())
 
     def _arnoldi_radius(self, i: int) -> Optional[float]:
-        """rho(Phi_i) matrix-free, or None when the Arnoldi value cannot be trusted.
+        """rho(Phi_i) matrix-free from d = _ARNOLDI_MIN_DIM on, or None when ARPACK gives no Perron root.
 
-        A nilpotent factor is settled by its orbit (ARPACK reports garbage
-        there). Otherwise the top Ritz value from v0 = vec(I) is accepted only
-        when ARPACK converged, it is real and positive (the Perron root), and
-        it is at most the orbit's Gelfand bound min_{t<=d} eta_t^{1/t}.
+        The caller has settled a nilpotent factor (ARPACK reports garbage
+        there). The top Ritz value from v0 = vec(I) is returned only when
+        ARPACK converged and it is real and positive.
         """
-        orbit = self._orbit(i)
-        if orbit.nilpotency_index() is not None:
-            return 0.0
+        d = self.dim
+        if d < _ARNOLDI_MIN_DIM:
+            return None
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-        d = self.dim
         op = LinearOperator(
             (d * d, d * d), dtype=np.complex128,
             matvec=lambda v: vec(self.apply(i, unvec(v, d), herm=False)),
@@ -590,9 +585,6 @@ class CPMapTuple:
         except ArpackNoConvergence:
             return None
         if not (lam.real > 0.0 and abs(lam.imag) <= 1e-12 * lam.real):
-            return None
-        # rounding slack: for a normal map eta_1 is already the radius
-        if lam.real > orbit.gelfand(d) * (1.0 + 1e-12):
             return None
         return float(lam.real)
 
@@ -666,10 +658,7 @@ class CPMapTuple:
         terms. The truncation and value depend only on the tuple, m, R and
         tol, not on earlier calls.
         """
-        if len(m) != self.k:
-            raise ValueError(f"multi-degree length {len(m)} != k = {self.k}")
-        if any(mi < 1 for mi in m):
-            raise ValueError(f"m must be >= 1 componentwise, got {tuple(m)}")
+        _require_degree("m", m, self.k, 1)
         tol = self.tol.series_tol if tol is None else float(tol)
         R = _as_complex(R)
         target = tol * max(1.0, float(np.linalg.norm(R)))
@@ -722,10 +711,7 @@ class CPMapTuple:
 
     def cesaro_mean(self, p: Sequence[int], X: np.ndarray) -> np.ndarray:
         """(1 / prod p_i) sum_{0 <= s_i < p_i} Phi_k^{s_k} o ... o Phi_1^{s_1}(X)."""
-        if len(p) != self.k:
-            raise ValueError(f"multi-degree length {len(p)} != k = {self.k}")
-        if any(pi < 1 for pi in p):
-            raise ValueError(f"p must be >= 1 componentwise, got {tuple(p)}")
+        _require_degree("p", p, self.k, 1)
         Y = np.asarray(X, dtype=np.complex128)
         for i in range(1, self.k + 1):
             if p[i - 1] == 1:
@@ -762,42 +748,42 @@ class CPMapTuple:
     def joint_spectral_radius(self, i: int, crosscheck: bool = True) -> float:
         """sqrt of the spectral radius of Phi_i, computed once per factor.
 
-        Four paths, in order:
-        - any d: a joint triangular form (_triangular_radius). 0 when the
-          identity orbit hits zero by s = d; else, when the letters of row i
-          commute, U^* A_{i,j} U for U the Q factor of the eigenvectors of
-          G = sum_j (j + 1/sqrt2) A_{i,j}, refused when a strictly lower
-          part exceeds 64 d eps ||A_{i,j}||_F, and
-          max_k sum_w a_w |lambda_w(k)|^2 from its diagonals, accepted when
-          it is at most min_{t<=d} eta_t^{1/t} (1 + 1e-12);
-        - d < 12: dense eigvals of the d^2 x d^2 matricization;
-        - d >= 12: 0 when the identity orbit hits zero by s = d; else the top
-          Ritz value of ARPACK (k=1, which="LM", tol=0, v0 = vec(I), at most
-          10 restarts of a 40-vector basis), accepted when it converged, is
-          real and positive and lies below min_{t<=d} eta_t^{1/t};
-        - a refused Ritz value falls back to dense eigvals of the real form on
-          Hermitian matrices while d^2 <= 6400, and above that to the Gelfand
-          bound min_{t<=64} eta_t^{1/t}, an upper bound.
+        One rule, in order:
+        1. 0 when the identity orbit hits zero by s = d (a nilpotent map);
+        2. the first of two candidates that is at most the orbit's Gelfand
+           bound min_{t<=d} eta_t^{1/t} (1 + 1e-12), tried lazily:
+           - a joint triangular form (_triangular_radius): when the letters of
+             row i commute, U^* A_{i,j} U for U the Q factor of the
+             eigenvectors of G = sum_j (j + 1/sqrt2) A_{i,j}, refused when a
+             strictly lower part exceeds 64 d eps ||A_{i,j}||_F, and
+             max_k sum_w a_w |lambda_w(k)|^2 from its diagonals;
+           - from d = 12 on, the top Ritz value of ARPACK (_arnoldi_radius;
+             k=1, which="LM", tol=0, v0 = vec(I), at most 10 restarts of a
+             40-vector basis) when it converged and is real and positive;
+        3. while d^2 <= 6400, dense eigvals of the real form of the map on
+           the Hermitian matrices;
+        4. above that, the Gelfand bound min_{t<=64} eta_t^{1/t}, an upper
+           bound.
 
-        Every commuting gen family takes the first path. Measured on one
-        2-vCPU host, one BLAS thread, a commuting_polynomials tuple costs
-        1.8 / 4.5 / 10 ms at d = 8 / 16 / 24 there against 7 / 23 / 35 ms
-        by the later paths, and conjugated unitaries at d = 24 cost 10 ms
-        against 1.2 s (a refused Arnoldi run and dense eigvals); the value
-        agrees with dense eigvals to about 1e-14 relative.
+        Every commuting gen family takes the triangular candidate. Measured
+        on one 2-vCPU host, one BLAS thread, a commuting_polynomials tuple
+        costs 1.8 / 4.5 / 10 ms at d = 8 / 16 / 24 there against 7 / 23 /
+        35 ms by the later steps, and conjugated unitaries at d = 24 cost
+        10 ms against 1.2 s (a refused Arnoldi run and dense eigvals); the
+        value agrees with dense eigvals to about 1e-14 relative.
 
-        The crossover of the later paths is measured: at d = 8 an Arnoldi
-        run costs as much as eigvals of the 64 x 64 matricization (4-10 ms
-        against 3-5 ms), at d = 12 it costs a third (8-16 ms against
-        20-32 ms), at d = 24 a thirtieth. vec(I) is a valid start: the
-        radius of a positive map is an eigenvalue whose dual eigenvector Q
-        is PSD (Evans-Hoegh-Krohn), so I has the component tr(Q) > 0 along
-        it, and the Krylov space is the span of the orbit Phi_i^s(I).
+        The Arnoldi crossover is measured: at d = 8 an Arnoldi run costs as
+        much as eigvals of the 64 x 64 matricization (4-10 ms against
+        3-5 ms), at d = 12 it costs a third (8-16 ms against 20-32 ms), at
+        d = 24 a thirtieth. vec(I) is a valid start: the radius of a
+        positive map is an eigenvalue whose dual eigenvector Q is PSD
+        (Evans-Hoegh-Krohn), so I has the component tr(Q) > 0 along it, and
+        the Krylov space is the span of the orbit Phi_i^s(I).
 
         With crosscheck=True the value is tested against the orbit enclosure
         radius_power_sequence(i) and ArithmeticError is raised when it lies
         outside [lower (1 - 1e-12), upper (1 + 1e-12)], the rounding slack of
-        the triangular and Arnoldi acceptance tests.
+        the acceptance test in step 2.
         """
         r = self._radii.get(i)
         if r is None:

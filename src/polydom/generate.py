@@ -95,12 +95,15 @@ def _scale_rows_to_radius(
 
 
 def _multi_degree(k: Optional[int], arities: Sequence[int], m: Optional[Sequence[int]]) -> Tuple[int, ...]:
-    """m, all ones by default; ValueError when k or m disagrees with the arities."""
+    """m, all ones by default; ValueError when k or m disagrees with the arities
+    or an entry of m is below 1."""
     if k is not None and k != len(arities):
         raise ValueError(f"k = {k} but {len(arities)} arities given")
     m = tuple(1 for _ in arities) if m is None else tuple(m)
     if len(m) != len(arities):
         raise ValueError(f"{len(m)} entries in m for {len(arities)} factors")
+    if any(mi < 1 for mi in m):
+        raise ValueError(f"m must be >= 1 componentwise, got {m}")
     return m
 
 
@@ -231,6 +234,7 @@ def polyball_random(
 ) -> Instance:
     """Single factor, f = Z_1 + ... + Z_n; no commutation constraint applies
     inside one row, so the entries are independent Gaussians."""
+    m = _multi_degree(None, (n,), (m,))
     rng = np.random.default_rng(seed)
     row = [_complex_gaussian(rng, (dim, dim)) / np.sqrt(dim) for _ in range(n)]
     symbols = (polyball_symbol(n),)
@@ -238,7 +242,7 @@ def polyball_random(
     ops = OperatorTuple(rows)
     return Instance(
         symbols=symbols,
-        m=(m,),
+        m=m,
         ops=ops,
         family="polyball_random",
         seed=seed,

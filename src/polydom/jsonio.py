@@ -114,7 +114,10 @@ def symbol_from_json(obj: Dict[str, Any]) -> Tuple[PositiveSymbol, int]:
         coeffs=coeffs,
         max_degree=_int(obj["max_degree"], "symbol field 'max_degree'"),
     )
-    return f, _int(obj["m"], "symbol field 'm'")
+    m = _int(obj["m"], "symbol field 'm'")
+    if m < 1:
+        raise ValueError(f"symbol field 'm' must be >= 1, got {m}")
+    return f, m
 
 
 def poly_to_json(q: NCPolynomial) -> List[Dict[str, Any]]:

@@ -100,6 +100,21 @@ def test_gen_rejects_inconsistent_factor_counts(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, m, got", [
+    ("commuting_polynomials", "0,-2", "(0, -2)"),
+    ("nilpotent", "1,0", "(1, 0)"),
+    ("polyball_random", "-1", "(-1,)"),
+])
+def test_gen_rejects_m_below_one(family, m, got, tmp_path, capsys):
+    # gen --m 0,-2 wrote a spec with m = [0, -2] and exited 0
+    out = tmp_path / "spec.json"
+    code, _, err = run_cli(["gen", "--family", family, "--dim", "3", "--m", m,
+                            "--output", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: m must be >= 1 componentwise, got {got}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--family", "conjugated_unitaries", "--arities", "2,1", "--m", "3,3"),
      "conjugated_unitaries writes --arities 1,1, not 2,1"),

@@ -33,6 +33,15 @@ def cone_element(phi, m, seed):
 # membership
 # ---------------------------------------------------------------------------
 
+def test_membership_rejects_a_negative_m():
+    # m = (-1, 1) read only the defect (0, 0): multi_grid turns a negative
+    # entry into an empty range
+    inst = generate("commuting_polynomials", 0, dim=3)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    with pytest.raises(ValueError, match=r"m must be >= 0 componentwise, got \(-1, 1\)"):
+        membership(phi, (-1, 1), np.eye(3))
+
+
 def test_membership_zero_is_boundary():
     phi = scalar_instance(0.5)
     rep = membership(phi, (2,), np.zeros((3, 3)))

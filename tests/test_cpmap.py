@@ -162,8 +162,8 @@ def test_from_kraus_map_level_commutation():
     A = rng.standard_normal((3, 3)) * 0.4
     B = rng.standard_normal((3, 3)) * 0.4
     with pytest.raises(CommutationError):
-        CPMapTuple.from_kraus([[A, B], [B, A]], check="operators")
-    phi = CPMapTuple.from_kraus([[A, B], [B, A]], check="maps")
+        OperatorTuple([[A, B], [B, A]])
+    phi = CPMapTuple.from_kraus([[A, B], [B, A]])
     assert phi.k == 2
 
 
@@ -187,21 +187,8 @@ def test_from_kraus_noncommuting_entries_run_the_map_check(monkeypatch):
     monkeypatch.setattr(CPMapTuple, "_check_map_commutation",
                         lambda self: calls.append(self) or check(self))
     with pytest.raises(CommutationError, match="maps 1 and 2"):
-        CPMapTuple.from_kraus([[A], [C]], check="maps")
+        CPMapTuple.from_kraus([[A], [C]])
     assert len(calls) == 1
-
-
-def test_from_kraus_rejects_an_unknown_check():
-    # the maps X -> A X A^* and X -> C X C^* do not commute
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    C = np.diag([1.0, 2.0])
-    with pytest.raises(CommutationError):
-        CPMapTuple.from_kraus([[A], [C]], check="maps")
-    for check in ("map", "none", "", None):
-        with pytest.raises(ValueError, match="unknown check"):
-            CPMapTuple.from_kraus([[A], [C]], check=check)
-    with pytest.raises(ValueError, match="unknown check"):
-        CPMapTuple.from_kraus([[A], [A]], check="none")
 
 
 def test_conjugate_radius_invariance(rng):
@@ -239,6 +226,20 @@ def test_defect_binomial_expansion_oracle(rng):
         got = phi.defect(p, X)
         want = naive_defect(phi, p, X)
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(X))
+
+
+def test_defect_rejects_negative_degrees(rng):
+    # defect((-1, -2), X) returned X, and defect_grid an empty box; zero
+    # entries stay legal
+    phi, _ = small_random_instance(31)
+    X = random_hermitian(rng, phi.dim)
+    for p in [(-1, -2), (0, -1), (-1, 0)]:
+        with pytest.raises(ValueError, match=r"p must be >= 0 componentwise"):
+            phi.defect(p, X)
+        with pytest.raises(ValueError, match=r"m must be >= 0 componentwise"):
+            phi.defect_grid(p, X)
+    assert np.array_equal(phi.defect((0, 0), X), X)
+    assert list(phi.defect_grid((0, 0), X)) == [(0, 0)]
 
 
 def test_defect_factor_order_immaterial(rng):
@@ -613,6 +614,45 @@ def test_triangular_radius_refuses_and_falls_through(d, monkeypatch):
         assert phi.joint_spectral_radius(1, crosscheck=False) == today.joint_spectral_radius(
             1, crosscheck=False
         )
+
+
+def count_eigvals(monkeypatch):
+    """The matrices later np.linalg.eigvals calls receive."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M) or eigvals(M))
+    return calls
+
+
+@pytest.mark.parametrize("path, family, d", [
+    ("_triangular_radius", "commuting_polynomials", 5),
+    ("_arnoldi_radius", "polyball_random", 12),
+])
+def test_radius_above_the_gelfand_bound_is_refused(path, family, d, monkeypatch):
+    # each candidate is held to the orbit's Gelfand bound in one place; a
+    # refused one leaves the dense eigensolve of the real form
+    phi = radius_instance(family, 0, d)
+    want = [dense_radius(phi, i) for i in range(1, phi.k + 1)]
+    monkeypatch.setattr(phi, path, lambda i: 2.0 * phi._orbit(i).gelfand(phi.dim))
+    calls = count_eigvals(monkeypatch)
+    for i in range(1, phi.k + 1):
+        assert phi.joint_spectral_radius(i, crosscheck=True) == pytest.approx(
+            want[i - 1], rel=1e-10
+        )
+    assert len(calls) == phi.k
+    assert all(np.isrealobj(M) and M.shape == (d * d, d * d) for M in calls)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_noncommuting_row_takes_one_real_eigensolve(d, monkeypatch):
+    # below d = 12 a row without a joint triangular form gets one dense
+    # eigvals, of the real form on the Hermitian matrices
+    phi = radius_instance("polyball_random", 0, d)
+    want = dense_radius(phi, 1)
+    calls = count_eigvals(monkeypatch)
+    assert phi.joint_spectral_radius(1, crosscheck=True) == pytest.approx(want, rel=1e-10)
+    assert len(calls) == 1
+    assert np.isrealobj(calls[0]) and calls[0].shape == (d * d, d * d)
 
 
 @pytest.mark.parametrize("d", [12, 16, 24])

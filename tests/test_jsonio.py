@@ -239,6 +239,27 @@ def test_nested_spec_numbers_are_type_checked(path, bad, top, what, tmp_path):
     assert err.getvalue() == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("m", [(0, 1), (-1, 1), (1, -2)])
+def test_symbol_m_below_one_is_refused(m, tmp_path):
+    # m = (-1, 1) loaded, and `polydom cone` exited 0: multi_grid turned the
+    # negative entry into an empty range, so only the defect (0, 0) was read
+    obj = json.loads(json.dumps(_NIL0))
+    for sym, mi in zip(obj["symbols"], m):
+        sym["m"] = mi
+    bad = next(mi for mi in m if mi < 1)
+    message = f"spec field 'symbols' is malformed (ValueError: symbol field 'm' must be >= 1, got {bad})"
+    with pytest.raises(ValueError) as info:
+        problem_from_json(obj)
+    assert str(info.value) == message
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["cone", "--input", str(spec_path)])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("family", ["commuting_polynomials", "conjugated_unitaries", "nilpotent", "polyball_random"])
 def test_every_gen_spec_loads_as_before(family):
     for seed in range(3):
