@@ -10,6 +10,7 @@ apart from the wall_time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Any, Dict, Optional, Sequence
@@ -144,8 +145,9 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
     tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
     R = _default_R(spec, args)
     kern = kernel(CPMapTuple(spec.symbols, spec.ops), spec.m, R, D)
-    # a second model, equal to the kernel's; perfbench's test_real_call_nests_and_adds_up
-    # counts this rebuild, so it goes with the next change to the benchmark
+    # the kernel's model again, served from the model cache; perfbench's
+    # test_real_call_nests_and_adds_up counts this call, so it goes with the next
+    # change to the benchmark
     model = build_model(spec.symbols, spec.m, D)[1]
     inter = intertwine_check(kern, model, spec.ops)
     series = kern.series
@@ -338,7 +340,10 @@ def _emit(payload: Dict[str, Any], output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing reads it and
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="polydom",
         description="certified numerics for commuting operator tuples: radii, "
@@ -361,7 +366,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     g.add_argument("--arities", type=str, help="comma separated, e.g. 2,1")
     g.add_argument("--m", type=str, help="comma separated, e.g. 1,1 (default: 1 per factor)")
     g.add_argument("--output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     t0 = time.perf_counter()
     if args.command == "gen":

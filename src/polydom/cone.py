@@ -148,7 +148,13 @@ def membership(
     tol_psd: float | None = None,
     with_purity: bool = True,
 ) -> ConeReport:
-    """Cone verdict from the minimum eigenvalue of every defect Delta^p(X), p <= m."""
+    """Cone verdict from the minimum eigenvalue of every defect Delta^p(X), p <= m.
+
+    m >= 1 componentwise, as for weighted_series and build_model: a zero
+    entry would drop its factor's defects from the verdict. A negative entry
+    is refused by the defect grid."""
+    if any(mi == 0 for mi in m):
+        raise ValueError(f"m must be >= 1 componentwise, got {tuple(m)}")
     X = hermitian(X, "X", phi.dim)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
     t_psd = phi.tol.tol_psd if tol_psd is None else float(tol_psd)

@@ -20,12 +20,28 @@ makes the whole space one block. N_Q and each compressed shift S_{i,j} are
 kept only in these blocks: W_{i,j} maps each block into one other block, so
 S_{i,j}, its words and each q(S) have at most one nonzero block per block
 row and block column, and a 2-norm is the largest block norm.
+
+The model, N_Q and the compressed shifts depend only on the symbols, m, the
+degree cap, the tolerances and the constraints, never on an operator tuple,
+so build_model, variety_subspace and compress are served from one LRU cache
+per process of CACHE_ENTRIES entries. build_model is keyed by the symbols as
+given (arity, max_degree and each coefficient with its type, in dict
+order), m, the degree cap, the whole Tolerances and exact_weights;
+variety_subspace by its model's key, every constraint's terms and
+dense_cap; compress by the keys of its model and subspace. A model or
+subspace that did not come from the cache is never looked up. A hit returns
+the identical object, so every array a cached result holds (Shift.take and
+.scale of each W_{i,j}, the subspace's rows, blocks and block maps, the
+compressed blocks) is made read-only and a caller that writes into one
+fails instead of corrupting a later hit. Errors are raised again on every
+call and never stored. clear_cache empties the cache.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,6 +183,9 @@ class ModelOperators:
     annihilated, since no row reads them.
     """
 
+    # the model cache's key when build_model made this model, None otherwise
+    cache_key: Hashable | None = None
+
     def __init__(self, fock: TruncatedFock, tol: Tolerances):
         self.fock = fock
         self.tol = tol
@@ -242,6 +261,59 @@ class ModelOperators:
         return defect_sweep(m, u, self.apply_diag)
 
 
+# --- the model cache (see the module docstring) ---------------------------------
+
+CACHE_ENTRIES = 16
+_cache: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+
+def clear_cache() -> None:
+    """Drops every cached model, subspace and compression."""
+    _cache.clear()
+
+
+def _key(*parts) -> Hashable | None:
+    """parts as a cache key, or None when some part cannot be hashed."""
+    try:
+        hash(parts)
+    except TypeError:
+        return None
+    return parts
+
+
+def _symbol_key(f: PositiveSymbol) -> tuple:
+    # each coefficient with its type and in dict order: exact weights keep an
+    # int or Fraction exactly, and the diagonal maps sum terms in this order
+    return (type(f), f.arity, f.max_degree, tuple((w, type(a), a) for w, a in f.coeffs.items()))
+
+
+def _read_only(arrays: Iterable[np.ndarray]) -> None:
+    for A in arrays:
+        A.flags.writeable = False
+
+
+def _cached(key: Hashable | None, build: Callable[[], Any], freeze: Callable[[Any], None]) -> Any:
+    """build(), or the object cached under key. A miss freezes the new result,
+    keys it and evicts the least recently used entry beyond CACHE_ENTRIES; an
+    error propagates and nothing is stored. A None key bypasses the cache."""
+    if key is None:
+        return build()
+    hit = _cache.get(key)
+    if hit is not None:
+        _cache.move_to_end(key)
+        return hit
+    value = build()
+    freeze(value)
+    _cache[key] = value
+    if len(_cache) > CACHE_ENTRIES:
+        _cache.popitem(last=False)
+    return value
+
+
+def _freeze_model(built: Tuple[TruncatedFock, ModelOperators]) -> None:
+    _read_only(a for _, _, W in built[1].all_W() for a in (W.take, W.scale))
+
+
 def build_model(
     symbols: Sequence[PositiveSymbol],
     m: Sequence[int],
@@ -249,8 +321,26 @@ def build_model(
     tol: Tolerances | None = None,
     exact_weights: bool = False,
 ) -> Tuple[TruncatedFock, ModelOperators]:
-    """Universal weighted shifts for (f_1..f_k, m) truncated at degree_cap."""
+    """Universal weighted shifts for (f_1..f_k, m) truncated at degree_cap,
+    built once per key and then served from the model cache."""
     tol = tol or default_tolerances()
+    symbols, m = tuple(symbols), tuple(m)
+    try:
+        key = _key("model", tuple(_symbol_key(f) for f in symbols), m,
+                   (type(degree_cap), degree_cap), tol, (type(exact_weights), exact_weights))
+    except AttributeError:  # not a PositiveSymbol: _build_model says why
+        key = None
+
+    def build():
+        fock, model = _build_model(symbols, m, degree_cap, tol, exact_weights)
+        model.cache_key = key
+        return fock, model
+
+    return _cached(key, build, _freeze_model)
+
+
+def _build_model(symbols, m, degree_cap, tol, exact_weights) -> Tuple[TruncatedFock, ModelOperators]:
+    """build_model without the model cache."""
     symbols = tuple(symbols)
     m = tuple(int(x) for x in m)
     if len(m) != len(symbols):
@@ -311,6 +401,9 @@ class VarietySubspace:
     polys: Tuple[NCPolynomial, ...]
     invariance_residual_full: float
     invariance_residual_interior: float
+    # the model cache's key when variety_subspace served this subspace from
+    # it, None otherwise (a class attribute, not a field)
+    cache_key = None
 
     @property
     def dim_N(self) -> int:
@@ -445,8 +538,33 @@ def variety_subspace(
     block maps, so compress and constrained_kernel read it block by block;
     its coordinates are the blocks' columns in block order. When nothing is
     removed, every block of N is an identity. The M basis is only used for
-    the invariance residuals.
+    the invariance residuals. The subspace is served from the model cache
+    when build_model made the model.
     """
+    polys = tuple(Q_polys)
+    key = None
+    if model.cache_key is not None:
+        try:
+            key = _key("variety", model.cache_key, tuple(q.terms for q in polys), dense_cap)
+        except AttributeError:  # not an NCPolynomial: _variety_subspace says why
+            pass
+
+    def build():
+        sub = _variety_subspace(model, polys, dense_cap)
+        sub.cache_key = key
+        return sub
+
+    return _cached(key, build, _freeze_subspace)
+
+
+def _freeze_subspace(sub: VarietySubspace) -> None:
+    maps = [m for ms in sub.shifts.values() for m in ms if m is not None]
+    _read_only([*sub.rows, *sub.blocks, *(a for m in maps for a in m[1:])])
+
+
+def _variety_subspace(model: ModelOperators, Q_polys: Sequence[NCPolynomial],
+                      dense_cap: int) -> VarietySubspace:
+    """variety_subspace without the model cache."""
     fock = model.fock
     if fock.dim > dense_cap:
         raise ResourceCapError(
@@ -629,8 +747,21 @@ def compress(model: ModelOperators, subspace: VarietySubspace) -> CompressedMode
     grade fixes each basis vector's degree, so C keeps a block's columns
     when it lies below the cutoff and drops them when it lies above; only a
     block that the cutoff cuts, which happens in the one-block layout of a
-    non-homogeneous constraint, takes an SVD.
+    non-homogeneous constraint, takes an SVD. The compression is served
+    from the model cache when the model and the subspace both came from it.
     """
+    key = None
+    if model.cache_key is not None and subspace.cache_key is not None:
+        key = ("compress", model.cache_key, subspace.cache_key)
+    return _cached(key, lambda: _compress(model, subspace), _freeze_compressed)
+
+
+def _freeze_compressed(comp: CompressedModel) -> None:
+    _read_only(row[1] for rows in comp.blocks.values() for row in rows if row is not None)
+
+
+def _compress(model: ModelOperators, subspace: VarietySubspace) -> CompressedModel:
+    """compress without the model cache."""
     fock = model.fock
     sub = subspace
     blocks: Dict[Tuple[int, int], List[BlockRow]] = {}

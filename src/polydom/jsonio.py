@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -19,42 +21,64 @@ from .words import NCPolynomial, PositiveSymbol, Word
 
 
 def _render(obj: Any, out: List[str]) -> None:
-    if obj is None:
+    # exact types first: a report is almost all plain floats, strings, dicts
+    # and lists; subclasses and numpy scalars take the isinstance chain
+    t = type(obj)
+    if t is float:
+        _render_float(obj, out)
+    elif t is str:
+        out.append(encode_basestring_ascii(obj))
+    elif t is dict:
+        _render_dict(obj, out)
+    elif t is list or t is tuple:
+        _render_list(obj, out)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite float {x!r} cannot be serialized")
-        out.append(format(x, ".17g"))
+        _render_float(float(obj), out)
     elif isinstance(obj, dict):
-        out.append("{")
-        keys = sorted(obj.keys())
-        for idx, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {key!r}")
-            if idx:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _render(obj[key], out)
-        out.append("}")
+        _render_dict(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for idx, item in enumerate(obj):
-            if idx:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
+        _render_list(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_float(x: float, out: List[str]) -> None:
+    if not isfinite(x):
+        raise ValueError(f"non-finite float {x!r} cannot be serialized")
+    out.append(format(x, ".17g"))
+
+
+def _render_dict(obj: dict, out: List[str]) -> None:
+    out.append("{")
+    keys = sorted(obj.keys())
+    for idx, key in enumerate(keys):
+        if not isinstance(key, str):
+            raise TypeError(f"object keys must be strings, got {key!r}")
+        if idx:
+            out.append(",")
+        out.append(encode_basestring_ascii(key))
+        out.append(":")
+        _render(obj[key], out)
+    out.append("}")
+
+
+def _render_list(obj: Sequence[Any], out: List[str]) -> None:
+    out.append("[")
+    for idx, item in enumerate(obj):
+        if idx:
+            out.append(",")
+        _render(item, out)
+    out.append("]")
 
 
 def canonical_json(obj: Any) -> str:
@@ -74,7 +98,7 @@ def matrix_to_json(M: np.ndarray) -> Dict[str, Any]:
     M = np.asarray(M, dtype=np.complex128)
     return {
         "shape": [int(M.shape[0]), int(M.shape[1])],
-        "data": [[float(z.real), float(z.imag)] for z in M.reshape(-1)],
+        "data": np.ascontiguousarray(M).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -228,11 +252,20 @@ def load_problem(path: str) -> Tuple[ProblemSpec, Dict[str, Any]]:
 def sanitize(obj: Any) -> Any:
     """Recursive conversion of numpy scalars/arrays, complex numbers, and
     dataclass payloads into plain JSON-ready structures."""
+    t = type(obj)
+    if t is float:
+        return obj if isfinite(obj) else repr(obj)
+    if t is str or t is int:
+        return obj
+    if t is dict:
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [sanitize(v) for v in obj]
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return x if np.isfinite(x) else repr(x)
+        return x if isfinite(x) else repr(x)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, complex):

@@ -465,7 +465,8 @@ def test_kernel_command_builds_one_kernel_and_one_series(tmp_path, capsys, monke
     code, _, err = run_cli(["kernel", "--input", str(path), "--trunc-degree", "5"], capsys)
     assert code == 0, err
     assert len(kernels) == 1 and len(series) == 1
-    # the kernel's model and the command's own copy, which the benchmark counts
+    # the kernel's model and the command's second call, which the benchmark
+    # counts and the model cache serves
     assert len(models) == 2
 
 

@@ -42,6 +42,16 @@ def test_membership_rejects_a_negative_m():
         membership(phi, (-1, 1), np.eye(3))
 
 
+@pytest.mark.parametrize("m", [(0, 0), (0, 1)])
+def test_membership_rejects_a_zero_m(m):
+    # m = (0, 0) read X >= 0 alone as in_cone, and m = (0, 1) only the
+    # second factor; weighted_series and build_model need m >= 1 too
+    inst = generate("commuting_polynomials", 0, dim=3)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    with pytest.raises(ValueError, match=rf"m must be >= 1 componentwise, got \({m[0]}, {m[1]}\)"):
+        membership(phi, m, np.eye(3))
+
+
 def test_membership_zero_is_boundary():
     phi = scalar_instance(0.5)
     rep = membership(phi, (2,), np.zeros((3, 3)))

@@ -15,6 +15,7 @@ from polydom.fock import (
     _grade_blocks,
     _poly_blocks,
     build_model,
+    clear_cache,
     compress,
     domain_check_model,
     variety_subspace,
@@ -521,6 +522,7 @@ def test_block_compression_matches_dense_on_families(symbols, m, cap, polys, rng
 def test_variety_svds_stay_within_one_grade_block(monkeypatch):
     # default gen spec at the default degree cap: dimension 889, largest
     # grade block 2^6 = 64; the dense computation took about 5 s
+    clear_cache()  # the spies count the work of a build
     spec = _instance_to_spec(generate("commuting_polynomials", 0))
     fock, model = build_model(spec.symbols, spec.m, 6)
     assert fock.dim == 889
@@ -552,6 +554,7 @@ def test_variety_svds_stay_within_one_grade_block(monkeypatch):
 def test_compression_and_constrained_kernel_stay_within_one_grade_block(monkeypatch):
     # default gen spec at degree cap 6: dim_N 196, largest grade block 64;
     # the dense basis took the SVD of the 734 x 196 high-degree row block
+    clear_cache()  # the spies count the work of a build
     inst = generate("commuting_polynomials", 0)
     spec = _instance_to_spec(inst)
     fock, model = build_model(spec.symbols, spec.m, 6)
@@ -584,6 +587,7 @@ def test_compression_and_constrained_kernel_stay_within_one_grade_block(monkeypa
 def test_variety_seeds_never_form_the_dense_constraint_value():
     # default gen spec at degree cap 7, dimension 2040: forming q(W) densely
     # took 66.6 MB of an 84.9 MB tracemalloc peak
+    clear_cache()  # the peak is that of a build
     spec = _instance_to_spec(generate("commuting_polynomials", 0))
     fock, model = build_model(spec.symbols, spec.m, 7)
     assert fock.dim == 2040
