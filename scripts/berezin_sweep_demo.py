@@ -50,7 +50,7 @@ def run(cfg: SweepConfig) -> None:
     base = kernel(phi, inst.m, phi.defect(inst.m, D), cfg.cap, model)
     ck = constrained_kernel(base, model, variety_subspace(model, polys))
     S = model_word_value(ck.compressed, cfg.word)
-    chis = [np.eye(ck.subspace.dim_N, dtype=np.complex128), S @ S.conj().T]
+    chis = [None, S @ S.conj().T]  # None: the identity
 
     report = extended_transform_sweep(
         inst.symbols, inst.m, inst.ops, D, polys,

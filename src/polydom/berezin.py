@@ -5,6 +5,11 @@ blocks sqrt(prod_i b_{i,beta_i}) R^{1/2} A_{1,beta_1}^* ... A_{k,beta_k}^*
 indexed by the truncated Fock basis. Its Gram matrix reproduces the weighted
 binomial series of R, and conjugation by it intertwines A^* with the
 universal-model adjoints.
+
+The basis index runs factor 1 most significant over the per-factor word
+lists, so K is R^{1/2} times one stack sqrt(b_{i,w}) A_{i,w}^* per factor,
+over factor i's n_i^{<=D} words: one batched product per factor, no loop
+over the basis.
 """
 
 from __future__ import annotations
@@ -126,6 +131,12 @@ def kernel(
     The weighted series of R is summed once on phi, certified, for the tail
     bound and carried as the kernel's series; it is None, and no series term
     is summed, when some factor's radius is above 1 - radius_margin.
+
+    K is built from its tensor-product structure: with F_i the stack of
+    sqrt(b_{i,w}) A_{i,w}^* over factor i's words, the (dim, rank, d) tensor
+    is R2 contracted with F_1, ..., F_k in turn, one matrix product (one
+    BLAS call) per factor. That costs O(sum_i n_i^{<=D} d^3 + dim * rank * d^2),
+    with the word products taken from the tuple's cache.
     """
     if model is not None:
         _require_model(model, phi.symbols, m, degree_cap)
@@ -140,17 +151,14 @@ def kernel(
     if model is None:
         model = build_model(phi.symbols, m, degree_cap, tol=phi.tol)[1]
     fock = model.fock
-    K = np.zeros((fock.dim * max(rank, 1), d), dtype=np.complex128)
-    if rank > 0:
-        for g in range(fock.dim):
-            beta = fock.words_at(g)
-            w = 1.0
-            for i in range(fock.k):
-                w *= float(fock.weights[i].value(beta[i]))
-            adj = np.eye(d, dtype=np.complex128)
-            for i, word in enumerate(beta, start=1):
-                adj = adj @ ops.word_product(i, word).conj().T
-            K[g * rank:(g + 1) * rank, :] = np.sqrt(w) * (R2 @ adj)
+    r = max(rank, 1)  # a zero R keeps one zero row per basis vector
+    T = R2 if rank else np.zeros((1, d))
+    for i, words in enumerate(fock.factor_words, start=1):
+        # F[x, w, y] = sqrt(b_{i,w}) conj(A_{i,w}[y, x]): factor i's stack as one d x (n_i d) matrix
+        F = np.stack([ops.word_product(i, w).T for w in words], axis=1).conj()
+        F *= np.sqrt([float(fock.weights[i - 1].entries[w]) for w in words])[:, None]
+        T = (T.reshape(-1, d) @ F.reshape(d, -1)).reshape(-1, r, len(words), d).swapaxes(1, 2)
+    K = T.reshape(-1, d)
     tail, series = _kernel_tail_bound(phi, m, R, degree_cap)
     return BerezinKernel(K=K, fock=fock, rank=rank, R2=R2, tail_bound=tail,
                          certified=bool(np.isfinite(tail)), series=series)
@@ -254,9 +262,15 @@ def intertwine_check_constrained(ck: ConstrainedKernel, ops: OperatorTuple) -> D
     }
 
 
-def transform(ck: ConstrainedKernel | BerezinKernel, chi: np.ndarray) -> np.ndarray:
+def transform(ck: ConstrainedKernel | BerezinKernel, chi: Optional[np.ndarray] = None) -> np.ndarray:
     """B_omega[chi] = K_omega^* (chi tensor I) K_omega; on a BerezinKernel,
-    K^* (chi tensor I) K over the whole model."""
+    K^* (chi tensor I) K over the whole model.
+
+    chi = None is the identity: the value is K^* K, and no dim_N x dim_N
+    matrix is formed. An explicit chi must be dim_N x dim_N (ValueError).
+    """
+    if chi is None:
+        return ck.K.conj().T @ ck.K
     T = ck.as_tensor()
     r = T.shape[0]
     chi = np.asarray(chi, dtype=np.complex128)
@@ -297,7 +311,7 @@ def extended_transform_sweep(
     D_pos: np.ndarray,
     polys: Sequence[NCPolynomial],
     r_grid: Sequence[float],
-    chis: Optional[Sequence[np.ndarray]] = None,
+    chis: Optional[Sequence[Optional[np.ndarray]]] = None,
     degree_cap: int = 8,
 ) -> SweepReport:
     """Evaluates the r-parametrized constrained transform along r_grid.
@@ -305,6 +319,7 @@ def extended_transform_sweep(
     Each grid point uses the tuple (f, m, rA, Delta_{f,rA}^m(D_pos), Q); the
     Gram identity K*K = D_pos is reported per point and Cauchy differences
     of the transform values across the grid stand in for the r -> 1 limit.
+    chis defaults to the identity alone, passed to transform as None.
     A D_pos that is not Hermitian PSD raises ValueError; a defect that is not
     PSD is noted and shifted by its minimum eigenvalue.
     """
@@ -321,7 +336,7 @@ def extended_transform_sweep(
     sub = variety_subspace(model, polys)
     notes: List[str] = []
     if chis is None:
-        chis = [np.eye(sub.dim_N, dtype=np.complex128)]
+        chis = [None]
     points: List[SweepPoint] = []
     for r in r_grid:
         r = float(r)

@@ -179,7 +179,7 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
         "intertwine": {f"{i},{j}": v for (i, j), v in cinter.items()},
     }
     chi_obj = spec.task.get("chi")
-    chi = matrix_from_json(chi_obj) if chi_obj is not None else np.eye(dim_N, dtype=np.complex128)
+    chi = matrix_from_json(chi_obj) if chi_obj is not None else None
     out["transform_of_chi"] = matrix_to_json(transform(ck, chi))
     out["status"] = _worst(statuses)
     return out

@@ -227,6 +227,37 @@ def csr_diag_map(fock, i):
 
 
 # ---------------------------------------------------------------------------
+# Berezin kernel, one basis index at a time
+# ---------------------------------------------------------------------------
+
+def loop_kernel(ops, fock, R2):
+    """K of a tuple, filled one truncated Fock basis index g at a time.
+
+    Row block g is sqrt(prod_i b_{i,beta_i}) R2 A_{1,beta_1}^* ... A_{k,beta_k}^*
+    for (beta_1, ..., beta_k) = fock.words_at(g), each A_{i,beta_i} multiplied
+    out letter by letter from ops.rows; R2 is rank x d, and rank 0 gives one
+    zero row per basis index.
+    """
+    rank, d = R2.shape
+    K = np.zeros((fock.dim * max(rank, 1), d), dtype=np.complex128)
+    if rank == 0:
+        return K
+    for g in range(fock.dim):
+        beta = fock.words_at(g)
+        w = 1.0
+        for i in range(fock.k):
+            w *= float(fock.weights[i].value(beta[i]))
+        adj = np.eye(d, dtype=np.complex128)
+        for i, word in enumerate(beta):
+            A = np.eye(d, dtype=np.complex128)
+            for j in word:
+                A = A @ ops.rows[i][j - 1]
+            adj = adj @ A.conj().T
+        K[g * rank:(g + 1) * rank, :] = np.sqrt(w) * (R2 @ adj)
+    return K
+
+
+# ---------------------------------------------------------------------------
 # variety subspace by dense SVDs over the whole truncated space
 # ---------------------------------------------------------------------------
 
