@@ -21,7 +21,6 @@ from polydom.berezin import (
     extended_transform_sweep,
     kernel,
     model_word_value,
-    tuple_word_product,
 )
 from polydom.cpmap import CPMapTuple
 from polydom.fock import build_model, variety_subspace
@@ -56,8 +55,9 @@ def run(cfg: SweepConfig) -> None:
         inst.symbols, inst.m, inst.ops, D, polys,
         r_grid=cfg.r_grid, chis=chis, degree_cap=cfg.cap,
     )
-    A_w = tuple_word_product(inst.ops, cfg.word)
-    total = sum(len(w) for w in cfg.word)
+    mono = [(i, j) for i, w in enumerate(cfg.word, start=1) for j in w]
+    A_w = inst.ops.monomial(mono)
+    total = len(mono)
     print(f"variety subspace dim {ck.subspace.dim_N}, "
           f"kernel range leak {ck.range_residual:.2e}")
     print(f"{'r':>6s} {'gram resid':>11s} {'word resid':>11s}")

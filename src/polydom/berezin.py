@@ -9,7 +9,8 @@ universal-model adjoints.
 The basis index runs factor 1 most significant over the per-factor word
 lists, so K is R^{1/2} times one stack sqrt(b_{i,w}) A_{i,w}^* per factor,
 over factor i's n_i^{<=D} words: one batched product per factor, no loop
-over the basis.
+over the basis. The stacks of A_{i,w} come from OperatorTuple.stack, which
+multiplies every tuple word in the package.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ from .fock import (
     variety_subspace,
 )
 from .words import NCPolynomial, PositiveSymbol, polyball_symbol
-
-
-def tuple_word_product(ops: OperatorTuple, alphas: Sequence[Sequence[int]]) -> np.ndarray:
-    """A_{(alpha)} = A_{1,alpha_1} ... A_{k,alpha_k}."""
-    out = np.eye(ops.dim, dtype=np.complex128)
-    for i, w in enumerate(alphas, start=1):
-        out = out @ ops.word_product(i, tuple(w))
-    return out
 
 
 @dataclass
@@ -136,7 +129,7 @@ def kernel(
     sqrt(b_{i,w}) A_{i,w}^* over factor i's words, the (dim, rank, d) tensor
     is R2 contracted with F_1, ..., F_k in turn, one matrix product (one
     BLAS call) per factor. That costs O(sum_i n_i^{<=D} d^3 + dim * rank * d^2),
-    with the word products taken from the tuple's cache.
+    with the word products read from OperatorTuple.stack, built level by level.
     """
     if model is not None:
         _require_model(model, phi.symbols, m, degree_cap)
@@ -155,7 +148,7 @@ def kernel(
     T = R2 if rank else np.zeros((1, d))
     for i, words in enumerate(fock.factor_words, start=1):
         # F[x, w, y] = sqrt(b_{i,w}) conj(A_{i,w}[y, x]): factor i's stack as one d x (n_i d) matrix
-        F = np.stack([ops.word_product(i, w).T for w in words], axis=1).conj()
+        F = np.concatenate(ops.stack(i, fock.degree_cap)).transpose(2, 0, 1).conj()
         F *= np.sqrt([float(fock.weights[i - 1].entries[w]) for w in words])[:, None]
         T = (T.reshape(-1, d) @ F.reshape(d, -1)).reshape(-1, r, len(words), d).swapaxes(1, 2)
     K = T.reshape(-1, d)
@@ -279,13 +272,17 @@ def transform(ck: ConstrainedKernel | BerezinKernel, chi: Optional[np.ndarray] =
     return np.einsum("apx,ab,bpy->xy", T.conj(), chi, T, optimize=True)
 
 
+def _letters(alphas: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
+    """The letters (i, j) of the word alpha_1 ... alpha_k, factor i's word alpha_i."""
+    return [(i, j) for i, w in enumerate(alphas, start=1) for j in w]
+
+
 def model_word_value(comp: CompressedModel, alphas: Sequence[Sequence[int]]) -> np.ndarray:
     """S_{(alpha)} = S_{1,alpha_1} ... S_{k,alpha_k} on the compressed space,
     as a dense dim_N x dim_N matrix assembled from the word's blocks."""
     cols = comp.subspace.columns()
     out = np.zeros((comp.dim_N, comp.dim_N), dtype=np.complex128)
-    mono = [(i, j) for i, w in enumerate(alphas, start=1) for j in w]
-    for h, (a, block) in comp.word_blocks(mono).items():
+    for h, (a, block) in comp.word_blocks(_letters(alphas)).items():
         out[cols[h], cols[a]] = block
     return out
 
@@ -426,8 +423,8 @@ def vn_check_model(
     qdim = terms[0][0].shape[0] if terms else 1
     lhs_mat = np.zeros((d * qdim, d * qdim), dtype=np.complex128)
     for C, alpha, beta in terms:
-        Aa = tuple_word_product(ops, alpha)
-        Ab = tuple_word_product(ops, beta)
+        Aa = ops.monomial(_letters(alpha))
+        Ab = ops.monomial(_letters(beta))
         lhs_mat += np.kron(Aa @ D_pos @ Ab.conj().T, C)
     lhs = float(np.linalg.norm(lhs_mat, 2))
     dnorm = float(np.linalg.norm(D_pos, 2))

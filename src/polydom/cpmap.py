@@ -32,6 +32,7 @@ M_i = sum a_alpha (A_alpha kron conj(A_alpha)).
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 from math import comb
@@ -40,7 +41,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DivergenceError, ResourceCapError, Tolerances, default_tolerances
-from .words import NCPolynomial, PositiveSymbol, polyball_symbol, require_valid
+from .words import NCPolynomial, PositiveSymbol, as_letter, polyball_symbol, require_valid, require_word_count
 
 MultiDegree = Tuple[int, ...]
 # the letter Z_{i,j} as (i, j), both 1-based
@@ -174,7 +175,8 @@ class OperatorTuple:
             for A in row:
                 A.setflags(write=False)
         self.rows = tuple(rows)
-        self._word_cache: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
+        # stack(i, D)'s levels per factor, grown on demand
+        self._levels: Tuple[List[np.ndarray], ...] = tuple([] for _ in rows)
         if check_commutation:
             self._check_commutation()
 
@@ -207,34 +209,48 @@ class OperatorTuple:
     def matrix(self, i: int, j: int) -> np.ndarray:
         return self.rows[i - 1][j - 1]
 
+    def stack(self, i: int, D: int) -> Tuple[np.ndarray, ...]:
+        """Factor i's products A_{i,w}, |w| <= D, as read-only levels L = 0..D in
+        graded-lex order (fock.factor_words'): level L, an (n_i^L, d, d) array,
+        is level L - 1 times each letter in one batched product, prefix times
+        last letter. Levels are kept, and grown only after the word cap check."""
+        i, D = as_letter(i, self.k, "factor"), operator.index(D)
+        require_word_count(self.arities[i - 1], D, self.tol)
+        levels = self._levels[i - 1]
+        if not levels:
+            levels.append(np.eye(self.dim, dtype=np.complex128)[None])
+        while len(levels) <= D:
+            levels.append((levels[-1][:, None] @ np.stack(self.rows[i - 1])).reshape(-1, self.dim, self.dim))
+        for level in levels:
+            level.setflags(write=False)
+        return tuple(levels[:D + 1])
+
     def word_product(self, i: int, word: Sequence[int]) -> np.ndarray:
-        """A_{i,alpha} = A_{i,j1} ... A_{i,jp} for alpha = (j1..jp)."""
-        key = (i, tuple(word))
-        hit = self._word_cache.get(key)
-        if hit is not None:
-            return hit
-        # a miss checks the range: each cached prefix was checked when it was stored
-        if not 1 <= i <= self.k:
-            raise ValueError(f"factor {i} outside 1..{self.k}")
-        if not key[1]:
-            out = np.eye(self.dim, dtype=np.complex128)
-        else:
-            j = key[1][-1]
-            if not 1 <= j <= self.arities[i - 1]:
-                raise ValueError(f"letter {j} outside 1..{self.arities[i - 1]} in row {i}")
-            out = self.word_product(i, key[1][:-1]) @ self.rows[i - 1][j - 1]
-        out.setflags(write=False)
-        self._word_cache[key] = out
+        """A_{i,alpha} = A_{i,j1} ... A_{i,jp} for alpha = (j1..jp): its entry in stack(i, p)."""
+        # an int in range is taken as it is; as_letter converts or refuses anything else
+        if type(i) is not int or not 0 < i <= self.k:
+            i = as_letter(i, self.k, "factor")
+        n = self.arities[i - 1]
+        g = 0
+        for j in word:
+            if type(j) is not int or not 0 < j <= n:
+                j = as_letter(j, n, f"row {i} letter")
+            g = g * n + j - 1
+        p, levels = len(word), self._levels[i - 1]
+        return (levels if len(levels) > p else self.stack(i, p))[p][g]
+
+    def monomial(self, mono: Sequence[Letter]) -> np.ndarray:
+        """A_{i_1,j_1} ... A_{i_s,j_s} for the letters (i, j) of mono, one word_product
+        per run of same-factor letters (ModelOperators.W_mono on the model)."""
+        out = np.eye(self.dim, dtype=np.complex128)
+        for i, run in itertools.groupby(mono, key=lambda letter: letter[0]):
+            out = out @ self.word_product(i, [j for _, j in run])
         return out
 
     def evaluate_poly(self, q: NCPolynomial) -> np.ndarray:
-        """q(A), the letter Z_{i,j} evaluated at A_{i,j}."""
-        bad = q.letters_outside(self.arities)
-        if bad:
-            raise ValueError(
-                f"letters (i, j) in {bad} lie outside a tuple with arities {self.arities}"
-            )
-        return q.evaluate(self.matrix, np.eye(self.dim, dtype=np.complex128))
+        """q(A) = sum c A_mono over the terms (c, mono) of q."""
+        zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        return sum((c * self.monomial(mono) for c, mono in q.terms), zero)
 
     def conjugate(self, Y: np.ndarray, Yinv: np.ndarray | None = None) -> "OperatorTuple":
         """The tuple Y^{-1} A_{i,j} Y (same symbols act on it)."""

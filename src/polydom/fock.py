@@ -52,6 +52,7 @@ from .words import (
     PositiveSymbol,
     WeightTable,
     Word,
+    as_letter,
     enumerate_words,
     require_valid,
     weight_table,
@@ -86,7 +87,7 @@ class TruncatedFock:
             raise ValueError(f"expected {self.k} words, got {len(beta)}")
         g = 0
         for i, w in enumerate(beta):
-            idx = self.factor_index[i].get(Word(w))
+            idx = self.factor_index[i].get(tuple(w))
             if idx is None:
                 raise ValueError(
                     f"{tuple(w)} is not a word of factor {i + 1}: letters 1..{self.arities[i]}, "
@@ -221,11 +222,8 @@ class ModelOperators:
         """The product W_{i_1,j_1} ... W_{i_s,j_s} of a monomial's letters."""
         out = Shift(np.arange(self.fock.dim), np.ones(self.fock.dim))
         for (i, j) in mono:
-            out = out @ self._W[(i, int(j))]
+            out = out @ self._W[(i, j)]
         return out
-
-    def W_word(self, i: int, word: Sequence[int]) -> Shift:
-        return self.W_mono([(i, j) for j in word])
 
     # --- diagonal CP-map engine ------------------------------------------
     # Every W word maps basis vectors to scaled basis vectors, so the maps
@@ -243,7 +241,7 @@ class ModelOperators:
         for w, a in sorted(self.fock.symbols[i - 1].coeffs.items(), key=lambda wa: -len(wa[0])):
             if a == 0 or len(w) == 0:
                 continue
-            Ww = self.W_word(i, w)
+            Ww = self.W_mono([(i, j) for j in w])
             terms.append((float(a) * (Ww.scale * Ww.scale), Ww.take))
         self._diag_maps[i] = terms
         return terms
@@ -693,13 +691,17 @@ class CompressedModel:
         """The nonzero blocks of S_{l_1} ... S_{l_s} for the letters l of mono,
         keyed by block row h as (a, block): block row h of S_{l_1}, then the
         row of S_{l_2} at its source, and so on."""
+        mono = [(as_letter(i, what="factor"), as_letter(j)) for (i, j) in mono]
+        bad = sorted(set(mono) - set(self.blocks))
+        if bad:
+            raise ValueError(f"letters {bad} outside the model's letters {sorted(self.blocks)}")
         out: Dict[int, Tuple[int, np.ndarray]] = {}
         for h, N in enumerate(self.subspace.blocks):
             if not N.shape[1]:
                 continue
             a, prod = h, np.eye(N.shape[1], dtype=np.complex128)
-            for (i, j) in mono:
-                row = self.blocks[(i, int(j))][a]
+            for letter in mono:
+                row = self.blocks[letter][a]
                 if row is None:
                     break
                 a, prod = row[0], prod @ row[1]

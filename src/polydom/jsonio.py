@@ -116,7 +116,7 @@ def symbol_to_json(f: PositiveSymbol, m: int) -> Dict[str, Any]:
         "max_degree": f.max_degree,
         "m": int(m),
         "coeffs": [
-            {"word": list(w.letters), "a": float(a)}
+            {"word": list(w), "a": float(a)}
             for w, a in sorted(f.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ],
     }

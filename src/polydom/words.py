@@ -8,16 +8,27 @@ lexicographic order produced by enumerate_words.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .config import ResourceCapError, Tolerances, default_tolerances
 
-Letters = Tuple[int, ...]
-
 Scalar = Union[int, float, Fraction]
+
+
+def as_letter(x, top: int | None = None, what: str = "letter") -> int:
+    """x as a 1-based index, an integer (operator.index: 1.5 is refused, not
+    truncated) in 1..top, or >= 1 when top is None; ValueError naming x otherwise."""
+    try:
+        j = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+    if j < 1 or (top is not None and j > top):
+        raise ValueError(f"{what} {j} outside " + ("1, 2, ..." if top is None else f"1..{top}"))
+    return j
 
 
 class Word(Tuple[int, ...]):
@@ -26,14 +37,7 @@ class Word(Tuple[int, ...]):
     __slots__ = ()
 
     def __new__(cls, letters: Sequence[int] = ()):
-        return super().__new__(cls, tuple(int(x) for x in letters))
-
-    @property
-    def letters(self) -> Letters:
-        return tuple(self)
-
-    def degree(self) -> int:
-        return len(self)
+        return super().__new__(cls, map(as_letter, letters))
 
     def concat(self, other: "Word") -> "Word":
         return Word(tuple(self) + tuple(other))
@@ -57,12 +61,9 @@ def word_count(n: int, max_len: int) -> int:
     return (n ** (max_len + 1) - 1) // (n - 1)
 
 
-def enumerate_words(n: int, max_len: int, tol: Tolerances | None = None) -> List[Word]:
-    """All words of length <= max_len in graded-lex order, identity first.
-
-    Raises ResourceCapError when the count would exceed the configured cap;
-    silent truncation is never performed.
-    """
+def require_word_count(n: int, max_len: int, tol: Tolerances | None = None) -> None:
+    """ResourceCapError when the words of length <= max_len over n letters
+    outnumber the configured cap; silent truncation is never performed."""
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     if max_len < 0:
@@ -73,6 +74,12 @@ def enumerate_words(n: int, max_len: int, tol: Tolerances | None = None) -> List
         raise ResourceCapError(
             f"enumerating {total} words exceeds the cap of {cap}"
         )
+
+
+def enumerate_words(n: int, max_len: int, tol: Tolerances | None = None) -> List[Word]:
+    """All words of length <= max_len in graded-lex order, identity first;
+    require_word_count guards the count."""
+    require_word_count(n, max_len, tol)
     out: List[Word] = []
     for length in range(max_len + 1):
         for letters in itertools.product(range(1, n + 1), repeat=length):
@@ -98,15 +105,8 @@ class PositiveSymbol:
         normalized = {Word(w): a for w, a in dict(self.coeffs).items()}
         object.__setattr__(self, "coeffs", normalized)
 
-    def coeff(self, word: Sequence[int]) -> Scalar:
-        return self.coeffs.get(Word(word), 0)
-
-    def support(self) -> List[Word]:
-        return sorted((w for w, a in self.coeffs.items() if a != 0), key=graded_lex_key)
-
     def degree(self) -> int:
-        sup = self.support()
-        return max((len(w) for w in sup), default=0)
+        return max((len(w) for w, a in self.coeffs.items() if a != 0), default=0)
 
 
 def polyball_symbol(n: int) -> PositiveSymbol:
@@ -123,7 +123,7 @@ def validate_symbol(f: PositiveSymbol) -> List[str]:
     if f.max_degree < 1:
         violations.append(f"max_degree must be >= 1, got {f.max_degree}")
     for w, a in sorted(f.coeffs.items(), key=lambda kv: graded_lex_key(kv[0])):
-        if any(j < 1 or j > f.arity for j in w):
+        if any(j > f.arity for j in w):
             violations.append(f"letter out of range 1..{f.arity} in word {tuple(w)}")
         if len(w) == 0 and a != 0:
             violations.append("constant term nonzero")
@@ -245,26 +245,10 @@ class NCPolynomial:
 
     def __post_init__(self):
         norm = tuple(
-            (complex(c), tuple((int(i), int(j)) for (i, j) in mono))
+            (complex(c), tuple((as_letter(i, what="factor"), as_letter(j)) for (i, j) in mono))
             for c, mono in self.terms
         )
-        bad = sorted({(i, j) for _, mono in norm for (i, j) in mono if i < 1 or j < 1})
-        if bad:
-            raise ValueError(f"letters Z_(i,j) are 1-based; got (i, j) in {bad}")
         object.__setattr__(self, "terms", norm)
-
-    def evaluate(self, letter_value: Callable[[int, int], "object"], identity: "object"):
-        """Evaluates the polynomial; letter_value(i, j) supplies Z_{i,j}."""
-        result = None
-        for c, mono in self.terms:
-            prod = identity
-            for (i, j) in mono:
-                prod = prod @ letter_value(i, j)
-            term = c * prod
-            result = term if result is None else result + term
-        if result is None:
-            return 0 * identity
-        return result
 
     def degree_profiles(self, k: int) -> List[Tuple[int, ...]]:
         """Per-term letter counts by factor, used for homogeneity checks."""

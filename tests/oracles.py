@@ -207,11 +207,23 @@ def csr_mono(fock, mono):
     return out
 
 
+def evaluate(q, letter_value, identity):
+    """q evaluated letter by letter: letter_value(i, j) supplies Z_{i,j}, and
+    each monomial is the product from identity on, one letter at a time."""
+    result = 0 * identity
+    for c, mono in q.terms:
+        prod = identity
+        for (i, j) in mono:
+            prod = prod @ letter_value(i, j)
+        result = result + c * prod
+    return result
+
+
 def evaluate_poly(fock, q):
     """q(W) as a dense matrix, summed term by term over CSR products."""
     import scipy.sparse as sp
 
-    return q.evaluate(lambda i, j: csr_shift(fock, i, j), sp.identity(fock.dim, format="csr")).toarray()
+    return evaluate(q, lambda i, j: csr_shift(fock, i, j), sp.identity(fock.dim, format="csr")).toarray()
 
 
 def csr_diag_map(fock, i):
@@ -229,6 +241,14 @@ def csr_diag_map(fock, i):
 # ---------------------------------------------------------------------------
 # Berezin kernel, one basis index at a time
 # ---------------------------------------------------------------------------
+
+def letter_product(ops, i, word):
+    """A_{i,w} multiplied out letter by letter from ops.rows, from the identity on."""
+    A = np.eye(ops.dim, dtype=np.complex128)
+    for j in word:
+        A = A @ ops.rows[i - 1][j - 1]
+    return A
+
 
 def loop_kernel(ops, fock, R2):
     """K of a tuple, filled one truncated Fock basis index g at a time.
@@ -248,11 +268,8 @@ def loop_kernel(ops, fock, R2):
         for i in range(fock.k):
             w *= float(fock.weights[i].value(beta[i]))
         adj = np.eye(d, dtype=np.complex128)
-        for i, word in enumerate(beta):
-            A = np.eye(d, dtype=np.complex128)
-            for j in word:
-                A = A @ ops.rows[i][j - 1]
-            adj = adj @ A.conj().T
+        for i, word in enumerate(beta, start=1):
+            adj = adj @ letter_product(ops, i, word).conj().T
         K[g * rank:(g + 1) * rank, :] = np.sqrt(w) * (R2 @ adj)
     return K
 
@@ -351,7 +368,7 @@ def dense_compress(model, sub):
     deg = fock.max_degree_array()
     full, interior = [], []
     for q in sub.polys:
-        qS = q.evaluate(lambda i, j: S[(i, j)], eye)
+        qS = evaluate(q, lambda i, j: S[(i, j)], eye)
         full.append(float(np.linalg.norm(qS, 2)))
         high = B[deg > fock.degree_cap - max(q.max_degree(), 1)]
         if high.shape[0] == 0:

@@ -15,7 +15,6 @@ from polydom.berezin import (
     kernel,
     model_word_value,
     transform,
-    tuple_word_product,
     vn_check_model,
     vn_check_polydisc,
 )
@@ -253,7 +252,7 @@ def test_transform_reproduces_point_values():
     for alphas in [((1,), ()), ((1, 2), ()), ((), (1,))]:
         chi = model_word_value(comp, alphas)
         got = transform(ck, chi)
-        want = tuple_word_product(inst.ops, alphas)
+        want = inst.ops.monomial([(i, j) for i, w in enumerate(alphas, start=1) for j in w])
         assert np.linalg.norm(got - want, 2) <= 1e-8
 
 
@@ -278,7 +277,7 @@ def test_extended_sweep_variety_gram_and_r_powers():
         inst.symbols, inst.m, inst.ops, D, polys,
         r_grid=(0.5, 0.7, 0.9), chis=chis, degree_cap=6,
     )
-    A1 = tuple_word_product(inst.ops, ((1,), ()))
+    A1 = inst.ops.monomial([(1, 1)])
     assert len(rep.points) == 3
     for pt in rep.points:
         assert pt.gram_residual <= 1e-8

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polydom.berezin import tuple_word_product
 from polydom.config import DivergenceError
 from polydom.cpmap import (
     CommutationError,
@@ -138,13 +137,13 @@ def test_word_product_rejects_letters_outside_the_row():
         with pytest.raises(ValueError, match="outside"):
             ops.word_product(1, (1, letter))
         with pytest.raises(ValueError, match="outside"):
-            tuple_word_product(ops, [[letter], []])
+            ops.monomial([(1, letter)])
     with pytest.raises(ValueError, match="outside"):
         ops.word_product(2, (ops.arities[1] + 1,))
     with pytest.raises(ValueError, match="outside"):
         ops.word_product(0, ())
     with pytest.raises(ValueError, match="outside"):
-        tuple_word_product(ops, [[1], [1], [1]])
+        ops.monomial([(1, 1), (2, 1), (3, 1)])
     assert np.array_equal(ops.word_product(1, (1, 2)), ops.matrix(1, 1) @ ops.matrix(1, 2))
 
 

@@ -40,6 +40,7 @@ from oracles import (
     dense_constrained_projection,
     dense_shifts,
     dense_variety_subspace,
+    evaluate,
     evaluate_poly,
 )
 
@@ -149,7 +150,7 @@ def test_words_and_diagonal_maps_match_the_sparse_oracle(rng):
     for spec, fock, model in gen_models():
         for i, f in enumerate(spec.symbols, start=1):
             for w in f.coeffs:
-                assert np.array_equal(model.W_word(i, w).toarray(), csr_mono(fock, [(i, j) for j in w]).toarray())
+                assert np.array_equal(model.W_mono([(i, j) for j in w]).toarray(), csr_mono(fock, [(i, j) for j in w]).toarray())
             u = rng.random(fock.dim)
             assert rel_gap(model.apply_diag(i, u), csr_diag_map(fock, i) @ u) <= 1e-15
 
@@ -214,10 +215,10 @@ def test_shift_weight_ratios_match_brute_weights():
 
 def test_w_word_matches_products():
     fock, model = build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)
-    w121 = model.W_word(1, (1, 2))
+    w121 = model.W_mono([(1, j) for j in (1, 2)])
     direct = model.W(1, 1) @ model.W(1, 2)
     assert np.linalg.norm(w121.toarray() - direct.toarray()) <= 1e-13
-    wid = model.W_word(2, ())
+    wid = model.W_mono([(2, j) for j in ()])
     assert np.linalg.norm(wid.toarray() - np.eye(fock.dim)) <= 1e-14
 
 
@@ -316,7 +317,7 @@ def test_compressed_model_annihilates_constraint():
     comp = compress(model, sub)
     assert comp.q_residuals_interior[0] <= 1e-10
     S = dense_shifts(comp)
-    qS = q.evaluate(lambda i, j: S[(i, j)], np.eye(sub.dim_N, dtype=np.complex128))
+    qS = evaluate(q, lambda i, j: S[(i, j)], np.eye(sub.dim_N, dtype=np.complex128))
     assert np.linalg.norm(qS, 2) == pytest.approx(comp.q_residuals_full[0], rel=1e-9, abs=1e-12)
 
 
@@ -332,7 +333,7 @@ def test_compression_is_coisometric_on_variety():
         Sw = np.eye(sub.dim_N, dtype=np.complex128)
         for letter in word:
             Sw = Sw @ S[(1, letter)]
-        direct = B.conj().T @ (model.W_word(1, word) @ B)
+        direct = B.conj().T @ (model.W_mono([(1, j) for j in word]) @ B)
         # equality holds on compressed vectors supported below the boundary:
         # C spans the null space of the high-degree coordinate block
         deg = fock.max_degree_array()

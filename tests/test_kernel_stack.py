@@ -1,9 +1,12 @@
-"""The Berezin kernel built from per-factor word stacks, and the identity transform.
+"""The tuple's word engine (OperatorTuple.stack), the Berezin kernel built
+from it, and the identity transform.
 
-kernel() contracts R^{1/2} with one stack sqrt(b_w) A_{i,w}^* per factor;
-these tests hold it to the per-index oracle (oracles.loop_kernel), keep the
-per-index loop from coming back, and bound the memory of the identity
-transform, which forms no dim_N x dim_N matrix.
+stack(i, D) builds factor i's word products level by level; these tests hold
+each entry bitwise to the letter-by-letter product, and monomial to the
+composition of per-factor words. kernel() contracts R^{1/2} with one stack
+sqrt(b_w) A_{i,w}^* per factor; these tests hold it to the per-index oracle
+(oracles.loop_kernel), keep the per-index loop from coming back, and bound
+the memory of the identity transform, which forms no dim_N x dim_N matrix.
 """
 
 import json
@@ -15,12 +18,13 @@ import pytest
 
 from polydom.berezin import constrained_kernel, kernel, transform
 from polydom.cli import main
+from polydom.config import ResourceCapError, Tolerances
 from polydom.cpmap import CPMapTuple, OperatorTuple
 from polydom.fock import TruncatedFock, build_model, variety_subspace
 from polydom.generate import generate, random_symbol
-from polydom.words import commutator_polynomial
+from polydom.words import commutator_polynomial, enumerate_words, word_count
 
-from oracles import loop_kernel
+from oracles import letter_product, loop_kernel
 
 
 def _general_symbol_instance(seed):
@@ -56,6 +60,65 @@ def _psd_of_rank(rng, d, rank):
 CASES = ("nilpotent", "commuting_polynomials", "polyball_random", "three_factors", "general_symbol")
 
 
+@pytest.mark.parametrize("D", range(6))
+@pytest.mark.parametrize("case", CASES)
+def test_stack_is_the_letter_by_letter_product_in_graded_lex_order(case, D):
+    _, _, ops = _instance(case, seed=D)
+    for i, n in enumerate(ops.arities, start=1):
+        levels = ops.stack(i, D)
+        assert [len(level) for level in levels] == [n ** L for L in range(D + 1)]
+        entries = np.concatenate(levels)
+        words = enumerate_words(n, D)  # fock.factor_words' order
+        assert len(entries) == len(words) == word_count(n, D)
+        for A, w in zip(entries, words):
+            assert A.tobytes() == letter_product(ops, i, w).tobytes(), (i, w)
+            assert ops.word_product(i, w).tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("D", range(6))
+@pytest.mark.parametrize("case", CASES)
+def test_stack_entries_are_read_only(case, D):
+    _, _, ops = _instance(case, seed=D)
+    for i in range(1, ops.k + 1):
+        for level in ops.stack(i, D):
+            with pytest.raises(ValueError, match="read-only"):
+                level[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ops.word_product(i, (1,) * D)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+@pytest.mark.parametrize("case", CASES)
+def test_stack_past_the_word_cap_raises_and_keeps_its_levels(case, D):
+    _, _, ops = _instance(case, seed=D)
+    n = ops.arities[0]
+    capped = OperatorTuple(ops.rows, tol=Tolerances(word_cap=word_count(n, D) - 1))
+    before = capped.stack(1, D - 1)
+    with pytest.raises(ResourceCapError, match="exceeds the cap"):
+        capped.stack(1, D)
+    with pytest.raises(ResourceCapError, match="exceeds the cap"):
+        capped.word_product(1, (1,) * D)
+    after = capped.stack(1, D - 1)
+    assert len(after) == len(before) == D
+    assert all(a is b for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("D", range(6))
+@pytest.mark.parametrize("case", CASES)
+def test_monomial_composes_the_factor_words(case, D):
+    """A monomial with one length-D run per factor, factor 1 first, is the
+    product of its factor words starting from the identity, bitwise."""
+    _, _, ops = _instance(case, seed=D)
+    rng = np.random.default_rng(D)
+    for _ in range(3):
+        words = [tuple(int(j) for j in rng.integers(1, n + 1, size=D)) for n in ops.arities]
+        want = np.eye(ops.dim, dtype=np.complex128)
+        for i, w in enumerate(words, start=1):
+            want = want @ ops.word_product(i, w)
+        got = ops.monomial([(i, j) for i, w in enumerate(words, start=1) for j in w])
+        assert got.tobytes() == want.tobytes(), words
+
+
 @pytest.mark.parametrize("D", range(1, 7))
 @pytest.mark.parametrize("case", CASES)
 def test_kernel_matches_the_per_index_oracle(case, D):
@@ -77,8 +140,8 @@ def test_kernel_matches_the_per_index_oracle(case, D):
 
 @pytest.mark.parametrize("family", ("commuting_polynomials", "nilpotent", "polyball_random"))
 def test_kernel_walks_no_basis_index(family, monkeypatch):
-    """On a default gen spec at D = 6 the kernel reads no basis index and takes
-    each word product of each factor once, not once per basis vector."""
+    """On a default gen spec at D = 6 the kernel reads no basis index and no
+    single word product: it takes each factor's stack once."""
     inst = generate(family, 0)
     model = build_model(inst.symbols, inst.m, 6)[1]
     fock = model.fock
@@ -86,22 +149,24 @@ def test_kernel_walks_no_basis_index(family, monkeypatch):
     def refuse(self, g):
         raise AssertionError("kernel walked the Fock basis index by index")
 
-    calls = []
-    product = OperatorTuple.word_product
+    def counted(log, method):
+        def call(self, i, *args):
+            # the series of R for the tail bound reads word products through
+            # cpmap's apply; the count is of the kernel's own calls
+            if sys._getframe(1).f_globals["__name__"] == "polydom.berezin":
+                log.append(i)
+            return method(self, i, *args)
+        return call
 
-    def counted(self, i, word):
-        # the series of R for the tail bound reads word products from cpmap's
-        # apply; the count is of the kernel's own calls
-        if sys._getframe(1).f_globals["__name__"] == "polydom.berezin":
-            calls.append((i, tuple(word)))
-        return product(self, i, word)
-
+    stacks, products = [], []
     monkeypatch.setattr(TruncatedFock, "words_at", refuse)
-    monkeypatch.setattr(OperatorTuple, "word_product", counted)
-    phi = CPMapTuple(inst.symbols, inst.ops)  # a cold tuple: no cached word products
+    monkeypatch.setattr(OperatorTuple, "stack", counted(stacks, OperatorTuple.stack))
+    monkeypatch.setattr(OperatorTuple, "word_product", counted(products, OperatorTuple.word_product))
+    phi = CPMapTuple(inst.symbols, inst.ops)
     kern = kernel(phi, inst.m, np.eye(inst.ops.dim), 6, model)
     assert kern.K.shape == (fock.dim * inst.ops.dim, inst.ops.dim)
-    assert 0 < len(calls) == len(set(calls)) <= sum(fock.factor_dims)
+    assert stacks == list(range(1, fock.k + 1))
+    assert products == []
 
 
 def test_identity_transform_is_the_gram_product():

@@ -1,5 +1,6 @@
 """Words, symbols, and the weight table."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydom.berezin import model_word_value
 from polydom.config import ResourceCapError, Tolerances
+from polydom.fock import build_model, compress, variety_subspace
+from polydom.generate import generate
 from polydom.words import (
     NCPolynomial,
     PositiveSymbol,
@@ -23,7 +27,7 @@ from polydom.words import (
     word_count,
 )
 
-from oracles import FROZEN_WEIGHTS, brute_weight, convolve_weights
+from oracles import FROZEN_WEIGHTS, brute_weight, convolve_weights, evaluate
 
 
 def fraction_symbol(seed, arity=2, degree=3, density=0.7):
@@ -162,7 +166,7 @@ def test_commutator_polynomial_evaluates_to_commutator(rng):
         assert i == 1
         return A if j == 1 else B
 
-    val = q.evaluate(letter, np.eye(3))
+    val = evaluate(q, letter, np.eye(3))
     assert np.linalg.norm(val - (A @ B - B @ A)) < 1e-12
 
 
@@ -179,6 +183,35 @@ def test_ncpolynomial_rejects_letters_below_one(letter):
     # index 0 must not wrap round to the last factor as Python's index -1
     with pytest.raises(ValueError):
         NCPolynomial(((1.0, ((1, 1), letter)),))
+
+
+def _polyball_21():
+    """The (2, 1) polyball tuple and its compressed model at degree cap 3."""
+    ops = generate("commuting_polynomials", 0, arities=(2, 1)).ops
+    model = build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)[1]
+    return ops, compress(model, variety_subspace(model, ()))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda ops, comp: Word((1.5, 2)), "1.5"),
+    (lambda ops, comp: Word((1, 0)), "letter 0"),
+    (lambda ops, comp: NCPolynomial(((1.0, ((1, 1.5),)),)), "1.5"),
+    (lambda ops, comp: NCPolynomial(((1.0, ((0, 1),)),)), "factor 0"),
+    (lambda ops, comp: model_word_value(comp, ((1.5,), ())), "1.5"),
+    (lambda ops, comp: model_word_value(comp, ((3,), ())), "(1, 3)"),
+    (lambda ops, comp: comp.word_blocks([(3, 1)]), "(3, 1)"),
+    (lambda ops, comp: ops.monomial([(1, 1.5)]), "1.5"),
+    (lambda ops, comp: ops.monomial([(1, 1), (2, 2)]), "letter 2"),
+    (lambda ops, comp: ops.word_product(1, (1, 1.5)), "1.5"),
+    (lambda ops, comp: ops.word_product(1.5, ()), "1.5"),
+    (lambda ops, comp: ops.stack(1.5, 2), "1.5"),
+    (lambda ops, comp: ops.stack(3, 2), "factor 3"),
+])
+def test_letters_are_integers_in_range(call, named):
+    """A letter that is not an integer, or lies outside its range, is refused
+    by name: never truncated, wrapped round or left to a raw KeyError."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call(*_polyball_21())
 
 
 def test_scale_symbol_action_range_check():
