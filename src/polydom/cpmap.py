@@ -9,8 +9,18 @@ Every decay and norm-sum bound is read off one identity orbit per factor,
 eta_s = ||Phi_i^s(I)||_2. Each Phi_i^s is a positive map, so Russo-Dye gives
 ||Phi_i^s|| = eta_s in the operator norm; submultiplicativity turns any
 eta_t < 1 into a geometric envelope for all s, and Phi_i^s = 0 exactly when
-Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate. Series
-tails are stated in the Frobenius norm, which costs a factor sqrt(d).
+Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate by s = d.
+Series tails are stated in the Frobenius norm, which costs a factor sqrt(d).
+
+CPMapTuple.weighted_series has two paths, and on both its tail_bound bounds
+the Frobenius distance to the exact Delta^{-m}(R) and is at most the series
+target, tol max(1, ||R||_F). A tuple with one joint triangular form
+(OperatorTuple.joint_form) and no nilpotent factor is solved by Stein
+equations in that basis; tail_bound is then the residual-correction bound of
+_triangular_series, whose residuals are formed in long double, and terms is
+all zeros. Every other tuple, or one whose certificate fails or whose bound
+misses the target, sums the series; tail_bound then bounds the truncation.
+Neither counts the rounding of its own residual or term evaluation.
 
 The radius of each factor is computed once per tuple, by the one rule that
 CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
@@ -61,6 +71,9 @@ _ARNOLDI_NCV = 40
 _DENSE_MAX_VEC_DIM = 6400
 # the orbit's rounding allowance for Phi_i^t(I) is t d _EPS eta_t
 _EPS = float(np.finfo(np.float64).eps)
+# the triangular series path forms its stage residuals in this wider type, and
+# is skipped where long double is no wider than double
+_WIDE = np.clongdouble if np.finfo(np.longdouble).eps < _EPS / 64 else None
 # the fewest orbit steps a decay verdict reads
 _DECAY_WINDOW = 64
 # the most terms a certified series or norm sum, or a decay search, reads
@@ -126,6 +139,49 @@ def _hermitian_form(M: np.ndarray, d: int) -> np.ndarray:
     return np.vstack([MU[diag], s * (MU[up] + MU[lo]), -1j * s * (MU[up] - MU[lo])]).real
 
 
+def _triangular_form(mats: Sequence[np.ndarray]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(U, T) with T[j] = U^* mats[j] U upper triangular for one unitary U, or None.
+
+    U is the Q factor of the eigenvectors of G = sum_j (j + _TRI_SHIFT) mats[j - 1],
+    which triangularizes every matrix of a commuting family unless G is
+    defective or clustered; a strictly lower part of T[j] above
+    _TRI_SLACK d eps ||mats[j]||_F refuses the form. T is returned as computed.
+    """
+    d = mats[0].shape[0]
+    G = sum((j + _TRI_SHIFT) * A for j, A in enumerate(mats, start=1))
+    try:
+        U = np.linalg.qr(np.linalg.eig(G)[1])[0]
+    except np.linalg.LinAlgError:
+        return None
+    T = np.empty((len(mats), d, d), dtype=np.complex128)
+    for j, A in enumerate(mats):
+        T[j] = U.conj().T @ A @ U
+        if np.linalg.norm(np.tril(T[j], -1)) > _TRI_SLACK * d * _EPS * np.linalg.norm(A):
+            return None
+    return U, T
+
+
+def _stein_solve(T: np.ndarray, a: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X with X - sum_w a_w T_w X T_w^* = Y, for the upper-triangular (n, d, d) stack T.
+
+    Column l of T_w X T_w^* is conj(T_w[l, l]) T_w X[:, l] plus the coupling
+    T_w X[:, q] conj(T_w[l, q]) over q > l, so the columns are solved from
+    the last one on (Bartels-Stewart): (I - sum_w a_w conj(T_w[l, l]) T_w) X[:, l]
+    = Y[:, l] + sum_w a_w T_w X[:, l+1:] conj(T_w[l, l+1:]).
+    """
+    n, d = T.shape[0], Y.shape[0]
+    aT = a[:, None, None] * T
+    # sum_w aT[w] @ v[w] as one product with the stacked vectors v
+    flat = aT.transpose(1, 0, 2).reshape(d, n * d)
+    eye = np.eye(d)
+    X = np.zeros((d, d), dtype=np.complex128)
+    for l in range(d - 1, -1, -1):
+        coupling = flat @ (T[:, l, l + 1:].conj() @ X[:, l + 1:].T).reshape(-1)
+        M = eye - np.tensordot(T[:, l, l].conj(), aT, 1)
+        X[:, l] = np.linalg.solve(M, Y[:, l] + coupling)
+    return X
+
+
 def _as_complex(M, what: str = "matrix") -> np.ndarray:
     """M as a complex array; ValueError unless it is square with finite entries."""
     A = np.array(M, dtype=np.complex128)
@@ -177,6 +233,8 @@ class OperatorTuple:
         self.rows = tuple(rows)
         # stack(i, D)'s levels per factor, grown on demand
         self._levels: Tuple[List[np.ndarray], ...] = tuple([] for _ in rows)
+        # joint_form()'s value once computed, in a one-tuple since it may be None
+        self._joint: Optional[Tuple[Optional[np.ndarray]]] = None
         if check_commutation:
             self._check_commutation()
 
@@ -208,6 +266,20 @@ class OperatorTuple:
 
     def matrix(self, i: int, j: int) -> np.ndarray:
         return self.rows[i - 1][j - 1]
+
+    def joint_form(self) -> Optional[np.ndarray]:
+        """One unitary U with every U^* A_{i,j} U upper triangular, read-only, or
+        None unless all letters commute and _triangular_form accepts them
+        together. Computed once per tuple."""
+        if self._joint is None:
+            letters = [(i, j) for i, n in enumerate(self.arities, start=1) for j in range(1, n + 1)]
+            form = None
+            if self._commutation_failure(itertools.combinations(letters, 2)) is None:
+                form = _triangular_form([self.matrix(i, j) for i, j in letters])
+            if form is not None:
+                form[0].setflags(write=False)
+            self._joint = (None if form is None else form[0],)
+        return self._joint[0]
 
     def stack(self, i: int, D: int) -> Tuple[np.ndarray, ...]:
         """Factor i's products A_{i,w}, |w| <= D, as read-only levels L = 0..D in
@@ -358,9 +430,14 @@ class _Orbit:
         return None
 
     def nilpotency_index(self) -> Optional[int]:
-        """First s with Phi_i^s = 0, or None; a nilpotent map on M_d vanishes by s = d."""
-        self.norm(self._phi.dim)
-        return len(self.eta) - 1 if self.eta[-1] == 0.0 else None
+        """First s <= d with Phi_i^s = 0, or None; a nilpotent map on M_d vanishes by s = d.
+
+        Only eta_0..eta_d are read: an orbit read further may underflow to
+        0.0, which is not nilpotency.
+        """
+        d = self._phi.dim
+        self.norm(d)
+        return next((s for s, e in enumerate(self.eta[:d + 1]) if e == 0.0), None)
 
     def tail(self, s: int, m: int) -> float:
         """Certified bound on sum_{u>=s} C(u+m-1, m-1) ||Phi_i^u|| read off eta_0..eta_s only.
@@ -561,18 +638,10 @@ class CPMapTuple:
         """
         if not self.ops.row_commutes(i):
             return None
-        row = self.ops.rows[i - 1]
-        G = sum((j + _TRI_SHIFT) * A for j, A in enumerate(row, start=1))
-        try:
-            U = np.linalg.qr(np.linalg.eig(G)[1])[0]
-        except np.linalg.LinAlgError:
+        form = _triangular_form(self.ops.rows[i - 1])
+        if form is None:
             return None
-        lam = np.empty((len(row), self.dim), dtype=np.complex128)
-        for j, A in enumerate(row):
-            T = U.conj().T @ A @ U
-            if np.linalg.norm(np.tril(T, -1)) > _TRI_SLACK * self.dim * _EPS * np.linalg.norm(A):
-                return None
-            lam[j] = np.diagonal(T)
+        lam = np.diagonal(form[1], axis1=1, axis2=2)
         rho = np.zeros(self.dim)
         for w, a in self.symbols[i - 1].coeffs.items():
             if a != 0:
@@ -645,6 +714,93 @@ class CPMapTuple:
                 # structural annihilation: the remaining terms are exactly 0
                 return (hermitize(total) if herm else total), 0.0, s
 
+    def _wide_residual(self, i: int, prev: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """prev - (id - Phi_i)(Z), formed and returned in _WIDE."""
+        Zw = Z.astype(_WIDE)
+        out = prev.astype(_WIDE) - Zw
+        for w, a in self.symbols[i - 1].coeffs.items():
+            if a != 0:
+                Aw = self.ops.word_product(i, w).astype(_WIDE)
+                out += float(a) * (Aw @ Zw @ Aw.conj().T)
+        return out
+
+    def _triangular_series(
+        self, m: Sequence[int], R: np.ndarray, radii: Tuple[float, ...], target: float
+    ) -> Optional[SeriesResult]:
+        """Delta^{-m}(R) by Stein solves in the tuple's joint triangular form, with
+        an error bound; None when there is no form or no wider type, a factor
+        is nilpotent, the certificate fails, or the bound is above target.
+
+        In the basis U of ops.joint_form(), G_i = (id - Phi_i)^{-1} is one
+        _stein_solve, and Delta^{-m} is m_i of them per factor, factor k
+        first. Q_i = G_i(I) is solved first: in the original basis, Q_i > 0
+        and ||F_i||_2 <= 1/2 for F_i = I - (id - Phi_i)(Q_i) give
+        Phi_i(Q_i) <= Q_i - I/2 < Q_i, so rho(Phi_i) < 1 (Collatz-Wielandt)
+        and G_i is a positive map with ||G_i(I)||_2 <= c_i = ||Q_i||_2 / (1 - ||F_i||_2).
+        For E = H + iS with H, S Hermitian, -||H||_2 I <= H <= ||H||_2 I
+        then gives ||G_i(E)||_2 <= c_i (||H||_2 + ||S||_2).
+
+        Stage j takes Z_{j-1} (Z_0 = R) to Z_j with residual
+        E_j = Z_{j-1} - (id - Phi)(Z_j), formed in _WIDE since it is at the
+        rounding level of Z_j. Then Delta^{-m}(R) - Z_n = D_n exactly, for
+        D_j = G(D_{j-1} + E_j), D_0 = 0. The same stages give D~_n, and the
+        value is Z_n + D~_n. Its error is the rounding of that sum, formed in
+        _WIDE, plus D_n - D~_n; by the same identity, this is the stages
+        j..n applied to the residuals D~_{j-1} + E_j - (id - Phi)(D~_j) of the
+        D~ stages, kept in _WIDE like the E_j, each at most
+        sqrt(d) (||H_j||_2 + ||S_j||_2) times the c_i of those stages in the
+        Frobenius norm. The bound is the sum of these terms.
+        """
+        if _WIDE is None or any(
+            self._orbit(i).nilpotency_index() is not None for i in range(1, self.k + 1)
+        ):
+            return None
+        U = self.ops.joint_form()
+        if U is None:
+            return None
+        from .cone import positive
+
+        Uh = U.conj().T
+        eye = np.eye(self.dim, dtype=np.complex128)
+        solvers, base, norms = [], [], []
+        for i, f in enumerate(self.symbols, start=1):
+            words = [(w, float(a)) for w, a in f.coeffs.items() if a != 0]
+            T = np.triu(np.stack([Uh @ self.ops.word_product(i, w) @ U for w, _ in words]))
+            a = np.array([a for _, a in words])
+            solvers.append(lambda Y, T=T, a=a: U @ _stein_solve(T, a, Uh @ Y @ U) @ Uh)
+            base.append(hermitize(solvers[-1](eye)))
+            gap = float(np.linalg.norm(eye - base[-1] + self.apply(i, base[-1]), 2))
+            if not (gap <= 0.5 and positive(base[-1], self.tol, definite=True)[0]):
+                return None
+            norms.append(float(np.linalg.norm(base[-1], 2)) / (1.0 - gap))
+
+        stages = [i for i in range(self.k, 0, -1) for _ in range(m[i - 1])]
+        herm = is_hermitian(R)
+        Z, residuals = R, []
+        for j, i in enumerate(stages):
+            # G_i(I) is base[i - 1]
+            Z_next = base[i - 1] if j == 0 and np.array_equal(R, eye) else solvers[i - 1](Z)
+            if herm:
+                Z_next = hermitize(Z_next)
+            residuals.append(self._wide_residual(i, Z, Z_next))
+            Z = Z_next
+        D, shares = np.zeros_like(Z), []
+        for i, E in zip(stages, residuals):
+            rhs = D + E
+            D = solvers[i - 1](rhs.astype(np.complex128))
+            if herm:
+                D = hermitize(D)
+            F = self._wide_residual(i, rhs, D).astype(np.complex128)
+            shares.append(float(np.linalg.norm(hermitize(F), 2) + np.linalg.norm(hermitize(1j * F), 2)))
+        value = Z + D
+        rounding = value.astype(_WIDE) - Z.astype(_WIDE) - D.astype(_WIDE)
+        # the residual of the j-th D~ stage passes through the stages j..n
+        through = np.cumprod([norms[i - 1] for i in reversed(stages)])[::-1]
+        bound = float(np.linalg.norm(rounding)) + float(np.sqrt(self.dim) * np.dot(shares, through))
+        if not bound <= target:
+            return None
+        return SeriesResult(value, bound, (0,) * self.k, True, radii)
+
     def _refuse_unsettled(self, factors: Sequence[int]) -> None:
         bad = [i for i in factors if not self._settled(i)]
         if bad:
@@ -660,10 +816,21 @@ class CPMapTuple:
     ) -> SeriesResult:
         """sum over s in Z_+^k of prod_i C(s_i+m_i-1, m_i-1) Phi^s(R), certified or refused.
 
-        Evaluated stage by stage (the factors commute); the returned
-        tail_bound certifies the Frobenius distance to the exact sum, so
-        certified is always True. tol is interpreted relative to
-        max(1, ||R||_F).
+        The sum is Delta^{-m}(R), and the returned tail_bound certifies its
+        Frobenius distance to the value on either of two paths, so certified
+        is always True. Both run after the radius gate below.
+
+        A tuple with one joint triangular form and no nilpotent factor is
+        solved in that form (_triangular_series): no term is summed, terms is
+        all zeros, and tail_bound bounds the error of the residual-corrected
+        value, mostly its rounding to double. That value is returned only
+        when tail_bound meets the target below; otherwise, or when the form
+        is missing or its certificate fails, the series below runs unchanged.
+
+        The series is evaluated stage by stage (the factors commute), and
+        tail_bound bounds its truncation. On both paths tail_bound is at most
+        the target tol max(1, ||R||_F). Neither bound counts the rounding of
+        its own residual or term evaluation.
 
         Each factor's bounds come from its identity orbit eta_s: the stage
         tail uses ||Phi_j^u(X)||_F <= sqrt(d) eta_u ||X||_2, and an error
@@ -681,6 +848,9 @@ class CPMapTuple:
 
         radii = tuple(self.joint_spectral_radius(i, crosscheck=False) for i in range(1, self.k + 1))
         self._refuse_unsettled(range(1, self.k + 1))
+        solved = self._triangular_series(m, R, radii, target)
+        if solved is not None:
+            return solved
         amps = [np.sqrt(self.dim) * self._orbit(j + 1).norm_sum(m[j]) for j in range(1, self.k)]
         if not all(np.isfinite(amps)):
             raise DivergenceError(

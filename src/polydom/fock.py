@@ -219,10 +219,12 @@ class ModelOperators:
         return [(i, j, W) for (i, j), W in sorted(self._W.items())]
 
     def W_mono(self, mono: Sequence[Tuple[int, int]]) -> Shift:
-        """The product W_{i_1,j_1} ... W_{i_s,j_s} of a monomial's letters."""
+        """The product W_{i_1,j_1} ... W_{i_s,j_s} of a monomial's letters;
+        ValueError for a letter outside the model, as word_blocks."""
         out = Shift(np.arange(self.fock.dim), np.ones(self.fock.dim))
         for (i, j) in mono:
-            out = out @ self._W[(i, j)]
+            i = as_letter(i, self.fock.k, "factor")
+            out = out @ self._W[(i, as_letter(j, self.fock.arities[i - 1], f"row {i} letter"))]
         return out
 
     # --- diagonal CP-map engine ------------------------------------------

@@ -155,17 +155,49 @@ def dense_radius(phi, i):
     return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(dense_map_matrix(phi, i))))))
 
 
-def dense_defect_solve(phi, m, R):
-    """The solution X of Delta^m(X) = R by one dense linear solve."""
-    from polydom.cpmap import unvec, vec
-
+def dense_defect_matrix(phi, m):
+    """Delta^m as a d^2 x d^2 matrix on vec(X)."""
     d2 = phi.dim * phi.dim
     L = np.eye(d2, dtype=np.complex128)
     for i, mi in enumerate(m, start=1):
         F = np.eye(d2, dtype=np.complex128) - dense_map_matrix(phi, i)
         for _ in range(mi):
             L = F @ L
+    return L
+
+
+def dense_defect_solve(phi, m, R):
+    """The solution X of Delta^m(X) = R by one dense linear solve."""
+    from polydom.cpmap import unvec, vec
+
+    L = dense_defect_matrix(phi, m)
     return unvec(np.linalg.solve(L, vec(np.asarray(R, dtype=np.complex128))), phi.dim)
+
+
+def wide_defect(phi, m, X):
+    """Delta^m(X) formed in long double from the tuple's word products."""
+    Y = np.asarray(X).astype(np.clongdouble)
+    for i, mi in enumerate(m, start=1):
+        words = [(float(a), phi.ops.word_product(i, w).astype(np.clongdouble))
+                 for w, a in phi.symbols[i - 1].coeffs.items() if a != 0]
+        for _ in range(mi):
+            Y = Y - sum(a * (A @ Y @ A.conj().T) for a, A in words)
+    return Y
+
+
+def refined_defect_solve(phi, m, R, steps=3):
+    """dense_defect_solve refined against wide_defect's residual: where long
+    double is wider than double, accurate to a few eps ||X||_F even when the
+    dense solve alone loses cond(Delta^m) eps."""
+    from polydom.cpmap import unvec, vec
+
+    L = dense_defect_matrix(phi, m)
+    R = np.asarray(R, dtype=np.complex128)
+    X = np.zeros_like(R)
+    for _ in range(steps + 1):
+        E = (R - wide_defect(phi, m, X)).astype(np.complex128)
+        X = X + unvec(np.linalg.solve(L, vec(E)), phi.dim)
+    return X
 
 
 # ---------------------------------------------------------------------------

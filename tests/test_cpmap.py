@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polydom import cpmap
 from polydom.config import DivergenceError
 from polydom.cpmap import (
     CommutationError,
@@ -33,6 +34,7 @@ from oracles import (
     naive_defect,
     naive_weighted_series,
     nested_limit_value,
+    refined_defect_solve,
 )
 
 
@@ -395,6 +397,139 @@ def test_series_then_defect_recovers_R(rng):
 
 
 # ---------------------------------------------------------------------------
+# the triangular path: Stein solves in the joint triangular form
+# ---------------------------------------------------------------------------
+
+TRIANGULAR_M = ((1, 1), (2, 3), (3, 1))
+EPS = np.finfo(np.float64).eps
+
+
+def within_bound(out, ref):
+    # the refined oracle is good to about eps ||ref||_F
+    return np.linalg.norm(out.value - ref) <= out.tail_bound + 4 * EPS * np.linalg.norm(ref)
+
+
+def series_only(phi, m, R):
+    """weighted_series on a fresh tuple with the triangular path switched off."""
+    fresh = CPMapTuple(phi.symbols, OperatorTuple(phi.ops.rows))
+    fresh._triangular_series = lambda *args: None
+    return fresh.weighted_series(m, R)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_weighted_series_of_commuting_tuples_on_either_path(seed, d):
+    # the triangular path is taken when its bound meets the series target,
+    # always at radius 0.8, and then covers the distance to a refined dense
+    # solve; otherwise the series runs
+    rng = np.random.default_rng([seed, d])
+    for radius in (0.8, 0.95, 0.99):
+        inst = generate("commuting_polynomials", seed, dim=d, target_radius=radius)
+        phi = CPMapTuple(inst.symbols, inst.ops)
+        for m in TRIANGULAR_M:
+            for R in (np.eye(d), random_psd(rng, d)):
+                out = phi.weighted_series(m, R)
+                assert out.certified
+                assert out.tail_bound <= phi.tol.series_tol * max(1.0, np.linalg.norm(R))
+                if out.terms == (0, 0):
+                    assert within_bound(out, refined_defect_solve(phi, m, R))
+                else:
+                    assert radius > 0.8 and all(t > 0 for t in out.terms)
+
+
+def test_triangular_path_falls_back_to_the_unchanged_series():
+    # radius 0.95 with m = (2, 3): the bound misses the target for some
+    # seeds (seed 2 at d = 8), and the series then runs as if the path did
+    # not exist
+    fell_back = 0
+    for seed in range(6):
+        inst = generate("commuting_polynomials", seed, dim=8, target_radius=0.95)
+        phi = CPMapTuple(inst.symbols, inst.ops)
+        out = phi.weighted_series((2, 3), np.eye(8))
+        if out.terms != (0, 0):
+            fell_back += 1
+            ref = series_only(phi, (2, 3), np.eye(8))
+            assert out.terms == ref.terms and out.tail_bound == ref.tail_bound
+            assert out.value.tobytes() == ref.value.tobytes()
+    assert fell_back > 0
+
+
+def test_triangular_path_bounds_a_non_hermitian_input(rng):
+    # the skew part of the residuals counts as well
+    phi, inst = small_random_instance(5, target_radius=0.95)
+    R = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+    out = phi.weighted_series((2, 1), R)
+    assert out.terms == (0, 0)
+    assert within_bound(out, refined_defect_solve(phi, (2, 1), R))
+
+
+def test_triangular_path_skips_a_tuple_without_a_wider_type(monkeypatch):
+    # without long double residuals the bound would read rounding noise
+    monkeypatch.setattr(cpmap, "_WIDE", None)
+    phi, inst = small_random_instance(5, target_radius=0.8)
+    out = phi.weighted_series((1, 1), np.eye(phi.dim))
+    assert all(t > 0 for t in out.terms)
+
+
+def test_joint_form_is_computed_once_per_tuple(monkeypatch):
+    inst = generate("commuting_polynomials", 1, dim=5)
+    U = inst.ops.joint_form()
+    monkeypatch.setattr(cpmap, "_triangular_form", lambda mats: pytest.fail("recomputed"))
+    assert inst.ops.joint_form() is U
+    assert np.linalg.norm(U.conj().T @ U - np.eye(5)) <= 1e-12
+    for row in inst.ops.rows:
+        for A in row:
+            assert np.linalg.norm(np.tril(U.conj().T @ A @ U, -1)) <= 1e-12 * np.linalg.norm(A)
+
+
+def stein_solve_without_coupling(T, a, Y):
+    """_stein_solve with the coupling to the later columns dropped."""
+    d = Y.shape[0]
+    X = np.zeros((d, d), dtype=np.complex128)
+    for l in range(d):
+        M = np.eye(d) - np.tensordot(a * T[:, l, l].conj(), T, 1)
+        X[:, l] = np.linalg.solve(M, Y[:, l])
+    return X
+
+
+def test_a_stein_solve_without_coupling_is_caught(monkeypatch):
+    # the certificate either refuses the wrong solve, and the series runs, or
+    # its bound covers the wrong value
+    monkeypatch.setattr(cpmap, "_stein_solve", stein_solve_without_coupling)
+    fell_back = 0
+    for seed in range(6):
+        for d in (3, 8):
+            inst = generate("commuting_polynomials", seed, dim=d, target_radius=0.95)
+            phi = CPMapTuple(inst.symbols, inst.ops)
+            for m in TRIANGULAR_M:
+                out = phi.weighted_series(m, np.eye(d))
+                if out.terms == (0, 0):
+                    assert within_bound(out, refined_defect_solve(phi, m, np.eye(d)))
+                else:
+                    fell_back += 1
+    assert fell_back > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_series_of_a_noncommuting_row_sums_the_series(seed):
+    inst = generate("polyball_random", seed, dim=5, target_radius=0.9)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    assert inst.ops.joint_form() is None
+    out = phi.weighted_series(inst.m, np.eye(5))
+    assert all(t > 0 for t in out.terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_series_of_a_nilpotent_tuple_sums_the_series(seed):
+    # a nilpotent tuple has a joint triangular form, but its finite series is exact
+    inst = generate("nilpotent", seed, dim=5)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    assert inst.ops.joint_form() is not None
+    out = phi.weighted_series(inst.m, np.eye(5))
+    assert out.tail_bound == 0.0 and all(t > 0 for t in out.terms)
+
+
+# ---------------------------------------------------------------------------
 # cesaro means
 # ---------------------------------------------------------------------------
 
@@ -750,6 +885,21 @@ def test_orbit_nilpotency_index_below_dim():
         assert phi._orbit(i).nilpotency_index() == 3
         assert not np.any(np.linalg.matrix_power(dense_map_matrix(phi, i), 3))
         assert np.any(np.linalg.matrix_power(dense_map_matrix(phi, i), 2))
+
+
+def test_orbit_read_until_it_underflows_is_not_nilpotent():
+    # read to s = 3000 the orbit of a radius-0.5 tuple rounds to 0.0; only a
+    # zero among eta_0..eta_d is nilpotency
+    inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.5)
+    phi, fresh = CPMapTuple(inst.symbols, inst.ops), CPMapTuple(inst.symbols, inst.ops)
+    for i in range(1, phi.k + 1):
+        orbit = phi._orbit(i)
+        orbit.norm(3000)
+        assert orbit.eta[-1] == 0.0
+        assert orbit.nilpotency_index() is None
+        assert phi.joint_spectral_radius(i, crosscheck=False) == fresh.joint_spectral_radius(
+            i, crosscheck=False
+        )
 
 
 def test_orbit_norm_sum_dominates_partial_sums():

@@ -185,10 +185,15 @@ def test_ncpolynomial_rejects_letters_below_one(letter):
         NCPolynomial(((1.0, ((1, 1), letter)),))
 
 
+def _model_21():
+    """The (2, 1) polyball model at degree cap 3."""
+    return build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)[1]
+
+
 def _polyball_21():
     """The (2, 1) polyball tuple and its compressed model at degree cap 3."""
     ops = generate("commuting_polynomials", 0, arities=(2, 1)).ops
-    model = build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)[1]
+    model = _model_21()
     return ops, compress(model, variety_subspace(model, ()))
 
 
@@ -200,6 +205,9 @@ def _polyball_21():
     (lambda ops, comp: model_word_value(comp, ((1.5,), ())), "1.5"),
     (lambda ops, comp: model_word_value(comp, ((3,), ())), "(1, 3)"),
     (lambda ops, comp: comp.word_blocks([(3, 1)]), "(3, 1)"),
+    (lambda ops, comp: _model_21().W_mono([(1, 1.5)]), "1.5"),
+    (lambda ops, comp: _model_21().W_mono([(1, 3)]), "letter 3"),
+    (lambda ops, comp: _model_21().W_mono([(3, 1)]), "factor 3"),
     (lambda ops, comp: ops.monomial([(1, 1.5)]), "1.5"),
     (lambda ops, comp: ops.monomial([(1, 1), (2, 2)]), "letter 2"),
     (lambda ops, comp: ops.word_product(1, (1, 1.5)), "1.5"),
