@@ -16,7 +16,6 @@ import time
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import default_tolerances
@@ -389,6 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 1
     status = outputs.get("status", "PASS")
+    import scipy  # for its version only, so a cold import of the CLI does not load it
     report = {
         "task": args.command,
         "inputs_digest": digest(raw),

@@ -33,8 +33,9 @@ class Tolerances:
     word_cap: int = 200_000
     # cap on the truncated Fock dimension (POLYDOM_MAX_DIM overrides)
     max_fock_dim: int = 20_000
-    # cap on the matricized dimension d^2
-    max_vec_dim: int = 40_000
+    # cap on the matricized dimension d^2 (6400: d = 80, 655 MB per d^2 x d^2
+    # matrix); above it matricize refuses and the radius takes the Gelfand bound
+    max_vec_dim: int = 6400
 
     def as_dict(self) -> dict:
         return asdict(self)

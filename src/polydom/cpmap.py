@@ -29,7 +29,7 @@ Gelfand bound is taken: the diagonals of one joint triangular form of a row
 whose letters commute (Radjavi-Rosenthal; U^* A_{i,j} U upper triangular for
 one unitary U, O(d^3), numpy only), then an ARPACK Ritz value from d = 12 on.
 A row with neither gets one dense eigvals of the map's real form while
-d <= 80, and the Gelfand bound above that. The orbit
+d^2 <= tol.max_vec_dim (d <= 80), and the Gelfand bound above that. The orbit
 encloses the radius, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
 lambda_t = lambda_min(Phi_i^t(I)), since Phi_i^t(I) >= lambda_t I
 (Collatz-Wielandt with Y = I); the radius cross-check reads this enclosure.
@@ -56,6 +56,8 @@ from .words import NCPolynomial, PositiveSymbol, as_letter, polyball_symbol, req
 MultiDegree = Tuple[int, ...]
 # the letter Z_{i,j} as (i, j), both 1-based
 Letter = Tuple[int, int]
+# a term (w, a_w, A_{i,w}) of Phi_i: CPMapTuple._terms
+Term = Tuple[Tuple[int, ...], float, np.ndarray]
 
 # The radius rule and its measured crossover: see CPMapTuple.joint_spectral_radius.
 # the joint triangular form diagonalizes G = sum_j (j + _TRI_SHIFT) A_{i,j}; fixed
@@ -67,8 +69,6 @@ _TRI_SLACK = 64.0
 _ARNOLDI_MIN_DIM = 12
 _ARNOLDI_MAXITER = 10
 _ARNOLDI_NCV = 40
-# largest d^2 whose matricization may be eigensolved densely
-_DENSE_MAX_VEC_DIM = 6400
 # the orbit's rounding allowance for Phi_i^t(I) is t d _EPS eta_t
 _EPS = float(np.finfo(np.float64).eps)
 # the triangular series path forms its stage residuals in this wider type, and
@@ -299,15 +299,11 @@ class OperatorTuple:
 
     def word_product(self, i: int, word: Sequence[int]) -> np.ndarray:
         """A_{i,alpha} = A_{i,j1} ... A_{i,jp} for alpha = (j1..jp): its entry in stack(i, p)."""
-        # an int in range is taken as it is; as_letter converts or refuses anything else
-        if type(i) is not int or not 0 < i <= self.k:
-            i = as_letter(i, self.k, "factor")
-        n = self.arities[i - 1]
+        i = as_letter(i, self.k, "factor")
+        n, what = self.arities[i - 1], f"row {i} letter"
         g = 0
         for j in word:
-            if type(j) is not int or not 0 < j <= n:
-                j = as_letter(j, n, f"row {i} letter")
-            g = g * n + j - 1
+            g = g * n + as_letter(j, n, what) - 1
         p, levels = len(word), self._levels[i - 1]
         return (levels if len(levels) > p else self.stack(i, p))[p][g]
 
@@ -498,6 +494,7 @@ class CPMapTuple:
         self.k = ops.k
         self.dim = ops.dim
         self._matricized: Dict[int, np.ndarray] = {}
+        self._term_lists: Dict[int, Tuple[Term, ...]] = {}
         self._orbits: Dict[int, _Orbit] = {}
         self._radii: Dict[int, float] = {}
 
@@ -538,6 +535,17 @@ class CPMapTuple:
 
     # --- basic actions -------------------------------------------------
 
+    def _terms(self, i: int) -> Tuple[Term, ...]:
+        """Factor i's terms (w, a_w, A_{i,w}), one per nonzero a_w in the symbol's
+        order: every evaluation of Phi_i reads them. Built once per factor."""
+        terms = self._term_lists.get(i)
+        if terms is None:
+            terms = self._term_lists[i] = tuple(
+                (w, float(a), self.ops.word_product(i, w))
+                for w, a in self.symbols[i - 1].coeffs.items() if a != 0
+            )
+        return terms
+
     def apply(self, i: int, X: np.ndarray, herm: Optional[bool] = None) -> np.ndarray:
         """Phi_i(X). Hermitian inputs get a symmetrized output."""
         X = np.asarray(X, dtype=np.complex128)
@@ -546,11 +554,8 @@ class CPMapTuple:
         if herm is None:
             herm = is_hermitian(X)
         out = np.zeros_like(X)
-        for w, a in self.symbols[i - 1].coeffs.items():
-            if a == 0:
-                continue
-            Aw = self.ops.word_product(i, w)
-            out += float(a) * (Aw @ X @ Aw.conj().T)
+        for _, a, Aw in self._terms(i):
+            out += a * (Aw @ X @ Aw.conj().T)
         return hermitize(out) if herm else out
 
     def matricize(self, i: int) -> np.ndarray:
@@ -563,11 +568,8 @@ class CPMapTuple:
                 f"matricizing needs a {d2} x {d2} matrix; cap is {self.tol.max_vec_dim}"
             )
         M = np.zeros((d2, d2), dtype=np.complex128)
-        for w, a in self.symbols[i - 1].coeffs.items():
-            if a == 0:
-                continue
-            Aw = self.ops.word_product(i, w)
-            M += float(a) * np.kron(Aw, Aw.conj())
+        for _, a, Aw in self._terms(i):
+            M += a * np.kron(Aw, Aw.conj())
         self._matricized[i] = M
         return M
 
@@ -620,7 +622,7 @@ class CPMapTuple:
             rho = path(i)
             if rho is not None and rho <= bound:
                 return rho
-        if self.dim ** 2 <= _DENSE_MAX_VEC_DIM:
+        if self.dim ** 2 <= self.tol.max_vec_dim:
             M = _hermitian_form(self.matricize(i), self.dim)
             return float(np.max(np.abs(np.linalg.eigvals(M))))
         return orbit.gelfand(64)
@@ -643,9 +645,8 @@ class CPMapTuple:
             return None
         lam = np.diagonal(form[1], axis1=1, axis2=2)
         rho = np.zeros(self.dim)
-        for w, a in self.symbols[i - 1].coeffs.items():
-            if a != 0:
-                rho += float(a) * np.abs(np.prod(lam[[j - 1 for j in w]], axis=0)) ** 2
+        for w, a, _ in self._terms(i):
+            rho += a * np.abs(np.prod(lam[[j - 1 for j in w]], axis=0)) ** 2
         return float(rho.max())
 
     def _arnoldi_radius(self, i: int) -> Optional[float]:
@@ -718,10 +719,9 @@ class CPMapTuple:
         """prev - (id - Phi_i)(Z), formed and returned in _WIDE."""
         Zw = Z.astype(_WIDE)
         out = prev.astype(_WIDE) - Zw
-        for w, a in self.symbols[i - 1].coeffs.items():
-            if a != 0:
-                Aw = self.ops.word_product(i, w).astype(_WIDE)
-                out += float(a) * (Aw @ Zw @ Aw.conj().T)
+        for _, a, Aw in self._terms(i):
+            Aw = Aw.astype(_WIDE)
+            out += a * (Aw @ Zw @ Aw.conj().T)
         return out
 
     def _triangular_series(
@@ -763,10 +763,9 @@ class CPMapTuple:
         Uh = U.conj().T
         eye = np.eye(self.dim, dtype=np.complex128)
         solvers, base, norms = [], [], []
-        for i, f in enumerate(self.symbols, start=1):
-            words = [(w, float(a)) for w, a in f.coeffs.items() if a != 0]
-            T = np.triu(np.stack([Uh @ self.ops.word_product(i, w) @ U for w, _ in words]))
-            a = np.array([a for _, a in words])
+        for i in range(1, self.k + 1):
+            T = np.triu(np.stack([Uh @ Aw @ U for _, _, Aw in self._terms(i)]))
+            a = np.array([a for _, a, _ in self._terms(i)])
             solvers.append(lambda Y, T=T, a=a: U @ _stein_solve(T, a, Uh @ Y @ U) @ Uh)
             base.append(hermitize(solvers[-1](eye)))
             gap = float(np.linalg.norm(eye - base[-1] + self.apply(i, base[-1]), 2))
@@ -867,13 +866,7 @@ class CPMapTuple:
             )
             terms.append(used)
             tail_total += tail * downstream
-        return SeriesResult(
-            value=value,
-            tail_bound=tail_total,
-            terms=tuple(terms),
-            certified=True,
-            radii=radii,
-        )
+        return SeriesResult(value, tail_total, tuple(terms), True, radii)
 
     def iterated_sum(
         self,
@@ -946,8 +939,8 @@ class CPMapTuple:
            - from d = 12 on, the top Ritz value of ARPACK (_arnoldi_radius;
              k=1, which="LM", tol=0, v0 = vec(I), at most 10 restarts of a
              40-vector basis) when it converged and is real and positive;
-        3. while d^2 <= 6400, dense eigvals of the real form of the map on
-           the Hermitian matrices;
+        3. while d^2 <= tol.max_vec_dim (6400 by default), dense eigvals of
+           the real form of the map on the Hermitian matrices;
         4. above that, the Gelfand bound min_{t<=64} eta_t^{1/t}, an upper
            bound.
 

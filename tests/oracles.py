@@ -174,6 +174,59 @@ def dense_defect_solve(phi, m, R):
     return unvec(np.linalg.solve(L, vec(np.asarray(R, dtype=np.complex128))), phi.dim)
 
 
+def word_terms(phi, i):
+    """Factor i's terms (w, a_w, A_{i,w}) read word by word from the symbol on
+    every call, zeros skipped, each A_{i,w} multiplied out letter by letter."""
+    return [(w, float(a), letter_product(phi.ops, i, w))
+            for w, a in phi.symbols[i - 1].coeffs.items() if a != 0]
+
+
+def loop_apply(phi, i, X, herm=None):
+    """Phi_i(X) summed word by word in the symbol's order; a Hermitian X (or
+    herm=True) gets the symmetrized output."""
+    X = np.asarray(X, dtype=np.complex128)
+    if herm is None:
+        herm = np.linalg.norm(X - X.conj().T) <= 1e-12 * (1.0 + np.linalg.norm(X))
+    out = np.zeros_like(X)
+    for w, a in phi.symbols[i - 1].coeffs.items():
+        if a != 0:
+            Aw = letter_product(phi.ops, i, w)
+            out += float(a) * (Aw @ X @ Aw.conj().T)
+    return (out + out.conj().T) / 2 if herm else out
+
+
+def loop_matricize(phi, i):
+    """sum_w a_w kron(A_{i,w}, conj(A_{i,w})) summed word by word in the symbol's order."""
+    d2 = phi.dim * phi.dim
+    M = np.zeros((d2, d2), dtype=np.complex128)
+    for w, a in phi.symbols[i - 1].coeffs.items():
+        if a != 0:
+            Aw = letter_product(phi.ops, i, w)
+            M += float(a) * np.kron(Aw, Aw.conj())
+    return M
+
+
+def loop_wide_residual(phi, i, prev, Z):
+    """prev - (id - Phi_i)(Z) in long double, summed word by word in the symbol's order."""
+    Zw = Z.astype(np.clongdouble)
+    out = prev.astype(np.clongdouble) - Zw
+    for w, a in phi.symbols[i - 1].coeffs.items():
+        if a != 0:
+            Aw = letter_product(phi.ops, i, w).astype(np.clongdouble)
+            out += float(a) * (Aw @ Zw @ Aw.conj().T)
+    return out
+
+
+def loop_triangular_radius(phi, i, lam):
+    """max_k sum_w a_w |prod_t lam[w_t - 1, k]|^2 summed word by word, for the
+    diagonals lam[j - 1] of a triangular form of row i's letters."""
+    rho = np.zeros(phi.dim)
+    for w, a in phi.symbols[i - 1].coeffs.items():
+        if a != 0:
+            rho += float(a) * np.abs(np.prod(lam[[j - 1 for j in w]], axis=0)) ** 2
+    return float(rho.max())
+
+
 def wide_defect(phi, m, X):
     """Delta^m(X) formed in long double from the tuple's word products."""
     Y = np.asarray(X).astype(np.clongdouble)

@@ -2,6 +2,7 @@
 
 import gc
 import time
+import tracemalloc
 import weakref
 from math import comb
 
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polydom import cpmap
-from polydom.config import DivergenceError
+from polydom.config import DivergenceError, ResourceCapError, Tolerances
 from polydom.cpmap import (
     CommutationError,
     CPMapTuple,
@@ -21,7 +22,7 @@ from polydom.cpmap import (
     unvec,
     vec,
 )
-from polydom.generate import generate, random_pd, strict_contractions
+from polydom.generate import _scale_rows_to_radius, generate, random_pd, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_hermitian, random_psd
@@ -30,11 +31,16 @@ from oracles import (
     dense_defect_solve,
     dense_map_matrix,
     dense_radius,
+    loop_apply,
+    loop_matricize,
+    loop_triangular_radius,
+    loop_wide_residual,
     naive_cesaro,
     naive_defect,
     naive_weighted_series,
     nested_limit_value,
     refined_defect_solve,
+    word_terms,
 )
 
 
@@ -962,3 +968,139 @@ def test_double_limit_detects_purity_both_directions():
     gap = np.linalg.norm(lhs2 - np.eye(2))
     assert gap >= 0.9  # the unitary direction contributes ~1
     assert np.linalg.norm(lhs2 - np.diag([0.0, 1.0])) <= 1e-6
+
+
+
+# ---------------------------------------------------------------------------
+# the term list: every evaluation of Phi_i reads each factor's words once
+# ---------------------------------------------------------------------------
+
+TERM_CASES = [
+    (family, seed, d)
+    for family in ("commuting_polynomials", "polyball_random", "random_symbol")
+    for seed in (0, 1)
+    for d in (3, 8)
+]
+
+
+def term_case(family, seed, d):
+    """A tuple of a gen family, or ("random_symbol") two factors of commuting
+    letters p(M) under degree-3 random symbols, the first with one tail
+    coefficient set to zero."""
+    if family != "random_symbol":
+        inst = generate(family, seed, dim=d)
+        return CPMapTuple(inst.symbols, inst.ops)
+    rng = np.random.default_rng(seed)
+    M = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
+    f1, f2 = random_symbol(seed, 2, degree=3), random_symbol(seed + 1, 1, degree=3)
+    zeroed = next(w for w in f1.coeffs if len(w) == 2)
+    f1 = PositiveSymbol(2, {**f1.coeffs, zeroed: 0.0}, 3)
+    rows = [[np.eye(d) + c * M + c * c * (M @ M) for c in rng.uniform(0.3, 1.0, size=n)] for n in (2, 1)]
+    rows, _ = _scale_rows_to_radius((f1, f2), rows, 0.8)
+    return CPMapTuple((f1, f2), OperatorTuple(rows))
+
+
+@pytest.mark.parametrize("family,seed,d", TERM_CASES)
+def test_term_list_evaluations_match_the_word_loop(family, seed, d):
+    phi = term_case(family, seed, d)
+    rng = np.random.default_rng([seed, d])
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = hermitize(X)
+    for i in range(1, phi.k + 1):
+        for Y in (X, H):
+            assert phi.apply(i, Y).tobytes() == loop_apply(phi, i, Y).tobytes()
+        assert phi.matricize(i).tobytes() == loop_matricize(phi, i).tobytes()
+        if cpmap._WIDE is not None:
+            # equal values: a long double's tobytes includes its padding bytes
+            assert np.array_equal(phi._wide_residual(i, X, H), loop_wide_residual(phi, i, X, H))
+        form = cpmap._triangular_form(phi.ops.rows[i - 1]) if phi.ops.row_commutes(i) else None
+        rho = phi._triangular_radius(i)
+        if form is None:
+            assert rho is None
+        else:
+            lam = np.diagonal(form[1], axis1=1, axis2=2)
+            assert repr(rho) == repr(loop_triangular_radius(phi, i, lam))
+    assert any(a == 0 for f in phi.symbols for a in f.coeffs.values()) == (family == "random_symbol")
+
+
+@pytest.mark.parametrize("family,seed,d", TERM_CASES)
+@pytest.mark.parametrize("wide", [True, False])
+def test_weighted_series_matches_the_word_loop(family, seed, d, wide, monkeypatch):
+    # without a wider type every tuple sums the series; with one, the
+    # commuting tuples are solved in their joint triangular form
+    if not wide:
+        monkeypatch.setattr(cpmap, "_WIDE", None)
+    phi = term_case(family, seed, d)
+    m = (2, 1)[:phi.k]
+    R = random_psd(np.random.default_rng([seed, d]), d)
+    weights = []
+    stein_solve = cpmap._stein_solve
+    monkeypatch.setattr(cpmap, "_stein_solve", lambda T, a, Y: weights.append(list(a)) or stein_solve(T, a, Y))
+    out = phi.weighted_series(m, R)
+    # the Stein solves take the terms in the symbol's order too
+    assert all(w in [[a for _, a, _ in word_terms(phi, i)] for i in (1, 2)[:phi.k]] for w in weights)
+    ref_phi = CPMapTuple(phi.symbols, phi.ops)
+    monkeypatch.setattr(CPMapTuple, "_terms", word_terms)
+    monkeypatch.setattr(CPMapTuple, "apply", loop_apply)
+    monkeypatch.setattr(CPMapTuple, "matricize", loop_matricize)
+    monkeypatch.setattr(CPMapTuple, "_wide_residual", loop_wide_residual)
+    ref = ref_phi.weighted_series(m, R)
+    assert (out.terms, repr(out.tail_bound), out.radii) == (ref.terms, repr(ref.tail_bound), ref.radii)
+    assert out.value.tobytes() == ref.value.tobytes()
+    solved = wide and cpmap._WIDE is not None and family != "polyball_random"
+    assert out.terms == (0,) * phi.k if solved else all(t > 0 for t in out.terms)
+
+
+def test_apply_and_a_summed_series_make_no_word_product_call(monkeypatch):
+    inst = generate("polyball_random", 3, dim=5)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    first = phi.apply(1, np.eye(5))
+    monkeypatch.setattr(OperatorTuple, "word_product", lambda *args: pytest.fail("word_product called"))
+    assert phi.apply(1, np.eye(5)).tobytes() == first.tobytes()
+    out = phi.weighted_series(inst.m, np.eye(5))
+    assert all(t > 0 for t in out.terms)
+
+
+def test_term_list_is_built_once_per_factor(monkeypatch):
+    phi = term_case("random_symbol", 0, 5)
+    calls = []
+    word_product = OperatorTuple.word_product
+    monkeypatch.setattr(OperatorTuple, "word_product",
+                        lambda self, i, w: calls.append((i, tuple(w))) or word_product(self, i, w))
+    for _ in range(2):
+        for i in (1, 2):
+            phi.apply(i, np.eye(5))
+            phi.matricize(i)
+            phi.joint_spectral_radius(i)
+        phi.weighted_series((2, 1), np.eye(5))
+    assert calls == [(i, tuple(w)) for i, f in enumerate(phi.symbols, start=1)
+                     for w, a in f.coeffs.items() if a != 0]
+    assert phi._terms(1) is phi._terms(1)
+
+
+def test_matricize_above_the_default_cap_refuses_before_allocating():
+    # d = 81: the matrix would take 6561^2 * 16 B = 689 MB
+    d = 81
+    phi = CPMapTuple([polyball_symbol(1)], OperatorTuple([[np.diag(np.linspace(-0.7, 0.3, d))]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="6561 x 6561 matrix; cap is 6400"):
+            phi.matricize(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not phi._matricized
+
+
+def test_a_vec_cap_below_d_squared_gives_the_gelfand_bound():
+    # a row that does not commute, below d = 12: only the dense step is left,
+    # and the cap moves it to the orbit's Gelfand bound
+    inst = generate("polyball_random", 3, dim=5)
+    phi = CPMapTuple(inst.symbols, OperatorTuple(inst.ops.rows, tol=Tolerances(max_vec_dim=24)))
+    r = phi.joint_spectral_radius(1, crosscheck=False)
+    assert r == float(np.sqrt(phi._orbit(1).gelfand(64)))
+    assert not phi._matricized
+    with pytest.raises(ResourceCapError, match="cap is 24"):
+        phi.matricize(1)
+    assert CPMapTuple(inst.symbols, inst.ops).joint_spectral_radius(1, crosscheck=False) <= r * (1 + 1e-12)

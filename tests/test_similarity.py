@@ -23,7 +23,7 @@ from polydom.similarity import (
 from polydom.words import NCPolynomial, PositiveSymbol, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
-from oracles import dense_shifts
+from oracles import dense_shifts, refined_defect_solve
 
 
 def scalar_tuple(c, d=3):
@@ -243,6 +243,29 @@ def test_defect_equation_oracle_gap(seed, rng):
     assert sol.oracle_rel_gap <= 1e-8
     assert sol.defect_residual <= 1e-8 * max(1.0, np.linalg.norm(R, 2))
     assert sol.membership_report.member
+
+
+@pytest.mark.skipif(polydom.cpmap._WIDE is None, reason="long double is no wider than double")
+def test_defect_equation_oracle_is_refined_only_when_its_gap_fails(monkeypatch):
+    # commuting seed 3, d = 8, radius 0.99, m = (2, 3): the dense solve alone
+    # is off by about cond(Delta^m) eps, a gap of 1.1e-7 against a gate of
+    # 1.3e-8; refined against a long double residual it agrees with X
+    m, R = (2, 3), np.eye(8)
+    sols = {}
+    for wide in (True, False):
+        if not wide:
+            monkeypatch.setattr(polydom.similarity, "_WIDE", None)
+        for radius in (0.8, 0.99):
+            inst = generate("commuting_polynomials", 3, dim=8, target_radius=radius)
+            sols[wide, radius] = solve_defect_equation(inst.symbols, m, inst.ops, R)
+    sol = sols[True, 0.99]
+    assert sol.oracle_rel_gap <= 1e-12
+    X_ref = refined_defect_solve(CPMapTuple(inst.symbols, inst.ops), m, R)
+    assert np.linalg.norm(sol.X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+    assert sols[False, 0.99].oracle_rel_gap > 1e-8 + 10.0 * sol.series.tail_bound
+    # a gap that passes unrefined is left as it is
+    assert sols[True, 0.8].oracle_rel_gap <= 1e-8
+    assert repr(sols[True, 0.8].oracle_rel_gap) == repr(sols[False, 0.8].oracle_rel_gap)
 
 
 def test_defect_equation_rejects_singular_R():
