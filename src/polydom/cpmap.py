@@ -14,9 +14,9 @@ Series tails are stated in the Frobenius norm, which costs a factor sqrt(d).
 
 CPMapTuple.weighted_series has two paths, and on both its tail_bound bounds
 the Frobenius distance to the exact Delta^{-m}(R) and is at most the series
-target, tol max(1, ||R||_F). A tuple with one joint triangular form
-(OperatorTuple.joint_form) and no nilpotent factor is solved by Stein
-equations in that basis; tail_bound is then the residual-correction bound of
+target, tol max(1, ||R||_F). A tuple with no nilpotent factor whose rows
+all have a triangular form (OperatorTuple.row_form) is solved by Stein
+equations in them; tail_bound is then the residual-correction bound of
 _triangular_series, whose residuals are formed in long double, and terms is
 all zeros. Every other tuple, or one whose certificate fails or whose bound
 misses the target, sums the series; tail_bound then bounds the truncation.
@@ -25,8 +25,8 @@ Neither counts the rounding of its own residual or term evaluation.
 The radius of each factor is computed once per tuple, by the one rule that
 CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
 nilpotent orbit gives 0. Otherwise the first candidate at most the orbit's
-Gelfand bound is taken: the diagonals of one joint triangular form of a row
-whose letters commute (Radjavi-Rosenthal; U^* A_{i,j} U upper triangular for
+Gelfand bound is taken: the diagonals of the row's triangular form when its
+letters commute (Radjavi-Rosenthal; U^* A_{i,j} U upper triangular for
 one unitary U, O(d^3), numpy only), then an ARPACK Ritz value from d = 12 on.
 A row with neither gets one dense eigvals of the map's real form while
 d^2 <= tol.max_vec_dim (d <= 80), and the Gelfand bound above that. The orbit
@@ -60,7 +60,7 @@ Letter = Tuple[int, int]
 Term = Tuple[Tuple[int, ...], float, np.ndarray]
 
 # The radius rule and its measured crossover: see CPMapTuple.joint_spectral_radius.
-# the joint triangular form diagonalizes G = sum_j (j + _TRI_SHIFT) A_{i,j}; fixed
+# a row's triangular form diagonalizes G = sum_j (j + _TRI_SHIFT) A_{i,j}; fixed
 # irrational weights keep reports identical from run to run, and real ones
 # leave a real triangular row as it is
 _TRI_SHIFT = float(np.sqrt(0.5))
@@ -233,8 +233,8 @@ class OperatorTuple:
         self.rows = tuple(rows)
         # stack(i, D)'s levels per factor, grown on demand
         self._levels: Tuple[List[np.ndarray], ...] = tuple([] for _ in rows)
-        # joint_form()'s value once computed, in a one-tuple since it may be None
-        self._joint: Optional[Tuple[Optional[np.ndarray]]] = None
+        # row_form(i)'s value per row once computed, None included
+        self._forms: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
         if check_commutation:
             self._check_commutation()
 
@@ -261,25 +261,24 @@ class OperatorTuple:
 
     def row_commutes(self, i: int) -> bool:
         """Whether the letters of row i commute pairwise, to tol_comm as across factors."""
+        i = as_letter(i, self.k, "factor")
         letters = [(i, j) for j in range(1, self.arities[i - 1] + 1)]
         return self._commutation_failure(itertools.combinations(letters, 2)) is None
 
     def matrix(self, i: int, j: int) -> np.ndarray:
-        return self.rows[i - 1][j - 1]
+        i = as_letter(i, self.k, "factor")
+        return self.rows[i - 1][as_letter(j, self.arities[i - 1], f"row {i} letter") - 1]
 
-    def joint_form(self) -> Optional[np.ndarray]:
-        """One unitary U with every U^* A_{i,j} U upper triangular, read-only, or
-        None unless all letters commute and _triangular_form accepts them
-        together. Computed once per tuple."""
-        if self._joint is None:
-            letters = [(i, j) for i, n in enumerate(self.arities, start=1) for j in range(1, n + 1)]
-            form = None
-            if self._commutation_failure(itertools.combinations(letters, 2)) is None:
-                form = _triangular_form([self.matrix(i, j) for i, j in letters])
-            if form is not None:
-                form[0].setflags(write=False)
-            self._joint = (None if form is None else form[0],)
-        return self._joint[0]
+    def row_form(self, i: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Row i's triangular form (U, T), T[j] = U^* A_{i,j+1} U, read-only, or None
+        unless the row commutes and _triangular_form accepts it. Computed once per row."""
+        i = as_letter(i, self.k, "factor")
+        if i not in self._forms:
+            form = _triangular_form(self.rows[i - 1]) if self.row_commutes(i) else None
+            for part in form or ():
+                part.setflags(write=False)
+            self._forms[i] = form
+        return self._forms[i]
 
     def stack(self, i: int, D: int) -> Tuple[np.ndarray, ...]:
         """Factor i's products A_{i,w}, |w| <= D, as read-only levels L = 0..D in
@@ -540,6 +539,7 @@ class CPMapTuple:
         order: every evaluation of Phi_i reads them. Built once per factor."""
         terms = self._term_lists.get(i)
         if terms is None:
+            i = as_letter(i, self.k, "factor")
             terms = self._term_lists[i] = tuple(
                 (w, float(a), self.ops.word_product(i, w))
                 for w, a in self.symbols[i - 1].coeffs.items() if a != 0
@@ -562,6 +562,7 @@ class CPMapTuple:
         cached = self._matricized.get(i)
         if cached is not None:
             return cached
+        i = as_letter(i, self.k, "factor")
         d2 = self.dim * self.dim
         if d2 > self.tol.max_vec_dim:
             raise ResourceCapError(
@@ -594,6 +595,7 @@ class CPMapTuple:
     def _orbit(self, i: int) -> _Orbit:
         orbit = self._orbits.get(i)
         if orbit is None:
+            i = as_letter(i, self.k, "factor")
             orbit = self._orbits[i] = _Orbit(self, i)
         return orbit
 
@@ -628,7 +630,7 @@ class CPMapTuple:
         return orbit.gelfand(64)
 
     def _triangular_radius(self, i: int) -> Optional[float]:
-        """rho(Phi_i) from one joint triangular form of row i, or None when none is found.
+        """rho(Phi_i) from row i's triangular form (ops.row_form), or None when it has none.
 
         The letters of row i must commute; the Q factor U of the eigenvectors
         of a generic combination G of them then triangularizes every A_{i,j},
@@ -638,9 +640,7 @@ class CPMapTuple:
         too, with eigenvalues sum_w a_w lambda_w(k) conj(lambda_w(l));
         a_w >= 0 and Cauchy-Schwarz put the largest modulus at k = l.
         """
-        if not self.ops.row_commutes(i):
-            return None
-        form = _triangular_form(self.ops.rows[i - 1])
+        form = self.ops.row_form(i)
         if form is None:
             return None
         lam = np.diagonal(form[1], axis1=1, axis2=2)
@@ -727,13 +727,15 @@ class CPMapTuple:
     def _triangular_series(
         self, m: Sequence[int], R: np.ndarray, radii: Tuple[float, ...], target: float
     ) -> Optional[SeriesResult]:
-        """Delta^{-m}(R) by Stein solves in the tuple's joint triangular form, with
-        an error bound; None when there is no form or no wider type, a factor
-        is nilpotent, the certificate fails, or the bound is above target.
+        """Delta^{-m}(R) by Stein solves in the rows' triangular forms, with an
+        error bound; None when a row has no form or there is no wider type, a
+        factor is nilpotent, the certificate fails, or the bound is above target.
 
-        In the basis U of ops.joint_form(), G_i = (id - Phi_i)^{-1} is one
+        In the basis U_i of ops.row_form(i), G_i = (id - Phi_i)^{-1} is one
         _stein_solve, and Delta^{-m} is m_i of them per factor, factor k
-        first. Q_i = G_i(I) is solved first: in the original basis, Q_i > 0
+        first. Composing them needs only that the maps commute: OperatorTuple and
+        from_kraus check it, and check_commutation=False leaves it to the caller.
+        Q_i = G_i(I) is solved first: in the original basis, Q_i > 0
         and ||F_i||_2 <= 1/2 for F_i = I - (id - Phi_i)(Q_i) give
         Phi_i(Q_i) <= Q_i - I/2 < Q_i, so rho(Phi_i) < 1 (Collatz-Wielandt)
         and G_i is a positive map with ||G_i(I)||_2 <= c_i = ||Q_i||_2 / (1 - ||F_i||_2).
@@ -755,18 +757,18 @@ class CPMapTuple:
             self._orbit(i).nilpotency_index() is not None for i in range(1, self.k + 1)
         ):
             return None
-        U = self.ops.joint_form()
-        if U is None:
+        forms = [self.ops.row_form(i) for i in range(1, self.k + 1)]
+        if any(form is None for form in forms):
             return None
         from .cone import positive
 
-        Uh = U.conj().T
         eye = np.eye(self.dim, dtype=np.complex128)
         solvers, base, norms = [], [], []
-        for i in range(1, self.k + 1):
+        for i, (U, _) in enumerate(forms, start=1):
+            Uh = U.conj().T
             T = np.triu(np.stack([Uh @ Aw @ U for _, _, Aw in self._terms(i)]))
             a = np.array([a for _, a, _ in self._terms(i)])
-            solvers.append(lambda Y, T=T, a=a: U @ _stein_solve(T, a, Uh @ Y @ U) @ Uh)
+            solvers.append(lambda Y, U=U, Uh=Uh, T=T, a=a: U @ _stein_solve(T, a, Uh @ Y @ U) @ Uh)
             base.append(hermitize(solvers[-1](eye)))
             gap = float(np.linalg.norm(eye - base[-1] + self.apply(i, base[-1]), 2))
             if not (gap <= 0.5 and positive(base[-1], self.tol, definite=True)[0]):
@@ -819,12 +821,13 @@ class CPMapTuple:
         Frobenius distance to the value on either of two paths, so certified
         is always True. Both run after the radius gate below.
 
-        A tuple with one joint triangular form and no nilpotent factor is
-        solved in that form (_triangular_series): no term is summed, terms is
-        all zeros, and tail_bound bounds the error of the residual-corrected
-        value, mostly its rounding to double. That value is returned only
-        when tail_bound meets the target below; otherwise, or when the form
-        is missing or its certificate fails, the series below runs unchanged.
+        A tuple whose every row has a triangular form (ops.row_form) and no
+        nilpotent factor is solved factor by factor, each in its row's form
+        (_triangular_series): no term is summed, terms is all zeros, and
+        tail_bound bounds the error of the residual-corrected value, mostly
+        its rounding to double. That value is returned only when tail_bound
+        meets the target below; otherwise, or when a form is missing or the
+        certificate fails, the series below runs unchanged.
 
         The series is evaluated stage by stage (the factors commute), and
         tail_bound bounds its truncation. On both paths tail_bound is at most
@@ -931,11 +934,12 @@ class CPMapTuple:
         1. 0 when the identity orbit hits zero by s = d (a nilpotent map);
         2. the first of two candidates that is at most the orbit's Gelfand
            bound min_{t<=d} eta_t^{1/t} (1 + 1e-12), tried lazily:
-           - a joint triangular form (_triangular_radius): when the letters of
-             row i commute, U^* A_{i,j} U for U the Q factor of the
-             eigenvectors of G = sum_j (j + 1/sqrt2) A_{i,j}, refused when a
-             strictly lower part exceeds 64 d eps ||A_{i,j}||_F, and
-             max_k sum_w a_w |lambda_w(k)|^2 from its diagonals;
+           - row i's triangular form (_triangular_radius, ops.row_form): when
+             the letters of row i commute, U^* A_{i,j} U for U the Q factor of
+             the eigenvectors of G = sum_j (j + 1/sqrt2) A_{i,j}, refused when
+             a strictly lower part exceeds 64 d eps ||A_{i,j}||_F, and
+             max_k sum_w a_w |lambda_w(k)|^2 from its diagonals; the form is
+             kept on the OperatorTuple, and the series reuses it;
            - from d = 12 on, the top Ritz value of ARPACK (_arnoldi_radius;
              k=1, which="LM", tol=0, v0 = vec(I), at most 10 restarts of a
              40-vector basis) when it converged and is real and positive;

@@ -333,16 +333,16 @@ def solve_defect_equation(
 
 # --- Sz.-Nagy fixed point -----------------------------------------------------
 
-def _null_basis(S: np.ndarray) -> np.ndarray:
+def _null_basis(S: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal basis of the right null space of the tall matrix S.
 
-    Singular values at or below 1e-10 * s_max count as zero. They are read
+    Singular values at or below cutoff * s_max count as zero. They are read
     off the square R factor of S, which has the same singular values and
     right singular vectors, so the SVD runs on d^2 x d^2 only.
     """
     R = np.linalg.qr(S, mode="r")
     _, s, Vh = np.linalg.svd(R)
-    rank = int(np.sum(s > 1e-10 * s[0]))
+    rank = int(np.sum(s > cutoff * s[0]))
     return Vh[rank:].conj().T
 
 
@@ -363,8 +363,9 @@ def _ergodic_fixed_point(
     d = phi.dim
     eye2 = np.eye(d * d, dtype=np.complex128)
     shifted = [phi.matricize(i) - eye2 for i in range(1, phi.k + 1)]
-    N = _null_basis(np.vstack(shifted))
-    L = _null_basis(np.vstack([S.conj().T for S in shifted]))
+    cutoff = phi.tol.svd_cutoff
+    N = _null_basis(np.vstack(shifted), cutoff)
+    L = _null_basis(np.vstack([S.conj().T for S in shifted]), cutoff)
     if N.shape[1] == 0 or L.shape[1] != N.shape[1]:
         return None, N.shape[1], (
             f"the common fixed spaces of the maps and of their adjoints have "
@@ -372,7 +373,7 @@ def _ergodic_fixed_point(
         )
     G = L.conj().T @ N
     sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
+    if sv[-1] <= cutoff * sv[0]:
         return None, N.shape[1], (
             f"eigenvalue 1 of the maps is not semisimple: the smallest singular "
             f"value of L^* N is {sv[-1]:.3e}"

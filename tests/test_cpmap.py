@@ -1,6 +1,7 @@
 """CP map engine: apply, matricize, defects, series, radii."""
 
 import gc
+import re
 import time
 import tracemalloc
 import weakref
@@ -153,6 +154,41 @@ def test_word_product_rejects_letters_outside_the_row():
     with pytest.raises(ValueError, match="outside"):
         ops.monomial([(1, 1), (2, 1), (3, 1)])
     assert np.array_equal(ops.word_product(1, (1, 2)), ops.matrix(1, 1) @ ops.matrix(1, 2))
+
+
+def factor_calls(phi):
+    """Each method that takes a factor index i, as a function of i alone."""
+    X = np.eye(phi.dim)
+    return {
+        "apply": lambda i: phi.apply(i, X),
+        "matricize": phi.matricize,
+        "joint_spectral_radius": phi.joint_spectral_radius,
+        "radius_power_sequence": phi.radius_power_sequence,
+        "iterated_sum": lambda i: phi.iterated_sum(i, 1, X),
+        "decays": phi.decays,
+        "matrix": lambda i: phi.ops.matrix(i, 1),
+        "row_commutes": phi.ops.row_commutes,
+        "row_form": phi.ops.row_form,
+    }
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("i", [0, 3, -1, 1.5])
+@pytest.mark.parametrize("method", list(factor_calls(scalar_instance(0.5))))
+def test_a_factor_index_outside_the_tuple_is_a_value_error(method, i, warm):
+    # k = 2: no index wraps around to the last row, whether or not the
+    # per-factor caches are filled
+    inst = generate("commuting_polynomials", 0, dim=4)
+    phi = CPMapTuple(inst.symbols, OperatorTuple(inst.ops.rows))
+    calls = factor_calls(phi)
+    if warm:
+        for call in calls.values():
+            call(1), call(2)
+    with pytest.raises(ValueError, match=re.escape(f"factor {i} ")):
+        calls[method](i)
+    if method == "matrix":
+        with pytest.raises(ValueError, match=re.escape(f"row 1 letter {i} ")):
+            phi.ops.matrix(1, i)
 
 
 def test_within_factor_entries_need_not_commute(rng):
@@ -403,7 +439,7 @@ def test_series_then_defect_recovers_R(rng):
 
 
 # ---------------------------------------------------------------------------
-# the triangular path: Stein solves in the joint triangular form
+# the triangular path: Stein solves in each row's triangular form
 # ---------------------------------------------------------------------------
 
 TRIANGULAR_M = ((1, 1), (2, 3), (3, 1))
@@ -477,15 +513,42 @@ def test_triangular_path_skips_a_tuple_without_a_wider_type(monkeypatch):
     assert all(t > 0 for t in out.terms)
 
 
-def test_joint_form_is_computed_once_per_tuple(monkeypatch):
+def test_row_forms_are_computed_once_per_row(monkeypatch):
+    # the radius and the series read the same form of each row
     inst = generate("commuting_polynomials", 1, dim=5)
-    U = inst.ops.joint_form()
-    monkeypatch.setattr(cpmap, "_triangular_form", lambda mats: pytest.fail("recomputed"))
-    assert inst.ops.joint_form() is U
-    assert np.linalg.norm(U.conj().T @ U - np.eye(5)) <= 1e-12
-    for row in inst.ops.rows:
+    phi = CPMapTuple(inst.symbols, OperatorTuple(inst.ops.rows))
+    calls = []
+    form = cpmap._triangular_form
+    monkeypatch.setattr(cpmap, "_triangular_form", lambda mats: calls.append(len(mats)) or form(mats))
+    for i in range(1, phi.k + 1):
+        phi.joint_spectral_radius(i)
+    assert phi.weighted_series(inst.m, np.eye(5)).terms == (0,) * phi.k
+    assert calls == list(phi.ops.arities)
+    for i, row in enumerate(phi.ops.rows, start=1):
+        U, T = phi.ops.row_form(i)
+        assert not (U.flags.writeable or T.flags.writeable)
+        assert np.linalg.norm(U.conj().T @ U - np.eye(5)) <= 1e-12
         for A in row:
             assert np.linalg.norm(np.tril(U.conj().T @ A @ U, -1)) <= 1e-12 * np.linalg.norm(A)
+
+
+def weyl_pair(d, r, s):
+    """from_kraus([[r Z], [s X]]) for the clock Z and the shift X: ZX = omega XZ,
+    so the letters do not commute, but the maps do."""
+    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    X = np.roll(np.eye(d), 1, axis=0)
+    return CPMapTuple.from_kraus([[r * Z], [s * X]])
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("m", [(1, 1), (2, 3)])
+def test_commuting_maps_of_noncommuting_letters_are_solved_row_by_row(d, m):
+    phi = weyl_pair(d, 0.8, 0.9)
+    with pytest.raises(CommutationError):
+        OperatorTuple(phi.ops.rows)
+    out = phi.weighted_series(m, np.eye(d))
+    assert out.terms == (0, 0)
+    assert within_bound(out, refined_defect_solve(phi, m, np.eye(d)))
 
 
 def stein_solve_without_coupling(T, a, Y):
@@ -520,17 +583,18 @@ def test_a_stein_solve_without_coupling_is_caught(monkeypatch):
 def test_weighted_series_of_a_noncommuting_row_sums_the_series(seed):
     inst = generate("polyball_random", seed, dim=5, target_radius=0.9)
     phi = CPMapTuple(inst.symbols, inst.ops)
-    assert inst.ops.joint_form() is None
+    assert inst.ops.row_form(1) is None
     out = phi.weighted_series(inst.m, np.eye(5))
     assert all(t > 0 for t in out.terms)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_weighted_series_of_a_nilpotent_tuple_sums_the_series(seed):
-    # a nilpotent tuple has a joint triangular form, but its finite series is exact
+    # every row has a form, so the nilpotency rule is what sends the tuple to
+    # its finite series, which is exact
     inst = generate("nilpotent", seed, dim=5)
     phi = CPMapTuple(inst.symbols, inst.ops)
-    assert inst.ops.joint_form() is not None
+    assert all(inst.ops.row_form(i) is not None for i in range(1, inst.ops.k + 1))
     out = phi.weighted_series(inst.m, np.eye(5))
     assert out.tail_bound == 0.0 and all(t > 0 for t in out.terms)
 
@@ -672,7 +736,7 @@ RADIUS_FAMILIES = ("commuting_polynomials", "polyball_random", "nilpotent",
 @pytest.mark.parametrize("family", RADIUS_FAMILIES)
 @pytest.mark.parametrize("d", [12, 16, 24])
 def test_radius_matches_dense_oracle_above_crossover(family, d):
-    # d >= 12: commuting rows take the joint triangular form; polyball_random's
+    # d >= 12: commuting rows take their triangular form; polyball_random's
     # rows do not commute and go on to ARPACK or dense eigvals
     for seed in (0, 1) if d < 24 else (0,):
         phi = radius_instance(family, seed, d)
@@ -698,8 +762,8 @@ def rotated_jordan_block(d):
 def test_radius_jordan_type_takes_dense_fallback():
     # non-normal: ARPACK's Ritz values sit in the pseudospectrum, off the
     # real axis, so the Arnoldi value is refused. A row with a Jordan block
-    # and a letter that does not commute with it has no joint triangular
-    # form either; both letters are upper triangular, so the dense value is
+    # and a letter that does not commute with it has no triangular form
+    # either; both letters are upper triangular, so the dense value is
     # exact, sqrt(0.5^2 + 0.1^2)
     d = 16
     corner = np.zeros((d, d))
@@ -720,7 +784,7 @@ def test_radius_jordan_type_takes_dense_fallback():
     assert rotated._arnoldi_radius(1) is None
     rotated.joint_spectral_radius(1, crosscheck=True)
     assert rotated._matricized
-    # the plain block is its own joint triangular form: exactly 0.25, no matricization
+    # the plain block is its own triangular form: exactly 0.25, no matricization
     plain = CPMapTuple([polyball_symbol(1)], OperatorTuple([[jordan_block(d)]]))
     assert plain._map_radius(1) == 0.25
     assert plain.joint_spectral_radius(1, crosscheck=False) == 0.5
@@ -785,7 +849,7 @@ def test_radius_above_the_gelfand_bound_is_refused(path, family, d, monkeypatch)
 
 @pytest.mark.parametrize("d", [3, 5, 8])
 def test_noncommuting_row_takes_one_real_eigensolve(d, monkeypatch):
-    # below d = 12 a row without a joint triangular form gets one dense
+    # below d = 12 a row without a triangular form gets one dense
     # eigvals, of the real form on the Hermitian matrices
     phi = radius_instance("polyball_random", 0, d)
     want = dense_radius(phi, 1)
@@ -1013,7 +1077,7 @@ def test_term_list_evaluations_match_the_word_loop(family, seed, d):
         if cpmap._WIDE is not None:
             # equal values: a long double's tobytes includes its padding bytes
             assert np.array_equal(phi._wide_residual(i, X, H), loop_wide_residual(phi, i, X, H))
-        form = cpmap._triangular_form(phi.ops.rows[i - 1]) if phi.ops.row_commutes(i) else None
+        form = phi.ops.row_form(i)
         rho = phi._triangular_radius(i)
         if form is None:
             assert rho is None
@@ -1027,7 +1091,7 @@ def test_term_list_evaluations_match_the_word_loop(family, seed, d):
 @pytest.mark.parametrize("wide", [True, False])
 def test_weighted_series_matches_the_word_loop(family, seed, d, wide, monkeypatch):
     # without a wider type every tuple sums the series; with one, the
-    # commuting tuples are solved in their joint triangular form
+    # commuting tuples are solved in their rows' triangular forms
     if not wide:
         monkeypatch.setattr(cpmap, "_WIDE", None)
     phi = term_case(family, seed, d)

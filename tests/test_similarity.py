@@ -6,7 +6,7 @@ import pytest
 import polydom.berezin
 import polydom.similarity
 from polydom.berezin import constrained_kernel, intertwine_check_constrained, kernel
-from polydom.config import DivergenceError
+from polydom.config import DivergenceError, Tolerances
 from polydom.cone import is_pure_element, membership
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
 from polydom.fock import build_model, variety_subspace
@@ -423,6 +423,15 @@ def test_sznagy_refutes_maps_without_a_common_fixed_point():
     cert, T = sznagy_solve(inst.symbols, inst.ops)
     assert_refuted(cert, T, "no common fixed point")
     assert cert.witnesses["fixed_space_dim"] == 0.0
+
+
+def test_sznagy_reads_the_svd_cutoff():
+    # U E_12 U^* = e^{-1e-8 i} E_12: to a cutoff of 1e-6, E_12 and E_21 are
+    # fixed as well as the diagonal
+    U = np.diag([1.0, np.exp(1e-8j), -1.0])
+    for tol, dim in ((Tolerances(), 3.0), (Tolerances(svd_cutoff=1e-6), 5.0)):
+        cert, _ = sznagy_solve([polyball_symbol(1)], OperatorTuple([[U]], tol=tol))
+        assert cert.witnesses["fixed_space_dim"] == dim
 
 
 @pytest.mark.parametrize("seed,d", [(s, d) for s in range(6) for d in (3, 4, 5)])
