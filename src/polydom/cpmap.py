@@ -2,8 +2,8 @@
 
 Maps act as Phi_i(X) = sum_alpha a_{i,alpha} A_{i,alpha} X A_{i,alpha}^*,
 where A_{i,alpha} is the word product of the i-th row of matrices. The
-engine provides iterates, defect maps, certified weighted series, Cesaro
-means, and the joint spectral radius.
+engine provides iterates, defect maps, certified weighted series and the
+joint spectral radius.
 
 Every decay and norm-sum bound is read off one identity orbit per factor,
 eta_s = ||Phi_i^s(I)||_2. Each Phi_i^s is a positive map, so Russo-Dye gives
@@ -14,9 +14,10 @@ Series tails are stated in the Frobenius norm, which costs a factor sqrt(d).
 
 CPMapTuple.weighted_series has two paths, and on both its tail_bound bounds
 the Frobenius distance to the exact Delta^{-m}(R) and is at most the series
-target, tol max(1, ||R||_F). A tuple with no nilpotent factor whose rows
-all have a triangular form (OperatorTuple.row_form) is solved by Stein
-equations in them; tail_bound is then the residual-correction bound of
+target, tol max(1, ||R||_F). A tuple with no nilpotent factor whose factors
+all have a certified resolvent G_i = (id - Phi_i)^{-1} (CPMapTuple._resolvent:
+Stein equations in the row's triangular form, OperatorTuple.row_form) is
+solved by them; tail_bound is then the residual-correction bound of
 _triangular_series, whose residuals are formed in long double, and terms is
 all zeros. Every other tuple, or one whose certificate fails or whose bound
 misses the target, sums the series; tail_bound then bounds the truncation.
@@ -468,6 +469,25 @@ class _Orbit:
         return min(e ** (1.0 / t) for t, e in enumerate(self.eta[1:s_max + 1], start=1))
 
 
+class _Resolvent:
+    """G_i = (id - Phi_i)^{-1} of one factor in its row's triangular form U:
+    solve(Y) = U _stein_solve(T, a, U^* Y U) U^* over the term stack
+    T[w] = U^* A_{i,w} U, and the witness Q = G_i(I), Hermitian. The bound
+    c >= ||G_i|| is set by CPMapTuple._resolvent once it certifies Q. The
+    record holds no reference to the tuple, as _Orbit holds a weak one."""
+
+    def __init__(self, U: np.ndarray, T: np.ndarray, a: np.ndarray):
+        self.U, self.Uh, self.T, self.a = U, U.conj().T, T, a
+        self.Q = hermitize(self.solve(np.eye(U.shape[0], dtype=np.complex128)))
+        self.c = float("nan")
+        for part in (self.Uh, self.T, self.a, self.Q):
+            part.setflags(write=False)
+
+    def solve(self, Y: np.ndarray) -> np.ndarray:
+        # _stein_solve is read when called, not when the record is built
+        return self.U @ _stein_solve(self.T, self.a, self.Uh @ Y @ self.U) @ self.Uh
+
+
 class CPMapTuple:
     """Symbols plus operators; the tuple of maps Phi_i = Phi_{f_i, A_i}."""
 
@@ -496,6 +516,7 @@ class CPMapTuple:
         self._term_lists: Dict[int, Tuple[Term, ...]] = {}
         self._orbits: Dict[int, _Orbit] = {}
         self._radii: Dict[int, float] = {}
+        self._resolvents: Dict[int, Optional[_Resolvent]] = {}
 
     @classmethod
     def from_kraus(
@@ -534,17 +555,22 @@ class CPMapTuple:
 
     # --- basic actions -------------------------------------------------
 
+    def _per_factor(self, cache: Dict[int, object], i: int, build: Callable[[int], object]):
+        """cache[i], filled by build(i) on first use. An i that is not an int is checked
+        before the read, so 1.0 is refused even when cache[1] is filled."""
+        if type(i) is not int or i not in cache:
+            i = as_letter(i, self.k, "factor")
+            if i not in cache:
+                cache[i] = build(i)
+        return cache[i]
+
     def _terms(self, i: int) -> Tuple[Term, ...]:
         """Factor i's terms (w, a_w, A_{i,w}), one per nonzero a_w in the symbol's
         order: every evaluation of Phi_i reads them. Built once per factor."""
-        terms = self._term_lists.get(i)
-        if terms is None:
-            i = as_letter(i, self.k, "factor")
-            terms = self._term_lists[i] = tuple(
-                (w, float(a), self.ops.word_product(i, w))
-                for w, a in self.symbols[i - 1].coeffs.items() if a != 0
-            )
-        return terms
+        return self._per_factor(self._term_lists, i, lambda i: tuple(
+            (w, float(a), self.ops.word_product(i, w))
+            for w, a in self.symbols[i - 1].coeffs.items() if a != 0
+        ))
 
     def apply(self, i: int, X: np.ndarray, herm: Optional[bool] = None) -> np.ndarray:
         """Phi_i(X). Hermitian inputs get a symmetrized output."""
@@ -559,10 +585,9 @@ class CPMapTuple:
         return hermitize(out) if herm else out
 
     def matricize(self, i: int) -> np.ndarray:
-        cached = self._matricized.get(i)
-        if cached is not None:
-            return cached
-        i = as_letter(i, self.k, "factor")
+        return self._per_factor(self._matricized, i, self._matricize)
+
+    def _matricize(self, i: int) -> np.ndarray:
         d2 = self.dim * self.dim
         if d2 > self.tol.max_vec_dim:
             raise ResourceCapError(
@@ -571,13 +596,12 @@ class CPMapTuple:
         M = np.zeros((d2, d2), dtype=np.complex128)
         for _, a, Aw in self._terms(i):
             M += a * np.kron(Aw, Aw.conj())
-        self._matricized[i] = M
         return M
 
     # --- defect maps ----------------------------------------------------
 
     def defect(self, p: Sequence[int], X: np.ndarray) -> np.ndarray:
-        """(id - Phi_1)^{p_1} o ... o (id - Phi_k)^{p_k} (X)."""
+        """(id - Phi_k)^{p_k} o ... o (id - Phi_1)^{p_1} (X): factor 1 is applied first."""
         _require_degree("p", p, self.k, 0)
         Y = np.asarray(X, dtype=np.complex128)
         for i in range(1, self.k + 1):
@@ -593,11 +617,7 @@ class CPMapTuple:
     # --- certified series -----------------------------------------------
 
     def _orbit(self, i: int) -> _Orbit:
-        orbit = self._orbits.get(i)
-        if orbit is None:
-            i = as_letter(i, self.k, "factor")
-            orbit = self._orbits[i] = _Orbit(self, i)
-        return orbit
+        return self._per_factor(self._orbits, i, lambda i: _Orbit(self, i))
 
     def _settled(self, i: int) -> bool:
         """Tuple radius of factor i at most 1 - radius_margin: the gate of every series and decay search."""
@@ -724,23 +744,48 @@ class CPMapTuple:
             out += a * (Aw @ Zw @ Aw.conj().T)
         return out
 
+    def _resolvent(self, i: int) -> Optional[_Resolvent]:
+        """Factor i's certified resolvent G_i = (id - Phi_i)^{-1}, built once, or None
+        when row i has no triangular form (ops.row_form) or the certificate fails.
+
+        In the basis U of row i's form every A_{i,w} is upper triangular, so
+        G_i is one _stein_solve, and the witness Q_i = G_i(I) is solved first.
+        With F_i = I - (id - Phi_i)(Q_i) in the original basis, Q_i > 0 and
+        ||F_i||_2 <= 1/2 give Phi_i(Q_i) <= Q_i - I/2 < Q_i, so rho(Phi_i) < 1
+        (Collatz-Wielandt), G_i is a positive map, and
+        ||G_i(I)||_2 <= c_i = ||Q_i||_2 / (1 - ||F_i||_2). For E = H + iS with
+        H, S Hermitian, -||H||_2 I <= H <= ||H||_2 I then gives
+        ||G_i(E)||_2 <= c_i (||H||_2 + ||S||_2).
+        """
+        return self._per_factor(self._resolvents, i, self._certified_resolvent)
+
+    def _certified_resolvent(self, i: int) -> Optional[_Resolvent]:
+        form = self.ops.row_form(i)
+        if form is None:
+            return None
+        from .cone import positive
+
+        U, terms = form[0], self._terms(i)
+        Uh = U.conj().T
+        T = np.triu(np.stack([Uh @ Aw @ U for _, _, Aw in terms]))
+        G = _Resolvent(U, T, np.array([a for _, a, _ in terms]))
+        gap = float(np.linalg.norm(np.eye(self.dim, dtype=np.complex128) - G.Q + self.apply(i, G.Q), 2))
+        if not (gap <= 0.5 and positive(G.Q, self.tol, definite=True)[0]):
+            return None
+        G.c = float(np.linalg.norm(G.Q, 2)) / (1.0 - gap)
+        return G
+
     def _triangular_series(
         self, m: Sequence[int], R: np.ndarray, radii: Tuple[float, ...], target: float
     ) -> Optional[SeriesResult]:
-        """Delta^{-m}(R) by Stein solves in the rows' triangular forms, with an
-        error bound; None when a row has no form or there is no wider type, a
-        factor is nilpotent, the certificate fails, or the bound is above target.
+        """Delta^{-m}(R) by the factors' resolvents (_resolvent), with an error
+        bound; None when there is no wider type, a factor is nilpotent or has no
+        certified resolvent, or the bound is above target.
 
-        In the basis U_i of ops.row_form(i), G_i = (id - Phi_i)^{-1} is one
-        _stein_solve, and Delta^{-m} is m_i of them per factor, factor k
-        first. Composing them needs only that the maps commute: OperatorTuple and
-        from_kraus check it, and check_commutation=False leaves it to the caller.
-        Q_i = G_i(I) is solved first: in the original basis, Q_i > 0
-        and ||F_i||_2 <= 1/2 for F_i = I - (id - Phi_i)(Q_i) give
-        Phi_i(Q_i) <= Q_i - I/2 < Q_i, so rho(Phi_i) < 1 (Collatz-Wielandt)
-        and G_i is a positive map with ||G_i(I)||_2 <= c_i = ||Q_i||_2 / (1 - ||F_i||_2).
-        For E = H + iS with H, S Hermitian, -||H||_2 I <= H <= ||H||_2 I
-        then gives ||G_i(E)||_2 <= c_i (||H||_2 + ||S||_2).
+        Delta^{-m} is m_i solves of G_i per factor, factor k first: the inverse
+        of defect, which applies factor 1 first. Composing them needs only that
+        the maps commute: OperatorTuple and from_kraus check it, and
+        check_commutation=False leaves it to the caller.
 
         Stage j takes Z_{j-1} (Z_0 = R) to Z_j with residual
         E_j = Z_{j-1} - (id - Phi)(Z_j), formed in _WIDE since it is at the
@@ -757,38 +802,23 @@ class CPMapTuple:
             self._orbit(i).nilpotency_index() is not None for i in range(1, self.k + 1)
         ):
             return None
-        forms = [self.ops.row_form(i) for i in range(1, self.k + 1)]
-        if any(form is None for form in forms):
+        resolvents = [self._resolvent(i) for i in range(1, self.k + 1)]
+        if None in resolvents:
             return None
-        from .cone import positive
 
-        eye = np.eye(self.dim, dtype=np.complex128)
-        solvers, base, norms = [], [], []
-        for i, (U, _) in enumerate(forms, start=1):
-            Uh = U.conj().T
-            T = np.triu(np.stack([Uh @ Aw @ U for _, _, Aw in self._terms(i)]))
-            a = np.array([a for _, a, _ in self._terms(i)])
-            solvers.append(lambda Y, U=U, Uh=Uh, T=T, a=a: U @ _stein_solve(T, a, Uh @ Y @ U) @ Uh)
-            base.append(hermitize(solvers[-1](eye)))
-            gap = float(np.linalg.norm(eye - base[-1] + self.apply(i, base[-1]), 2))
-            if not (gap <= 0.5 and positive(base[-1], self.tol, definite=True)[0]):
-                return None
-            norms.append(float(np.linalg.norm(base[-1], 2)) / (1.0 - gap))
-
-        stages = [i for i in range(self.k, 0, -1) for _ in range(m[i - 1])]
+        stages = [(i, resolvents[i - 1]) for i in range(self.k, 0, -1) for _ in range(m[i - 1])]
         herm = is_hermitian(R)
         Z, residuals = R, []
-        for j, i in enumerate(stages):
-            # G_i(I) is base[i - 1]
-            Z_next = base[i - 1] if j == 0 and np.array_equal(R, eye) else solvers[i - 1](Z)
+        for j, (i, G) in enumerate(stages):
+            Z_next = G.Q if j == 0 and np.array_equal(R, np.eye(self.dim)) else G.solve(Z)
             if herm:
                 Z_next = hermitize(Z_next)
             residuals.append(self._wide_residual(i, Z, Z_next))
             Z = Z_next
         D, shares = np.zeros_like(Z), []
-        for i, E in zip(stages, residuals):
+        for (i, G), E in zip(stages, residuals):
             rhs = D + E
-            D = solvers[i - 1](rhs.astype(np.complex128))
+            D = G.solve(rhs.astype(np.complex128))
             if herm:
                 D = hermitize(D)
             F = self._wide_residual(i, rhs, D).astype(np.complex128)
@@ -796,7 +826,7 @@ class CPMapTuple:
         value = Z + D
         rounding = value.astype(_WIDE) - Z.astype(_WIDE) - D.astype(_WIDE)
         # the residual of the j-th D~ stage passes through the stages j..n
-        through = np.cumprod([norms[i - 1] for i in reversed(stages)])[::-1]
+        through = np.cumprod([G.c for _, G in reversed(stages)])[::-1]
         bound = float(np.linalg.norm(rounding)) + float(np.sqrt(self.dim) * np.dot(shares, through))
         if not bound <= target:
             return None
@@ -821,16 +851,19 @@ class CPMapTuple:
         Frobenius distance to the value on either of two paths, so certified
         is always True. Both run after the radius gate below.
 
-        A tuple whose every row has a triangular form (ops.row_form) and no
-        nilpotent factor is solved factor by factor, each in its row's form
-        (_triangular_series): no term is summed, terms is all zeros, and
-        tail_bound bounds the error of the residual-corrected value, mostly
-        its rounding to double. That value is returned only when tail_bound
-        meets the target below; otherwise, or when a form is missing or the
-        certificate fails, the series below runs unchanged.
+        A tuple whose every factor has a certified resolvent (_resolvent: a
+        Stein solver in its row's triangular form, built once per factor) and
+        no nilpotent factor is solved factor by factor (_triangular_series):
+        no term is summed, terms is all zeros, and tail_bound bounds the error
+        of the residual-corrected value, mostly its rounding to double. That
+        value is returned only when tail_bound meets the target below;
+        otherwise, or when a factor has no certified resolvent, the series
+        below runs unchanged.
 
-        The series is evaluated stage by stage (the factors commute), and
-        tail_bound bounds its truncation. On both paths tail_bound is at most
+        The series is evaluated stage by stage, factor 1 first, and
+        tail_bound bounds its truncation. The Stein stages run factor k
+        first, so they invert defect exactly; the two orders agree because
+        the maps commute. On both paths tail_bound is at most
         the target tol max(1, ||R||_F). Neither bound counts the rounding of
         its own residual or term evaluation.
 
@@ -871,41 +904,7 @@ class CPMapTuple:
             tail_total += tail * downstream
         return SeriesResult(value, tail_total, tuple(terms), True, radii)
 
-    def iterated_sum(
-        self,
-        i: int,
-        p: int,
-        X: np.ndarray,
-        tol: float | None = None,
-    ) -> SeriesResult:
-        """Lambda_i^{[p]}(X) = sum_s C(s+p-1, p-1) Phi_i^s(X), certified or refused."""
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-        tol = self.tol.series_tol if tol is None else float(tol)
-        X = _as_complex(X)
-        target = tol * max(1.0, float(np.linalg.norm(X)))
-        r = self.joint_spectral_radius(i, crosscheck=False)
-        self._refuse_unsettled((i,))
-        value, tail, used = self._single_factor_series(i, p, X, target)
-        return SeriesResult(value, tail, (used,), True, (r,))
-
-    # --- means and radius ------------------------------------------------
-
-    def cesaro_mean(self, p: Sequence[int], X: np.ndarray) -> np.ndarray:
-        """(1 / prod p_i) sum_{0 <= s_i < p_i} Phi_k^{s_k} o ... o Phi_1^{s_1}(X)."""
-        _require_degree("p", p, self.k, 1)
-        Y = np.asarray(X, dtype=np.complex128)
-        for i in range(1, self.k + 1):
-            if p[i - 1] == 1:
-                continue
-            acc = np.zeros_like(Y)
-            term = Y
-            for s in range(p[i - 1]):
-                acc += term
-                if s + 1 < p[i - 1]:
-                    term = self.apply(i, term)
-            Y = acc / p[i - 1]
-        return Y
+    # --- radius ---------------------------------------------------------
 
     def radius_power_sequence(self, i: int, s_max: int = 64) -> Tuple[float, float]:
         """Enclosure (lower, upper) of the tuple radius from the identity orbit up to s_max.
@@ -968,9 +967,7 @@ class CPMapTuple:
         outside [lower (1 - 1e-12), upper (1 + 1e-12)], the rounding slack of
         the acceptance test in step 2.
         """
-        r = self._radii.get(i)
-        if r is None:
-            r = self._radii[i] = float(np.sqrt(self._map_radius(i)))
+        r = self._per_factor(self._radii, i, lambda i: float(np.sqrt(self._map_radius(i))))
         if crosscheck:
             lower, upper = self.radius_power_sequence(i)
             if not lower * (1.0 - 1e-12) <= r <= upper * (1.0 + 1e-12):

@@ -78,8 +78,9 @@ def _scale_rows_to_radius(
     symbols: Sequence[PositiveSymbol],
     rows: List[List[np.ndarray]],
     target: float,
-) -> Tuple[List[List[np.ndarray]], List[float]]:
-    """Each row scaled by (target / r_i) (1 - 1e-12); the returned radii are <= target.
+) -> Tuple[OperatorTuple, List[float]]:
+    """The checked tuple of the rows scaled by (target / r_i) (1 - 1e-12), and its
+    radii, <= target; it keeps the row forms they read for a later series.
 
     The tuple radius of a degree-1 symbol is linear in the row scale, and
     1 - 1e-12 absorbs the rounding of r_i. A higher degree still gives
@@ -90,8 +91,9 @@ def _scale_rows_to_radius(
         r1 = phi.joint_spectral_radius(i + 1, crosscheck=False)
         if r1 > 0:
             rows[i] = [(target / r1) * (1.0 - 1e-12) * A for A in rows[i]]
-    phi = CPMapTuple(symbols, OperatorTuple(rows, check_commutation=False), validate=False)
-    return rows, [phi.joint_spectral_radius(i + 1, crosscheck=False) for i in range(len(rows))]
+    ops = OperatorTuple(rows)
+    phi = CPMapTuple(symbols, ops, validate=False)
+    return ops, [phi.joint_spectral_radius(i + 1, crosscheck=False) for i in range(len(rows))]
 
 
 def _multi_degree(k: Optional[int], arities: Sequence[int], m: Optional[Sequence[int]]) -> Tuple[int, ...]:
@@ -126,8 +128,7 @@ def commuting_polynomials(
             [_poly_of(M, _complex_gaussian(rng, degree + 1)) for _ in range(n)]
         )
     symbols = tuple(polyball_symbol(n) for n in arities)
-    rows, radii = _scale_rows_to_radius(symbols, rows, target_radius)
-    ops = OperatorTuple(rows)
+    ops, radii = _scale_rows_to_radius(symbols, rows, target_radius)
     return Instance(
         symbols=symbols,
         m=m,
@@ -238,8 +239,7 @@ def polyball_random(
     rng = np.random.default_rng(seed)
     row = [_complex_gaussian(rng, (dim, dim)) / np.sqrt(dim) for _ in range(n)]
     symbols = (polyball_symbol(n),)
-    rows, radii = _scale_rows_to_radius(symbols, [row], target_radius)
-    ops = OperatorTuple(rows)
+    ops, radii = _scale_rows_to_radius(symbols, [row], target_radius)
     return Instance(
         symbols=symbols,
         m=m,

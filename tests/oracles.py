@@ -110,22 +110,6 @@ def naive_weighted_series(phi, m, R, s_max):
     return total
 
 
-def naive_cesaro(phi, p, X):
-    """Multi-average of composed iterates by direct double-loop summation."""
-    X = np.asarray(X, dtype=np.complex128)
-    total = np.zeros_like(X)
-    count = 0
-    ranges = [range(pi) for pi in p]
-    for s in product(*ranges):
-        term = X
-        for i, si in enumerate(s, start=1):
-            for _ in range(si):
-                term = phi.apply(i, term)
-        total = total + term
-        count += 1
-    return total / count
-
-
 def nested_limit_value(phi, q, X):
     """(id - Phi_k^{q_k}) o ... o (id - Phi_1^{q_1}) (X) via matricized powers."""
     from polydom.cpmap import unvec, vec

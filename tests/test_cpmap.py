@@ -36,7 +36,6 @@ from oracles import (
     loop_matricize,
     loop_triangular_radius,
     loop_wide_residual,
-    naive_cesaro,
     naive_defect,
     naive_weighted_series,
     nested_limit_value,
@@ -164,7 +163,6 @@ def factor_calls(phi):
         "matricize": phi.matricize,
         "joint_spectral_radius": phi.joint_spectral_radius,
         "radius_power_sequence": phi.radius_power_sequence,
-        "iterated_sum": lambda i: phi.iterated_sum(i, 1, X),
         "decays": phi.decays,
         "matrix": lambda i: phi.ops.matrix(i, 1),
         "row_commutes": phi.ops.row_commutes,
@@ -173,7 +171,7 @@ def factor_calls(phi):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("i", [0, 3, -1, 1.5])
+@pytest.mark.parametrize("i", [0, 3, -1, 1.5, 1.0])
 @pytest.mark.parametrize("method", list(factor_calls(scalar_instance(0.5))))
 def test_a_factor_index_outside_the_tuple_is_a_value_error(method, i, warm):
     # k = 2: no index wraps around to the last row, whether or not the
@@ -306,27 +304,27 @@ def test_defect_grid_covers_box(rng):
 
 
 # ---------------------------------------------------------------------------
-# iterated sums and the weighted series
+# the weighted series
 # ---------------------------------------------------------------------------
 
-def test_iterated_sum_geometric():
+def test_one_factor_series_geometric():
     c = 0.5
     phi = scalar_instance(c, d=2)
-    out = phi.iterated_sum(1, 1, np.eye(2))
+    out = phi.weighted_series((1,), np.eye(2))
     assert np.allclose(out.value, np.eye(2) / (1 - c**2), atol=1e-9)
 
 
-def test_iterated_sum_zero_input():
+def test_one_factor_series_zero_input():
     phi = scalar_instance(0.5, d=2)
-    out = phi.iterated_sum(1, 1, np.zeros((2, 2)))
+    out = phi.weighted_series((1,), np.zeros((2, 2)))
     assert np.allclose(out.value, 0)
 
 
-def test_iterated_sum_nilpotent_exact():
+def test_one_factor_series_nilpotent_exact():
     f = polyball_symbol(1)
     N = np.diag([1.0, 1.0], k=1)  # 3x3 Jordan cell
     phi = CPMapTuple([f], OperatorTuple([[N]]))
-    out = phi.iterated_sum(1, 1, np.eye(3))
+    out = phi.weighted_series((1,), np.eye(3))
     want = np.eye(3) + N @ N.conj().T + (N @ N) @ (N @ N).conj().T
     assert np.linalg.norm(out.value - want) <= 1e-13
 
@@ -335,8 +333,6 @@ def test_series_divergence_error_on_unitary():
     phi = scalar_instance(1.0, d=2)
     with pytest.raises(DivergenceError):
         phi.weighted_series((1,), np.eye(2))
-    with pytest.raises(DivergenceError):
-        phi.iterated_sum(1, 1, np.eye(2))
 
 
 def test_series_refuses_radius_one_at_once():
@@ -355,8 +351,6 @@ def test_series_rejects_non_finite_input():
     R[0, 1] = np.nan
     with pytest.raises(ValueError):
         phi.weighted_series((1,), R)
-    with pytest.raises(ValueError):
-        phi.iterated_sum(1, 1, R)
 
 
 def test_weighted_series_certified_at_radius_099():
@@ -532,6 +526,27 @@ def test_row_forms_are_computed_once_per_row(monkeypatch):
             assert np.linalg.norm(np.tril(U.conj().T @ A @ U, -1)) <= 1e-12 * np.linalg.norm(A)
 
 
+def test_resolvents_are_built_once_per_factor(monkeypatch):
+    # a second series reads each factor's solver, witness and bound as the
+    # first built them: the witness solves are not run again
+    inst = generate("commuting_polynomials", 2, dim=6)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    first = phi.weighted_series((1, 1), np.eye(6))
+    records = dict(phi._resolvents)
+    assert first.terms == (0, 0) and set(records) == {1, 2} and None not in records.values()
+    calls = []
+    stein_solve = cpmap._stein_solve
+    monkeypatch.setattr(cpmap, "_stein_solve", lambda T, a, Y: calls.append(1) or stein_solve(T, a, Y))
+    again = phi.weighted_series((1, 1), np.eye(6))
+    # the second stage, then one correction solve per stage
+    assert len(calls) == 3
+    assert all(phi._resolvents[i] is G for i, G in records.items())
+    assert again.value.tobytes() == first.value.tobytes()
+    assert (repr(again.tail_bound), again.terms, again.radii, again.certified) == (
+        repr(first.tail_bound), first.terms, first.radii, first.certified)
+    assert not any(isinstance(v, CPMapTuple) for G in records.values() for v in vars(G).values())
+
+
 def weyl_pair(d, r, s):
     """from_kraus([[r Z], [s X]]) for the clock Z and the shift X: ZX = omega XZ,
     so the letters do not commute, but the maps do."""
@@ -597,32 +612,6 @@ def test_weighted_series_of_a_nilpotent_tuple_sums_the_series(seed):
     assert all(inst.ops.row_form(i) is not None for i in range(1, inst.ops.k + 1))
     out = phi.weighted_series(inst.m, np.eye(5))
     assert out.tail_bound == 0.0 and all(t > 0 for t in out.terms)
-
-
-# ---------------------------------------------------------------------------
-# cesaro means
-# ---------------------------------------------------------------------------
-
-def test_cesaro_fixed_point_of_unitary():
-    f = polyball_symbol(1)
-    U = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
-    phi = CPMapTuple([f], OperatorTuple([[U]]))
-    for p in [(1,), (4,), (9,)]:
-        assert np.allclose(phi.cesaro_mean(p, np.eye(3)), np.eye(3), atol=1e-12)
-
-
-def test_cesaro_trivial_average_is_input(rng):
-    phi, _ = small_random_instance(53)
-    X = random_hermitian(rng, phi.dim)
-    assert np.allclose(phi.cesaro_mean((1, 1), X), X)
-
-
-def test_cesaro_matches_naive_double_loop(rng):
-    phi, _ = small_random_instance(59)
-    X = random_hermitian(rng, phi.dim)
-    got = phi.cesaro_mean((3, 4), X)
-    want = naive_cesaro(phi, (3, 4), X)
-    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(X))
 
 
 # ---------------------------------------------------------------------------
@@ -1060,8 +1049,8 @@ def term_case(family, seed, d):
     zeroed = next(w for w in f1.coeffs if len(w) == 2)
     f1 = PositiveSymbol(2, {**f1.coeffs, zeroed: 0.0}, 3)
     rows = [[np.eye(d) + c * M + c * c * (M @ M) for c in rng.uniform(0.3, 1.0, size=n)] for n in (2, 1)]
-    rows, _ = _scale_rows_to_radius((f1, f2), rows, 0.8)
-    return CPMapTuple((f1, f2), OperatorTuple(rows))
+    ops, _ = _scale_rows_to_radius((f1, f2), rows, 0.8)
+    return CPMapTuple((f1, f2), OperatorTuple(ops.rows))
 
 
 @pytest.mark.parametrize("family,seed,d", TERM_CASES)
