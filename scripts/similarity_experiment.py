@@ -5,9 +5,11 @@ of every factor map; conjugating by Q^{1/2} returns a jointly unitary tuple.
 The experiment grows the conditioning of xi and tracks how the certificate
 degrades: the exact two-sided bounds c = 1/cond Q and d = cond Q on every
 composed iterate of I widen, while the recovered isometry residual stays at
-working precision until the null spaces that determine the fixed point lose
-accuracy to the conditioning of xi. Strict contractions are included as the
-negative control: their identity orbits decay, so no positive fixed point
+working precision until the joint eigenbasis xi W that determines the fixed
+point loses accuracy to the conditioning of xi; a tuple whose pairs that
+eigenbasis cannot decide falls back to the null spaces of the matricized
+maps. Strict contractions are included as the negative control: their
+identity orbits decay, so no positive fixed point
 exists and the solver reports no similarity. The "variety" column counts
 the tuples for which similarity_to_variety also passes a similarity onto
 the variety domain (through the same fixed point, the case where no radius

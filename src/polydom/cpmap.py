@@ -61,11 +61,13 @@ Letter = Tuple[int, int]
 Term = Tuple[Tuple[int, ...], float, np.ndarray]
 
 # The radius rule and its measured crossover: see CPMapTuple.joint_spectral_radius.
-# a row's triangular form diagonalizes G = sum_j (j + _TRI_SHIFT) A_{i,j}; fixed
-# irrational weights keep reports identical from run to run, and real ones
-# leave a real triangular row as it is
+# a row's triangular form, and the joint eigenbasis of the Sz.-Nagy fixed point,
+# diagonalize G = sum_n (n + _TRI_SHIFT) A_n over their letters (_eigenbasis);
+# fixed irrational weights keep reports identical from run to run, and real
+# ones leave a real triangular row as it is
 _TRI_SHIFT = float(np.sqrt(0.5))
-# it is refused when a strictly lower part exceeds _TRI_SLACK d eps ||A_{i,j}||_F
+# the form is refused when a strictly lower part exceeds _TRI_SLACK d eps ||A_n||_F,
+# the eigenbasis V when an off-diagonal part exceeds _TRI_SLACK d eps cond(V) ||A_n||_F
 _TRI_SLACK = 64.0
 _ARNOLDI_MIN_DIM = 12
 _ARNOLDI_MAXITER = 10
@@ -140,20 +142,32 @@ def _hermitian_form(M: np.ndarray, d: int) -> np.ndarray:
     return np.vstack([MU[diag], s * (MU[up] + MU[lo]), -1j * s * (MU[up] - MU[lo])]).real
 
 
+def _eigenbasis(mats: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The eigenvectors of G = sum_n (n + _TRI_SHIFT) mats[n - 1], or None when eig fails.
+
+    They diagonalize every matrix of a commuting family of diagonalizable
+    matrices, and their Q factor triangularizes every matrix of a commuting
+    family, unless G is defective or clustered.
+    """
+    G = sum((n + _TRI_SHIFT) * A for n, A in enumerate(mats, start=1))
+    try:
+        return np.linalg.eig(G)[1]
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _triangular_form(mats: Sequence[np.ndarray]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """(U, T) with T[j] = U^* mats[j] U upper triangular for one unitary U, or None.
 
-    U is the Q factor of the eigenvectors of G = sum_j (j + _TRI_SHIFT) mats[j - 1],
-    which triangularizes every matrix of a commuting family unless G is
-    defective or clustered; a strictly lower part of T[j] above
-    _TRI_SLACK d eps ||mats[j]||_F refuses the form. T is returned as computed.
+    U is the Q factor of the eigenvectors of _eigenbasis(mats); a strictly
+    lower part of T[j] above _TRI_SLACK d eps ||mats[j]||_F refuses the form.
+    T is returned as computed.
     """
     d = mats[0].shape[0]
-    G = sum((j + _TRI_SHIFT) * A for j, A in enumerate(mats, start=1))
-    try:
-        U = np.linalg.qr(np.linalg.eig(G)[1])[0]
-    except np.linalg.LinAlgError:
+    V = _eigenbasis(mats)
+    if V is None:
         return None
+    U = np.linalg.qr(V)[0]
     T = np.empty((len(mats), d, d), dtype=np.complex128)
     for j, A in enumerate(mats):
         T[j] = U.conj().T @ A @ U

@@ -4,12 +4,14 @@ Three certificates, one per theorem: model embedding through a Berezin
 kernel, constrained to the variety when constraints are given;
 strict-contraction conjugation through the weighted series of the identity
 (Rota); and conjugation by the common fixed point of the maps that is the
-ergodic projection of the identity (Sz.-Nagy), refused when an identity orbit
-or that projection rules out every positive definite fixed point. Two front
-ends return them relabelled: similarity_to_variety, the Rota or Sz.-Nagy
-certificate, whichever theorem decides, once no radius enclosure lies above
-one; cpmap_similarity, for commuting CP maps in raw Kraus form, the
-certificate of its mode. Every certificate re-verifies its residuals before
+ergodic projection of the identity (Sz.-Nagy), read off one joint eigenbasis
+of the letters when it diagonalizes them all and off the d^2 x d^2 null
+spaces otherwise, refused when an identity orbit or that projection rules
+out every positive definite fixed point. Two front ends return them
+relabelled: similarity_to_variety, the Rota or Sz.-Nagy certificate,
+whichever theorem decides, once no radius enclosure lies above one;
+cpmap_similarity, for commuting CP maps in raw Kraus form, the certificate
+of its mode. Every certificate re-verifies its residuals before
 it is returned; failing certificates are returned marked FAILED, not dropped.
 """
 
@@ -25,7 +27,10 @@ from .config import DivergenceError
 from .cone import ConeReport, hermitian, membership, positive, sqrt_pair
 from .cpmap import (
     _DECAY_WINDOW,
+    _EPS,
+    _TRI_SLACK,
     _WIDE,
+    _eigenbasis,
     CPMapTuple,
     OperatorTuple,
     SeriesResult,
@@ -336,13 +341,15 @@ def solve_defect_equation(
 def _null_basis(S: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal basis of the right null space of the tall matrix S.
 
-    Singular values at or below cutoff * s_max count as zero. They are read
-    off the square R factor of S, which has the same singular values and
-    right singular vectors, so the SVD runs on d^2 x d^2 only.
+    Singular values at or below cutoff * max(s_max, 1) count as zero: the
+    shifted maps S = M - I are measured against the identity term, so a map
+    that is the identity up to rounding has every direction fixed. They are
+    read off the square R factor of S, which has the same singular values
+    and right singular vectors, so the SVD runs on d^2 x d^2 only.
     """
     R = np.linalg.qr(S, mode="r")
     _, s, Vh = np.linalg.svd(R)
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > cutoff * max(s[0], 1.0)))
     return Vh[rank:].conj().T
 
 
@@ -354,11 +361,96 @@ def _ergodic_fixed_point(
     For commuting power-bounded maps the Cesaro limit of I is its projection
     onto the common fixed space N along the sum of the ranges of M_i - I,
     whose annihilator is the common fixed space L of the adjoints M_i^*
-    (Krengel, Ergodic Theorems, 1985). So Q = N (L^* N)^{-1} L^* vec(I),
-    hermitized and normalized to spectral norm one. Returns (Q, dim N, note);
-    Q is None, with the reason in note, when N is empty, dim L != dim N, or
-    L^* N is singular: then eigenvalue 1 is not semisimple (a Jordan block)
-    and no such projection exists.
+    (Krengel, Ergodic Theorems, 1985). Q is that projection, hermitized and
+    normalized to spectral norm one. Returns (Q, dim N, note). It is read
+    off one joint eigenbasis of the letters (_eigenbasis_fixed_point), in
+    O(d^3) time and O(d^2) memory, and from the d^2 x d^2 null spaces
+    (_dense_fixed_point) only when that branch declines.
+    """
+    found = _eigenbasis_fixed_point(phi)
+    return found if found is not None else _dense_fixed_point(phi)
+
+
+def _eigenbasis_fixed_point(
+    phi: CPMapTuple,
+) -> Optional[Tuple[Optional[np.ndarray], int, str]]:
+    """_ergodic_fixed_point in one basis V that diagonalizes every letter, or None.
+
+    V is _eigenbasis of every letter of every row. It is declined when eig
+    fails or V is singular, and when some letter A has
+    ||offdiag(V^{-1} A V)||_F > _TRI_SLACK d eps cond(V) ||A||_F. With the
+    diagonals D_w of the word products, Phi_i(V Y V^*) = V (mu_i o Y) V^*,
+    mu_i[j, l] = sum_w a_w D_w[j] conj(D_w[l]), so the stacked shifted maps
+    are diagonal in the basis E_jl with singular values
+    s[j, l] = sqrt(sum_i |mu_i[j, l] - 1|^2). The dense stack is
+    S = (I kron K) S~ K^{-1} with K = V kron conj(V) and cond(K) = cond(V)^2,
+    so each singular value relative to scale = max(s_max, 1) moves by at
+    most kappa = cond(V)^4 between the two. A pair is fixed when
+    s <= svd_cutoff scale / kappa and not fixed when
+    s > svd_cutoff scale kappa, as _null_basis would count it on S.
+
+    Rounding: a_w D_w[j] conj(D_w[l]) takes 2 |w| - 1 complex products of
+    relative error sqrt(2) eps each and one real one, so its relative error
+    is below 3 |w| eps, and the sum over the n_i terms adds n_i eps:
+    |fl(mu_i) - mu_i| <= (3 max|w| + n_i) eps sum_w a_w |D_w[j]| |D_w[l]|.
+    Forming s from them adds (k + 2) eps s. With r the root sum of squares
+    of these bounds over i, a pair must clear its bar by r, and a pair that
+    does not, or that lies between the bars, declines the branch.
+
+    The adjoint maps have the multipliers conj(mu_i), so L = N and the
+    projection keeps the fixed entries of V^{-1} I V^{-*}:
+    Q = V (F o (V^{-1} V^{-*})) V^* for the mask F of fixed pairs.
+    """
+    d = phi.dim
+    V = _eigenbasis([A for row in phi.ops.rows for A in row])
+    if V is None:
+        return None
+    try:
+        Vi = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return None
+    cond = float(np.linalg.cond(V))
+    s2, r2 = np.zeros((d, d)), np.zeros((d, d))
+    for i, row in enumerate(phi.ops.rows, start=1):
+        lam = np.empty((len(row), d), dtype=np.complex128)
+        for j, A in enumerate(row):
+            B = Vi @ A @ V
+            lam[j] = np.diagonal(B)
+            if np.linalg.norm(B - np.diag(lam[j])) > _TRI_SLACK * d * _EPS * cond * np.linalg.norm(A):
+                return None
+        mu, size = np.zeros((d, d), dtype=np.complex128), np.zeros((d, d))
+        terms = phi._terms(i)
+        for w, a, _ in terms:
+            Dw = np.prod(lam[[j - 1 for j in w]], axis=0)
+            mu += a * np.outer(Dw, Dw.conj())
+            size += a * np.outer(np.abs(Dw), np.abs(Dw))
+        s2 += np.abs(mu - 1.0) ** 2
+        r2 += ((3 * max(len(w) for w, _, _ in terms) + len(terms)) * _EPS * size) ** 2
+    s = np.sqrt(s2)
+    r = np.sqrt(r2) + (phi.k + 2) * _EPS * s
+    kappa = cond ** 4
+    cutoff = phi.tol.svd_cutoff
+    fixed = s + r <= cutoff * max((s - r).max(), 1.0) / kappa
+    moving = s - r > cutoff * max((s + r).max(), 1.0) * kappa
+    if not np.all(fixed | moving):
+        return None
+    dim = int(fixed.sum())
+    if dim == 0:
+        return None, 0, "no pair of joint eigenvectors is fixed by every map"
+    Q = hermitize(V @ (fixed * (Vi @ Vi.conj().T)) @ V.conj().T)
+    return Q / np.linalg.norm(Q, 2), dim, ""
+
+
+def _dense_fixed_point(
+    phi: CPMapTuple,
+) -> Tuple[Optional[np.ndarray], int, str]:
+    """_ergodic_fixed_point from the null spaces of the stacked d^2 x d^2 maps.
+
+    Q = N (L^* N)^{-1} L^* vec(I) for orthonormal bases N and L of the
+    common fixed spaces of the maps and of their adjoints (_null_basis).
+    Q is None, with the reason in the note, when N is empty, dim L != dim N,
+    or L^* N is singular: then eigenvalue 1 is not semisimple (a Jordan
+    block) and no such projection exists.
     """
     d = phi.dim
     eye2 = np.eye(d * d, dtype=np.complex128)

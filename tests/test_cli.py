@@ -15,7 +15,7 @@ import pytest
 import polydom.berezin
 from polydom.berezin import vn_check_model
 from polydom.cli import main
-from polydom.cpmap import CPMapTuple
+from polydom.cpmap import CPMapTuple, OperatorTuple
 from polydom.jsonio import (
     canonical_json,
     matrix_from_json,
@@ -487,13 +487,28 @@ def test_pure_cone_computes_each_radius_once(tmp_path, capsys, monkeypatch):
 
 
 def test_unital_cpsim_matricizes_each_factor_once(tmp_path, capsys, monkeypatch):
-    path = cpsim_spec(tmp_path, capsys, "conjugated_unitaries", "unital")
-    # a call that finds no cached matrix builds one
-    built = count_calls(monkeypatch, CPMapTuple, "matricize",
-                        key=lambda phi, i: None if i in phi._matricized else i)
-    code, _, err = run_cli(["cpsim", "--input", str(path)], capsys)
-    assert code == 0, err
-    assert sorted(i for i in built if i is not None) == [1, 2]
+    from polydom.jsonio import ProblemSpec, problem_to_json
+    from polydom.words import polyball_symbol
+
+    # the conjugated unitaries share one eigenbasis, so the fixed point forms
+    # no d^2 x d^2 matrix; the row (Z, X) / sqrt2 has none, so the fixed point
+    # falls back to the null spaces of both matricized maps
+    cu = cpsim_spec(tmp_path, capsys, "conjugated_unitaries", "unital")
+    Z, X = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    rows = [[np.kron(Z, np.eye(2)) / np.sqrt(2), np.kron(X, np.eye(2)) / np.sqrt(2)],
+            [np.kron(np.eye(2), Z)]]
+    spec = ProblemSpec(symbols=(polyball_symbol(2), polyball_symbol(1)), m=(1, 1),
+                       ops=OperatorTuple(rows), task={"mode": "unital"})
+    pauli = tmp_path / "pauli.json"
+    pauli.write_text(json.dumps(problem_to_json(spec)))
+    for path, want in ((cu, []), (pauli, [1, 2])):
+        # a call that finds no cached matrix builds one
+        built = count_calls(monkeypatch, CPMapTuple, "matricize",
+                            key=lambda phi, i: None if i in phi._matricized else i)
+        code, out, err = run_cli(["cpsim", "--input", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["outputs"]["status"] == "PASS"
+        assert sorted(i for i in built if i is not None) == want
 
 
 @pytest.mark.parametrize("cmd, family, mode, field", [

@@ -434,6 +434,87 @@ def test_sznagy_reads_the_svd_cutoff():
         assert cert.witnesses["fixed_space_dim"] == dim
 
 
+def record_dense_fixed_point(monkeypatch):
+    """Records each tuple that _ergodic_fixed_point hands to the dense fallback."""
+    calls = []
+    dense = polydom.similarity._dense_fixed_point
+    monkeypatch.setattr(polydom.similarity, "_dense_fixed_point",
+                        lambda phi: calls.append(phi) or dense(phi))
+    return calls
+
+
+@pytest.mark.parametrize("seed,d", [(s, d) for s in range(6) for d in (3, 4, 5, 8, 12, 16)])
+def test_sznagy_reads_conjugated_unitaries_off_the_joint_eigenbasis(seed, d, monkeypatch):
+    # the letters xi U_i xi^{-1} share one eigenbasis, so no d^2 x d^2 matrix
+    # is formed; the dense null spaces are the oracle
+    inst = generate("conjugated_unitaries", seed, dim=d)
+    dense = polydom.similarity._dense_fixed_point
+    calls = record_dense_fixed_point(monkeypatch)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    cert, _ = polydom.similarity._sznagy(phi, 1e-7)
+    assert calls == [] and phi._matricized == {}
+    monkeypatch.setattr(polydom.similarity, "_ergodic_fixed_point", dense)
+    oracle, _ = sznagy_solve(inst.symbols, inst.ops)
+    assert cert.status == oracle.status == "PASS"
+    assert cert.witnesses["fixed_space_dim"] == oracle.witnesses["fixed_space_dim"]
+    assert np.linalg.norm(cert.Q - oracle.Q, 2) <= 1e-12
+
+
+def clock_and_shift(d=3):
+    return np.diag(np.exp(2j * np.pi * np.arange(d) / d)), np.roll(np.eye(d), 1, axis=0)
+
+
+def fallback_tuple(name):
+    if name == "jordan":
+        return CPMapTuple([polyball_symbol(1)], OperatorTuple([[np.array([[1.0, 1.0], [0.0, 1.0]])]]))
+    if name == "coisometry":
+        return CPMapTuple([polyball_symbol(2)], OperatorTuple([list(coisometry_pair(7))]))
+    if name == "weyl":
+        Z, X = clock_and_shift()
+        return CPMapTuple.from_kraus([[Z], [X]])
+    # the pair (0, 1) of diag(1, e^{1e-8 i}, -1) reads s = 1e-8; conjugated by
+    # xi, cond(xi) = 10.9, it lies between the bars 2e-6 / kappa and 2e-6 kappa
+    xi = np.array([[1.0, 3.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    U = xi @ np.diag([1.0, np.exp(1e-8j), -1.0]) @ np.linalg.inv(xi)
+    return CPMapTuple([polyball_symbol(1)], OperatorTuple([[U]], tol=Tolerances(svd_cutoff=1e-6)))
+
+
+@pytest.mark.parametrize("name,status,dim", [
+    ("jordan", "INCONCLUSIVE", 2.0),
+    ("coisometry", "PASS", 1.0),
+    ("weyl", "PASS", 1.0),
+    ("band", "PASS", 5.0),
+])
+def test_sznagy_falls_back_to_the_dense_null_spaces(name, status, dim, monkeypatch):
+    # a Jordan block, letters with no joint eigenbasis, and a pair between
+    # the bars are each decided by the d^2 x d^2 null spaces, as before
+    calls = record_dense_fixed_point(monkeypatch)
+    phi = fallback_tuple(name)
+    cert, _ = polydom.similarity._sznagy(phi, 1e-7)
+    assert calls == [phi] and phi._matricized
+    assert cert.status == status
+    assert cert.witnesses["fixed_space_dim"] == dim
+
+
+@pytest.mark.parametrize("d", (1, 3, 8))
+@pytest.mark.parametrize("path", ("eigenbasis", "dense"))
+def test_sznagy_fixes_everything_under_a_scalar_unitary(d, path, monkeypatch):
+    # Phi(X) = X up to rounding, so every direction is fixed: the shifted
+    # maps are measured against the identity term, not their own norm
+    calls = record_dense_fixed_point(monkeypatch)
+    if path == "dense":
+        monkeypatch.setattr(polydom.similarity, "_ergodic_fixed_point",
+                            polydom.similarity._dense_fixed_point)
+    ops = OperatorTuple([[np.exp(0.3j) * np.eye(d)]])
+    cert, T = sznagy_solve([polyball_symbol(1)], ops)
+    assert len(calls) == (path == "dense")
+    assert cert.status == "PASS" and T is not None
+    assert cert.witnesses["fixed_space_dim"] == d * d
+    assert np.linalg.norm(cert.Q - np.eye(d), 2) <= 1e-12
+    unital = cpmap_similarity(CPMapTuple.from_kraus([[ops.rows[0][0]]]), (1,), "unital")
+    assert unital.status == "PASS"
+
+
 @pytest.mark.parametrize("seed,d", [(s, d) for s in range(6) for d in (3, 4, 5)])
 def test_sznagy_bounds_hold_on_every_composed_iterate(seed, d):
     # the oracle is a sample grid: Phi_1^{s1} Phi_2^{s2}(I) for s1, s2 <= 16
