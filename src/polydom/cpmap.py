@@ -21,7 +21,9 @@ solved by them; tail_bound is then the residual-correction bound of
 _triangular_series, whose residuals are formed in long double, and terms is
 all zeros. Every other tuple, or one whose certificate fails or whose bound
 misses the target, sums the series; tail_bound then bounds the truncation.
-Neither counts the rounding of its own residual or term evaluation.
+Neither counts the rounding of its own residual or term evaluation. The
+bound on ||Delta_i^{-m_i}(I)||_2 behind Rota's condition number reads the
+same resolvents (CPMapTuple._inverse_norm_bound).
 
 The radius of each factor is computed once per tuple, by the one rule that
 CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
@@ -77,6 +79,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # the triangular series path forms its stage residuals in this wider type, and
 # is skipped where long double is no wider than double
 _WIDE = np.clongdouble if np.finfo(np.longdouble).eps < _EPS / 64 else None
+# the most bytes of iterates one batched SVD of the identity orbit reads (_Orbit.norm)
+_STRETCH_BYTES = 1 << 22
 # the fewest orbit steps a decay verdict reads
 _DECAY_WINDOW = 64
 # the most terms a certified series or norm sum, or a decay search, reads
@@ -197,6 +201,23 @@ def _stein_solve(T: np.ndarray, a: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X
 
 
+def _singular_values(stack: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """np.linalg.svd(Y, compute_uv=False) of each Y in stack, in one batched call
+    when there are several, and [nan, 0] for a Y whose SVD fails."""
+    if len(stack) > 1:
+        try:
+            return np.linalg.svd(np.stack(stack), compute_uv=False)
+        except np.linalg.LinAlgError:  # an iterate overflowed: one call each
+            pass
+    out = []
+    for Y in stack:
+        try:
+            out.append(np.linalg.svd(Y, compute_uv=False))
+        except np.linalg.LinAlgError:  # the iterate overflowed
+            out.append(np.array([np.nan, 0.0]))
+    return out
+
+
 def _as_complex(M, what: str = "matrix") -> np.ndarray:
     """M as a complex array; ValueError unless it is square with finite entries."""
     A = np.array(M, dtype=np.complex128)
@@ -209,6 +230,12 @@ def _as_complex(M, what: str = "matrix") -> np.ndarray:
 
 def hermitize(X: np.ndarray) -> np.ndarray:
     return (X + X.conj().T) / 2
+
+
+def _split_norm(E: np.ndarray) -> float:
+    """||H||_2 + ||S||_2 for E = H + iS with H and S Hermitian: a positive map G
+    with ||G(I)||_2 <= c has ||G(E)||_2 <= c (||H||_2 + ||S||_2)."""
+    return float(np.linalg.norm(hermitize(E), 2) + np.linalg.norm(hermitize(1j * E), 2))
 
 
 def is_hermitian(X: np.ndarray, rel: float = 1e-12) -> bool:
@@ -380,23 +407,35 @@ class _Orbit:
         self.bar = 1.0 - phi.dim * _EPS
 
     def norm(self, s: int) -> float:
-        """eta_s; zero past the nilpotency index, inf once the iterates overflow."""
-        while len(self.eta) <= s:
-            if self.eta[-1] in (0.0, float("inf")):
-                return self.eta[-1]
-            # the iterates are exactly Hermitian, so herm=True skips only the check
-            self.X = self._phi.apply(self._i, self.X, herm=True)
-            try:
-                # the spectral norm, as np.linalg.norm(X, 2) computes it
-                sv = np.linalg.svd(self.X, compute_uv=False)
-            except np.linalg.LinAlgError:  # the iterate overflowed
-                sv = np.array([np.nan, 0.0])
-            self.eta.append(float(sv[0]) if sv[0] == sv[0] else float("inf"))
-            self.floor.append(float(sv[-1]) if sv[0] == sv[0] else 0.0)
-            t = len(self.eta) - 1
-            if t & (t - 1) == 0:
-                self._refresh(t)
-        return self.eta[s]
+        """eta_s; zero past the nilpotency index, inf once the iterates overflow.
+
+        A read that extends the orbit by more than one step applies the steps
+        one after another and takes the singular values of that stretch in one
+        batched SVD, at most _STRETCH_BYTES of iterates at a time. numpy runs
+        the same LAPACK routine on each matrix of a stack, so eta, floor and
+        the envelopes are those of one call per iterate. A stretch ends at an
+        iterate that is zero or not finite, and the record ends at the first
+        zero or inf eta, with X that iterate.
+        """
+        while len(self.eta) <= s and self.eta[-1] not in (0.0, float("inf")):
+            size = min(s + 1 - len(self.eta), max(1, _STRETCH_BYTES // self.X.nbytes))
+            X, stretch = self.X, []
+            while len(stretch) < size:
+                # the iterates are exactly Hermitian, so herm=True skips only the check
+                X = self._phi.apply(self._i, X, herm=True)
+                stretch.append(X)
+                if len(stretch) < size and not (X.any() and np.isfinite(X).all()):
+                    break
+            for X, sv in zip(stretch, _singular_values(stretch)):
+                self.X = X
+                self.eta.append(float(sv[0]) if sv[0] == sv[0] else float("inf"))
+                self.floor.append(float(sv[-1]) if sv[0] == sv[0] else 0.0)
+                t = len(self.eta) - 1
+                if t & (t - 1) == 0:
+                    self._refresh(t)
+                if self.eta[-1] in (0.0, float("inf")):
+                    break
+        return self.eta[min(s, len(self.eta) - 1)]
 
     def _refresh(self, t: int) -> None:
         if not 0.0 < self.eta[t] < 1.0:
@@ -789,6 +828,45 @@ class CPMapTuple:
         G.c = float(np.linalg.norm(G.Q, 2)) / (1.0 - gap)
         return G
 
+    def _stages(
+        self, stages: Sequence[Tuple[int, _Resolvent]], R: np.ndarray, herm: bool
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """(Z_n, [E_1..E_n]) for the stages Z_j = G(Z_{j-1}), Z_0 = R, of the
+        (factor i, resolvent G) pairs in order, with the residuals
+        E_j = Z_{j-1} - (id - Phi_i)(Z_j) in _WIDE. Every Z_j is hermitized when
+        herm is set, and from R = I the first stage is the witness Q."""
+        Z, residuals = R, []
+        for j, (i, G) in enumerate(stages):
+            Z_next = G.Q if j == 0 and np.array_equal(R, np.eye(self.dim)) else G.solve(Z)
+            if herm:
+                Z_next = hermitize(Z_next)
+            residuals.append(self._wide_residual(i, Z, Z_next))
+            Z = Z_next
+        return Z, residuals
+
+    def _inverse_norm_bound(self, i: int, m_i: int) -> float:
+        """A certified upper bound on ||G_i^{m_i}(I)||_2 = ||G_i^{m_i}||, G_i = (id - Phi_i)^{-1}.
+
+        G_i^{m_i} is a positive map, so it attains its norm at I (Russo-Dye).
+        A nilpotent factor gives the orbit's norm_sum(m_i), the series
+        sum_s C(s+m_i-1, m_i-1) eta_s, here a finite sum, and builds no
+        resolvent; so does a factor without a certified resolvent
+        (_resolvent) or a wider type. norm_sum is inf when it finds no
+        envelope within SERIES_BUDGET terms. Otherwise the m_i stages of
+        _stages from Z_0 = I give G_i^{m_i}(I) = Z_{m_i} + sum_j
+        G_i^{m_i-j+1}(E_j) exactly, and _split_norm bounds each term, so the
+        bound is ||Z_{m_i}||_2 + sum_j c_i^{m_i-j+1} (||H_j||_2 + ||S_j||_2)
+        for E_j = H_j + i S_j, H_j and S_j Hermitian.
+        """
+        orbit = self._orbit(i)
+        G = None if _WIDE is None or orbit.nilpotency_index() is not None else self._resolvent(i)
+        if G is None:
+            return orbit.norm_sum(m_i)
+        Z, residuals = self._stages([(i, G)] * m_i, np.eye(self.dim, dtype=np.complex128), True)
+        spill = sum(G.c ** (m_i - j) * _split_norm(E.astype(np.complex128))
+                    for j, E in enumerate(residuals))
+        return float(np.linalg.norm(Z, 2)) + spill
+
     def _triangular_series(
         self, m: Sequence[int], R: np.ndarray, radii: Tuple[float, ...], target: float
     ) -> Optional[SeriesResult]:
@@ -822,13 +900,7 @@ class CPMapTuple:
 
         stages = [(i, resolvents[i - 1]) for i in range(self.k, 0, -1) for _ in range(m[i - 1])]
         herm = is_hermitian(R)
-        Z, residuals = R, []
-        for j, (i, G) in enumerate(stages):
-            Z_next = G.Q if j == 0 and np.array_equal(R, np.eye(self.dim)) else G.solve(Z)
-            if herm:
-                Z_next = hermitize(Z_next)
-            residuals.append(self._wide_residual(i, Z, Z_next))
-            Z = Z_next
+        Z, residuals = self._stages(stages, R, herm)
         D, shares = np.zeros_like(Z), []
         for (i, G), E in zip(stages, residuals):
             rhs = D + E
@@ -836,7 +908,7 @@ class CPMapTuple:
             if herm:
                 D = hermitize(D)
             F = self._wide_residual(i, rhs, D).astype(np.complex128)
-            shares.append(float(np.linalg.norm(hermitize(F), 2) + np.linalg.norm(hermitize(1j * F), 2)))
+            shares.append(_split_norm(F))
         value = Z + D
         rounding = value.astype(_WIDE) - Z.astype(_WIDE) - D.astype(_WIDE)
         # the residual of the j-th D~ stage passes through the stages j..n

@@ -206,8 +206,11 @@ def rota_conjugate(
     """T = P^{-1/2} A P^{1/2} with P the weighted series of the identity.
 
     T lands strictly inside the domain (every defect of I is positive
-    definite) and cond(P^{1/2})^2 is certified against the separable product
-    of per-factor norm sums.
+    definite) and cond(P^{1/2})^2 = cond(P) <= ||P||_2 is certified against
+    the product over the factors of a bound on ||Delta_i^{-m_i}(I)||_2
+    (CPMapTuple._inverse_norm_bound): read off the factor's certified
+    resolvent when it has one and is not nilpotent, else the norm sum of its
+    identity orbit.
     """
     return _rota(CPMapTuple(tuple(symbols), A), tuple(m), Q_polys, tol)
 
@@ -227,7 +230,7 @@ def _rota(
     T = phi.ops.conjugate(sq, isq)
     phi_T = CPMapTuple(phi.symbols, T)
 
-    bound_product = prod(phi._orbit(i).norm_sum(m[i - 1]) for i in range(1, phi.k + 1))
+    bound_product = prod(phi._inverse_norm_bound(i, m[i - 1]) for i in range(1, phi.k + 1))
     cert = SimilarityCertificate(
         kind="strict_conjugation",
         witnesses={"cond_P": condP ** 2, "product_bound": bound_product},
@@ -361,10 +364,10 @@ def _ergodic_fixed_point(
     For commuting power-bounded maps the Cesaro limit of I is its projection
     onto the common fixed space N along the sum of the ranges of M_i - I,
     whose annihilator is the common fixed space L of the adjoints M_i^*
-    (Krengel, Ergodic Theorems, 1985). Q is that projection, hermitized and
-    normalized to spectral norm one. Returns (Q, dim N, note). It is read
-    off one joint eigenbasis of the letters (_eigenbasis_fixed_point), in
-    O(d^3) time and O(d^2) memory, and from the d^2 x d^2 null spaces
+    (Krengel, Ergodic Theorems, 1985). Q is that projection, hermitized; it
+    is zero when I has no component in N. Returns (Q, dim N, note). It is
+    read off one joint eigenbasis of the letters (_eigenbasis_fixed_point),
+    in O(d^3) time and O(d^2) memory, and from the d^2 x d^2 null spaces
     (_dense_fixed_point) only when that branch declines.
     """
     found = _eigenbasis_fixed_point(phi)
@@ -437,8 +440,7 @@ def _eigenbasis_fixed_point(
     dim = int(fixed.sum())
     if dim == 0:
         return None, 0, "no pair of joint eigenvectors is fixed by every map"
-    Q = hermitize(V @ (fixed * (Vi @ Vi.conj().T)) @ V.conj().T)
-    return Q / np.linalg.norm(Q, 2), dim, ""
+    return hermitize(V @ (fixed * (Vi @ Vi.conj().T)) @ V.conj().T), dim, ""
 
 
 def _dense_fixed_point(
@@ -471,9 +473,7 @@ def _dense_fixed_point(
             f"value of L^* N is {sv[-1]:.3e}"
         )
     v = N @ np.linalg.solve(G, L.conj().T @ vec(np.eye(d, dtype=np.complex128)))
-    # the projection is a positive map that fixes the nonzero space N, so Q != 0
-    Q = hermitize(unvec(v, d))
-    return Q / np.linalg.norm(Q, 2), N.shape[1], ""
+    return hermitize(unvec(v, d)), N.shape[1], ""
 
 
 def sznagy_solve(
@@ -493,8 +493,8 @@ def sznagy_solve(
     - FAILED when the maps have no common fixed point;
     - INCONCLUSIVE when I has no ergodic projection onto the common fixed
       space (eigenvalue 1 is not semisimple, as on a Jordan block);
-    - FAILED when that projection Q is not positive definite: it would
-      satisfy Q >= P / ||P|| > 0;
+    - FAILED when that projection Q is zero or not positive definite: it
+      would satisfy Q >= P / ||P|| > 0;
     - otherwise c = lambda_min(Q) / ||Q|| and d = 1/c are the exact
       two-sided bounds, and the fixed-point and unital residuals of Q and
       T are checked a posteriori.
@@ -543,8 +543,12 @@ def _sznagy(
         cert.status = "INCONCLUSIVE"
         cert.notes.append(f"no ergodic projection of I: {why}")
         return cert, None
+    scale = float(np.linalg.norm(Q, 2))
+    if scale == 0.0:
+        return refuted("the ergodic projection of I is zero")
     # Q is normalized to spectral norm one; every check below is either
     # scale-invariant or stated on this normalization
+    Q = Q / scale
     cert.Q = Q
     pd, lamQ, U = positive(Q, phi.tol, definite=True, vectors=True)
     cert.witnesses["Q_min_eig"] = float(lamQ[0])
@@ -666,7 +670,9 @@ def cpmap_similarity(
     kind="cpmap_similarity" with the note mode=<mode> last:
     strict: the Rota certificate (rota_conjugate). P = Delta^{-m}(I), the
       weighted series of I, conjugates the tuple strictly inside the domain,
-      with cond(P) certified against the product of per-factor norm sums.
+      with cond(P) certified against the product of per-factor bounds on
+      ||Delta_i^{-m_i}(I)||_2, each from the factor's certified resolvent or
+      its identity orbit's norm sum.
       A tuple radius above 1 - radius_margin raises ValueError up front.
     pure_cone: the model-embedding certificate without constraints
       (model_embed) for R, default I: Q = K^*K for the kernel K, and Y is

@@ -396,34 +396,45 @@ def test_vn_polydisc_grid_sup_matches_pointwise_oracle(k, grid, shape, rng):
 
 
 def test_vn_polydisc_two_by_two_takes_no_batched_svd(monkeypatch):
-    batched = []
+    # only the torus grid's stacks count: they end in the polynomial matrix's
+    # shape or its transpose, while the identity orbit's (n, d, d) stacks of
+    # the radius gate do not
+    batched, grid_shapes = [], set()
     svd, norm = np.linalg.svd, np.linalg.norm
 
+    def on_grid(a):
+        return np.ndim(a) > 2 and np.shape(a)[-2:] in grid_shapes
+
     def spy_svd(a, *args, **kwargs):
-        if np.ndim(a) > 2:
+        if on_grid(a):
             batched.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     def spy_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) > 2:
+        if ord == 2 and on_grid(x):
             batched.append(np.shape(x))
         return norm(x, ord, *args, **kwargs)
+
+    def check(ops, pm, **kwargs):
+        grid_shapes.clear()
+        grid_shapes.update({(len(pm), len(pm[0])), (len(pm[0]), len(pm))})
+        return vn_check_polydisc(ops, pm, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy_svd)
     monkeypatch.setattr(np.linalg, "norm", spy_norm)
     # the spy sees the batched SVD that 3 x 3 polynomial matrices still take
     pm3 = random_poly_matrix(np.random.default_rng(3), k=1, rows=3, cols=3)
-    vn_check_polydisc(polydisc_ops(1), pm3, base_grid=16, max_rounds=1)
+    check(polydisc_ops(1), pm3, base_grid=16, max_rounds=1)
     assert batched
     batched.clear()
     # k = 3, 2 x 2 at the default grid of 48^3 points: the closed form only
     pm = random_poly_matrix(np.random.default_rng(5), k=3)
-    rep = vn_check_polydisc(polydisc_ops(3, dim=4), pm)
+    rep = check(polydisc_ops(3, dim=4), pm)
     assert rep.verdict == "PASS" and rep.details["grid"] == 48
     # two columns or one row also take the smaller Gram matrix
     for shape in [(3, 2), (1, 3)]:
         pm = random_poly_matrix(np.random.default_rng(6), k=1, rows=shape[0], cols=shape[1])
-        vn_check_polydisc(polydisc_ops(1), pm, base_grid=16, max_rounds=1)
+        check(polydisc_ops(1), pm, base_grid=16, max_rounds=1)
     assert batched == []
 
 

@@ -976,6 +976,82 @@ def test_orbit_norm_sum_dominates_partial_sums():
             assert orbit.tail(s, m) >= sum(weighted[s:]) * (1 - 1e-9)
 
 
+def orbit_state(orbit):
+    """Everything an orbit records, X as bytes, for bitwise comparison."""
+    return orbit.eta, orbit.floor, orbit.envelopes, orbit.theta, orbit.growth, orbit.X.tobytes()
+
+
+def counted_orbit(symbols, ops, i, monkeypatch):
+    """Factor i's orbit on a fresh tuple, and the list its apply calls append to."""
+    phi = CPMapTuple(symbols, ops)
+    calls = []
+    apply = phi.apply
+    monkeypatch.setattr(phi, "apply", lambda *a, **kw: calls.append(a[0]) or apply(*a, **kw))
+    return phi._orbit(i), calls
+
+
+def read_step_by_step(orbit, s):
+    """The orbit extended one step per read, each iterate with its own SVD."""
+    for t in range(1, s + 1):
+        orbit.norm(t)
+    return orbit
+
+
+STRETCH_CASES = [
+    (family, seed, d)
+    for family in ("commuting_polynomials", "conjugated_unitaries", "nilpotent", "polyball_random")
+    for seed, d in ((0, 3), (1, 8), (2, 16))
+]
+
+
+@pytest.mark.parametrize("family,seed,d", STRETCH_CASES)
+@pytest.mark.parametrize("stretch", [None, 5])
+def test_stretched_orbit_read_equals_the_step_by_step_orbit(family, seed, d, stretch, monkeypatch):
+    # one read of 100 steps takes batched SVDs, of at most `stretch` iterates
+    # when set; every record must equal the orbit read a step at a time
+    if stretch is not None:
+        monkeypatch.setattr(cpmap, "_STRETCH_BYTES", stretch * 16 * d * d + 7)
+    inst = generate(family, seed, dim=d)
+    svd, stacks = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: stacks.append(np.ndim(a) > 2) or svd(a, **kw))
+    for i in range(1, inst.k + 1):
+        stretched, calls = counted_orbit(inst.symbols, inst.ops, i, monkeypatch)
+        stretched.norm(100)
+        assert any(stacks)
+        stacks.clear()
+        want, want_calls = counted_orbit(inst.symbols, inst.ops, i, monkeypatch)
+        assert orbit_state(stretched) == orbit_state(read_step_by_step(want, 100))
+        assert not any(stacks)
+        assert len(calls) == len(want_calls) == len(want.eta) - 1
+        if family == "nilpotent":
+            # the stretch stops at the first zero iterate and applies nothing past it
+            assert want.eta[-1] == 0.0 and len(want.eta) <= d + 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_stretched_orbit_read_stops_at_the_same_overflow(monkeypatch):
+    # test_radius_survives_an_overflowing_orbit's matrix: inf at the same index
+    A = 1e20 * np.random.default_rng(0).standard_normal((12, 12))
+    symbols, ops = [polyball_symbol(1)], OperatorTuple([[A]])
+    stretched, calls = counted_orbit(symbols, ops, 1, monkeypatch)
+    assert stretched.norm(64) == float("inf")
+    want, want_calls = counted_orbit(symbols, ops, 1, monkeypatch)
+    assert orbit_state(stretched) == orbit_state(read_step_by_step(want, 64))
+    assert want.eta[-1] == float("inf") and len(want.eta) < 64
+    assert len(calls) == len(want_calls) == len(want.eta) - 1
+
+
+@pytest.mark.parametrize("reads", [(2, 3, 40, 41, 90, 5, 97), (60, 2, 61, 62, 97), (97, 4, 50)])
+def test_orbit_reads_interleaved_short_and_long_equal_the_step_by_step_orbit(reads, monkeypatch):
+    inst = generate("commuting_polynomials", 3, dim=8, target_radius=0.99)
+    for i in range(1, inst.k + 1):
+        orbit, _ = counted_orbit(inst.symbols, inst.ops, i, monkeypatch)
+        for s in reads:
+            orbit.norm(s)
+        want, _ = counted_orbit(inst.symbols, inst.ops, i, monkeypatch)
+        assert orbit_state(orbit) == orbit_state(read_step_by_step(want, max(reads)))
+
+
 def test_evaluate_poly_on_tuple():
     phi, inst = small_random_instance(5)
     A11, A12, A21 = inst.ops.matrix(1, 1), inst.ops.matrix(1, 2), inst.ops.matrix(2, 1)

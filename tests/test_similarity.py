@@ -1,5 +1,8 @@
 """Similarity solvers: embeddings, conjugations, defect equations, radii."""
 
+import re
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -198,13 +201,76 @@ def test_rota_transitivity_under_conjugation():
         assert cert.status == "PASS"
 
 
-@pytest.mark.parametrize("seed", (2, 4))
-def test_rota_certified_at_radius_099(seed):
-    # the Rota bound's norm sums must finish near radius one
-    inst = generate("commuting_polynomials", seed, dim=8, target_radius=0.99)
-    cert, _ = rota_conjugate(inst.symbols, inst.m, inst.ops)
+@pytest.mark.parametrize("family,seed", [
+    pytest.param("commuting_polynomials", 2, id="2"),
+    pytest.param("commuting_polynomials", 4, id="4"),
+    pytest.param("polyball_random", 2, id="polyball_random-2"),
+])
+def test_rota_certified_at_radius_099(family, seed):
+    # commuting rows take their certified resolvents; the polyball_random row
+    # has no triangular form, so its norm sum must finish near radius one
+    inst = generate(family, seed, dim=8, target_radius=0.99)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    cert, _ = polydom.similarity._rota(phi, inst.m, (), 1e-8)
     assert cert.status == "PASS"
     assert cert.cond <= cert.claimed_bound * (1.0 + 1e-8)
+    has_form = family == "commuting_polynomials"
+    assert all((phi._resolvents.get(i) is not None) == has_form for i in range(1, phi.k + 1))
+
+
+def norm_sum_product(inst, m):
+    """prod_i norm_sum_i(m_i) on a fresh tuple: the product bound without resolvents."""
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    return prod(phi._orbit(i).norm_sum(mi) for i, mi in enumerate(m, start=1))
+
+
+ROTA_BOUND_CASES = [
+    (family, seed, d, radius, m)
+    for family in ("commuting_polynomials", "polyball_random", "nilpotent")
+    for seed in range(4)
+    for d in (3, 5, 8, 12)
+    for radius in ((0.5, 0.9, 0.99) if family != "nilpotent" else (0.0,))
+    for m in ((1, 1), (2, 3), (3, 1))
+]
+
+
+@pytest.mark.parametrize("family,seed,d,radius,m", ROTA_BOUND_CASES,
+                         ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_rota_product_bound_from_the_resolvents(family, seed, d, radius, m):
+    # polyball_random has one factor, and takes m_1 only; nilpotent tuples
+    # have no radius to set
+    if family == "polyball_random":
+        inst = generate(family, seed, dim=d, target_radius=radius, m=m[0])
+    elif family == "nilpotent":
+        inst = generate(family, seed, dim=d, m=m)
+    else:
+        inst = generate(family, seed, dim=d, target_radius=radius, m=m)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    try:
+        cert, _ = polydom.similarity._rota(phi, inst.m, (), 1e-8)
+    except ValueError as e:
+        # P = Delta^{-m}(I) >= I can still fail the relative positivity test
+        # lambda_min > tol_pd ||P||_2 when ||P||_2 is large; the bound is
+        # checked against its oracles below
+        low = re.fullmatch(r"the series value P is not positive definite \(min eigenvalue (\S+)\)", str(e))
+        assert low is not None and float(low.group(1)) >= 1.0
+        cert = None
+    bound = prod(phi._inverse_norm_bound(i, mi) for i, mi in enumerate(inst.m, start=1))
+    norm_sums = norm_sum_product(inst, inst.m)
+    assert bound <= norm_sums
+    if cert is not None:
+        assert cert.claimed_bound == cert.witnesses["product_bound"] == bound
+        assert cert.cond <= bound
+    if family != "commuting_polynomials":
+        # no row form, or a nilpotent factor: the norm sums, bit for bit
+        assert bound == norm_sums
+    if family == "nilpotent":
+        assert phi._resolvents == {}
+    for i, mi in enumerate(inst.m, start=1):
+        if phi._resolvents.get(i) is not None:
+            e_i = tuple(mi if j == i else 0 for j in range(1, phi.k + 1))
+            exact = np.linalg.norm(refined_defect_solve(phi, e_i, np.eye(d)), 2)
+            assert phi._inverse_norm_bound(i, mi) >= exact
 
 
 def test_rota_rejects_radius_one():
@@ -416,6 +482,23 @@ def test_sznagy_refutes_a_singular_ergodic_projection():
     cert, T = sznagy_solve([polyball_symbol(1)], ops)
     assert_refuted(cert, T, "not positive definite")
     assert cert.witnesses["fixed_space_dim"] == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("path", ("eigenbasis", "dense"))
+def test_sznagy_refutes_a_zero_ergodic_projection(path, monkeypatch):
+    # radius 1.0201, but lambda_min(Phi^t(I))^{1/t} < 1 keeps the radius
+    # enclosure below one; the fixed space is spanned by E_12 and E_21, and
+    # I projects to 0, which no positive definite fixed point allows
+    calls = record_dense_fixed_point(monkeypatch)
+    if path == "dense":
+        monkeypatch.setattr(polydom.similarity, "_ergodic_fixed_point",
+                            polydom.similarity._dense_fixed_point)
+    ops = OperatorTuple([[np.diag([1.01, 1 / 1.01])]])
+    cert, T = sznagy_solve([polyball_symbol(1)], ops)
+    assert len(calls) == (path == "dense")
+    assert_refuted(cert, T, "the ergodic projection of I is zero")
+    assert cert.witnesses["fixed_space_dim"] == 2.0 and cert.Q is None
 
 
 def test_sznagy_refutes_maps_without_a_common_fixed_point():
