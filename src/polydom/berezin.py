@@ -23,7 +23,7 @@ import numpy as np
 
 from .cone import hermitian, positive, psd_range
 from .config import DivergenceError
-from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, hermitize
+from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, _require_degree, hermitize
 from .fock import (
     CompressedModel,
     ModelOperators,
@@ -101,7 +101,7 @@ def _require_model(model: ModelOperators, symbols: Sequence[PositiveSymbol],
                    m: Sequence[int], degree_cap: int) -> None:
     """ValueError unless model was built for these symbols, m and degree cap (by value)."""
     fock = model.fock
-    want = (tuple(symbols), tuple(int(x) for x in m), int(degree_cap))
+    want = (tuple(symbols), tuple(m), int(degree_cap))
     if (fock.symbols, fock.m, fock.degree_cap) != want:
         raise ValueError(
             f"the model was built for m = {fock.m}, degree cap {fock.degree_cap}; "
@@ -131,6 +131,7 @@ def kernel(
     BLAS call) per factor. That costs O(sum_i n_i^{<=D} d^3 + dim * rank * d^2),
     with the word products read from OperatorTuple.stack, built level by level.
     """
+    m = _require_degree("m", m, phi.k, 1)
     if model is not None:
         _require_model(model, phi.symbols, m, degree_cap)
     ops = phi.ops

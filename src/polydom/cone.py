@@ -21,6 +21,7 @@ from .cpmap import (
     OperatorTuple,
     SeriesResult,
     _as_complex,
+    _require_degree,
     hermitize,
 )
 from .words import NCPolynomial, PositiveSymbol, scale_symbol_action
@@ -151,10 +152,11 @@ def membership(
     """Cone verdict from the minimum eigenvalue of every defect Delta^p(X), p <= m.
 
     m >= 1 componentwise, as for weighted_series and build_model: a zero
-    entry would drop its factor's defects from the verdict. A negative entry
-    is refused by the defect grid."""
+    entry would drop its factor's defects from the verdict; an entry that
+    is negative or not an integer is refused first (_require_degree)."""
+    m = _require_degree("m", m, phi.k, 0)
     if any(mi == 0 for mi in m):
-        raise ValueError(f"m must be >= 1 componentwise, got {tuple(m)}")
+        raise ValueError(f"m must be >= 1 componentwise, got {m}")
     X = hermitian(X, "X", phi.dim)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
     t_psd = phi.tol.tol_psd if tol_psd is None else float(tol_psd)

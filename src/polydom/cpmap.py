@@ -30,8 +30,9 @@ CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
 nilpotent orbit gives 0. Otherwise the first candidate at most the orbit's
 Gelfand bound is taken: the diagonals of the row's triangular form when its
 letters commute (Radjavi-Rosenthal; U^* A_{i,j} U upper triangular for
-one unitary U, O(d^3), numpy only), then an ARPACK Ritz value from d = 12 on.
-A row with neither gets one dense eigvals of the map's real form while
+one unitary U, O(d^3)), then from d = 12 on a Collatz-Wielandt read of the
+orbit's own iterates (s Y <= Phi_i(Y) <= t Y for Y = Phi_i^s(I) > 0). A row
+with neither gets one dense eigvals of the map's real form while
 d^2 <= tol.max_vec_dim (d <= 80), and the Gelfand bound above that. The orbit
 encloses the radius, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
 lambda_t = lambda_min(Phi_i^t(I)), since Phi_i^t(I) >= lambda_t I
@@ -71,9 +72,7 @@ _TRI_SHIFT = float(np.sqrt(0.5))
 # the form is refused when a strictly lower part exceeds _TRI_SLACK d eps ||A_n||_F,
 # the eigenbasis V when an off-diagonal part exceeds _TRI_SLACK d eps cond(V) ||A_n||_F
 _TRI_SLACK = 64.0
-_ARNOLDI_MIN_DIM = 12
-_ARNOLDI_MAXITER = 10
-_ARNOLDI_NCV = 40
+_ORBIT_RADIUS_MIN_DIM = 12
 # the orbit's rounding allowance for Phi_i^t(I) is t d _EPS eta_t
 _EPS = float(np.finfo(np.float64).eps)
 # the triangular series path forms its stage residuals in this wider type, and
@@ -81,7 +80,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _WIDE = np.clongdouble if np.finfo(np.longdouble).eps < _EPS / 64 else None
 # the most bytes of iterates one batched SVD of the identity orbit reads (_Orbit.norm)
 _STRETCH_BYTES = 1 << 22
-# the fewest orbit steps a decay verdict reads
+# the fewest orbit steps a decay verdict reads, and the first iterate _orbit_radius takes
 _DECAY_WINDOW = 64
 # the most terms a certified series or norm sum, or a decay search, reads
 SERIES_BUDGET = 20000
@@ -96,12 +95,20 @@ def multi_grid(m: Sequence[int]) -> Iterator[MultiDegree]:
     return itertools.product(*(range(mi + 1) for mi in m))
 
 
-def _require_degree(name: str, p: Sequence[int], k: int, least: int) -> None:
-    """ValueError unless the multi-degree p has k entries, each >= least."""
+def _require_degree(name: str, p: Sequence[int], k: int, least: int) -> MultiDegree:
+    """The multi-degree p as a tuple of ints; ValueError unless it has k entries,
+    each an integer (operator.index: 1.5 is refused, not truncated) >= least."""
     if len(p) != k:
         raise ValueError(f"multi-degree length {len(p)} != k = {k}")
-    if any(pi < least for pi in p):
-        raise ValueError(f"{name} must be >= {least} componentwise, got {tuple(p)}")
+    out = []
+    for x in p:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise ValueError(f"{name} entry {x!r} is not an integer") from None
+    if any(pi < least for pi in out):
+        raise ValueError(f"{name} must be >= {least} componentwise, got {tuple(out)}")
+    return tuple(out)
 
 
 def defect_sweep(
@@ -403,6 +410,8 @@ class _Orbit:
         self.growth = float("inf")
         # (t, theta_t, growth_t) for each power of two t that improved theta
         self.envelopes: List[Tuple[int, float, float]] = []
+        # Phi_i^t(I), 0 < eta_t < inf, at powers of two t >= _DECAY_WINDOW (_orbit_radius)
+        self.powers: Dict[int, np.ndarray] = {}
         # an envelope theta below this bar certifies decay despite rounding (see decays)
         self.bar = 1.0 - phi.dim * _EPS
 
@@ -433,6 +442,8 @@ class _Orbit:
                 t = len(self.eta) - 1
                 if t & (t - 1) == 0:
                     self._refresh(t)
+                    if t >= _DECAY_WINDOW and 0.0 < self.eta[t] < float("inf"):
+                        self.powers[t] = X
                 if self.eta[-1] in (0.0, float("inf")):
                     break
         return self.eta[min(s, len(self.eta) - 1)]
@@ -450,17 +461,19 @@ class _Orbit:
             self.envelopes.append((t, theta, growth))
 
     def decays(self, extend_to: int = 0) -> bool:
-        """Whether the orbit certifies Phi_i^s -> 0, doubling its length up to extend_to until it does.
+        """Whether eta_0..eta_s certify Phi_i^s -> 0, s = max(_DECAY_WINDOW, d) doubled up to extend_to.
 
-        A zero iterate certifies it, and so does an envelope with
-        theta < 1 - d eps: then eta_t (1 + t d eps) < 1, so rho(Phi_i) < 1
-        holds despite the rounding allowance t d eps eta_t of the iterate.
+        A zero iterate certifies it, and so does an envelope refreshed at
+        t <= s with theta < 1 - d eps: then eta_t (1 + t d eps) < 1, so
+        rho(Phi_i) < 1 despite the rounding allowance t d eps eta_t of the
+        iterate. The verdict does not depend on how far other calls read.
         """
-        s = len(self.eta) - 1
-        while not (self.eta[-1] == 0.0 or self.theta < self.bar) and 2 * s <= extend_to:
+        s = max(_DECAY_WINDOW, self._phi.dim)
+        while not (self.norm(s) == 0.0 or any(t <= s and th < self.bar for t, th, _ in self.envelopes)):
+            if 2 * s > extend_to:
+                return False
             s *= 2
-            self.norm(s)
-        return self.eta[-1] == 0.0 or self.theta < self.bar
+        return True
 
     def crossed_at(self) -> Optional[int]:
         """Where decay is first certified: the nilpotency index, else the first
@@ -655,7 +668,7 @@ class CPMapTuple:
 
     def defect(self, p: Sequence[int], X: np.ndarray) -> np.ndarray:
         """(id - Phi_k)^{p_k} o ... o (id - Phi_1)^{p_1} (X): factor 1 is applied first."""
-        _require_degree("p", p, self.k, 0)
+        p = _require_degree("p", p, self.k, 0)
         Y = np.asarray(X, dtype=np.complex128)
         for i in range(1, self.k + 1):
             for _ in range(p[i - 1]):
@@ -664,7 +677,7 @@ class CPMapTuple:
 
     def defect_grid(self, m: Sequence[int], X: np.ndarray) -> Dict[MultiDegree, np.ndarray]:
         """All defects Delta^p(X) for 0 <= p <= m via one incremental sweep."""
-        _require_degree("m", m, self.k, 0)
+        m = _require_degree("m", m, self.k, 0)
         return defect_sweep(m, np.asarray(X, dtype=np.complex128), self.apply)
 
     # --- certified series -----------------------------------------------
@@ -679,12 +692,10 @@ class CPMapTuple:
     def decays(self, i: int) -> bool:
         """Whether the identity orbit of factor i certifies Phi_i^s -> 0: the one decay rule.
 
-        The orbit is read over at least 64 steps; a settled factor may double
-        it up to SERIES_BUDGET steps, as far as a certified norm sum searches.
+        The orbit is read over max(64, d) steps (_Orbit.decays), doubled for a
+        settled factor up to SERIES_BUDGET, as far as a norm sum searches.
         """
-        orbit = self._orbit(i)
-        orbit.norm(_DECAY_WINDOW)
-        return orbit.decays(extend_to=SERIES_BUDGET if self._settled(i) else 0)
+        return self._orbit(i).decays(extend_to=SERIES_BUDGET if self._settled(i) else 0)
 
     def _map_radius(self, i: int) -> float:
         """rho(Phi_i) by the rule joint_spectral_radius describes."""
@@ -693,7 +704,7 @@ class CPMapTuple:
             return 0.0
         # rounding slack: for a normal map eta_1 is already the radius
         bound = orbit.gelfand(self.dim) * (1.0 + 1e-12)
-        for path in (self._triangular_radius, self._arnoldi_radius):
+        for path in (self._triangular_radius, self._orbit_radius):
             rho = path(i)
             if rho is not None and rho <= bound:
                 return rho
@@ -722,30 +733,31 @@ class CPMapTuple:
             rho += a * np.abs(np.prod(lam[[j - 1 for j in w]], axis=0)) ** 2
         return float(rho.max())
 
-    def _arnoldi_radius(self, i: int) -> Optional[float]:
-        """rho(Phi_i) matrix-free from d = _ARNOLDI_MIN_DIM on, or None when ARPACK gives no Perron root.
+    def _orbit_radius(self, i: int) -> Optional[float]:
+        """rho(Phi_i) read off the identity orbit from d = _ORBIT_RADIUS_MIN_DIM on, or None.
 
-        The caller has settled a nilpotent factor (ARPACK reports garbage
-        there). The top Ritz value from v0 = vec(I) is returned only when
-        ARPACK converged and it is real and positive.
+        For Y = Phi_i^s(I) = L L^* > 0 and Z = Phi_i(Y), the orbit's next step,
+        M = L^{-1} Z L^{-*} is PSD, so its singular values are its eigenvalues
+        and sigma_min Y <= Z <= sigma_max Y: sigma_min <= rho(Phi_i) <= sigma_max
+        (Collatz-Wielandt; Evans-Hoegh-Krohn). sigma_max is returned once
+        sigma_max - sigma_min <= 1e-12 sigma_max, for s = 64, 128 or 256, and
+        None otherwise.
         """
-        d = self.dim
-        if d < _ARNOLDI_MIN_DIM:
+        if self.dim < _ORBIT_RADIUS_MIN_DIM:
             return None
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
-        op = LinearOperator(
-            (d * d, d * d), dtype=np.complex128,
-            matvec=lambda v: vec(self.apply(i, unvec(v, d), herm=False)),
-        )
-        try:
-            lam = eigs(op, k=1, which="LM", tol=0, v0=vec(np.eye(d, dtype=np.complex128)),
-                       ncv=_ARNOLDI_NCV, maxiter=_ARNOLDI_MAXITER, return_eigenvectors=False)[0]
-        except ArpackNoConvergence:
-            return None
-        if not (lam.real > 0.0 and abs(lam.imag) <= 1e-12 * lam.real):
-            return None
-        return float(lam.real)
+        orbit = self._orbit(i)
+        for s in (_DECAY_WINDOW, 2 * _DECAY_WINDOW, 4 * _DECAY_WINDOW):
+            orbit.norm(s)
+            try:
+                Y = orbit.powers[s]
+                L = np.linalg.cholesky(Y)
+            except (KeyError, np.linalg.LinAlgError):  # the orbit stopped before s, or Y is singular
+                return None
+            M = np.linalg.solve(L, np.linalg.solve(L, self.apply(i, Y, herm=True)).conj().T)
+            sv = _singular_values([M])[0]
+            if sv[0] - sv[-1] <= 1e-12 * sv[0]:
+                return float(sv[0])
+        return None
 
     def _single_factor_series(
         self, i: int, m_i: int, X: np.ndarray, tail_target: float
@@ -962,7 +974,7 @@ class CPMapTuple:
         terms. The truncation and value depend only on the tuple, m, R and
         tol, not on earlier calls.
         """
-        _require_degree("m", m, self.k, 1)
+        m = _require_degree("m", m, self.k, 1)
         tol = self.tol.series_tol if tol is None else float(tol)
         R = _as_complex(R)
         target = tol * max(1.0, float(np.linalg.norm(R)))
@@ -1019,15 +1031,12 @@ class CPMapTuple:
         1. 0 when the identity orbit hits zero by s = d (a nilpotent map);
         2. the first of two candidates that is at most the orbit's Gelfand
            bound min_{t<=d} eta_t^{1/t} (1 + 1e-12), tried lazily:
-           - row i's triangular form (_triangular_radius, ops.row_form): when
-             the letters of row i commute, U^* A_{i,j} U for U the Q factor of
-             the eigenvectors of G = sum_j (j + 1/sqrt2) A_{i,j}, refused when
-             a strictly lower part exceeds 64 d eps ||A_{i,j}||_F, and
-             max_k sum_w a_w |lambda_w(k)|^2 from its diagonals; the form is
-             kept on the OperatorTuple, and the series reuses it;
-           - from d = 12 on, the top Ritz value of ARPACK (_arnoldi_radius;
-             k=1, which="LM", tol=0, v0 = vec(I), at most 10 restarts of a
-             40-vector basis) when it converged and is real and positive;
+           - max_k sum_w a_w |lambda_w(k)|^2 from the diagonals of row i's
+             triangular form (_triangular_radius, ops.row_form), which is kept
+             on the OperatorTuple, and which the series reuses;
+           - from d = 12 on, the top of the Collatz-Wielandt enclosure
+             [sigma_min, sigma_max] from Y = Phi_i^s(I), s = 64, 128, 256
+             (_orbit_radius), once it is 1e-12 sigma_max wide;
         3. while d^2 <= tol.max_vec_dim (6400 by default), dense eigvals of
            the real form of the map on the Hermitian matrices;
         4. above that, the Gelfand bound min_{t<=64} eta_t^{1/t}, an upper
@@ -1036,17 +1045,8 @@ class CPMapTuple:
         Every commuting gen family takes the triangular candidate. Measured
         on one 2-vCPU host, one BLAS thread, a commuting_polynomials tuple
         costs 1.8 / 4.5 / 10 ms at d = 8 / 16 / 24 there against 7 / 23 /
-        35 ms by the later steps, and conjugated unitaries at d = 24 cost
-        10 ms against 1.2 s (a refused Arnoldi run and dense eigvals); the
-        value agrees with dense eigvals to about 1e-14 relative.
-
-        The Arnoldi crossover is measured: at d = 8 an Arnoldi run costs as
-        much as eigvals of the 64 x 64 matricization (4-10 ms against
-        3-5 ms), at d = 12 it costs a third (8-16 ms against 20-32 ms), at
-        d = 24 a thirtieth. vec(I) is a valid start: the radius of a
-        positive map is an eigenvalue whose dual eigenvector Q is PSD
-        (Evans-Hoegh-Krohn), so I has the component tr(Q) > 0 along it, and
-        the Krylov space is the span of the orbit Phi_i^s(I).
+        35 ms by the later steps; the value agrees with dense eigvals to
+        about 1e-14 relative, as the orbit read's does.
 
         With crosscheck=True the value is tested against the orbit enclosure
         radius_power_sequence(i) and ArithmeticError is raised when it lies

@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequ
 import numpy as np
 
 from .config import ResourceCapError, Tolerances, default_tolerances
-from .cpmap import MultiDegree, defect_sweep
+from .cpmap import MultiDegree, _require_degree, defect_sweep
 from .words import (
     NCPolynomial,
     PositiveSymbol,
@@ -342,11 +342,7 @@ def build_model(
 def _build_model(symbols, m, degree_cap, tol, exact_weights) -> Tuple[TruncatedFock, ModelOperators]:
     """build_model without the model cache."""
     symbols = tuple(symbols)
-    m = tuple(int(x) for x in m)
-    if len(m) != len(symbols):
-        raise ValueError(f"{len(symbols)} symbols but multi-degree of length {len(m)}")
-    if any(mi < 1 for mi in m):
-        raise ValueError(f"m must be >= 1 componentwise, got {m}")
+    m = _require_degree("m", m, len(symbols), 1)
     if degree_cap < 1:
         raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
     for f in symbols:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cone import membership
-from .cpmap import CPMapTuple, OperatorTuple
+from .cpmap import CPMapTuple, OperatorTuple, _require_degree
 from .words import PositiveSymbol, Word, polyball_symbol
 
 FAMILIES = (
@@ -98,15 +98,10 @@ def _scale_rows_to_radius(
 
 def _multi_degree(k: Optional[int], arities: Sequence[int], m: Optional[Sequence[int]]) -> Tuple[int, ...]:
     """m, all ones by default; ValueError when k or m disagrees with the arities
-    or an entry of m is below 1."""
+    or an entry of m is not an integer >= 1 (_require_degree)."""
     if k is not None and k != len(arities):
         raise ValueError(f"k = {k} but {len(arities)} arities given")
-    m = tuple(1 for _ in arities) if m is None else tuple(m)
-    if len(m) != len(arities):
-        raise ValueError(f"{len(m)} entries in m for {len(arities)} factors")
-    if any(mi < 1 for mi in m):
-        raise ValueError(f"m must be >= 1 componentwise, got {m}")
-    return m
+    return _require_degree("m", tuple(1 for _ in arities) if m is None else m, len(arities), 1)
 
 
 def commuting_polynomials(

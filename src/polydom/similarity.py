@@ -26,7 +26,6 @@ import numpy as np
 from .config import DivergenceError
 from .cone import ConeReport, hermitian, membership, positive, sqrt_pair
 from .cpmap import (
-    _DECAY_WINDOW,
     _EPS,
     _TRI_SLACK,
     _WIDE,
@@ -487,7 +486,7 @@ def sznagy_solve(
     common positive definite fixed point P (Sz.-Nagy). With l = lambda_min(P)
     and q = ||P||, such a P gives (l/q) I <= Phi^beta(I) <= (q/l) I for every
     composed iterate. Each verdict rests on that:
-    - FAILED when the identity orbit of a factor, read to _DECAY_WINDOW
+    - FAILED when the identity orbit of a factor, read to max(64, dim)
       steps, certifies decay or a radius enclosure above one: P rules out
       both;
     - FAILED when the maps have no common fixed point;
@@ -527,9 +526,7 @@ def _sznagy(
         return cert.finalize(), None
 
     for i in range(1, phi.k + 1):
-        orbit = phi._orbit(i)
-        orbit.norm(_DECAY_WINDOW)
-        if orbit.decays():
+        if phi._orbit(i).decays():
             return refuted(f"the identity orbit of factor {i} decays")
         why = _radius_above_one(phi, (i,))
         if why is not None:

@@ -283,6 +283,52 @@ def test_defect_rejects_negative_degrees(rng):
     assert list(phi.defect_grid((0, 0), X)) == [(0, 0)]
 
 
+def multi_degree_entry_points(phi, symbols):
+    """name -> call(m) for every public entry point that reads a multi-degree."""
+    from polydom.berezin import kernel
+    from polydom.cone import membership
+    from polydom.fock import build_model
+
+    eye = np.eye(phi.dim)
+    return {
+        "build_model": lambda m: build_model(symbols, m, 3)[1],
+        "kernel": lambda m: kernel(phi, m, eye, 3).K,
+        "membership": lambda m: membership(phi, m, eye).min_eigs,
+        "defect": lambda m: phi.defect(m, eye),
+        "defect_grid": lambda m: phi.defect_grid(m, eye),
+        "weighted_series": lambda m: phi.weighted_series(m, eye).value,
+    }
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, "1"])
+def test_multi_degree_entries_must_be_integers(entry):
+    # build_model truncated 1.5 to 1 through int(), and the others raised a
+    # raw TypeError; every entry point now takes each entry through
+    # operator.index, as factor indices do
+    inst = generate("commuting_polynomials", 0, dim=3)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    for call in multi_degree_entry_points(phi, inst.symbols).values():
+        with pytest.raises(ValueError, match=rf"entry {re.escape(repr(entry))} is not an integer"):
+            call((entry, 1))
+    with pytest.raises(ValueError, match="is not an integer"):
+        generate("commuting_polynomials", 0, dim=3, m=(entry, 1))
+
+
+def test_numpy_integer_multi_degrees_read_as_ints():
+    inst = generate("commuting_polynomials", 0, dim=3)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    calls = multi_degree_entry_points(phi, inst.symbols)
+    for name, call in calls.items():
+        want, got = call((1, 1)), call((np.int64(1), np.int64(1)))
+        if name == "build_model":
+            assert got is want  # one model cache entry
+            continue
+        if isinstance(want, dict):
+            assert list(got) == list(want) and all(type(p[0]) is int for p in got)
+            want, got = list(want.values()), list(got.values())
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
 def test_defect_factor_order_immaterial(rng):
     phi, _ = small_random_instance(37)
     X = random_hermitian(rng, phi.dim)
@@ -726,7 +772,7 @@ RADIUS_FAMILIES = ("commuting_polynomials", "polyball_random", "nilpotent",
 @pytest.mark.parametrize("d", [12, 16, 24])
 def test_radius_matches_dense_oracle_above_crossover(family, d):
     # d >= 12: commuting rows take their triangular form; polyball_random's
-    # rows do not commute and go on to ARPACK or dense eigvals
+    # rows do not commute and go on to the orbit read or dense eigvals
     for seed in (0, 1) if d < 24 else (0,):
         phi = radius_instance(family, seed, d)
         for i in range(1, phi.k + 1):
@@ -749,17 +795,17 @@ def rotated_jordan_block(d):
 
 
 def test_radius_jordan_type_takes_dense_fallback():
-    # non-normal: ARPACK's Ritz values sit in the pseudospectrum, off the
-    # real axis, so the Arnoldi value is refused. A row with a Jordan block
-    # and a letter that does not commute with it has no triangular form
-    # either; both letters are upper triangular, so the dense value is
-    # exact, sqrt(0.5^2 + 0.1^2)
+    # non-normal: the iterates Phi^s(I) of a Jordan-type row spread over so
+    # many scales that they have no Cholesky factor in double, so the orbit
+    # read is refused. A row with a Jordan block and a letter that does not
+    # commute with it has no triangular form either; both letters are upper
+    # triangular, so the dense value is exact, sqrt(0.5^2 + 0.1^2)
     d = 16
     corner = np.zeros((d, d))
     corner[0, 0] = 0.1
     phi = CPMapTuple([polyball_symbol(2)], OperatorTuple([[jordan_block(d), corner]]))
     assert phi._triangular_radius(1) is None
-    assert phi._arnoldi_radius(1) is None
+    assert phi._orbit_radius(1) is None
     assert phi.joint_spectral_radius(1, crosscheck=False) == pytest.approx(
         dense_radius(phi, 1), rel=1e-10
     )
@@ -770,7 +816,7 @@ def test_radius_jordan_type_takes_dense_fallback():
     # the map up to size 2d - 1), so it is held to the orbit enclosure
     rotated = CPMapTuple([polyball_symbol(1)], OperatorTuple([[rotated_jordan_block(d)]]))
     assert rotated._triangular_radius(1) is None
-    assert rotated._arnoldi_radius(1) is None
+    assert rotated._orbit_radius(1) is None
     rotated.joint_spectral_radius(1, crosscheck=True)
     assert rotated._matricized
     # the plain block is its own triangular form: exactly 0.25, no matricization
@@ -819,7 +865,7 @@ def count_eigvals(monkeypatch):
 
 @pytest.mark.parametrize("path, family, d", [
     ("_triangular_radius", "commuting_polynomials", 5),
-    ("_arnoldi_radius", "polyball_random", 12),
+    ("_orbit_radius", "polyball_random", 12),
 ])
 def test_radius_above_the_gelfand_bound_is_refused(path, family, d, monkeypatch):
     # each candidate is held to the orbit's Gelfand bound in one place; a
@@ -849,15 +895,59 @@ def test_noncommuting_row_takes_one_real_eigensolve(d, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [12, 16, 24])
-def test_conjugated_unitaries_take_no_arnoldi_run(d, monkeypatch):
-    def arnoldi(self, i):
-        raise AssertionError("the Arnoldi path ran")
+def test_conjugated_unitaries_take_no_orbit_radius_run(d, monkeypatch):
+    # every row has a triangular form, which the rule tries first
+    def orbit_radius(self, i):
+        raise AssertionError("the orbit radius read ran")
 
-    monkeypatch.setattr(CPMapTuple, "_arnoldi_radius", arnoldi)
+    monkeypatch.setattr(CPMapTuple, "_orbit_radius", orbit_radius)
     phi = radius_instance("conjugated_unitaries", 1, d)
     for i in range(1, phi.k + 1):
         assert phi.joint_spectral_radius(i, crosscheck=False) == pytest.approx(1.0, rel=1e-12)
     assert not phi._matricized
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [12, 16, 24])
+def test_orbit_radius_matches_dense_oracle(n, d):
+    for seed in range(4):
+        inst = generate("polyball_random", seed, n=n, dim=d)
+        phi = CPMapTuple(inst.symbols, inst.ops)
+        rho = phi._orbit_radius(1)
+        assert rho is not None
+        assert np.sqrt(rho) == pytest.approx(dense_radius(phi, 1), rel=1e-12)
+        assert phi.joint_spectral_radius(1, crosscheck=True) == np.sqrt(rho)
+        assert not phi._matricized
+
+
+def test_orbit_radius_refuses_a_singular_iterate():
+    # a zero block keeps every Phi^s(I) singular, so Y has no Cholesky
+    # factor and the row, whose letters do not commute, falls through to
+    # the dense step
+    inst = generate("polyball_random", 0, dim=6)
+    rows = [[np.kron(np.diag([1.0, 0.0]), A) for A in inst.ops.rows[0]]]
+    phi = CPMapTuple(inst.symbols, OperatorTuple(rows))
+    assert phi._triangular_radius(1) is None
+    assert phi._orbit_radius(1) is None
+    assert phi.joint_spectral_radius(1, crosscheck=True) == pytest.approx(dense_radius(phi, 1), rel=1e-10)
+    assert phi._matricized
+
+
+def test_orbit_after_a_radius_read_is_the_stepwise_orbit():
+    inst = generate("polyball_random", 3, dim=16)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    phi.joint_spectral_radius(1, crosscheck=False)
+    read = phi._orbit(1)
+    stepwise = CPMapTuple(inst.symbols, inst.ops)
+    steps = stepwise._orbit(1)
+    for s in range(1, len(read.eta)):
+        steps.norm(s)
+    assert steps.eta == read.eta and steps.floor == read.floor
+    assert steps.envelopes == read.envelopes
+    assert steps.X.tobytes() == read.X.tobytes()
+    assert sorted(read.powers) == [64, 128, 256][:len(read.powers)] and read.powers
+    for t, Y in read.powers.items():
+        assert steps.powers[t].tobytes() == Y.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -1115,6 +1115,38 @@ def test_radius_report_nilpotent_exact_decay():
         assert f.decays_to_zero
 
 
+def decay_verdicts(inst, read):
+    """decays, purity of I, the radius report and the Sz.-Nagy certificate of
+    one tuple whose identity orbits were first read to `read` steps."""
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    for i in range(1, phi.k + 1):
+        phi._orbit(i).norm(read)
+    pure = is_pure_element(phi, np.eye(phi.dim))
+    report = polydom.similarity._radius_equivalences(phi)
+    cert = polydom.similarity._sznagy(phi, 1e-7)[0]
+    return ([phi.decays(i) for i in range(1, phi.k + 1)], pure, report,
+            (cert.status, cert.notes, cert.residuals))
+
+
+@pytest.mark.parametrize("seed", (2, 3))
+def test_decay_verdicts_read_one_fixed_stretch(seed):
+    # radius 0.996 at d = 12: eta_t^{1/t} crosses 1 - d eps only past t = 64,
+    # so every verdict reads eta_0..eta_64 whatever was read before it; a
+    # longer s_max lists more of the orbit and widens no verdict
+    inst = generate("polyball_random", seed, dim=12, target_radius=0.996)
+    fresh = decay_verdicts(inst, 0)
+    assert fresh[0] == [False] and not fresh[1].pure
+    assert decay_verdicts(inst, 4096) == fresh
+    wide = spectral_radius_equivalences(inst.symbols, inst.ops, s_max=256)
+    assert [f.decays_to_zero for f in wide.factors] == fresh[0]
+    assert [f.radius for f in wide.factors] == [f.radius for f in fresh[2].factors]
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    phi._orbit(1).norm(256)
+    assert not is_pure_element(phi, np.eye(12)).pure
+    cert, T = sznagy_solve(inst.symbols, inst.ops)
+    assert (cert.status, cert.notes, cert.residuals) == fresh[3]
+
+
 def test_radius_report_scalar_rates():
     c = 0.8
     symbols, _, ops = scalar_tuple(c)
