@@ -29,14 +29,12 @@ The radius of each factor is computed once per tuple, by the one rule that
 CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
 nilpotent orbit gives 0. Otherwise the first candidate at most the orbit's
 Gelfand bound is taken: the diagonals of the row's triangular form when its
-letters commute (Radjavi-Rosenthal; U^* A_{i,j} U upper triangular for
-one unitary U, O(d^3)), then from d = 12 on a Collatz-Wielandt read of the
-orbit's own iterates (s Y <= Phi_i(Y) <= t Y for Y = Phi_i^s(I) > 0). A row
-with neither gets one dense eigvals of the map's real form while
-d^2 <= tol.max_vec_dim (d <= 80), and the Gelfand bound above that. The orbit
-encloses the radius, min_t eta_t^{1/t} >= rho(Phi_i) >= lambda_t^{1/t} with
-lambda_t = lambda_min(Phi_i^t(I)), since Phi_i^t(I) >= lambda_t I
-(Collatz-Wielandt with Y = I); the radius cross-check reads this enclosure.
+letters commute (Radjavi-Rosenthal), then from d = 12 on a Collatz-Wielandt
+read of the orbit's iterates (s Y <= Phi_i(Y) <= t Y for Y = Phi_i^s(I) > 0).
+Else one dense eigvals of the map's real form while d <= 80, and the Gelfand
+bound above that. The orbit encloses the radius, min_t eta_t^{1/t} >=
+rho(Phi_i) >= lambda_t^{1/t} with lambda_t = lambda_min(Phi_i^t(I)) (Y = I);
+the radius cross-check reads this enclosure.
 
 vec convention is row-major throughout: vec(X)[d*r + c] = X[r, c], hence
 vec(A X B) = (A kron B^T) vec(X) and the matricized map is
@@ -80,7 +78,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _WIDE = np.clongdouble if np.finfo(np.longdouble).eps < _EPS / 64 else None
 # the most bytes of iterates one batched SVD of the identity orbit reads (_Orbit.norm)
 _STRETCH_BYTES = 1 << 22
-# the fewest orbit steps a decay verdict reads, and the first iterate _orbit_radius takes
+# the fewest orbit steps a decay verdict reads, and the first iterate _orbit_radius reads
 _DECAY_WINDOW = 64
 # the most terms a certified series or norm sum, or a decay search, reads
 SERIES_BUDGET = 20000
@@ -410,8 +408,6 @@ class _Orbit:
         self.growth = float("inf")
         # (t, theta_t, growth_t) for each power of two t that improved theta
         self.envelopes: List[Tuple[int, float, float]] = []
-        # Phi_i^t(I), 0 < eta_t < inf, at powers of two t >= _DECAY_WINDOW (_orbit_radius)
-        self.powers: Dict[int, np.ndarray] = {}
         # an envelope theta below this bar certifies decay despite rounding (see decays)
         self.bar = 1.0 - phi.dim * _EPS
 
@@ -442,8 +438,6 @@ class _Orbit:
                 t = len(self.eta) - 1
                 if t & (t - 1) == 0:
                     self._refresh(t)
-                    if t >= _DECAY_WINDOW and 0.0 < self.eta[t] < float("inf"):
-                        self.powers[t] = X
                 if self.eta[-1] in (0.0, float("inf")):
                     break
         return self.eta[min(s, len(self.eta) - 1)]
@@ -736,27 +730,32 @@ class CPMapTuple:
     def _orbit_radius(self, i: int) -> Optional[float]:
         """rho(Phi_i) read off the identity orbit from d = _ORBIT_RADIUS_MIN_DIM on, or None.
 
-        For Y = Phi_i^s(I) = L L^* > 0 and Z = Phi_i(Y), the orbit's next step,
-        M = L^{-1} Z L^{-*} is PSD, so its singular values are its eigenvalues
-        and sigma_min Y <= Z <= sigma_max Y: sigma_min <= rho(Phi_i) <= sigma_max
-        (Collatz-Wielandt; Evans-Hoegh-Krohn). sigma_max is returned once
-        sigma_max - sigma_min <= 1e-12 sigma_max, for s = 64, 128 or 256, and
-        None otherwise.
+        For Y = Phi_i^s(I) = L L^* > 0 and Z = Phi_i(Y), M = L^{-1} Z L^{-*} is
+        PSD, so sigma_min Y <= Z <= sigma_max Y and sigma_min <= rho(Phi_i) <=
+        sigma_max (Collatz-Wielandt; Evans-Hoegh-Krohn); sigma_max does not grow
+        with s. Read at s = 64, 128, 256, it is returned once the enclosure or
+        its move since the last read is at most 1e-12 sigma_max (on a reducible
+        row sigma_min stays at a lower block's radius), else None. The steps are
+        plain applies that go on from the orbit's last iterate if t <= 64.
         """
         if self.dim < _ORBIT_RADIUS_MIN_DIM:
             return None
-        orbit = self._orbit(i)
-        for s in (_DECAY_WINDOW, 2 * _DECAY_WINDOW, 4 * _DECAY_WINDOW):
-            orbit.norm(s)
-            try:
-                Y = orbit.powers[s]
-                L = np.linalg.cholesky(Y)
-            except (KeyError, np.linalg.LinAlgError):  # the orbit stopped before s, or Y is singular
-                return None
-            M = np.linalg.solve(L, np.linalg.solve(L, self.apply(i, Y, herm=True)).conj().T)
-            sv = _singular_values([M])[0]
-            if sv[0] - sv[-1] <= 1e-12 * sv[0]:
-                return float(sv[0])
+        orbit, top = self._orbit(i), float("inf")
+        s, Y = len(orbit.eta) - 1, orbit.X
+        if s > _DECAY_WINDOW:
+            s, Y = 0, np.eye(self.dim, dtype=np.complex128)
+        while s <= 4 * _DECAY_WINDOW:
+            Z = self.apply(i, Y, herm=True)
+            if s >= _DECAY_WINDOW and s & (s - 1) == 0:
+                try:
+                    L = np.linalg.cholesky(Y)
+                except np.linalg.LinAlgError:  # Y is zero or singular
+                    return None
+                sv = _singular_values([np.linalg.solve(L, np.linalg.solve(L, Z).conj().T)])[0]
+                if min(sv[0] - sv[-1], abs(top - sv[0])) <= 1e-12 * sv[0] < float("inf"):
+                    return float(sv[0])
+                top = float(sv[0])
+            s, Y = s + 1, Z
         return None
 
     def _single_factor_series(
@@ -1036,7 +1035,8 @@ class CPMapTuple:
              on the OperatorTuple, and which the series reuses;
            - from d = 12 on, the top of the Collatz-Wielandt enclosure
              [sigma_min, sigma_max] from Y = Phi_i^s(I), s = 64, 128, 256
-             (_orbit_radius), once it is 1e-12 sigma_max wide;
+             (_orbit_radius), once it is 1e-12 sigma_max wide, or sigma_max
+             moved by at most that since the last read;
         3. while d^2 <= tol.max_vec_dim (6400 by default), dense eigvals of
            the real form of the map on the Hermitian matrices;
         4. above that, the Gelfand bound min_{t<=64} eta_t^{1/t}, an upper

@@ -686,27 +686,33 @@ def test_console_script_pipeline(tmp_path):
     assert rep["task"] == "radius"
 
 
-def test_cli_import_leaves_arpack_out():
+def test_cli_import_leaves_arpack_out(tmp_path):
     # no library computation imports scipy: a d = 16 polyball_random row has
     # no triangular form, so its radius is read off the identity orbit; only
-    # cli.main imports scipy, for the report's version string
+    # cli.main imports scipy, for the report's version string, and the Fock
+    # commands at d = 4 load no scipy.sparse
     import polydom
 
     src = str(Path(polydom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
     code = "\n".join([
         "import sys",
-        "import polydom.cli",
+        "import polydom.cli as cli",
         "from polydom.cpmap import CPMapTuple",
         "from polydom.generate import generate",
         "from polydom.similarity import spectral_radius_equivalences, sznagy_solve",
         "inst = generate('polyball_random', 0, dim=16)",
         "phi = CPMapTuple(inst.symbols, inst.ops)",
-        "assert phi.joint_spectral_radius(1) > 0 and phi._orbit(1).powers",
+        "assert phi._orbit_radius(1) is not None and phi.joint_spectral_radius(1) > 0",
         "spectral_radius_equivalences(inst.symbols, inst.ops)",
         "sznagy_solve(inst.symbols, inst.ops)",
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]",
         "assert not loaded, loaded",
+        f"cli.main(['gen', '--family', 'commuting_polynomials', '--dim', '4', '--output', {str(spec)!r}])",
+        "for cmd in ('model', 'kernel', 'rota'):",
+        f"    assert cli.main([cmd, '--input', {str(spec)!r}, '--trunc-degree', '4', '--output', {str(out)!r}]) == 0, cmd",
+        "    assert 'scipy.sparse' not in sys.modules, cmd",
     ])
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

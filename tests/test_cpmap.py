@@ -934,9 +934,12 @@ def test_orbit_radius_refuses_a_singular_iterate():
 
 
 def test_orbit_after_a_radius_read_is_the_stepwise_orbit():
+    # the read steps on by plain applies and leaves the orbit's record as it
+    # was; it takes the same bits whether it goes on from the orbit's last
+    # iterate (t <= 64) or starts again from I (an orbit read past 64)
     inst = generate("polyball_random", 3, dim=16)
     phi = CPMapTuple(inst.symbols, inst.ops)
-    phi.joint_spectral_radius(1, crosscheck=False)
+    rho = phi._map_radius(1)
     read = phi._orbit(1)
     stepwise = CPMapTuple(inst.symbols, inst.ops)
     steps = stepwise._orbit(1)
@@ -945,9 +948,36 @@ def test_orbit_after_a_radius_read_is_the_stepwise_orbit():
     assert steps.eta == read.eta and steps.floor == read.floor
     assert steps.envelopes == read.envelopes
     assert steps.X.tobytes() == read.X.tobytes()
-    assert sorted(read.powers) == [64, 128, 256][:len(read.powers)] and read.powers
-    for t, Y in read.powers.items():
-        assert steps.powers[t].tobytes() == Y.tobytes()
+    for length in (0, 40, 64, 4096):
+        other = CPMapTuple(inst.symbols, inst.ops)
+        other._orbit(1).norm(length)
+        assert other._orbit_radius(1) == rho
+
+
+def reducible_row(diag, d_block, seed):
+    """kron(diag, A_j) for a polyball_random row A of dimension d_block, whose
+    letters do not commute: Phi^s(I) stays block diagonal and positive
+    definite, and rho(Phi) = max |diag|^2 rho(Phi_A); also the tuple of A."""
+    inst = generate("polyball_random", seed, dim=d_block)
+    rows = [[np.kron(np.diag(diag), A) for A in inst.ops.rows[0]]]
+    return CPMapTuple(inst.symbols, OperatorTuple(rows)), CPMapTuple(inst.symbols, inst.ops)
+
+
+@pytest.mark.parametrize("diag, d_block", [
+    ((1.0, 0.5), 6), ((0.5, 1.0), 8), ((1.0, 0.9), 12), ((1.0,) + (0.5,) * 7, 12),
+])
+def test_orbit_radius_of_a_reducible_row(diag, d_block, monkeypatch):
+    # sigma_min of M tends to the lower block's radius, so the enclosure
+    # never closes; the read takes sigma_max once it stops moving. At d = 96
+    # no dense step is left, so a refusal would give the Gelfand bound
+    for seed in range(2):
+        phi, block = reducible_row(diag, d_block, seed)
+        assert phi._triangular_radius(1) is None
+        want = max(diag) ** 2 * dense_radius(block, 1) ** 2
+        calls = count_eigvals(monkeypatch)
+        assert phi._map_radius(1) == pytest.approx(want, rel=1e-12)
+        assert not calls and not phi._matricized
+        assert phi.joint_spectral_radius(1, crosscheck=True) == np.sqrt(phi._map_radius(1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
