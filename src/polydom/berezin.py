@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cone import hermitian, positive, psd_range
-from .config import DivergenceError
+from .config import DivergenceError, require_tol
 from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, _require_degree, hermitize
 from .fock import (
     CompressedModel,
@@ -33,7 +33,7 @@ from .fock import (
     compress,
     variety_subspace,
 )
-from .words import NCPolynomial, PositiveSymbol, polyball_symbol
+from .words import NCPolynomial, PositiveSymbol, as_count, polyball_symbol
 
 
 @dataclass
@@ -101,7 +101,7 @@ def _require_model(model: ModelOperators, symbols: Sequence[PositiveSymbol],
                    m: Sequence[int], degree_cap: int) -> None:
     """ValueError unless model was built for these symbols, m and degree cap (by value)."""
     fock = model.fock
-    want = (tuple(symbols), tuple(m), int(degree_cap))
+    want = (tuple(symbols), tuple(m), degree_cap)
     if (fock.symbols, fock.m, fock.degree_cap) != want:
         raise ValueError(
             f"the model was built for m = {fock.m}, degree cap {fock.degree_cap}; "
@@ -131,7 +131,7 @@ def kernel(
     BLAS call) per factor. That costs O(sum_i n_i^{<=D} d^3 + dim * rank * d^2),
     with the word products read from OperatorTuple.stack, built level by level.
     """
-    m = _require_degree("m", m, phi.k, 1)
+    m, degree_cap = _require_degree("m", m, phi.k, 1), as_count(degree_cap, "degree_cap")
     if model is not None:
         _require_model(model, phi.symbols, m, degree_cap)
     ops = phi.ops
@@ -415,8 +415,7 @@ def vn_check_model(
     only increase with the cap, an unstabilized right side yields
     INCONCLUSIVE, never PASS.
     """
-    symbols = tuple(symbols)
-    m = tuple(m)
+    symbols, m, tol = tuple(symbols), tuple(m), require_tol(tol)
     D_pos = hermitian(D_pos, "D_pos", ops.dim)
     positive(D_pos, ops.tol, what="D_pos")
     terms = _vn_terms(symbols, terms)
@@ -506,7 +505,7 @@ def vn_check_polydisc(
     Euclidean norm for one row or column, a closed form for two, and a
     batched SVD from 3 x 3 on.
     """
-    k = C_ops.k
+    k, tol = C_ops.k, require_tol(tol)
     if any(n != 1 for n in C_ops.arities):
         raise ValueError("polydisc mode needs one generator per factor")
     rows = len(poly_matrix)

@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import default_tolerances
+from .config import default_tolerances, require_tol
 from .cone import flat_equivalence, membership, reconstruct
 from .cpmap import CPMapTuple
 from .berezin import (
@@ -51,7 +51,7 @@ from .similarity import (
     solve_defect_equation,
     sznagy_solve,
 )
-from .words import commutator_polynomial
+from .words import as_count, commutator_polynomial
 
 _EXIT = {"PASS": 0, "INCONCLUSIVE": 2, "FAILED": 1}
 _RANK = {"PASS": 0, "INCONCLUSIVE": 1, "FAILED": 2}
@@ -67,6 +67,16 @@ def _task_value(spec: ProblemSpec, args, key: str, flag: Optional[str], default)
         if v is not None:
             return v
     return spec.task.get(key, default)
+
+
+def _task_degree(spec: ProblemSpec, args) -> int:
+    """The truncation degree D of --trunc-degree or the spec (default 6), an integer >= 1."""
+    return as_count(_task_value(spec, args, "D", "trunc_degree", 6), "D")
+
+
+def _task_tol(spec: ProblemSpec, args, default: float) -> float:
+    """The tol of --tol or the spec, finite and > 0 (require_tol)."""
+    return require_tol(_task_value(spec, args, "tol", "tol", default))
 
 
 def _default_R(spec: ProblemSpec, args) -> np.ndarray:
@@ -116,7 +126,7 @@ def cmd_cone(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_model(spec: ProblemSpec, args) -> Dict[str, Any]:
-    D = int(_task_value(spec, args, "D", "trunc_degree", 6))
+    D, tol = _task_degree(spec, args), _task_tol(spec, args, 1e-8)
     fock, model = build_model(spec.symbols, spec.m, D)
     out: Dict[str, Any] = {"fock_dim": fock.dim, "degree_cap": D}
     dom = domain_check_model(model)
@@ -132,7 +142,6 @@ def cmd_model(spec: ProblemSpec, args) -> Dict[str, Any]:
             "q_residuals_full": sanitize(comp.q_residuals_full),
             "q_residuals_interior": sanitize(comp.q_residuals_interior),
         }
-        tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
         if any(r > tol for r in comp.q_residuals_interior):
             statuses.append("FAILED")
     out["status"] = _worst(statuses)
@@ -140,8 +149,8 @@ def cmd_model(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
-    D = int(_task_value(spec, args, "D", "trunc_degree", 6))
-    tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
+    D = _task_degree(spec, args)
+    tol = _task_tol(spec, args, 1e-8)
     R = _default_R(spec, args)
     kern = kernel(CPMapTuple(spec.symbols, spec.ops), spec.m, R, D)
     # the kernel's model again, served from the model cache; perfbench's
@@ -185,8 +194,8 @@ def cmd_kernel(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_rota(spec: ProblemSpec, args) -> Dict[str, Any]:
-    tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
-    D = int(_task_value(spec, args, "D", "trunc_degree", 6))
+    tol = _task_tol(spec, args, 1e-8)
+    D = _task_degree(spec, args)
     phi = CPMapTuple(spec.symbols, spec.ops)
     cert, T = _rota(phi, spec.m, spec.constraints, tol)
     out: Dict[str, Any] = {"rota": sanitize(cert)}
@@ -200,7 +209,7 @@ def cmd_rota(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_solve(spec: ProblemSpec, args) -> Dict[str, Any]:
-    tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
+    tol = _task_tol(spec, args, 1e-8)
     sol = solve_defect_equation(spec.symbols, spec.m, spec.ops, _default_R(spec, args), tol=tol)
     return {
         "status": "PASS" if sol.ok else "FAILED",
@@ -214,7 +223,7 @@ def cmd_solve(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_sznagy(spec: ProblemSpec, args) -> Dict[str, Any]:
-    tol = float(_task_value(spec, args, "tol", "tol", 1e-7))
+    tol = _task_tol(spec, args, 1e-7)
     cert, T = sznagy_solve(spec.symbols, spec.ops, tol=tol)
     out = {"status": cert.status, "certificate": sanitize(cert)}
     if T is not None:
@@ -223,7 +232,7 @@ def cmd_sznagy(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_vn(spec: ProblemSpec, args) -> Dict[str, Any]:
-    tol = float(_task_value(spec, args, "tol", "tol", 1e-8))
+    tol = _task_tol(spec, args, 1e-8)
     mode = spec.task.get("mode", "model")
     if mode == "polydisc":
         pm_obj = spec.task.get("poly_matrix")
@@ -245,7 +254,7 @@ def cmd_vn(spec: ProblemSpec, args) -> Dict[str, Any]:
         ]
         D_obj = spec.task.get("D_pos")
         D_pos = matrix_from_json(D_obj) if D_obj else np.eye(spec.ops.dim)
-        D = int(_task_value(spec, args, "D", "trunc_degree", 6))
+        D = _task_degree(spec, args)
         rep = vn_check_model(
             spec.symbols, spec.m, spec.ops, D_pos, terms,
             spec.constraints, degree_cap=D, tol=tol,
@@ -256,8 +265,8 @@ def cmd_vn(spec: ProblemSpec, args) -> Dict[str, Any]:
 
 
 def cmd_cpsim(spec: ProblemSpec, args) -> Dict[str, Any]:
-    tol = float(_task_value(spec, args, "tol", "tol", 1e-7))
-    D = int(_task_value(spec, args, "D", "trunc_degree", 6))
+    tol = _task_tol(spec, args, 1e-7)
+    D = _task_degree(spec, args)
     mode = spec.task.get("mode", "strict")
     phi = CPMapTuple.from_kraus([list(row) for row in spec.ops.rows])
     R_obj = spec.task.get("R")
@@ -383,6 +392,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         spec, raw = load_problem(args.input)
+        # canonical JSON refuses a non-finite number anywhere in the spec
+        inputs_digest = digest(raw)
         outputs = _COMMANDS[args.command](spec, args)
     except Exception as e:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {e}\n")
@@ -391,7 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     import scipy  # for its version only, so a cold import of the CLI does not load it
     report = {
         "task": args.command,
-        "inputs_digest": digest(raw),
+        "inputs_digest": inputs_digest,
         "outputs": outputs,
         "tolerances": default_tolerances().as_dict(),
         "versions": {

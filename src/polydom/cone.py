@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import Tolerances
+from .config import Tolerances, require_tol
 from .cpmap import (
     _DECAY_WINDOW,
     CPMapTuple,
@@ -234,7 +234,7 @@ def flat_equivalence(
         raise ValueError(f"Y is outside the cone (worst eigenvalue {rep.worst()[1]:.3e})")
     Y = hermitize(np.asarray(Y, dtype=np.complex128))
     scale = max(1.0, float(np.linalg.norm(Y, 2)))
-    tol = 1e-8 * scale if tol is None else float(tol)
+    tol = 1e-8 * scale if tol is None else require_tol(tol)
     full = float(np.linalg.norm(phi.defect(tuple(m), Y), 2))
     ones = float(np.linalg.norm(phi.defect(tuple([1] * phi.k), Y), 2))
     a, b = full <= tol, ones <= tol
@@ -275,7 +275,7 @@ def factor_through(
             f"Gamma is outside the cone (worst eigenvalue {gamma_report.worst()[1]:.3e})"
         )
     qa_scale = max(1.0, float(np.linalg.norm(Gamma, 2)))
-    tol = 1e-8 if tol is None else float(tol)
+    tol = 1e-8 if tol is None else require_tol(tol)
     for q in Q_polys:
         qa = float(np.linalg.norm(A.evaluate_poly(q), 2))
         if qa > tol * qa_scale:

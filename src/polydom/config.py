@@ -2,11 +2,14 @@
 
 Every tolerance used by a solver is read from a single Tolerances value so
 that reports can echo the effective settings and reruns are reproducible.
+Every public tol argument, and a spec's task.tol, must be finite and > 0
+(require_tol).
 """
 
 from __future__ import annotations
 
 import os
+from math import isfinite
 from dataclasses import asdict, dataclass
 
 
@@ -47,6 +50,14 @@ def default_tolerances() -> Tolerances:
     if cap is None:
         return Tolerances()
     return Tolerances(max_fock_dim=int(cap))
+
+
+def require_tol(tol) -> float:
+    """tol as a float; ValueError unless it is finite and > 0."""
+    t = float(tol)
+    if not (isfinite(t) and t > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {t!r}")
+    return t
 
 
 class ResourceCapError(RuntimeError):

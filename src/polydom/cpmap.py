@@ -12,18 +12,18 @@ eta_t < 1 into a geometric envelope for all s, and Phi_i^s = 0 exactly when
 Phi_i^s(I) = 0, so the nilpotency index is the first zero iterate by s = d.
 Series tails are stated in the Frobenius norm, which costs a factor sqrt(d).
 
-CPMapTuple.weighted_series has two paths, and on both its tail_bound bounds
-the Frobenius distance to the exact Delta^{-m}(R) and is at most the series
-target, tol max(1, ||R||_F). A tuple with no nilpotent factor whose factors
-all have a certified resolvent G_i = (id - Phi_i)^{-1} (CPMapTuple._resolvent:
-Stein equations in the row's triangular form, OperatorTuple.row_form) is
-solved by them; tail_bound is then the residual-correction bound of
-_triangular_series, whose residuals are formed in long double, and terms is
-all zeros. Every other tuple, or one whose certificate fails or whose bound
-misses the target, sums the series; tail_bound then bounds the truncation.
-Neither counts the rounding of its own residual or term evaluation. The
-bound on ||Delta_i^{-m_i}(I)||_2 behind Rota's condition number reads the
-same resolvents (CPMapTuple._inverse_norm_bound).
+CPMapTuple.weighted_series takes one of two paths by the tuple's structure,
+and on both its tail_bound bounds the Frobenius distance to the exact
+Delta^{-m}(R). Where long double is wider than double, a tuple with no
+nilpotent factor whose factors all have a certified resolvent
+G_i = (id - Phi_i)^{-1} (CPMapTuple._resolvent: Stein equations in the row's
+triangular form, OperatorTuple.row_form) is solved by them: terms is all
+zeros and tail_bound is the residual-correction bound of _triangular_series,
+which may exceed tol max(1, ||R||_F) where double precision cannot meet it.
+Every other tuple sums the series to that target, and tail_bound bounds its
+truncation, not the rounding of its terms. The bound on
+||Delta_i^{-m_i}(I)||_2 behind Rota's condition number reads the same
+resolvents (CPMapTuple._inverse_norm_bound).
 
 The radius of each factor is computed once per tuple, by the one rule that
 CPMapTuple.joint_spectral_radius states, and only gates the certificates. A
@@ -44,7 +44,6 @@ M_i = sum a_alpha (A_alpha kron conj(A_alpha)).
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 from dataclasses import dataclass
 from math import comb
@@ -52,8 +51,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DivergenceError, ResourceCapError, Tolerances, default_tolerances
-from .words import NCPolynomial, PositiveSymbol, as_letter, polyball_symbol, require_valid, require_word_count
+from .config import DivergenceError, ResourceCapError, Tolerances, default_tolerances, require_tol
+from .words import NCPolynomial, PositiveSymbol, as_count, as_letter, polyball_symbol, require_valid, require_word_count
 
 MultiDegree = Tuple[int, ...]
 # the letter Z_{i,j} as (i, j), both 1-based
@@ -95,18 +94,13 @@ def multi_grid(m: Sequence[int]) -> Iterator[MultiDegree]:
 
 def _require_degree(name: str, p: Sequence[int], k: int, least: int) -> MultiDegree:
     """The multi-degree p as a tuple of ints; ValueError unless it has k entries,
-    each an integer (operator.index: 1.5 is refused, not truncated) >= least."""
+    each an integer (as_count: 1.5 is refused, not truncated) >= least."""
     if len(p) != k:
         raise ValueError(f"multi-degree length {len(p)} != k = {k}")
-    out = []
-    for x in p:
-        try:
-            out.append(operator.index(x))
-        except TypeError:
-            raise ValueError(f"{name} entry {x!r} is not an integer") from None
+    out = tuple(as_count(x, f"{name} entry", None) for x in p)
     if any(pi < least for pi in out):
-        raise ValueError(f"{name} must be >= {least} componentwise, got {tuple(out)}")
-    return tuple(out)
+        raise ValueError(f"{name} must be >= {least} componentwise, got {out}")
+    return out
 
 
 def defect_sweep(
@@ -237,10 +231,29 @@ def hermitize(X: np.ndarray) -> np.ndarray:
     return (X + X.conj().T) / 2
 
 
+def _finite(X, what: str):
+    """X; DivergenceError unless its Frobenius norm is finite in double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(X))
+    if not np.isfinite(norm):
+        raise DivergenceError(f"{what} is not finite in double precision; lower m")
+    return X
+
+
 def _split_norm(E: np.ndarray) -> float:
     """||H||_2 + ||S||_2 for E = H + iS with H and S Hermitian: a positive map G
-    with ||G(I)||_2 <= c has ||G(E)||_2 <= c (||H||_2 + ||S||_2)."""
+    with ||G(I)||_2 <= c has ||G(E)||_2 <= c (||H||_2 + ||S||_2). E is a Stein
+    residual, and one that is not finite raises DivergenceError."""
+    E = _finite(E, "a Stein residual")
     return float(np.linalg.norm(hermitize(E), 2) + np.linalg.norm(hermitize(1j * E), 2))
+
+
+def _weight(s: int, m: int) -> float:
+    """C(s+m-1, m-1); DivergenceError once it leaves the double range."""
+    try:
+        return float(comb(s + m - 1, m - 1))
+    except OverflowError:
+        raise DivergenceError(f"C({s + m - 1}, {m - 1}) overflows a double; lower m") from None
 
 
 def is_hermitian(X: np.ndarray, rel: float = 1e-12) -> bool:
@@ -332,7 +345,7 @@ class OperatorTuple:
         graded-lex order (fock.factor_words'): level L, an (n_i^L, d, d) array,
         is level L - 1 times each letter in one batched product, prefix times
         last letter. Levels are kept, and grown only after the word cap check."""
-        i, D = as_letter(i, self.k, "factor"), operator.index(D)
+        i, D = as_letter(i, self.k, "factor"), as_count(D, "D", least=0)
         require_word_count(self.arities[i - 1], D, self.tol)
         levels = self._levels[i - 1]
         if not levels:
@@ -376,7 +389,8 @@ class OperatorTuple:
 
 @dataclass
 class SeriesResult:
-    """Truncated series value with a certified tail bound; certified is always True."""
+    """Delta^{-m}(R) with a bound on its Frobenius error; certified is always True.
+    terms counts the summed terms per factor, all zeros for a solved tuple."""
 
     value: np.ndarray
     tail_bound: float
@@ -510,14 +524,14 @@ class _Orbit:
             ratio = theta * (s + m) / (s + 1)
             if t <= s and ratio < 1.0:
                 best = min(best, growth * theta ** s / (1.0 - ratio))
-        return comb(s + m - 1, m - 1) * best
+        return _weight(s, m) * best
 
     def norm_sum(self, m: int, start: int = 0) -> float:
         """Certified sum_{s>=start} C(s+m-1, m-1) ||Phi_i^s||; inf when no envelope is found within SERIES_BUDGET terms."""
         total = 0.0
         s = start
         while True:
-            total += comb(s + m - 1, m - 1) * self.norm(s)
+            total += _weight(s, m) * self.norm(s)
             s += 1
             tail = self.tail(s, m)
             if tail <= 1e-12 * max(total, 1.0) or s >= SERIES_BUDGET:
@@ -783,7 +797,7 @@ class CPMapTuple:
         scale = np.sqrt(self.dim) * xnorm
         s = 0
         while True:
-            total += comb(s + m_i - 1, m_i - 1) * term
+            total += _weight(s, m_i) * term
             s += 1
             tail = scale * orbit.tail(s, m_i)
             if tail <= tail_target:
@@ -843,16 +857,16 @@ class CPMapTuple:
         self, stages: Sequence[Tuple[int, _Resolvent]], R: np.ndarray, herm: bool
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """(Z_n, [E_1..E_n]) for the stages Z_j = G(Z_{j-1}), Z_0 = R, of the
-        (factor i, resolvent G) pairs in order, with the residuals
-        E_j = Z_{j-1} - (id - Phi_i)(Z_j) in _WIDE. Every Z_j is hermitized when
-        herm is set, and from R = I the first stage is the witness Q."""
+        (factor i, resolvent G) pairs in order, with the residuals E_j =
+        Z_{j-1} - (id - Phi_i)(Z_j) in _WIDE; each Z_j is hermitized when herm
+        is set and must be finite (_finite). From R = I the first stage is Q."""
         Z, residuals = R, []
         for j, (i, G) in enumerate(stages):
             Z_next = G.Q if j == 0 and np.array_equal(R, np.eye(self.dim)) else G.solve(Z)
             if herm:
                 Z_next = hermitize(Z_next)
             residuals.append(self._wide_residual(i, Z, Z_next))
-            Z = Z_next
+            Z = _finite(Z_next, f"stage {j + 1}")
         return Z, residuals
 
     def _inverse_norm_bound(self, i: int, m_i: int) -> float:
@@ -879,27 +893,27 @@ class CPMapTuple:
         return float(np.linalg.norm(Z, 2)) + spill
 
     def _triangular_series(
-        self, m: Sequence[int], R: np.ndarray, radii: Tuple[float, ...], target: float
+        self, m: Sequence[int], R: np.ndarray, radii: Tuple[float, ...]
     ) -> Optional[SeriesResult]:
-        """Delta^{-m}(R) by the factors' resolvents (_resolvent), with an error
-        bound; None when there is no wider type, a factor is nilpotent or has no
-        certified resolvent, or the bound is above target.
+        """Delta^{-m}(R) by the factors' resolvents (_resolvent) with an error
+        bound; None without a wider type, or with a nilpotent factor or one
+        without a certified resolvent.
 
         Delta^{-m} is m_i solves of G_i per factor, factor k first: the inverse
-        of defect, which applies factor 1 first. Composing them needs only that
-        the maps commute: OperatorTuple and from_kraus check it, and
-        check_commutation=False leaves it to the caller.
+        of defect, which applies factor 1 first; composing them needs only that
+        the maps commute (OperatorTuple and from_kraus check it, and
+        check_commutation=False leaves it to the caller).
 
         Stage j takes Z_{j-1} (Z_0 = R) to Z_j with residual
-        E_j = Z_{j-1} - (id - Phi)(Z_j), formed in _WIDE since it is at the
-        rounding level of Z_j. Then Delta^{-m}(R) - Z_n = D_n exactly, for
-        D_j = G(D_{j-1} + E_j), D_0 = 0. The same stages give D~_n, and the
-        value is Z_n + D~_n. Its error is the rounding of that sum, formed in
-        _WIDE, plus D_n - D~_n; by the same identity, this is the stages
-        j..n applied to the residuals D~_{j-1} + E_j - (id - Phi)(D~_j) of the
-        D~ stages, kept in _WIDE like the E_j, each at most
-        sqrt(d) (||H_j||_2 + ||S_j||_2) times the c_i of those stages in the
-        Frobenius norm. The bound is the sum of these terms.
+        E_j = Z_{j-1} - (id - Phi)(Z_j), formed in _WIDE at the rounding level
+        of Z_j. Then Delta^{-m}(R) - Z_n = D_n exactly, for D_j = G(D_{j-1} +
+        E_j), D_0 = 0, and the value is Z_n + D~_n from the same stages. Its
+        error is the rounding of that sum, formed in _WIDE, plus D_n - D~_n:
+        the stages j..n applied to the residuals D~_{j-1} + E_j - (id - Phi)(D~_j),
+        kept in _WIDE, each at most sqrt(d) (||H_j||_2 + ||S_j||_2) times the
+        c_i of those stages in the Frobenius norm. The bound sums these terms,
+        whatever its size; a stage, residual, value or bound that is not
+        finite in double (_finite) raises DivergenceError.
         """
         if _WIDE is None or any(
             self._orbit(i).nilpotency_index() is not None for i in range(1, self.k + 1)
@@ -920,14 +934,13 @@ class CPMapTuple:
                 D = hermitize(D)
             F = self._wide_residual(i, rhs, D).astype(np.complex128)
             shares.append(_split_norm(F))
-        value = Z + D
+        value = _finite(Z + D, "the solved value")
         rounding = value.astype(_WIDE) - Z.astype(_WIDE) - D.astype(_WIDE)
         # the residual of the j-th D~ stage passes through the stages j..n
-        through = np.cumprod([G.c for _, G in reversed(stages)])[::-1]
-        bound = float(np.linalg.norm(rounding)) + float(np.sqrt(self.dim) * np.dot(shares, through))
-        if not bound <= target:
-            return None
-        return SeriesResult(value, bound, (0,) * self.k, True, radii)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
+            through = np.cumprod([G.c for _, G in reversed(stages)])[::-1]
+            bound = float(np.linalg.norm(rounding)) + float(np.sqrt(self.dim) * np.dot(shares, through))
+        return SeriesResult(value, _finite(bound, "the bound of the solved value"), (0,) * self.k, True, radii)
 
     def _refuse_unsettled(self, factors: Sequence[int]) -> None:
         bad = [i for i in factors if not self._settled(i)]
@@ -944,45 +957,31 @@ class CPMapTuple:
     ) -> SeriesResult:
         """sum over s in Z_+^k of prod_i C(s_i+m_i-1, m_i-1) Phi^s(R), certified or refused.
 
-        The sum is Delta^{-m}(R), and the returned tail_bound certifies its
-        Frobenius distance to the value on either of two paths, so certified
-        is always True. Both run after the radius gate below.
+        The sum is Delta^{-m}(R); tail_bound bounds the Frobenius distance of
+        the value to it, so certified is always True. After the radius gate,
+        the tuple's structure picks a path (module docstring): solved by
+        _triangular_series, whose bound may exceed the target
+        tol max(1, ||R||_F), or summed stage by stage, factor 1 first, to
+        that target; the two orders agree because the maps commute. Each
+        stage tail uses ||Phi_j^u(X)||_F <= sqrt(d) eta_u ||X||_2, and an
+        error passed through stage j grows at most by sqrt(d) norm_sum_j(m_j).
 
-        A tuple whose every factor has a certified resolvent (_resolvent: a
-        Stein solver in its row's triangular form, built once per factor) and
-        no nilpotent factor is solved factor by factor (_triangular_series):
-        no term is summed, terms is all zeros, and tail_bound bounds the error
-        of the residual-corrected value, mostly its rounding to double. That
-        value is returned only when tail_bound meets the target below;
-        otherwise, or when a factor has no certified resolvent, the series
-        below runs unchanged.
-
-        The series is evaluated stage by stage, factor 1 first, and
-        tail_bound bounds its truncation. The Stein stages run factor k
-        first, so they invert defect exactly; the two orders agree because
-        the maps commute. On both paths tail_bound is at most
-        the target tol max(1, ||R||_F). Neither bound counts the rounding of
-        its own residual or term evaluation.
-
-        Each factor's bounds come from its identity orbit eta_s: the stage
-        tail uses ||Phi_j^u(X)||_F <= sqrt(d) eta_u ||X||_2, and an error
-        passed through stage j grows at most by sqrt(d) * norm_sum_j(m_j),
-        norm_sum_j(m_j) = sum_u C(u+m_j-1, m_j-1) eta_u. DivergenceError is
-        raised when a factor's radius is above 1 - radius_margin, when a norm
-        sum finds no envelope, or when a stage needs more than SERIES_BUDGET
-        terms. The truncation and value depend only on the tuple, m, R and
-        tol, not on earlier calls.
+        DivergenceError is raised when a factor's radius is above
+        1 - radius_margin, when a norm sum finds no envelope, when a stage
+        needs more than SERIES_BUDGET terms or a weight leaves the double
+        range, and by _triangular_series; ValueError for a tol that is not
+        finite and > 0. The result depends only on the tuple, m, R and tol,
+        not on earlier calls.
         """
         m = _require_degree("m", m, self.k, 1)
-        tol = self.tol.series_tol if tol is None else float(tol)
+        tol = self.tol.series_tol if tol is None else require_tol(tol)
         R = _as_complex(R)
-        target = tol * max(1.0, float(np.linalg.norm(R)))
-
         radii = tuple(self.joint_spectral_radius(i, crosscheck=False) for i in range(1, self.k + 1))
         self._refuse_unsettled(range(1, self.k + 1))
-        solved = self._triangular_series(m, R, radii, target)
+        solved = self._triangular_series(m, R, radii)
         if solved is not None:
             return solved
+        target = tol * max(1.0, float(np.linalg.norm(R)))
         amps = [np.sqrt(self.dim) * self._orbit(j + 1).norm_sum(m[j]) for j in range(1, self.k)]
         if not all(np.isfinite(amps)):
             raise DivergenceError(
@@ -1012,7 +1011,7 @@ class CPMapTuple:
         rounding allowance t d eps eta_t of the computed iterate,
         lower = sqrt(max_t (lam_t - t d eps eta_t)_+^{1/t}), 0 when no term is positive.
         """
-        orbit = self._orbit(i)
+        orbit, s_max = self._orbit(i), as_count(s_max, "s_max")
         upper = orbit.gelfand(s_max)
         slack = self.dim * _EPS
         pairs = zip(orbit.eta[1:s_max + 1], orbit.floor[1:s_max + 1])

@@ -26,7 +26,7 @@ degree cap, the tolerances and the constraints, never on an operator tuple,
 so build_model, variety_subspace and compress are served from one LRU cache
 per process of CACHE_ENTRIES entries. build_model is keyed by the symbols as
 given (arity, max_degree and each coefficient with its type, in dict
-order), m, the degree cap, the whole Tolerances and exact_weights;
+order), m and the degree cap as checked ints, the whole Tolerances and exact_weights;
 variety_subspace by its model's key, every constraint's terms and
 dense_cap; compress by the keys of its model and subspace. A model or
 subspace that did not come from the cache is never looked up. A hit returns
@@ -45,13 +45,14 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequ
 
 import numpy as np
 
-from .config import ResourceCapError, Tolerances, default_tolerances
+from .config import ResourceCapError, Tolerances, default_tolerances, require_tol
 from .cpmap import MultiDegree, _require_degree, defect_sweep
 from .words import (
     NCPolynomial,
     PositiveSymbol,
     WeightTable,
     Word,
+    as_count,
     as_letter,
     enumerate_words,
     require_valid,
@@ -324,10 +325,13 @@ def build_model(
     """Universal weighted shifts for (f_1..f_k, m) truncated at degree_cap,
     built once per key and then served from the model cache."""
     tol = tol or default_tolerances()
-    symbols, m = tuple(symbols), tuple(m)
+    symbols = tuple(symbols)
+    # m and the cap are checked before they key the cache: (1.0, 1) hashes as (1, 1)
+    m = _require_degree("m", m, len(symbols), 1)
+    degree_cap = as_count(degree_cap, "degree_cap")
     try:
         key = _key("model", tuple(_symbol_key(f) for f in symbols), m,
-                   (type(degree_cap), degree_cap), tol, (type(exact_weights), exact_weights))
+                   degree_cap, tol, (type(exact_weights), exact_weights))
     except AttributeError:  # not a PositiveSymbol: _build_model says why
         key = None
 
@@ -340,11 +344,7 @@ def build_model(
 
 
 def _build_model(symbols, m, degree_cap, tol, exact_weights) -> Tuple[TruncatedFock, ModelOperators]:
-    """build_model without the model cache."""
-    symbols = tuple(symbols)
-    m = _require_degree("m", m, len(symbols), 1)
-    if degree_cap < 1:
-        raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
+    """build_model without the model cache, on a checked m and degree_cap."""
     for f in symbols:
         require_valid(f)
     dims = [word_count(f.arity, degree_cap) for f in symbols]
@@ -806,8 +806,7 @@ def domain_check_model(
     degree is within m_i * deg(f_i) of the cap are polluted by truncation and
     excluded.
     """
-    fock = model.fock
-    m = fock.m
+    fock, m, tol = model.fock, model.fock.m, require_tol(tol)
     if interior_degree is None:
         spread = max(mi * f.degree() for mi, f in zip(m, fock.symbols))
         interior_degree = fock.degree_cap - spread

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DivergenceError
+from .config import DivergenceError, require_tol
 from .cone import ConeReport, hermitian, membership, positive, sqrt_pair
 from .cpmap import (
     _EPS,
@@ -44,7 +44,7 @@ from .berezin import (
     kernel as berezin_kernel,
 )
 from .fock import build_model, variety_subspace
-from .words import NCPolynomial, PositiveSymbol
+from .words import NCPolynomial, PositiveSymbol, as_count
 
 
 @dataclass
@@ -106,7 +106,7 @@ def model_embed(
     S = W, and the residuals are the full residuals of intertwine_check with
     no range leak, so no variety subspace is built.
     """
-    return _embed(CPMapTuple(tuple(symbols), A), tuple(m), R, tuple(Q_polys), degree_cap, tol)
+    return _embed(CPMapTuple(tuple(symbols), A), tuple(m), R, tuple(Q_polys), degree_cap, require_tol(tol))
 
 
 def _gram_factor(K: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def rota_conjugate(
     resolvent when it has one and is not nilpotent, else the norm sum of its
     identity orbit.
     """
-    return _rota(CPMapTuple(tuple(symbols), A), tuple(m), Q_polys, tol)
+    return _rota(CPMapTuple(tuple(symbols), A), tuple(m), Q_polys, require_tol(tol))
 
 
 def _rota(
@@ -292,8 +292,7 @@ def solve_defect_equation(
     precondition and raises. That solve loses about cond(Delta^m) eps: when its
     gap fails, it is refined at most 3 times against R - Delta^m(x) in _WIDE.
     """
-    symbols = tuple(symbols)
-    m = tuple(m)
+    symbols, m, tol = tuple(symbols), tuple(m), require_tol(tol)
     phi = CPMapTuple(symbols, A)
     R = hermitian(R, "R", phi.dim)
     positive(R, phi.tol, definite=True, what="R")
@@ -314,9 +313,11 @@ def solve_defect_equation(
             "matricized defect system is singular although every radius is "
             f"below one; inconsistent instance ({e})"
         )
-    gap = float(np.linalg.norm(x_oracle - vec(X)) / max(np.linalg.norm(vec(X)), 1e-300))
+    # the gap is relative to ||X||_F, and so is the series bound in its gate
+    xnorm = max(float(np.linalg.norm(X)), 1e-300)
+    gap, gap_tol = float(np.linalg.norm(x_oracle - vec(X))) / xnorm, tol + 10.0 * series.tail_bound / xnorm
     for _ in range(3 if _WIDE is not None else 0):
-        if gap <= tol + 10.0 * series.tail_bound:
+        if gap <= gap_tol:
             break
         # a stage (id - Phi_i)(Y) is -(0 - (id - Phi_i)(Y)); the last one gives R - Delta^m(x)
         Y = unvec(x_oracle, phi.dim)
@@ -324,13 +325,13 @@ def solve_defect_equation(
             Y = -phi._wide_residual(i, np.zeros_like(Y), Y)
         E = phi._wide_residual(stages[-1], R, Y).astype(np.complex128)
         x_oracle = x_oracle + np.linalg.solve(L, vec(E))
-        gap = float(np.linalg.norm(x_oracle - vec(X)) / max(np.linalg.norm(vec(X)), 1e-300))
+        gap = float(np.linalg.norm(x_oracle - vec(X))) / xnorm
     rep = membership(phi, m, X, with_purity=False)
     invertible = positive(X, phi.tol, definite=True)[0]
     scale = max(1.0, float(np.linalg.norm(R, 2)))
     ok = (
         defect_residual <= tol * scale + 10.0 * series.tail_bound
-        and gap <= tol + 10.0 * series.tail_bound
+        and gap <= gap_tol
         and rep.member
         and invertible
     )
@@ -498,7 +499,7 @@ def sznagy_solve(
       two-sided bounds, and the fixed-point and unital residuals of Q and
       T are checked a posteriori.
     """
-    return _sznagy(CPMapTuple(tuple(symbols), A), tol)
+    return _sznagy(CPMapTuple(tuple(symbols), A), require_tol(tol))
 
 
 def _radius_above_one(phi: CPMapTuple, factors: Optional[Sequence[int]] = None) -> Optional[str]:
@@ -605,7 +606,7 @@ def similarity_to_variety(
     Sz.-Nagy rules out only a fixed R. So is a series that Rota refuses with
     DivergenceError or ValueError.
     """
-    m = tuple(m)
+    m, tol = tuple(m), require_tol(tol)
     phi = CPMapTuple(tuple(symbols), A)
     if len(m) != phi.k or any(mi < 1 for mi in m):
         raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
@@ -688,7 +689,7 @@ def cpmap_similarity(
       an identity orbit or Q rules out every positive definite fixed point.
     m must have one entry >= 1 per factor in every mode.
     """
-    m = tuple(m)
+    m, tol = tuple(m), require_tol(tol)
     if len(m) != phi.k or any(mi < 1 for mi in m):
         raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
     if mode == "strict":
@@ -740,7 +741,7 @@ def spectral_radius_equivalences(
     Consistent means: radius <= 1 - radius_margin implies decay, and
     radius >= 1 implies no decay.
     """
-    return _radius_equivalences(CPMapTuple(tuple(symbols), A), s_max)
+    return _radius_equivalences(CPMapTuple(tuple(symbols), A), as_count(s_max, "s_max"))
 
 
 def _radius_equivalences(phi: CPMapTuple, s_max: int = 64) -> RadiusReport:

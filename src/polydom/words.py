@@ -19,15 +19,25 @@ from .config import ResourceCapError, Tolerances, default_tolerances
 Scalar = Union[int, float, Fraction]
 
 
-def as_letter(x, top: int | None = None, what: str = "letter") -> int:
-    """x as a 1-based index, an integer (operator.index: 1.5 is refused, not
-    truncated) in 1..top, or >= 1 when top is None; ValueError naming x otherwise."""
+def as_count(x, what: str, least: int | None = 1) -> int:
+    """x as an integer (operator.index: 1.5 is refused, not truncated) >= least,
+    unless least is None; ValueError naming x otherwise. The one rule for
+    letters, multi-degrees, degree caps and orbit lengths, applied before x
+    keys a cache."""
     try:
         j = operator.index(x)
     except TypeError:
         raise ValueError(f"{what} {x!r} is not an integer") from None
-    if j < 1 or (top is not None and j > top):
-        raise ValueError(f"{what} {j} outside " + ("1, 2, ..." if top is None else f"1..{top}"))
+    if least is not None and j < least:
+        raise ValueError(f"{what} {j} outside {least}, {least + 1}, ...")
+    return j
+
+
+def as_letter(x, top: int | None = None, what: str = "letter") -> int:
+    """x as a 1-based index in 1..top, or >= 1 when top is None (as_count)."""
+    j = as_count(x, what)
+    if top is not None and j > top:
+        raise ValueError(f"{what} {j} outside 1..{top}")
     return j
 
 

@@ -609,6 +609,26 @@ def test_vn_model_mode_checks_its_terms_before_any_model(alpha, coeffs, message,
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("cmd, task, flags, message", [
+    ("rota", {"tol": float("nan")}, (), "non-finite float nan cannot be serialized"),
+    ("radius", {"note": float("inf")}, (), "non-finite float inf cannot be serialized"),
+    ("rota", {}, ("--tol", "nan"), "tol must be finite and > 0, got nan"),
+    ("solve", {"tol": -1.0}, (), "tol must be finite and > 0, got -1.0"),
+    ("model", {"D": 2.7}, (), "D 2.7 is not an integer"),
+    ("model", {"tol": 0.0}, (), "tol must be finite and > 0, got 0.0"),
+    ("kernel", {"D": 0}, (), "D 0 outside 1, 2, ..."),
+])
+def test_a_non_finite_number_tol_or_non_integer_D_exits_one(cmd, task, flags, message, tmp_path, capsys):
+    # a NaN tol died in the report's digest with a traceback, and D = 2.7 ran
+    # as D = 2; Python's json reads and writes NaN and Infinity
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 0, "--dim", "3")
+    obj = json.loads(path.read_text())
+    obj["task"].update(task)
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([cmd, "--input", str(path), *flags], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -314,6 +314,41 @@ def test_multi_degree_entries_must_be_integers(entry):
         generate("commuting_polynomials", 0, dim=3, m=(entry, 1))
 
 
+def degree_cap_entry_points(phi, symbols):
+    """name -> call(cap) for every public entry point that reads a degree cap or
+    an orbit length, each an integer >= 1."""
+    from polydom.berezin import kernel
+    from polydom.fock import build_model
+    from polydom.similarity import model_embed, spectral_radius_equivalences
+
+    eye = np.eye(phi.dim)
+    return {
+        "build_model": lambda D: build_model(symbols, (1, 1), D),
+        "kernel": lambda D: kernel(phi, (1, 1), eye, D),
+        "model_embed": lambda D: model_embed(symbols, (1, 1), phi.ops, eye, degree_cap=D),
+        "spectral_radius_equivalences": lambda s: spectral_radius_equivalences(symbols, phi.ops, s_max=s),
+        "radius_power_sequence": lambda s: phi.radius_power_sequence(1, s),
+    }
+
+
+@pytest.mark.parametrize("cap, message", [
+    (2.0, "2.0 is not an integer"), (2.5, "2.5 is not an integer"), (0, "0 outside 1, 2, ..."),
+])
+def test_degree_caps_and_orbit_lengths_must_be_integers(cap, message):
+    # float caps raised a raw TypeError and radius_power_sequence(i, 0) "min()
+    # arg is an empty sequence"; each now takes one integer rule (as_count)
+    inst = generate("commuting_polynomials", 0, dim=3)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    for call in degree_cap_entry_points(phi, inst.symbols).values():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(cap)
+    # a word stack has a level 0
+    assert len(phi.ops.stack(1, 0)) == 1
+    for D, message in ((2.0, "D 2.0 is not an integer"), (-1, "D -1 outside 0, 1, ...")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            phi.ops.stack(1, D)
+
+
 def test_numpy_integer_multi_degrees_read_as_ints():
     inst = generate("commuting_polynomials", 0, dim=3)
     phi = CPMapTuple(inst.symbols, inst.ops)
@@ -491,19 +526,13 @@ def within_bound(out, ref):
     return np.linalg.norm(out.value - ref) <= out.tail_bound + 4 * EPS * np.linalg.norm(ref)
 
 
-def series_only(phi, m, R):
-    """weighted_series on a fresh tuple with the triangular path switched off."""
-    fresh = CPMapTuple(phi.symbols, OperatorTuple(phi.ops.rows))
-    fresh._triangular_series = lambda *args: None
-    return fresh.weighted_series(m, R)
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("d", [3, 8, 16])
 def test_weighted_series_of_commuting_tuples_on_either_path(seed, d):
-    # the triangular path is taken when its bound meets the series target,
-    # always at radius 0.8, and then covers the distance to a refined dense
-    # solve; otherwise the series runs
+    # every row has a form and no factor is nilpotent, so the structure sends
+    # every case to the solved path, whatever its bound; the bound covers the
+    # distance to a refined dense solve, also where it exceeds the series
+    # target (most often at radius 0.99, m = (2, 3) and (3, 1))
     rng = np.random.default_rng([seed, d])
     for radius in (0.8, 0.95, 0.99):
         inst = generate("commuting_polynomials", seed, dim=d, target_radius=radius)
@@ -511,29 +540,44 @@ def test_weighted_series_of_commuting_tuples_on_either_path(seed, d):
         for m in TRIANGULAR_M:
             for R in (np.eye(d), random_psd(rng, d)):
                 out = phi.weighted_series(m, R)
-                assert out.certified
-                assert out.tail_bound <= phi.tol.series_tol * max(1.0, np.linalg.norm(R))
-                if out.terms == (0, 0):
-                    assert within_bound(out, refined_defect_solve(phi, m, R))
-                else:
-                    assert radius > 0.8 and all(t > 0 for t in out.terms)
+                assert out.certified and out.terms == (0, 0)
+                assert within_bound(out, refined_defect_solve(phi, m, R))
 
 
-def test_triangular_path_falls_back_to_the_unchanged_series():
-    # radius 0.95 with m = (2, 3): the bound misses the target for some
-    # seeds (seed 2 at d = 8), and the series then runs as if the path did
-    # not exist
-    fell_back = 0
-    for seed in range(6):
-        inst = generate("commuting_polynomials", seed, dim=8, target_radius=0.95)
-        phi = CPMapTuple(inst.symbols, inst.ops)
-        out = phi.weighted_series((2, 3), np.eye(8))
-        if out.terms != (0, 0):
-            fell_back += 1
-            ref = series_only(phi, (2, 3), np.eye(8))
-            assert out.terms == ref.terms and out.tail_bound == ref.tail_bound
-            assert out.value.tobytes() == ref.value.tobytes()
-    assert fell_back > 0
+def test_triangular_path_keeps_a_bound_above_the_target():
+    # commuting seed 2, d = 8, radius 0.95, m = (2, 3): double precision
+    # cannot meet the target, and the solved value is returned with its
+    # honest bound, which covers the refined dense solve
+    inst = generate("commuting_polynomials", 2, dim=8, target_radius=0.95)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    out = phi.weighted_series((2, 3), np.eye(8))
+    assert out.terms == (0, 0)
+    assert out.tail_bound > phi.tol.series_tol * np.linalg.norm(np.eye(8))
+    assert within_bound(out, refined_defect_solve(phi, (2, 3), np.eye(8)))
+
+
+def test_a_solved_value_or_bound_that_is_not_finite_raises():
+    # commuting seed 0, d = 4, radius 0.99: at m = (120, 1) a stage's norm
+    # overflows; a finite value whose bound overflows raises as well
+    inst = generate("commuting_polynomials", 0, dim=4, target_radius=0.99)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    for m in ((120, 1), (200, 1)):
+        with pytest.raises(DivergenceError, match="not finite in double precision"):
+            phi.weighted_series(m, np.eye(4))
+    assert phi.weighted_series((2, 1), np.eye(4)).terms == (0, 0)
+    phi._resolvent(1).c = 1e300
+    with pytest.raises(DivergenceError, match="the bound of the solved value is not finite"):
+        phi.weighted_series((2, 1), np.eye(4))
+
+
+@pytest.mark.parametrize("radius, m", [(0.99, 120), (0.95, 200)])
+def test_a_series_weight_beyond_the_double_range_raises(radius, m):
+    # polyball_random seed 0, d = 4: C(s + m - 1, m - 1) leaves the double
+    # range before the summed tail meets its target
+    inst = generate("polyball_random", 0, dim=4, target_radius=radius)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    with pytest.raises(DivergenceError, match="overflows a double"):
+        phi.weighted_series((m,), np.eye(4))
 
 
 def test_triangular_path_bounds_a_non_hermitian_input(rng):
@@ -647,6 +691,7 @@ def test_weighted_series_of_a_noncommuting_row_sums_the_series(seed):
     assert inst.ops.row_form(1) is None
     out = phi.weighted_series(inst.m, np.eye(5))
     assert all(t > 0 for t in out.terms)
+    assert out.tail_bound <= phi.tol.series_tol * np.linalg.norm(np.eye(5))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -111,6 +111,18 @@ def test_every_shared_array_is_read_only():
     assert all(np.array_equal(A, B) for A, B in zip(arrays, before))
 
 
+@pytest.mark.parametrize("m, cap, message", [
+    ((1.0, 1), D, "m entry 1.0 is not an integer"),
+    (M, float(D), "degree_cap 3.0 is not an integer"),
+])
+def test_a_float_entry_is_refused_on_a_warm_cache(m, cap, message):
+    # (1.0, 1) and 3.0 hash as (1, 1) and 3: they are checked before the key
+    built = build_model(SYMBOLS, M, D)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_model(SYMBOLS, m, cap)
+    assert build_model(SYMBOLS, M, D) is built and len(fock._cache) == 1
+
+
 def test_errors_are_raised_again_and_never_stored():
     for _ in range(2):
         # 2^15 - 1 words of factor 1 exceed the default cap of 20000

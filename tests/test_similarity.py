@@ -12,7 +12,7 @@ from polydom.berezin import constrained_kernel, intertwine_check_constrained, ke
 from polydom.config import DivergenceError, Tolerances
 from polydom.cone import is_pure_element, membership
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
-from polydom.fock import build_model, variety_subspace
+from polydom.fock import build_model, domain_check_model, variety_subspace
 from polydom.generate import FAMILIES, generate, strict_contractions
 from polydom.similarity import (
     cpmap_similarity,
@@ -315,7 +315,8 @@ def test_defect_equation_oracle_gap(seed, rng):
 def test_defect_equation_oracle_is_refined_only_when_its_gap_fails(monkeypatch):
     # commuting seed 3, d = 8, radius 0.99, m = (2, 3): the dense solve alone
     # is off by about cond(Delta^m) eps, a gap of 1.1e-7 against a gate of
-    # 1.3e-8; refined against a long double residual it agrees with X
+    # about 1e-8; refined against a long double residual it agrees with X.
+    # The gap is relative to ||X||_F, and so is the series bound in its gate
     m, R = (2, 3), np.eye(8)
     sols = {}
     for wide in (True, False):
@@ -328,10 +329,34 @@ def test_defect_equation_oracle_is_refined_only_when_its_gap_fails(monkeypatch):
     assert sol.oracle_rel_gap <= 1e-12
     X_ref = refined_defect_solve(CPMapTuple(inst.symbols, inst.ops), m, R)
     assert np.linalg.norm(sol.X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
-    assert sols[False, 0.99].oracle_rel_gap > 1e-8 + 10.0 * sol.series.tail_bound
+    assert sols[False, 0.99].oracle_rel_gap > 1e-8 + 10.0 * sol.series.tail_bound / np.linalg.norm(sol.X)
     # a gap that passes unrefined is left as it is
     assert sols[True, 0.8].oracle_rel_gap <= 1e-8
     assert repr(sols[True, 0.8].oracle_rel_gap) == repr(sols[False, 0.8].oracle_rel_gap)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_every_public_tol_is_finite_and_positive(tol):
+    # a NaN tol made sznagy_solve FAILED with every tolerance NaN, and the
+    # series summed polyball_random seed 0 until its iterates underflowed
+    inst = generate("polyball_random", 0, dim=4, target_radius=0.8)
+    phi = CPMapTuple(inst.symbols, inst.ops)
+    cu = generate("conjugated_unitaries", 0, dim=3)
+    calls = [
+        lambda: phi.weighted_series(inst.m, np.eye(4), tol=tol),
+        lambda: solve_defect_equation(inst.symbols, inst.m, inst.ops, np.eye(4), tol=tol),
+        lambda: rota_conjugate(inst.symbols, inst.m, inst.ops, tol=tol),
+        lambda: model_embed(inst.symbols, inst.m, inst.ops, np.eye(4), degree_cap=3, tol=tol),
+        lambda: similarity_to_variety(inst.symbols, inst.m, inst.ops, tol=tol),
+        lambda: cpmap_similarity(phi, inst.m, "strict", tol=tol),
+        lambda: sznagy_solve(cu.symbols, cu.ops, tol=tol),
+        lambda: polydom.berezin.vn_check_model(inst.symbols, inst.m, inst.ops, np.eye(4), [], tol=tol),
+        lambda: polydom.berezin.vn_check_polydisc(cu.ops, [[NCPolynomial(((1.0, ((1, 1),)),))]], tol=tol),
+        lambda: domain_check_model(build_model(inst.symbols, inst.m, 3)[1], tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call()
 
 
 def test_defect_equation_rejects_singular_R():
