@@ -391,7 +391,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        spec, raw = load_problem(args.input)
+        # cpsim's Kraus families need commute only as maps, which from_kraus checks
+        spec, raw = load_problem(args.input, check_commutation=args.command != "cpsim")
         # canonical JSON refuses a non-finite number anywhere in the spec
         inputs_digest = digest(raw)
         outputs = _COMMANDS[args.command](spec, args)

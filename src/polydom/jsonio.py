@@ -243,10 +243,10 @@ def problem_from_json(obj: Dict[str, Any], check_commutation: bool = True) -> Pr
     )
 
 
-def load_problem(path: str) -> Tuple[ProblemSpec, Dict[str, Any]]:
+def load_problem(path: str, check_commutation: bool = True) -> Tuple[ProblemSpec, Dict[str, Any]]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return problem_from_json(raw), raw
+    return problem_from_json(raw, check_commutation), raw
 
 
 def sanitize(obj: Any) -> Any:

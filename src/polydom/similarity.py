@@ -30,6 +30,7 @@ from .cpmap import (
     _TRI_SLACK,
     _WIDE,
     _eigenbasis,
+    _require_degree,
     CPMapTuple,
     OperatorTuple,
     SeriesResult,
@@ -579,6 +580,14 @@ def _sznagy(
 # --- similarity into a variety-domain tuple ----------------------------------
 
 
+def _require_m(m: Sequence[int], k: int) -> Tuple[int, ...]:
+    """m as k integers >= 1 by _require_degree, so 1.5 and 1.0 are refused."""
+    try:
+        return _require_degree("m", m, k, 1)
+    except ValueError:
+        raise ValueError(f"m must have k = {k} entries, each an integer >= 1; got {tuple(m)}") from None
+
+
 def similarity_to_variety(
     symbols: Sequence[PositiveSymbol],
     m: Sequence[int],
@@ -606,10 +615,8 @@ def similarity_to_variety(
     Sz.-Nagy rules out only a fixed R. So is a series that Rota refuses with
     DivergenceError or ValueError.
     """
-    m, tol = tuple(m), require_tol(tol)
-    phi = CPMapTuple(tuple(symbols), A)
-    if len(m) != phi.k or any(mi < 1 for mi in m):
-        raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
+    tol, phi = require_tol(tol), CPMapTuple(tuple(symbols), A)
+    m = _require_m(m, phi.k)
     for idx, q in enumerate(Q_polys):
         r = float(np.linalg.norm(A.evaluate_poly(q), 2))
         if r > tol:
@@ -679,19 +686,18 @@ def cpmap_similarity(
       truncation, so the Q cone and purity checks are those of I for L, and
       the intertwining residual
       ||K A^* - (W^* tensor I) K|| bounds the similarity residual
-      ||A C^* - C^* L||. An R that is not a finite Hermitian PSD matrix raises
-      ValueError and a tuple radius above 1 - radius_margin raises
-      DivergenceError, both before any series term is summed or any model
-      is built; the kernel sums the certified series of R once.
+      ||A C^* - C^* L||. Letters that do not commute across factors raise
+      CommutationError, an R that is not finite Hermitian PSD ValueError and
+      a tuple radius above 1 - radius_margin DivergenceError, all before any
+      series term is summed or any model is built; the kernel sums the
+      certified series of R once.
     unital: the sznagy_solve certificate: the fixed point Q with
       phi_i(Q) = Q, the ergodic projection of I, with lambda_i(I) = I and the
       exact two-sided bounds c = lambda_min(Q) / ||Q||, d = 1/c; FAILED when
       an identity orbit or Q rules out every positive definite fixed point.
     m must have one entry >= 1 per factor in every mode.
     """
-    m, tol = tuple(m), require_tol(tol)
-    if len(m) != phi.k or any(mi < 1 for mi in m):
-        raise ValueError(f"m must have k = {phi.k} entries, each >= 1; got {m}")
+    m, tol = _require_m(m, phi.k), require_tol(tol)
     if mode == "strict":
         bad = [i for i in range(1, phi.k + 1) if not phi._settled(i)]
         if bad:
@@ -699,6 +705,7 @@ def cpmap_similarity(
                              f"{1.0 - phi.tol.radius_margin}; factors {bad} fail")
         cert, _ = _rota(phi, m, (), tol)
     elif mode == "pure_cone":
+        phi.ops._check_commutation()  # the embedding intertwines letters, not only maps
         cert = _embed(phi, m, np.eye(phi.dim) if R is None else R, (), degree_cap, tol)
     elif mode == "unital":
         cert, _ = _sznagy(phi, tol)

@@ -134,6 +134,12 @@ def dense_map_matrix(phi, i):
     return M
 
 
+def dense_map_commutator(phi, i, j):
+    """(||M_i M_j - M_j M_i||_F, ||M_i||_F ||M_j||_F) on the d^2 x d^2 matrices of dense_map_matrix."""
+    Mi, Mj = dense_map_matrix(phi, i), dense_map_matrix(phi, j)
+    return float(np.linalg.norm(Mi @ Mj - Mj @ Mi)), float(np.linalg.norm(Mi) * np.linalg.norm(Mj))
+
+
 def dense_radius(phi, i):
     """sqrt of the spectral radius of Phi_i by complex eigvals of dense_map_matrix."""
     return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(dense_map_matrix(phi, i))))))

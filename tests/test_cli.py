@@ -27,6 +27,8 @@ from polydom.jsonio import (
 from polydom.similarity import spectral_radius_equivalences
 from polydom.words import NCPolynomial
 
+from conftest import weyl_rows
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -208,6 +210,20 @@ def test_cone_command(tmp_path, capsys):
     rep = load_report(out)
     assert "membership" in rep["outputs"]
     assert "purity" in rep["outputs"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cone_command_reconstructs_a_member(tmp_path, capsys, seed):
+    # at radius 0.3 the identity is in the cone: the reconstruction and flat
+    # sections are written
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", seed,
+                    "--dim", "3", "--target-radius", "0.3")
+    code, out, err = run_cli(["cone", "--input", str(path)], capsys)
+    assert code == 0, err
+    outputs = load_report(out)["outputs"]
+    assert outputs["membership"]["member"] is True
+    assert outputs["reconstruction"]["residual"] <= 1e-12
+    assert outputs["flat"]["consistent"] is True
 
 
 def test_cone_command_reads_radius_099_identity_as_pure(tmp_path, capsys):
@@ -420,6 +436,35 @@ def test_cpsim_command(tmp_path, capsys):
     assert code == 0
     rep = load_report(out)
     assert rep["outputs"]["certificate"]["kind"] == "cpmap_similarity"
+
+
+def kraus_spec(tmp_path, rows, mode="strict"):
+    from polydom.jsonio import ProblemSpec, problem_to_json
+    from polydom.words import polyball_symbol
+
+    spec = ProblemSpec(symbols=tuple(polyball_symbol(len(row)) for row in rows), m=(1,) * len(rows),
+                       ops=OperatorTuple(rows, check_commutation=False), task={"mode": mode})
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(problem_to_json(spec)))
+    return path
+
+
+def test_cpsim_certifies_maps_that_commute_only_as_maps(tmp_path, capsys):
+    # the letters of a Weyl pair do not commute, so every other command
+    # refuses the spec at load
+    path = kraus_spec(tmp_path, weyl_rows(8))
+    code, out, err = run_cli(["cpsim", "--input", str(path)], capsys)
+    assert code == 0, err
+    assert load_report(out)["outputs"]["status"] == "PASS"
+    code, _, err = run_cli(["radius", "--input", str(path)], capsys)
+    assert code == 1 and err.startswith("error: [A_1,1, A_2,1] has norm")
+
+
+def test_cpsim_refuses_maps_that_do_not_commute(tmp_path, capsys):
+    path = kraus_spec(tmp_path, [[np.array([[0.0, 0.5], [0.0, 0.0]])], [np.diag([0.5, 0.25])]])
+    code, out, err = run_cli(["cpsim", "--input", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: maps 1 and 2 do not commute")
 
 
 # ---------------------------------------------------------------------------

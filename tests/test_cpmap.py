@@ -26,10 +26,11 @@ from polydom.cpmap import (
 from polydom.generate import _scale_rows_to_radius, generate, random_pd, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian, random_psd, weyl_rows
 from oracles import (
     GEOMETRIC_SERIES,
     dense_defect_solve,
+    dense_map_commutator,
     dense_map_matrix,
     dense_radius,
     loop_apply,
@@ -208,15 +209,71 @@ def test_from_kraus_map_level_commutation():
     assert phi.k == 2
 
 
-def test_from_kraus_commuting_family_skips_the_map_check(monkeypatch):
-    # entrywise commutation implies that the maps commute: no matricization
-    def matricized_check(self):
-        raise AssertionError("the matricized commutation check ran")
+def refuse_matricize(monkeypatch):
+    """Makes CPMapTuple.matricize fail the test, and returns the calls made."""
+    calls = []
 
-    monkeypatch.setattr(CPMapTuple, "_check_map_commutation", matricized_check)
+    def matricize(self, i):
+        calls.append(i)
+        raise AssertionError("matricize ran")
+
+    monkeypatch.setattr(CPMapTuple, "matricize", matricize)
+    return calls
+
+
+def test_from_kraus_commuting_family_builds_no_matricization(monkeypatch):
+    # the map check reads the Kraus words, also on entrywise commuting letters
+    calls = refuse_matricize(monkeypatch)
     inst = generate("commuting_polynomials", 0, dim=4)
     phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
-    assert phi.k == 2 and not phi._matricized
+    assert phi.k == 2 and not phi._matricized and calls == []
+
+
+@pytest.mark.parametrize("d", [8, 96])
+def test_from_kraus_weyl_pair_never_matricizes(monkeypatch, d):
+    # the letters do not commute, the maps do; d = 96 is above the matricize cap
+    calls = refuse_matricize(monkeypatch)
+    with pytest.raises(CommutationError):
+        OperatorTuple(weyl_rows(d))
+    phi = CPMapTuple.from_kraus(weyl_rows(d))
+    assert phi.k == 2 and not phi._matricized and calls == []
+
+
+def map_commutator_cases():
+    for family in ("commuting_polynomials", "nilpotent", "conjugated_unitaries"):
+        for seed in range(3):
+            for d in (3, 5, 8, 16):
+                inst = generate(family, seed, dim=d)
+                yield f"{family}-{seed}-d{d}", CPMapTuple(inst.symbols, inst.ops)
+    for d in (3, 4, 8, 16, 24):
+        yield f"weyl-d{d}", CPMapTuple.from_kraus(weyl_rows(d))
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        rows = [[0.4 * rng.standard_normal((4, 4)), 0.4 * rng.standard_normal((4, 4))],
+                [0.4 * rng.standard_normal((4, 4))]]
+        yield f"random-{seed}", CPMapTuple([polyball_symbol(2), polyball_symbol(1)],
+                                           OperatorTuple(rows, check_commutation=False))
+
+
+def test_map_commutator_matches_the_dense_oracle():
+    # 36 gen tuples, 5 Weyl pairs and 2 random pairs: gap and scale as the
+    # d^2 x d^2 matrices give them, and the same verdict
+    t = Tolerances().tol_comm
+    cases = list(map_commutator_cases())
+    assert len(cases) == 43
+    noncommuting = []
+    for name, phi in cases:
+        gap, scale = phi._map_commutator(1, 2)
+        dense_gap, dense_scale = dense_map_commutator(phi, 1, 2)
+        slack = 1e-13 * max(dense_scale, 1.0)
+        assert abs(gap - dense_gap) <= slack and abs(scale - dense_scale) <= slack, name
+        verdict = gap <= t * max(scale, 1.0)
+        assert verdict == (dense_gap <= t * max(dense_scale, 1.0)), name
+        if not verdict:
+            noncommuting.append(name)
+            with pytest.raises(CommutationError, match="maps 1 and 2 do not commute"):
+                phi._check_map_commutation()
+    assert noncommuting == ["random-1", "random-2"]
 
 
 def test_from_kraus_noncommuting_entries_run_the_map_check(monkeypatch):
@@ -640,9 +697,7 @@ def test_resolvents_are_built_once_per_factor(monkeypatch):
 def weyl_pair(d, r, s):
     """from_kraus([[r Z], [s X]]) for the clock Z and the shift X: ZX = omega XZ,
     so the letters do not commute, but the maps do."""
-    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    X = np.roll(np.eye(d), 1, axis=0)
-    return CPMapTuple.from_kraus([[r * Z], [s * X]])
+    return CPMapTuple.from_kraus(weyl_rows(d, r, s, seed=None))
 
 
 @pytest.mark.parametrize("d", [3, 8, 16])

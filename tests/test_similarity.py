@@ -11,7 +11,7 @@ import polydom.similarity
 from polydom.berezin import constrained_kernel, intertwine_check_constrained, kernel
 from polydom.config import DivergenceError, Tolerances
 from polydom.cone import is_pure_element, membership
-from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
+from polydom.cpmap import CommutationError, CPMapTuple, OperatorTuple, hermitize
 from polydom.fock import build_model, domain_check_model, variety_subspace
 from polydom.generate import FAMILIES, generate, strict_contractions
 from polydom.similarity import (
@@ -25,7 +25,7 @@ from polydom.similarity import (
 )
 from polydom.words import NCPolynomial, PositiveSymbol, commutator_polynomial, polyball_symbol
 
-from conftest import random_psd
+from conftest import random_psd, weyl_rows
 from oracles import dense_shifts, refined_defect_solve
 
 
@@ -844,8 +844,9 @@ def test_variety_feasibility_rejects_nonannihilating_constraint():
         similarity_to_variety(symbols, (1, 1), ops, Q_polys=(bad,))
 
 
-@pytest.mark.parametrize("m", [(0,), (1, 1)])
+@pytest.mark.parametrize("m", [(0,), (1, 1), (1.5,), (1.0,)])
 def test_variety_feasibility_rejects_a_bad_multi_degree(m):
+    # a non-integer entry is refused up front, not passed on to a theorem
     symbols, _, ops = scalar_tuple(1.2)
     with pytest.raises(ValueError, match="m must have"):
         similarity_to_variety(symbols, m, ops)
@@ -983,6 +984,18 @@ def test_cpmap_pure_cone_rejects_indefinite_R_before_the_series(monkeypatch):
         cpmap_similarity(phi, m, "pure_cone", R=np.diag([1.0, -1.0, 1.0]))
 
 
+def test_cpmap_pure_cone_refuses_letters_that_commute_only_as_maps():
+    # the embedding intertwines the letters: on a Weyl pair, whose maps
+    # commute, it passed only the loose intertwining gate; strict and unital
+    # read the maps alone and still run (a gen family still passes:
+    # test_cpmap_pure_cone_default_R_is_identity)
+    phi = CPMapTuple.from_kraus(weyl_rows(3))
+    with pytest.raises(CommutationError, match=r"\[A_1,1, A_2,1\]"):
+        cpmap_similarity(phi, (1, 1), "pure_cone", degree_cap=4)
+    for mode in ("strict", "unital"):
+        assert cpmap_similarity(phi, (1, 1), mode).notes[-1] == f"mode={mode}"
+
+
 def test_cpmap_pure_cone_refuses_unsettled_tuple():
     # conjugated unitaries have tuple radius one: the series of R is refused
     inst = generate("conjugated_unitaries", 1, dim=4)
@@ -1031,7 +1044,7 @@ def test_cpmap_unknown_mode():
 
 
 @pytest.mark.parametrize("mode", ["strict", "pure_cone", "unital"])
-@pytest.mark.parametrize("m", [(1,), (1, 0), (1, 1, 1)])
+@pytest.mark.parametrize("m", [(1,), (1, 0), (1, 1, 1), (1.5, 1), (1.0, 1)])
 def test_cpmap_validates_m_in_every_mode(mode, m):
     inst = generate("commuting_polynomials", 0, dim=3, target_radius=0.8)
     phi = CPMapTuple.from_kraus([list(row) for row in inst.ops.rows])
