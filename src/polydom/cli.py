@@ -51,7 +51,7 @@ from .similarity import (
     solve_defect_equation,
     sznagy_solve,
 )
-from .words import as_count, commutator_polynomial
+from .words import as_count, commutator_polynomial, polyball_symbol
 
 _EXIT = {"PASS": 0, "INCONCLUSIVE": 2, "FAILED": 1}
 _RANK = {"PASS": 0, "INCONCLUSIVE": 1, "FAILED": 2}
@@ -268,6 +268,13 @@ def cmd_cpsim(spec: ProblemSpec, args) -> Dict[str, Any]:
     tol = _task_tol(spec, args, 1e-7)
     D = _task_degree(spec, args)
     mode = spec.task.get("mode", "strict")
+    # from_kraus builds polyball maps, so any other symbol would be certified as one
+    for i, f in enumerate(spec.symbols, start=1):
+        if {w: a for w, a in f.coeffs.items() if a != 0} != polyball_symbol(f.arity).coeffs:
+            raise ValueError(
+                f"cpsim maps each Kraus row through Z_1 + ... + Z_n, but the symbol of factor {i} "
+                "is not that polyball symbol"
+            )
     phi = CPMapTuple.from_kraus([list(row) for row in spec.ops.rows])
     R_obj = spec.task.get("R")
     R = matrix_from_json(R_obj) if R_obj else None

@@ -1,12 +1,14 @@
 """Berezin kernels, transforms, and the von Neumann checks."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
+import polydom.berezin
 from polydom.berezin import (
     constrained_kernel,
     extended_transform_sweep,
@@ -382,7 +384,7 @@ def polydisc_ops(k, seed=17, dim=3):
     return OperatorTuple([[C] for C in strict_contractions(seed, k=k, dim=dim, norm_cap=0.7)])
 
 
-@pytest.mark.parametrize("k,grid", [(1, 16), (2, 12), (3, 6)])
+@pytest.mark.parametrize("k,grid", [(1, 16), (2, 12), (3, 6), (4, 4)])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)])
 def test_vn_polydisc_grid_sup_matches_pointwise_oracle(k, grid, shape, rng):
     pm = random_poly_matrix(rng, k, rows=shape[0], cols=shape[1])
@@ -392,7 +394,59 @@ def test_vn_polydisc_grid_sup_matches_pointwise_oracle(k, grid, shape, rng):
     rep = vn_check_polydisc(polydisc_ops(k), pm, base_grid=grid, max_rounds=1)
     assert rep.details["grid"] == grid
     want = torus_grid_sup(pm, k=k, grid=grid)
-    assert abs(rep.details["sup_grid"] - want) <= 1e-12 * want
+    assert abs(rep.details["sup_grid"] - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("k,grid", [(1, 16), (2, 12), (3, 6), (4, 4)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("slab", [1, 5, None])
+def test_vn_polydisc_grid_sup_with_every_first_residue_matches_pointwise_oracle(
+    k, grid, shape, slab, rng, monkeypatch
+):
+    # z_1^j for j < grid + 3 puts a block at every residue of the first
+    # variable, three of them twice, so the first axis is not reduced at all;
+    # slab is the number of first-axis indices per slab (None: the default
+    # byte budget, which holds the whole grid here)
+    if slab is not None:
+        monkeypatch.setattr(polydom.berezin, "_SLAB_BYTES", slab * 16 * shape[0] * shape[1] * grid ** (k - 1))
+    pm = random_poly_matrix(rng, k, rows=shape[0], cols=shape[1])
+    every = tuple(
+        (complex(rng.standard_normal(), rng.standard_normal()),
+         ((1, 1),) * j + ((k, 1),) * (j % 3 if k > 1 else 0))
+        for j in range(grid + 3)
+    )
+    pm[0][-1] = NCPolynomial(pm[0][-1].terms + every)
+    rep = vn_check_polydisc(polydisc_ops(k), pm, base_grid=grid, max_rounds=1)
+    want = torus_grid_sup(pm, k=k, grid=grid)
+    assert abs(rep.details["sup_grid"] - want) <= 1e-13 * want
+
+
+def test_vn_polydisc_refines_the_grid_until_it_decides():
+    # q = 1 - z_1 vanishes at z_1 = 1, the one point of the grid g = 1, so a
+    # single round reads sup_grid 0 and cannot decide; the second round
+    # (g = 2) samples z_1 = -1, where |q| = 2 is the sup
+    q = NCPolynomial(((1.0, ()), (-1.0, ((1, 1),))))
+    one = vn_check_polydisc(polydisc_ops(1), [[q]], base_grid=1, max_rounds=1)
+    assert one.verdict == "INCONCLUSIVE"
+    assert one.details["grid"] == 1 and one.details["sup_grid"] == 0.0
+    three = vn_check_polydisc(polydisc_ops(1), [[q]], base_grid=1, max_rounds=3)
+    assert three.verdict == "PASS"
+    assert three.details["grid"] == 2 and three.details["sup_grid"] == 2.0
+
+
+def test_vn_polydisc_streams_the_grid():
+    # the grid of 96^3 points holds 2 x 2 values of 16 bytes each, 57 MB, and
+    # one inverse FFT over all of it peaked at about 170 MB
+    pm = random_poly_matrix(np.random.default_rng(5), k=3)
+    ops = polydisc_ops(3, dim=4)
+    tracemalloc.start()
+    try:
+        rep = vn_check_polydisc(ops, pm, base_grid=96, max_rounds=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.details["grid"] == 96
+    assert peak < 16e6, peak
 
 
 def test_vn_polydisc_two_by_two_takes_no_batched_svd(monkeypatch):

@@ -438,6 +438,21 @@ def test_cpsim_command(tmp_path, capsys):
     assert rep["outputs"]["certificate"]["kind"] == "cpmap_similarity"
 
 
+def test_cpsim_refuses_a_symbol_other_than_the_polyball(tmp_path, capsys):
+    # cpsim builds its maps from Z_1 + ... + Z_n; with factor 1's coefficients
+    # at 4.0 its radius reads 1.6, so a certificate for the polyball map would
+    # be one for a map the spec does not state
+    path = gen_spec(tmp_path, capsys, "commuting_polynomials", 0, "--dim", "3")
+    obj = json.loads(path.read_text())
+    for coeff in obj["symbols"][0]["coeffs"]:
+        coeff["a"] = 4.0
+    obj["task"]["mode"] = "strict"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["cpsim", "--input", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert "the symbol of factor 1 is not that polyball symbol" in err
+
+
 def kraus_spec(tmp_path, rows, mode="strict"):
     from polydom.jsonio import ProblemSpec, problem_to_json
     from polydom.words import polyball_symbol
