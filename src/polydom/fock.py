@@ -535,7 +535,9 @@ def variety_subspace(
     its coordinates are the blocks' columns in block order. When nothing is
     removed, every block of N is an identity. The M basis is only used for
     the invariance residuals. The subspace is served from the model cache
-    when build_model made the model.
+    when build_model made the model. A model of dimension above dense_cap
+    raises ResourceCapError when there are constraints; without them every
+    block of N is an identity, nothing is dense, and the cap does not bind.
     """
     polys = tuple(Q_polys)
     key = None
@@ -562,12 +564,13 @@ def _variety_subspace(model: ModelOperators, Q_polys: Sequence[NCPolynomial],
                       dense_cap: int) -> VarietySubspace:
     """variety_subspace without the model cache."""
     fock = model.fock
-    if fock.dim > dense_cap:
+    polys = tuple(Q_polys)
+    # without constraints every block of N is an identity and nothing is dense
+    if polys and fock.dim > dense_cap:
         raise ResourceCapError(
             f"variety computation is dense; dim {fock.dim} exceeds {dense_cap}"
         )
     cutoff = model.tol.svd_cutoff
-    polys = tuple(Q_polys)
     bad = sorted({letter for q in polys for letter in q.letters_outside(fock.arities)})
     if bad:
         raise ValueError(

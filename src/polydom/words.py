@@ -258,6 +258,9 @@ class NCPolynomial:
             (complex(c), tuple((as_letter(i, what="factor"), as_letter(j)) for (i, j) in mono))
             for c, mono in self.terms
         )
+        bad = [c for c, _ in norm if not (isfinite(c.real) and isfinite(c.imag))]
+        if bad:
+            raise ValueError(f"polynomial coefficient {bad[0]} is not finite")
         object.__setattr__(self, "terms", norm)
 
     def degree_profiles(self, k: int) -> List[Tuple[int, ...]]:

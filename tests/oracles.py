@@ -432,6 +432,28 @@ def dense_shifts(comp):
     return out
 
 
+def dense_vn_rhs(comp, terms):
+    """||sum_t S_(alpha_t) S_(beta_t)^* (x) C_t||_2 from one dense SVD: each
+    S_(alpha) = S_{1,alpha_1} ... S_{k,alpha_k} is a product of dense_shifts,
+    one letter at a time, and the whole right side is assembled."""
+    S = dense_shifts(comp)
+    eye = np.eye(comp.dim_N, dtype=np.complex128)
+
+    def word(alphas):
+        out = eye
+        for i, w in enumerate(alphas, start=1):
+            for j in w:
+                out = out @ S[(i, j)]
+        return out
+
+    blocks = [np.atleast_2d(np.asarray(C, dtype=np.complex128)) for C, _, _ in terms]
+    q = blocks[0].shape[0] if blocks else 1
+    H = np.zeros((comp.dim_N * q, comp.dim_N * q), dtype=np.complex128)
+    for C, (_, alpha, beta) in zip(blocks, terms):
+        H += np.kron(word(alpha) @ word(beta).conj().T, C)
+    return float(np.linalg.norm(H, 2))
+
+
 def dense_compress(model, sub):
     """(S, q_residuals_full, q_residuals_interior) through the dense basis B of
     N_Q: S_{i,j} = B^*(W B), and the interior residual restricts q(S) to the

@@ -21,13 +21,13 @@ from polydom.berezin import (
     vn_check_polydisc,
 )
 from polydom.cpmap import CPMapTuple, OperatorTuple, hermitize
-from polydom.fock import build_model, variety_subspace
+from polydom.fock import build_model, compress, variety_subspace
 from polydom.config import ResourceCapError, Tolerances, default_tolerances
 from polydom.generate import generate, random_symbol, strict_contractions
 from polydom.words import NCPolynomial, PositiveSymbol, Word, commutator_polynomial, polyball_symbol
 
 from conftest import random_psd
-from oracles import csr_shift, dense_shifts, torus_grid_sup
+from oracles import csr_shift, dense_shifts, dense_vn_rhs, torus_grid_sup
 
 
 def nilpotent_instance(seed, dim=5, ensure_cone=False):
@@ -341,7 +341,7 @@ def test_vn_model_scalar_coefficient_matches_one_by_one(rng):
 
 
 def test_vn_and_sweep_build_their_models_with_the_tuple_tolerances():
-    # arities (2, 1): the models at D = 4, 5, 6 have dimension 155, 381, 889
+    # arities (2, 1): the models at D = 4, 5, 6 have dimension 155, 378, 889
     inst = generate("commuting_polynomials", 0, dim=4)
     ops = OperatorTuple(inst.ops.rows, tol=Tolerances(max_fock_dim=100))
     with pytest.raises(ResourceCapError, match="exceeds the cap 100"):
@@ -349,6 +349,100 @@ def test_vn_and_sweep_build_their_models_with_the_tuple_tolerances():
                        degree_cap=4)
     with pytest.raises(ResourceCapError, match="exceeds the cap 100"):
         extended_transform_sweep(inst.symbols, inst.m, ops, np.eye(4), (), [0.5], degree_cap=4)
+
+
+# the (2, 1) spec's word pairs (alpha, beta) for the right side's block graph
+VN_WORDS = {
+    "one-offset": [(((1,), ()), ((), ()))],
+    "equal-total-degree": [(((1,), ()), ((), ())), (((), (1,)), ((), ()))],
+    "constant-and-shifts": [(((), ()), ((), ())), (((1,), ()), ((), ())), (((), (1,)), ((), ()))],
+    "beta": [(((1, 2), (1,)), ((2,), ())), (((1,), ()), ((), (1,)))],
+    "longer-than-cap": [(((1, 2, 1, 2, 1, 2), ()), ((), ())), (((2,), (1,)), ((1,), ()))],
+    "no-terms": [],
+}
+VN_POLYS = {
+    "none": (),
+    "commutator": (commutator_polynomial(1, 1, 2),),
+    "non-homogeneous": (NCPolynomial(((1.0, ((1, 1), (1, 2))), (-0.5, ((1, 1),)))),),
+}
+
+
+def _vn_rhs_against_dense(terms, polys, degree_cap):
+    """vn_check_model's right side at each cap, and dense_vn_rhs at that cap."""
+    inst = generate("commuting_polynomials", 0, dim=4)
+    rep = vn_check_model(inst.symbols, inst.m, inst.ops, np.eye(4), terms, polys, degree_cap=degree_cap)
+    want = []
+    for cap in (degree_cap, degree_cap + 1, degree_cap + 2):
+        _, model = build_model(inst.symbols, inst.m, cap)
+        want.append(dense_vn_rhs(compress(model, variety_subspace(model, polys)), terms))
+    return rep.details["rhs_by_degree"], want
+
+
+@pytest.mark.parametrize("polys", VN_POLYS, ids=list(VN_POLYS))
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("words", VN_WORDS, ids=list(VN_WORDS))
+def test_vn_model_rhs_matches_the_dense_right_side(words, q, polys):
+    rng = np.random.default_rng(q)
+    terms = [(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)), a, b) for a, b in VN_WORDS[words]]
+    got, want = _vn_rhs_against_dense(terms, VN_POLYS[polys], degree_cap=2)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * w
+
+
+def test_vn_model_rhs_is_not_the_largest_block():
+    # S_{1,1} (x) I + 0.3 S_{2,1} (x) I joins blocks of equal total degree:
+    # its largest single block has norm 1, the whole right side 1.255 at cap 4
+    terms = [(np.eye(2), ((1,), ()), ((), ())), (0.3 * np.eye(2), ((), (1,)), ((), ()))]
+    got, want = _vn_rhs_against_dense(terms, (), degree_cap=4)
+    assert abs(got[0] - 1.2551534554089) <= 1e-12
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * w
+
+
+def test_vn_model_without_constraints_takes_no_wide_svd(monkeypatch):
+    # the whole right side at cap 6 is 1778 x 1778 (dimension 889, q = 2); its
+    # widest component, total degree 6 onto 7, is 252 x 254
+    widths = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def spy_svd(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return svd(a, *args, **kwargs)
+
+    def spy_norm(x, *args, **kwargs):
+        widths.append(np.shape(x)[-1] if np.ndim(x) > 1 else 1)
+        return norm(x, *args, **kwargs)
+
+    inst = generate("commuting_polynomials", 0, dim=4)
+    terms = [(np.eye(2), ((1,), ()), ((), ())), (0.3 * np.eye(2), ((), (1,)), ((), ()))]
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    t0 = time.perf_counter()
+    rep = vn_check_model(inst.symbols, inst.m, inst.ops, np.eye(4), terms, degree_cap=4)
+    wall = time.perf_counter() - t0
+    assert rep.verdict == "INCONCLUSIVE"
+    assert widths and max(widths) <= 256, max(widths)
+    assert wall < 1.0, wall
+
+
+@pytest.mark.parametrize("coeff", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf]]), float("nan")],
+                         ids=["nan-block", "inf-block", "nan-scalar"])
+def test_vn_model_rejects_a_non_finite_coefficient(coeff, monkeypatch):
+    inst = generate("commuting_polynomials", 0, dim=4)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(polydom.berezin, "build_model", no_model)
+    q = np.shape(np.atleast_2d(coeff))[0]
+    terms = [(np.eye(q), ((1,), ()), ((), ())), (coeff, ((), (1,)), ((), ()))]
+    with pytest.raises(ValueError, match="vn term 1: coefficient block is not finite"):
+        vn_check_model(inst.symbols, inst.m, inst.ops, np.eye(4), terms, degree_cap=2)
+
+
+def test_vn_polydisc_rejects_a_non_finite_coefficient():
+    with pytest.raises(ValueError, match="is not finite"):
+        vn_check_polydisc(polydisc_ops(1), [[NCPolynomial(((float("nan"), ((1, 1),)),))]])
 
 
 def test_vn_polydisc_pass_and_oracle_consistency(rng):

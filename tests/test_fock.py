@@ -291,6 +291,17 @@ def test_variety_empty_constraints_full_space():
         assert np.linalg.norm(B @ S[(1, j)] @ B.conj().T - model.W(1, j).toarray()) <= 1e-12
 
 
+def test_dense_cap_binds_only_with_constraints():
+    # with no constraints every block of N is an identity and nothing is dense
+    fock, model = polyball_model(n=2, cap=3)
+    sub = variety_subspace(model, (), dense_cap=10)
+    assert fock.dim == 15 and sub.dim_N == 15
+    for N in sub.blocks:
+        assert np.array_equal(N, np.eye(N.shape[0]))
+    with pytest.raises(ResourceCapError, match="dim 15 exceeds 10"):
+        variety_subspace(model, [commutator_polynomial(1, 1, 2)], dense_cap=10)
+
+
 def test_variety_commutator_dimension():
     # modding out Z1Z2 - Z2Z1 leaves one basis vector per commutative monomial
     cap = 4

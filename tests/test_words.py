@@ -185,6 +185,12 @@ def test_ncpolynomial_rejects_letters_below_one(letter):
         NCPolynomial(((1.0, ((1, 1), letter)),))
 
 
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(0.5, float("nan")), complex(float("-inf"), 0)])
+def test_ncpolynomial_rejects_a_non_finite_coefficient(coeff):
+    with pytest.raises(ValueError, match="is not finite"):
+        NCPolynomial(((1.0, ()), (coeff, ((1, 1),))))
+
+
 def _model_21():
     """The (2, 1) polyball model at degree cap 3."""
     return build_model([polyball_symbol(2), polyball_symbol(1)], (1, 1), 3)[1]
