@@ -22,9 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cone import hermitian, positive, psd_range
-from .config import DivergenceError, require_tol
+from .config import DivergenceError, ResourceCapError, require_tol
 from .cpmap import CPMapTuple, OperatorTuple, SeriesResult, _require_degree, hermitize
 from .fock import (
+    DENSE_CAP,
     CompressedModel,
     ModelOperators,
     TruncatedFock,
@@ -399,9 +400,9 @@ def _vn_terms(symbols: Tuple[PositiveSymbol, ...], terms) -> List[Tuple[np.ndarr
     return out
 
 
-def _vn_rhs(comp: CompressedModel, terms: List[Tuple[np.ndarray, Sequence, Sequence]]) -> float:
-    """||sum_t S_(alpha_t) S_(beta_t)^* (x) C_t||_2, the largest norm over the
-    connected components of the operator's block graph.
+def _vn_rhs(comp: CompressedModel, terms: List[Tuple[np.ndarray, Sequence, Sequence]], qdim: int) -> float:
+    """||sum_t S_(alpha_t) S_(beta_t)^* (x) C_t||_2 for q x q blocks C_t, the
+    largest norm over the connected components of the operator's block graph.
 
     A word maps each grade block into at most one block, and from at most
     one, so S_alpha S_beta^*'s block (h, x) is P_alpha P_beta^* over their
@@ -410,8 +411,8 @@ def _vn_rhs(comp: CompressedModel, terms: List[Tuple[np.ndarray, Sequence, Seque
     direct sum over the graph's connected components; each component is
     assembled densely and all their norms come from one stacked SVD per
     shape. A term set whose graph is one component is the whole operator.
+    A component wider than DENSE_CAP in N's coordinates raises ResourceCapError.
     """
-    qdim = terms[0][0].shape[0] if terms else 1
     width = [N.shape[1] for N in comp.subspace.blocks]
     pieces: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
     for C, alpha, beta in terms:
@@ -441,6 +442,8 @@ def _vn_rhs(comp: CompressedModel, terms: List[Tuple[np.ndarray, Sequence, Seque
     mats = []
     for edges in components.values():
         (rows, r), (cols, c) = slots(sorted({h for h, _ in edges})), slots(sorted({x for _, x in edges}))
+        if max(r, c) > DENSE_CAP:
+            raise ResourceCapError(f"vn right side is dense per component; {r} x {c} exceeds {DENSE_CAP}")
         # H[i, p, j, s] = sum_t M_t[i, j] C_t[p, s], kron's layout once reshaped
         H = np.zeros((r, qdim, c, qdim), dtype=np.complex128)
         for h, x in edges:
@@ -474,12 +477,10 @@ def vn_check_model(
     term maps a grade block into one block, so ||H||_2 is exactly the
     largest norm over the connected components of H's block graph
     (_vn_rhs). On S_{1,1} (x) I + 0.3 S_{2,1} (x) I the components are the
-    total-degree levels; without constraints on the default two-factor spec
-    at D = 4 the widest is 252 x 254, where the whole right side at cap 6 is
-    1778 x 1778, and the CLI run takes 0.27 s and 48 MB against 4.5 s and
-    187 MB dense (one 2-vCPU host, one BLAS thread). A term set whose graph
-    is one component, such as a constant term plus shifts in both factors,
-    still takes one SVD of the whole operator.
+    total-degree levels. A term set whose graph is one component, such as a
+    constant term plus shifts in both factors, takes one SVD of the whole
+    operator. A component wider than fock.DENSE_CAP in N's coordinates, or
+    a variety subspace past its dense cap, raises ResourceCapError.
     """
     symbols, m, tol = tuple(symbols), tuple(m), require_tol(tol)
     D_pos = hermitian(D_pos, "D_pos", ops.dim)
@@ -498,7 +499,7 @@ def vn_check_model(
     rhs_values: List[float] = []
     for cap in (degree_cap, degree_cap + 1, degree_cap + 2):
         _, model = build_model(symbols, m, cap, tol=ops.tol)
-        rhs_values.append(_vn_rhs(compress(model, variety_subspace(model, polys)), terms))
+        rhs_values.append(_vn_rhs(compress(model, variety_subspace(model, polys)), terms, qdim))
     rel_diffs = [
         abs(rhs_values[t + 1] - rhs_values[t]) / max(rhs_values[t + 1], 1e-300)
         for t in range(2)

@@ -505,10 +505,14 @@ def _max_norm(mats: Sequence[np.ndarray]) -> float:
     )
 
 
+# the widest dense square the variety computation and vn's model side build
+DENSE_CAP = 4096
+
+
 def variety_subspace(
     model: ModelOperators,
     Q_polys: Sequence[NCPolynomial],
-    dense_cap: int = 4096,
+    dense_cap: int = DENSE_CAP,
 ) -> VarietySubspace:
     """N = truncated space minus the W-invariant span of the q(W) ranges.
 
@@ -535,9 +539,10 @@ def variety_subspace(
     its coordinates are the blocks' columns in block order. When nothing is
     removed, every block of N is an identity. The M basis is only used for
     the invariance residuals. The subspace is served from the model cache
-    when build_model made the model. A model of dimension above dense_cap
-    raises ResourceCapError when there are constraints; without them every
-    block of N is an identity, nothing is dense, and the cap does not bind.
+    when build_model made the model. ResourceCapError is raised when there
+    are constraints and the model's dimension exceeds dense_cap, and when
+    there are none and a grade block is wider than dense_cap: each block of
+    N is then a dense identity, and compress multiplies by it per letter.
     """
     polys = tuple(Q_polys)
     key = None
@@ -565,7 +570,6 @@ def _variety_subspace(model: ModelOperators, Q_polys: Sequence[NCPolynomial],
     """variety_subspace without the model cache."""
     fock = model.fock
     polys = tuple(Q_polys)
-    # without constraints every block of N is an identity and nothing is dense
     if polys and fock.dim > dense_cap:
         raise ResourceCapError(
             f"variety computation is dense; dim {fock.dim} exceeds {dense_cap}"
@@ -577,6 +581,12 @@ def _variety_subspace(model: ModelOperators, Q_polys: Sequence[NCPolynomial],
             f"constraint letters (i, j) in {bad} lie outside a model with arities {fock.arities}"
         )
     rows, local, sources, shifts = _grade_blocks(model, polys)
+    # without constraints N is one identity per grade block: only they are dense
+    widest = max(len(R) for R in rows)
+    if not polys and widest > dense_cap:
+        raise ResourceCapError(
+            f"variety computation is dense per grade block; block of {widest} exceeds {dense_cap}"
+        )
     nb = len(rows)
     empty = [np.zeros((len(R), 0), dtype=np.complex128) for R in rows]
 

@@ -425,6 +425,19 @@ def test_vn_model_without_constraints_takes_no_wide_svd(monkeypatch):
     assert wall < 1.0, wall
 
 
+def test_vn_model_refuses_a_component_wider_than_the_dense_cap(monkeypatch):
+    # at cap 4 the (2, 1) model has dimension 155; a constant term joins all
+    # of it into one component, while the shifts' widest component is 31 wide
+    monkeypatch.setattr(polydom.berezin, "DENSE_CAP", 100)
+    inst = generate("commuting_polynomials", 0, dim=4)
+    shifts = [(np.eye(2), ((1,), ()), ((), ())), (0.3 * np.eye(2), ((), (1,)), ((), ()))]
+    rep = vn_check_model(inst.symbols, inst.m, inst.ops, np.eye(4), shifts, degree_cap=2)
+    assert rep.verdict == "INCONCLUSIVE"
+    with pytest.raises(ResourceCapError, match="155 x 155 exceeds 100"):
+        vn_check_model(inst.symbols, inst.m, inst.ops, np.eye(4),
+                       [(np.eye(2), ((), ()), ((), ()))] + shifts, degree_cap=2)
+
+
 @pytest.mark.parametrize("coeff", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf]]), float("nan")],
                          ids=["nan-block", "inf-block", "nan-scalar"])
 def test_vn_model_rejects_a_non_finite_coefficient(coeff, monkeypatch):

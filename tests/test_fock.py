@@ -291,15 +291,26 @@ def test_variety_empty_constraints_full_space():
         assert np.linalg.norm(B @ S[(1, j)] @ B.conj().T - model.W(1, j).toarray()) <= 1e-12
 
 
-def test_dense_cap_binds_only_with_constraints():
-    # with no constraints every block of N is an identity and nothing is dense
+def test_dense_cap_binds_on_the_widest_block_without_constraints():
+    # with no constraints N is one dense identity per grade block, here the
+    # degree levels 1, 2, 4 and 8, so the cap binds on the widest block only
     fock, model = polyball_model(n=2, cap=3)
     sub = variety_subspace(model, (), dense_cap=10)
     assert fock.dim == 15 and sub.dim_N == 15
     for N in sub.blocks:
         assert np.array_equal(N, np.eye(N.shape[0]))
+    with pytest.raises(ResourceCapError, match="block of 8 exceeds 7"):
+        variety_subspace(model, (), dense_cap=7)
     with pytest.raises(ResourceCapError, match="dim 15 exceeds 10"):
         variety_subspace(model, [commutator_polynomial(1, 1, 2)], dense_cap=10)
+
+
+def test_dense_cap_refuses_a_wide_unconstrained_level():
+    # one factor of arity 3 at cap 8: dimension 9841, top level 3^8 = 6561
+    fock, model = polyball_model(n=3, cap=8)
+    assert fock.dim == 9841
+    with pytest.raises(ResourceCapError, match="block of 6561 exceeds 4096"):
+        variety_subspace(model, ())
 
 
 def test_variety_commutator_dimension():
